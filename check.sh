@@ -22,7 +22,8 @@ for cmd in \
     "cargo bench -p mcond-bench --bench reload_swap" \
     "cargo bench -p mcond-bench --bench obs" \
     "cargo bench -p mcond-bench --bench kernels_simd" \
-    "cargo run --release -p mcond-bench --bin trace-report -- target/robust_serving_trace.jsonl"
+    "cargo run --release -p mcond-bench --bin trace-report -- target/robust_serving_trace.jsonl" \
+    "cargo check --release --offline --manifest-path benchmark/Cargo.toml"
 do
     if ! grep -q "run: $cmd\$" "$WORKFLOW"; then
         echo "DRIFT: $WORKFLOW is missing the tier-1 step: $cmd" >&2
@@ -52,6 +53,10 @@ MCOND_THREADS=4 cargo test --workspace
 # the baseline every lane tier is tested against).
 MCOND_SIMD=0 cargo test --workspace
 cargo bench --workspace --no-run
+# The lifecycle benchmark is a workspace of its own that path-depends on
+# crates/*; nothing above compiles it, so an API break there would only
+# surface in the benchmark pipeline. Type-check it here.
+cargo check --release --offline --manifest-path benchmark/Cargo.toml
 # Checkpoint round-trip smoke: condense → save → restore → serve, bitwise
 # verified inside the example (also exercises a corrupted-file rejection).
 cargo run --release --example checkpointing
@@ -61,14 +66,18 @@ cargo run --release --example checkpointing
 # and the trace-stamped panic flight dump, and leaves a JSONL trace behind
 # for the trace-report smoke below.
 MCOND_LOG=target/robust_serving_trace.jsonl cargo run --release --example robust_serving
-# Headline speedup demo; asserts the split-operator fast path is bitwise
-# identical to the extended reference before reporting numbers.
+# Headline speedup demo: Whole vs MCond through InductiveServer::try_serve,
+# plus the frozen-base cache.
 cargo run --release --example inference_acceleration
 # Network serving smoke: checkpoint boot → HTTP front end on localhost →
 # wire round trip asserted bitwise identical to the library call.
 cargo run --release --example serving
-# Fast-path bench smoke (tiny sample budget): regenerates
-# results/BENCH_serve_fastpath.json and re-checks the bitwise guard.
+# Bench smokes below run with a shrunken budget, so their reports land in
+# target/bench-smoke/, never in results/ (mcond_bench::report decides from
+# the budget variables it sees). results/BENCH_*.json is regenerated only
+# by running a bench with no budget override.
+# Fast-path bench smoke (tiny sample budget): re-checks the bitwise guard
+# against the stacked reference.
 MCOND_BENCH_SAMPLES=2 MCOND_BENCH_SAMPLE_MS=1 cargo bench -p mcond-bench --bench serve_fastpath
 # Hot-swap robustness in release timing: ≥100 reloads under closed-loop
 # load with epoch-verified bitwise answers, corrupt-bundle storms, and
@@ -80,23 +89,20 @@ cargo test --release -p mcond-serve --test reload_chaos --test drain_deadline
 # both Exact and patched-FrozenBase serving) at 1 and 4 threads, and a
 # refresh replay must reproduce the live state exactly.
 cargo test --release -p mcond-core --test delta_equivalence
-# Drift-experiment smoke (tiny waves): regenerates
-# results/BENCH_delta_drift.json and re-checks the refresh-replay bitwise
+# Drift-experiment smoke (tiny waves): re-checks the refresh-replay bitwise
 # guard over the probe set.
 MCOND_DRIFT_WAVES=2 MCOND_DRIFT_WAVE=4 MCOND_DRIFT_EPOCHS=5 MCOND_DRIFT_PROBES=50 cargo bench -p mcond-bench --bench delta_drift
-# Closed-loop HTTP load-generator smoke (short levels): regenerates
-# results/BENCH_serving_qps.json after verifying wire responses bitwise
-# and asserting RSS stays flat across 50 hot reloads.
+# Closed-loop HTTP load-generator smoke (short levels): verifies wire
+# responses bitwise and asserts RSS stays flat across 50 hot reloads.
 MCOND_QPS_MS=300 cargo bench -p mcond-bench --bench serving_qps
-# Reload-under-load smoke: regenerates results/BENCH_reload_swap.json —
-# p50/p99 with vs without a concurrent reload storm, every answer verified
-# against the epoch its header claims.
+# Reload-under-load smoke: p50/p99 with vs without a concurrent reload
+# storm, every answer verified against the epoch its header claims.
 MCOND_RELOAD_MS=300 cargo bench -p mcond-bench --bench reload_swap
 # Observability overhead smoke: sink-off vs sharded-registry vs full
-# tracing at 1 and 4 threads; regenerates results/BENCH_obs_overhead.json.
+# tracing at 1 and 4 threads.
 MCOND_BENCH_SAMPLES=2 MCOND_BENCH_SAMPLE_MS=1 cargo bench -p mcond-bench --bench obs
 # SIMD tier sweep smoke: every available MCOND_SIMD level of the dense and
-# sparse kernels; regenerates results/BENCH_kernels_simd.json.
+# sparse kernels.
 MCOND_BENCH_SAMPLES=2 MCOND_BENCH_SAMPLE_MS=1 cargo bench -p mcond-bench --bench kernels_simd
 # Offline trace tooling smoke: fold the robust_serving JSONL trace into a
 # call-tree profile (fails if the log is missing or span-free).

@@ -31,6 +31,8 @@
 //! assert_eq!(grads.get(w).unwrap().as_slice(), &[1.0, 2.0]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod adam;
 mod backward;
 pub mod check;

@@ -176,10 +176,5 @@ fn main() {
 
     report.attach_metrics(&mcond_obs::snapshot());
     print_table(&report);
-    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(out_dir).expect("create results dir");
-    report
-        .dump_json(&format!("{out_dir}/BENCH_delta_drift.json"))
-        .expect("write BENCH_delta_drift.json");
-    println!("wrote {out_dir}/BENCH_delta_drift.json");
+    report.dump_bench_json("BENCH_delta_drift");
 }

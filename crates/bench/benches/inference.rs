@@ -1,14 +1,15 @@
 //! The Fig. 3 / Fig. 4 kernel as a microbench: end-to-end inductive
 //! inference of one test batch on the original graph (Eq. 3) versus the
-//! condensed graph through the mapping (Eq. 11), plus the Table III
+//! condensed graph through the mapping (Eq. 11) — both through
+//! `InductiveServer::try_serve`, the path that ships — plus the Table III
 //! propagation kernels on both targets.
 
 use mcond_bench::microbench::{black_box, Bench};
 use mcond_bench::pipeline::{build_pipeline, Pipeline};
-use mcond_core::{InductiveServer, InferenceTarget};
-use mcond_gnn::GraphOps;
+use mcond_core::InductiveServer;
 use mcond_graph::Scale;
 use mcond_propagate::{label_propagation, PropagationConfig};
+use mcond_sparse::spmm_sparse;
 
 fn pipeline() -> Pipeline {
     build_pipeline("reddit", Scale::Small, 0.015, 0, Some(60))
@@ -16,21 +17,15 @@ fn pipeline() -> Pipeline {
 
 fn bench_inductive_inference(bench: &mut Bench, p: &Pipeline) {
     let batch = &p.data.test_batches(100, true)[0];
-    let original = InferenceTarget::Original(&p.original);
-    let synthetic = InferenceTarget::Synthetic {
-        graph: &p.mcond.synthetic,
-        mapping: &p.mcond.mapping,
-    };
+    let original = InductiveServer::on_original(&p.original, &p.model_original);
+    let synthetic =
+        InductiveServer::on_synthetic(&p.mcond.synthetic, &p.mcond.mapping, &p.model_original);
 
     bench.run("inductive_inference/original_graph", || {
-        let (adj, x) = original.attach(batch);
-        let ops = GraphOps::from_adj(&adj);
-        black_box(p.model_original.predict(&ops, &x))
+        black_box(original.try_serve(batch).expect("test batch serves"))
     });
     bench.run("inductive_inference/synthetic_graph", || {
-        let (adj, x) = synthetic.attach(batch);
-        let ops = GraphOps::from_adj(&adj);
-        black_box(p.model_original.predict(&ops, &x))
+        black_box(synthetic.try_serve(batch).expect("test batch serves"))
     });
 }
 
@@ -38,12 +33,13 @@ fn bench_propagation(bench: &mut Bench, p: &Pipeline) {
     let batch = &p.data.test_batches(100, true)[0];
     let cfg = PropagationConfig::default();
 
-    let (adj_o, _) = InferenceTarget::Original(&p.original).attach(batch);
-    let (adj_s, _) = InferenceTarget::Synthetic {
-        graph: &p.mcond.synthetic,
-        mapping: &p.mcond.mapping,
-    }
-    .attach(batch);
+    // Label propagation runs on the combined structure, spelled out.
+    let adj_o = p.original.adj.block_extend(&batch.incremental, &batch.interconnect);
+    let adj_s = p
+        .mcond
+        .synthetic
+        .adj
+        .block_extend(&spmm_sparse(&batch.incremental, &p.mcond.mapping), &batch.interconnect);
 
     bench.run("label_propagation/original_graph", || {
         black_box(label_propagation(
@@ -65,30 +61,10 @@ fn bench_propagation(bench: &mut Bench, p: &Pipeline) {
     });
 }
 
-/// The serving ablation: per-batch materialised attachment (copies the
-/// base CSR each call) versus the lazy extended propagator of
-/// `InductiveServer` — same logits, different per-batch cost.
-fn bench_serving(bench: &mut Bench, p: &Pipeline) {
-    let batch = &p.data.test_batches(100, true)[0];
-    let original = InferenceTarget::Original(&p.original);
-    let server = InductiveServer::on_original(&p.original, &p.model_original);
-
-    bench.run("serving_original_graph/materialised_per_batch", || {
-        let (adj, x) = original.attach(batch);
-        let ops = GraphOps::from_adj(&adj);
-        let logits = p.model_original.predict(&ops, &x);
-        black_box(logits.slice_rows(p.original.num_nodes(), x.rows()))
-    });
-    bench.run("serving_original_graph/lazy_extended_server", || {
-        black_box(server.serve(batch))
-    });
-}
-
 fn main() {
     let p = pipeline();
     let mut bench = Bench::from_env().sample_size(20);
     bench_inductive_inference(&mut bench, &p);
     bench_propagation(&mut bench, &p);
-    bench_serving(&mut bench, &p);
     bench.finish("inductive inference microbenches");
 }

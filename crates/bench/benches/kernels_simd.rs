@@ -132,12 +132,5 @@ fn main() {
     report.attach_metrics(&mcond_obs::snapshot());
     bench.finish("SIMD kernel microbenches");
     print_table(&report);
-    // Anchor at the workspace root (cargo bench runs with the package dir
-    // as CWD) so the baseline lands next to the experiment outputs.
-    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    let _ = std::fs::create_dir_all(out_dir);
-    let path = format!("{out_dir}/BENCH_kernels_simd.json");
-    if let Err(e) = report.dump_json(&path) {
-        eprintln!("cannot write {path}: {e}");
-    }
+    report.dump_bench_json("BENCH_kernels_simd");
 }

@@ -177,10 +177,5 @@ fn main() {
 
     bench.finish("observability overhead");
     print_table(&report);
-    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    let _ = std::fs::create_dir_all(out_dir);
-    let path = format!("{out_dir}/BENCH_obs_overhead.json");
-    if let Err(e) = report.dump_json(&path) {
-        eprintln!("cannot write {path}: {e}");
-    }
+    report.dump_bench_json("BENCH_obs_overhead");
 }

@@ -65,10 +65,10 @@ fn bench_serve_many(bench: &mut Bench) {
     let server = InductiveServer::on_original(&original, &model);
     let batches = data.test_batches(40, true);
     bench.run(&format!("serve_many/pubmed/{SERIAL}"), || {
-        mcond_par::with_thread_limit(1, || black_box(server.serve_many(&batches)))
+        mcond_par::with_thread_limit(1, || black_box(server.try_serve_many(&batches)))
     });
     bench.run(&format!("serve_many/pubmed/{PARALLEL}"), || {
-        mcond_par::with_thread_limit(PAR_THREADS, || black_box(server.serve_many(&batches)))
+        mcond_par::with_thread_limit(PAR_THREADS, || black_box(server.try_serve_many(&batches)))
     });
 }
 
@@ -109,12 +109,5 @@ fn main() {
     let report = speedup_report(&bench);
     bench.finish("parallel kernel microbenches");
     print_table(&report);
-    // Anchor at the workspace root (cargo bench runs with the package dir
-    // as CWD) so the baseline lands next to the experiment outputs.
-    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    let _ = std::fs::create_dir_all(out_dir);
-    let path = format!("{out_dir}/BENCH_parallel.json");
-    if let Err(e) = report.dump_json(&path) {
-        eprintln!("cannot write {path}: {e}");
-    }
+    report.dump_bench_json("BENCH_parallel");
 }

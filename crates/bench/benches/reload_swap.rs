@@ -257,12 +257,7 @@ fn main() {
 
     report.attach_metrics(&mcond_obs::snapshot());
     print_table(&report);
-    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    let _ = std::fs::create_dir_all(out_dir);
-    let path = format!("{out_dir}/BENCH_reload_swap.json");
-    if let Err(e) = report.dump_json(&path) {
-        eprintln!("cannot write {path}: {e}");
-    }
+    report.dump_bench_json("BENCH_reload_swap");
     handle.shutdown();
     std::fs::remove_file(&path_a).ok();
     std::fs::remove_file(&path_b).ok();

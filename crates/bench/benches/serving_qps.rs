@@ -235,12 +235,7 @@ fn main() {
     }
     report.attach_metrics(&mcond_obs::snapshot());
     print_table(&report);
-    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    let _ = std::fs::create_dir_all(out_dir);
-    let path = format!("{out_dir}/BENCH_serving_qps.json");
-    if let Err(e) = report.dump_json(&path) {
-        eprintln!("cannot write {path}: {e}");
-    }
+    report.dump_bench_json("BENCH_serving_qps");
     handle.shutdown();
     std::fs::remove_file(&ckpt_path).ok();
 }

@@ -11,7 +11,7 @@ use mcond_bench::pipeline::{default_batch_size, default_condense_config, default
 use mcond_bench::{
     evaluate_inductive, mean_std, parse_args, print_table, train_on_graph, Row, TableReport,
 };
-use mcond_core::{condense, GradDistance, InferenceTarget, McondConfig};
+use mcond_core::{condense, GradDistance, InductiveServer, McondConfig};
 use mcond_gnn::GnnKind;
 use mcond_graph::{dataset_spec, load_dataset};
 
@@ -48,8 +48,7 @@ fn main() {
                     train_on_graph(&condensed.synthetic, GnnKind::Sgc, epochs, 64, seed);
                 let batches = data.test_batches(default_batch_size(args.scale), false);
                 let res = evaluate_inductive(
-                    &model,
-                    &InferenceTarget::Original(&data.original_graph()),
+                    &InductiveServer::on_original(&data.original_graph(), &model),
                     &batches,
                 );
                 accs.push(100.0 * res.accuracy);

@@ -12,7 +12,7 @@
 
 use mcond_bench::pipeline::default_batch_size;
 use mcond_bench::{evaluate_inductive, parse_args, print_table, Row, TableReport};
-use mcond_core::InferenceTarget;
+use mcond_core::InductiveServer;
 use mcond_gnn::{train, GnnKind, GnnModel, GraphOps, TrainConfig};
 use mcond_graph::{dataset_spec, load_dataset};
 
@@ -41,7 +41,7 @@ fn main() {
             model.hops = hops;
             train(&mut model, &ops, &original.features, &original.labels, &cfg, None);
             let batches = data.test_batches(default_batch_size(args.scale), false);
-            evaluate_inductive(&model, &InferenceTarget::Original(&original), &batches)
+            evaluate_inductive(&InductiveServer::on_original(&original, &model), &batches)
                 .accuracy
         };
         let feature_only = eval_with_hops(0);

@@ -11,7 +11,7 @@
 
 use mcond_bench::pipeline::{default_batch_size, default_condense_config, default_epochs};
 use mcond_bench::{evaluate_inductive, parse_args, print_table, train_on_graph, Row, TableReport};
-use mcond_core::{class_correlation_of, condense, InferenceTarget, Mapping};
+use mcond_core::{class_correlation_of, condense, InductiveServer, Mapping};
 use mcond_gnn::GnnKind;
 use mcond_graph::load_dataset;
 use mcond_linalg::DMat;
@@ -79,11 +79,7 @@ fn main() {
         let model = train_on_graph(&result.synthetic, GnnKind::Sgc, epochs, 64, args.seed);
         let batches = data.test_batches(default_batch_size(args.scale), false);
         let res = evaluate_inductive(
-            &model,
-            &InferenceTarget::Synthetic {
-                graph: &result.synthetic,
-                mapping: &result.mapping,
-            },
+            &InductiveServer::on_synthetic(&result.synthetic, &result.mapping, &model),
             &batches,
         );
         report.push(

@@ -4,7 +4,7 @@
 
 use mcond_bench::pipeline::{build_pipeline, default_batch_size};
 use mcond_bench::{evaluate_inductive, parse_args, print_table, Row, TableReport};
-use mcond_core::InferenceTarget;
+use mcond_core::InductiveServer;
 use mcond_graph::dataset_spec;
 
 fn main() {
@@ -31,8 +31,7 @@ fn main() {
                 p.mcond.synthetic.num_classes,
             );
             let res = evaluate_inductive(
-                &p.model_original,
-                &InferenceTarget::Synthetic { graph: &synthetic, mapping: &mapping },
+                &InductiveServer::on_synthetic(&synthetic, &mapping, &p.model_original),
                 &batches,
             );
             report.push(

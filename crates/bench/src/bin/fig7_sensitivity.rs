@@ -4,7 +4,7 @@
 
 use mcond_bench::pipeline::{default_batch_size, default_condense_config, default_epochs};
 use mcond_bench::{evaluate_inductive, parse_args, print_table, train_on_graph, Row, TableReport};
-use mcond_core::{condense, InferenceTarget};
+use mcond_core::{condense, InductiveServer};
 use mcond_gnn::GnnKind;
 use mcond_graph::{dataset_spec, load_dataset};
 
@@ -42,11 +42,7 @@ fn main() {
         );
         let batches = data.test_batches(default_batch_size(args.scale), false);
         let res = evaluate_inductive(
-            &model,
-            &InferenceTarget::Synthetic {
-                graph: &condensed.synthetic,
-                mapping: &condensed.mapping,
-            },
+            &InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model),
             &batches,
         );
         report.push(

@@ -10,7 +10,7 @@ use mcond_bench::{
     train_on_graph, Row, TableReport,
 };
 use mcond_bench::pipeline::{build_pipeline, default_batch_size, default_condense_config, default_epochs};
-use mcond_core::{condense, coreset, vng, CoresetMethod, InferenceTarget, McondConfig};
+use mcond_core::{condense, coreset, vng, CoresetMethod, InductiveServer, McondConfig};
 use mcond_gnn::GnnKind;
 use mcond_graph::dataset_spec;
 
@@ -41,11 +41,25 @@ fn main() {
                     let seed = args.seed + rep as u64;
                     let p = build_pipeline(name, args.scale, ratio, seed, args.epochs);
                     let batches = p.data.test_batches(batch_size, graph_batch);
-                    let orig_target = InferenceTarget::Original(&p.original);
+                    let on_original = |model| {
+                        evaluate_inductive(
+                            &InductiveServer::on_original(&p.original, model),
+                            &batches,
+                        )
+                    };
+                    let on_mcond = |model| {
+                        evaluate_inductive(
+                            &InductiveServer::on_synthetic(
+                                &p.mcond.synthetic,
+                                &p.mcond.mapping,
+                                model,
+                            ),
+                            &batches,
+                        )
+                    };
 
                     // Whole: O->O.
-                    let whole =
-                        evaluate_inductive(&p.model_original, &orig_target, &batches);
+                    let whole = on_original(&p.model_original);
                     record(&mut cells, "Whole", 100.0 * whole.accuracy);
 
                     // Coresets and VNG: train on T, infer on reduced graph.
@@ -54,31 +68,33 @@ fn main() {
                     for method in CoresetMethod::ALL {
                         let reduced =
                             coreset(&p.original, &embeddings, n_syn, method, seed);
-                        let target = InferenceTarget::Synthetic {
-                            graph: &reduced.graph,
-                            mapping: &reduced.mapping,
-                        };
-                        let r = evaluate_inductive(&p.model_original, &target, &batches);
+                        let r = evaluate_inductive(
+                            &InductiveServer::on_synthetic(
+                                &reduced.graph,
+                                &reduced.mapping,
+                                &p.model_original,
+                            ),
+                            &batches,
+                        );
                         record(&mut cells, method.name(), 100.0 * r.accuracy);
                     }
                     let virtual_graph = vng(&p.original, &p.original.features, n_syn, seed);
-                    let vng_target = InferenceTarget::Synthetic {
-                        graph: &virtual_graph.graph,
-                        mapping: &virtual_graph.mapping,
-                    };
-                    let r = evaluate_inductive(&p.model_original, &vng_target, &batches);
+                    let r = evaluate_inductive(
+                        &InductiveServer::on_synthetic(
+                            &virtual_graph.graph,
+                            &virtual_graph.mapping,
+                            &p.model_original,
+                        ),
+                        &batches,
+                    );
                     record(&mut cells, "VNG", 100.0 * r.accuracy);
 
                     // MCond targets.
-                    let mcond_target = InferenceTarget::Synthetic {
-                        graph: &p.mcond.synthetic,
-                        mapping: &p.mcond.mapping,
-                    };
-                    let os = evaluate_inductive(&p.model_original, &mcond_target, &batches);
+                    let os = on_mcond(&p.model_original);
                     record(&mut cells, "MCond_OS", 100.0 * os.accuracy);
-                    let so = evaluate_inductive(&p.model_synthetic, &orig_target, &batches);
+                    let so = on_original(&p.model_synthetic);
                     record(&mut cells, "MCond_SO", 100.0 * so.accuracy);
-                    let ss = evaluate_inductive(&p.model_synthetic, &mcond_target, &batches);
+                    let ss = on_mcond(&p.model_synthetic);
                     record(&mut cells, "MCond_SS", 100.0 * ss.accuracy);
 
                     // GCond baseline: separate condensation without the MCond
@@ -93,7 +109,7 @@ fn main() {
                     let epochs = args.epochs.unwrap_or_else(|| default_epochs(args.scale));
                     let gcond_model =
                         train_on_graph(&gcond.synthetic, GnnKind::Sgc, epochs, 64, seed);
-                    let g = evaluate_inductive(&gcond_model, &orig_target, &batches);
+                    let g = on_original(&gcond_model);
                     record(&mut cells, "GCond", 100.0 * g.accuracy);
                 }
 

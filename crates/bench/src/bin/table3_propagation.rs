@@ -7,9 +7,10 @@
 
 use mcond_bench::pipeline::{build_pipeline, default_batch_size};
 use mcond_bench::{parse_args, print_table, Row, TableReport};
-use mcond_core::InferenceTarget;
+use mcond_core::InductiveServer;
 use mcond_gnn::{accuracy, GnnModel, GraphOps};
-use mcond_graph::dataset_spec;
+use mcond_graph::{dataset_spec, Graph};
+use mcond_sparse::Csr;
 use mcond_propagate::{error_propagation, label_propagation, PropagationConfig};
 use std::time::Instant;
 
@@ -20,30 +21,40 @@ struct Outcome {
     propagation_ms: f64,
 }
 
+/// Vanilla / LP / EP accuracy of `model` deployed on `base` — through
+/// `mapping` (Eq. 11) when there is one, directly (Eq. 3) otherwise.
 fn evaluate(
     model: &GnnModel,
-    target: &InferenceTarget,
+    base: &Graph,
+    mapping: Option<&Csr>,
     batches: &[mcond_graph::NodeBatch],
-    base_labels: &[usize],
-    num_classes: usize,
 ) -> Outcome {
     let cfg = PropagationConfig::default();
-    let n_base = target.base_nodes();
+    let server = match mapping {
+        Some(m) => InductiveServer::on_synthetic(base, m, model),
+        None => InductiveServer::on_original(base, model),
+    };
+    let n_base = base.num_nodes();
+    // The residual error propagation diffuses is the model's error on the
+    // labelled base nodes — a property of the base graph alone.
+    let base_logits = model.predict(&GraphOps::from_adj(&base.adj), &base.features);
     let mut vanilla_hits = 0.0;
     let mut lp_hits = 0.0;
     let mut ep_hits = 0.0;
     let mut nodes = 0usize;
     let mut prop_seconds = 0.0;
     for batch in batches {
-        let (adj, x) = target.attach(batch);
-        let ops = GraphOps::from_adj(&adj);
-        let logits = model.predict(&ops, &x);
-        let test_logits = logits.slice_rows(n_base, logits.rows());
+        let test_logits = server.try_serve(batch).expect("test batch must be servable");
         vanilla_hits += accuracy(&test_logits, &batch.labels) * batch.len() as f64;
 
+        // LP/EP are defined on the combined structure, so they — unlike
+        // the GNN forward — get the extended adjacency spelled out.
+        let adj = base.adj.block_extend(&server.attachment(batch), &batch.interconnect);
+        let logits = base_logits.vstack(&test_logits);
+
         let start = Instant::now();
-        let lp_scores = label_propagation(&adj, base_labels, n_base, num_classes, &cfg);
-        let ep_scores = error_propagation(&adj, &logits, base_labels, n_base, 1.0, &cfg);
+        let lp_scores = label_propagation(&adj, &base.labels, n_base, base.num_classes, &cfg);
+        let ep_scores = error_propagation(&adj, &logits, &base.labels, n_base, 1.0, &cfg);
         prop_seconds += start.elapsed().as_secs_f64();
 
         let lp_test = lp_scores.slice_rows(n_base, lp_scores.rows());
@@ -79,23 +90,9 @@ fn main() {
             let batch_label = if graph_batch { "graph" } else { "node" };
             let batches = p.data.test_batches(default_batch_size(args.scale), graph_batch);
 
-            let orig = evaluate(
-                &p.model_synthetic,
-                &InferenceTarget::Original(&p.original),
-                &batches,
-                &p.original.labels,
-                p.original.num_classes,
-            );
-            let syn = evaluate(
-                &p.model_synthetic,
-                &InferenceTarget::Synthetic {
-                    graph: &p.mcond.synthetic,
-                    mapping: &p.mcond.mapping,
-                },
-                &batches,
-                &p.mcond.synthetic.labels,
-                p.original.num_classes,
-            );
+            let model = &p.model_synthetic;
+            let orig = evaluate(model, &p.original, None, &batches);
+            let syn = evaluate(model, &p.mcond.synthetic, Some(&p.mcond.mapping), &batches);
 
             for (graph_label, o, accel) in [
                 ("O", &orig, 1.0),

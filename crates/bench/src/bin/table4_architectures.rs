@@ -6,7 +6,7 @@
 
 use mcond_bench::pipeline::{default_batch_size, build_pipeline, default_epochs};
 use mcond_bench::{evaluate_inductive, parse_args, print_table, train_on_graph, Row, TableReport};
-use mcond_core::InferenceTarget;
+use mcond_core::InductiveServer;
 use mcond_gnn::GnnKind;
 use mcond_graph::dataset_spec;
 
@@ -30,16 +30,11 @@ fn main() {
             for kind in architectures {
                 let model = train_on_graph(&p.mcond.synthetic, kind, epochs, 64, args.seed);
                 let so = evaluate_inductive(
-                    &model,
-                    &InferenceTarget::Original(&p.original),
+                    &InductiveServer::on_original(&p.original, &model),
                     &batches,
                 );
                 let ss = evaluate_inductive(
-                    &model,
-                    &InferenceTarget::Synthetic {
-                        graph: &p.mcond.synthetic,
-                        mapping: &p.mcond.mapping,
-                    },
+                    &InductiveServer::on_synthetic(&p.mcond.synthetic, &p.mcond.mapping, &model),
                     &batches,
                 );
                 for (setting, res) in [("MCond_SO", so), ("MCond_SS", ss)] {

@@ -5,7 +5,7 @@ use mcond_bench::pipeline::{default_batch_size, default_condense_config, default
 use mcond_bench::{
     evaluate_inductive, mean_std, parse_args, print_table, train_on_graph, Row, TableReport,
 };
-use mcond_core::{condense, InferenceTarget, McondConfig};
+use mcond_core::{condense, InductiveServer, McondConfig};
 use mcond_gnn::GnnKind;
 use mcond_graph::{dataset_spec, load_dataset};
 
@@ -43,11 +43,11 @@ fn main() {
                         train_on_graph(&condensed.synthetic, GnnKind::Sgc, epochs, 64, seed);
                     let batches = data.test_batches(default_batch_size(args.scale), graph_batch);
                     let res = evaluate_inductive(
-                        &model,
-                        &InferenceTarget::Synthetic {
-                            graph: &condensed.synthetic,
-                            mapping: &condensed.mapping,
-                        },
+                        &InductiveServer::on_synthetic(
+                            &condensed.synthetic,
+                            &condensed.mapping,
+                            &model,
+                        ),
                         &batches,
                     );
                     accs.push(100.0 * res.accuracy);

@@ -2,7 +2,7 @@
 
 use crate::pipeline::{build_pipeline, default_batch_size};
 use crate::{evaluate_inductive, parse_args, print_table, propagated_embeddings, Row, TableReport};
-use mcond_core::{coreset, vng, CoresetMethod, InductiveServer, InferenceTarget};
+use mcond_core::{coreset, vng, CoresetMethod, InductiveServer};
 use mcond_graph::dataset_spec;
 use mcond_obs::MetricsSnapshot;
 
@@ -40,35 +40,32 @@ pub fn run_cost_experiment(graph_batch: bool, title: &str) {
             let embeddings = propagated_embeddings(&p.original, 2);
             let n_syn = p.mcond.synthetic.num_nodes();
 
-            let whole = evaluate_inductive(
-                &p.model_original,
-                &InferenceTarget::Original(&p.original),
-                &batches,
-            );
+            // Every method is timed on the serving path itself; the Whole
+            // and MCond servers' request-level latency/fanout histograms
+            // are folded into the dump below.
+            let server_whole = InductiveServer::on_original(&p.original, &p.model_original);
+            let whole = evaluate_inductive(&server_whole, &batches);
             let random =
                 coreset(&p.original, &embeddings, n_syn, CoresetMethod::Random, args.seed);
             let random_cost = evaluate_inductive(
-                &p.model_original,
-                &InferenceTarget::Synthetic { graph: &random.graph, mapping: &random.mapping },
+                &InductiveServer::on_synthetic(&random.graph, &random.mapping, &p.model_original),
                 &batches,
             );
             let virtual_graph = vng(&p.original, &p.original.features, n_syn, args.seed);
             let vng_cost = evaluate_inductive(
-                &p.model_original,
-                &InferenceTarget::Synthetic {
-                    graph: &virtual_graph.graph,
-                    mapping: &virtual_graph.mapping,
-                },
+                &InductiveServer::on_synthetic(
+                    &virtual_graph.graph,
+                    &virtual_graph.mapping,
+                    &p.model_original,
+                ),
                 &batches,
             );
-            let mcond_cost = evaluate_inductive(
+            let server_mcond = InductiveServer::on_synthetic(
+                &p.mcond.synthetic,
+                &p.mcond.mapping,
                 &p.model_original,
-                &InferenceTarget::Synthetic {
-                    graph: &p.mcond.synthetic,
-                    mapping: &p.mcond.mapping,
-                },
-                &batches,
             );
+            let mcond_cost = evaluate_inductive(&server_mcond, &batches);
 
             for (method, res) in [
                 ("Whole", whole),
@@ -94,19 +91,6 @@ pub fn run_cost_experiment(graph_batch: bool, title: &str) {
                 );
             }
 
-            // Serving pass: push the same batches through the lazy
-            // `InductiveServer` on both deployment targets and fold the
-            // request-level latency/fanout histograms into the dump.
-            let server_whole = InductiveServer::on_original(&p.original, &p.model_original);
-            let server_mcond = InductiveServer::on_synthetic(
-                &p.mcond.synthetic,
-                &p.mcond.mapping,
-                &p.model_original,
-            );
-            for batch in &batches {
-                let _ = server_whole.serve(batch);
-                let _ = server_mcond.serve(batch);
-            }
             let tag = format!("{name}/r={ratio}/");
             report.attach_metrics(&prefixed(
                 &server_whole.metrics_snapshot(),

@@ -1,10 +1,13 @@
 //! The train-once / infer-per-batch evaluation loop behind every table.
 
-use mcond_core::InferenceTarget;
-use mcond_gnn::{accuracy, train, CostMeter, GnnKind, GnnModel, GraphOps, TrainConfig};
+use mcond_core::InductiveServer;
+use mcond_gnn::{
+    accuracy, extended_storage_bytes, train, GnnKind, GnnModel, GraphOps, TrainConfig,
+};
 use mcond_graph::{Graph, NodeBatch};
 use mcond_linalg::DMat;
 use mcond_sparse::sym_normalize;
+use std::time::Instant;
 
 /// The paper's four deployment settings (§IV-A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,36 +82,29 @@ pub fn propagated_embeddings(graph: &Graph, hops: usize) -> DMat {
     z
 }
 
-/// Evaluates a trained model on inductive batches against a deployment
-/// target, timing each batch's end-to-end inference (attach + normalize +
-/// forward) and accounting the storage model of §II-B.
+/// Evaluates a deployment — a model served on its target by `server` —
+/// on inductive batches, timing each batch's
+/// [`try_serve`](InductiveServer::try_serve) (attach + normalise +
+/// forward, as the paper measures) and accounting the storage model of
+/// §II-B.
+///
+/// # Panics
+/// Panics when a batch was not built against the server's base.
 #[must_use]
-pub fn evaluate_inductive(
-    model: &GnnModel,
-    target: &InferenceTarget,
-    batches: &[NodeBatch],
-) -> EvalResult {
-    let meter = CostMeter { repeats: 1 };
+pub fn evaluate_inductive(server: &InductiveServer<'_>, batches: &[NodeBatch]) -> EvalResult {
     let mut correct_weighted = 0.0f64;
     let mut total_nodes = 0usize;
     let mut total_seconds = 0.0f64;
     let mut peak_memory = 0usize;
     for batch in batches {
-        // Memory accounting needs the extended matrices; the timed closure
-        // re-attaches so the measured cost covers the full Eq. (3)/(11)
-        // pipeline (attach + normalise + forward), as the paper measures.
-        let (adj, x) = target.attach(batch);
-        let n_base = target.base_nodes();
-        let (logits, cost) = meter.measure(&adj, x.rows(), x.cols(), || {
-            let (adj, x) = target.attach(batch);
-            let ops = GraphOps::from_adj(&adj);
-            let full = model.predict(&ops, &x);
-            full.slice_rows(n_base, full.rows())
-        });
+        let start = Instant::now();
+        let logits = server.try_serve(batch).expect("evaluation batch must be servable");
+        total_seconds += start.elapsed().as_secs_f64();
         correct_weighted += accuracy(&logits, &batch.labels) * batch.len() as f64;
         total_nodes += batch.len();
-        total_seconds += cost.seconds;
-        peak_memory = peak_memory.max(cost.memory_bytes);
+        let attach_nnz = server.attachment(batch).nnz();
+        peak_memory =
+            peak_memory.max(extended_storage_bytes(server.base_graph(), attach_nnz, batch));
     }
     EvalResult {
         accuracy: if total_nodes == 0 { 0.0 } else { correct_weighted / total_nodes as f64 },
@@ -148,10 +144,51 @@ mod tests {
         let model = train_on_graph(&original, GnnKind::Sgc, 150, 32, 0);
         let batches = data.test_batches(100, true);
         let result =
-            evaluate_inductive(&model, &InferenceTarget::Original(&original), &batches);
+            evaluate_inductive(&InductiveServer::on_original(&original, &model), &batches);
         assert!(result.accuracy > 0.55, "accuracy {}", result.accuracy);
         assert!(result.seconds_per_batch > 0.0);
         assert!(result.memory_bytes > 0);
+    }
+
+    /// Fig. 3/4's `memory_MB` column is the peak, over batches, of the
+    /// extended graph's bytes — `aM` attachment on an Eq. 11 server —
+    /// without that graph ever being built outside this test.
+    #[test]
+    fn memory_column_is_the_peak_extended_graph_size() {
+        use mcond_sparse::{spmm_sparse, Coo, Csr};
+        let mut coo = Coo::new(6, 6);
+        for &(i, j) in &[(0, 1), (1, 2), (0, 2), (3, 0), (4, 1), (5, 2), (4, 5)] {
+            coo.push_sym(i, j, 1.0);
+        }
+        let features = mcond_linalg::MatRng::seed_from(0).normal(6, 3, 0.0, 1.0);
+        let full = Graph::new(coo.to_csr(), features, vec![0, 1, 0, 1, 0, 1], 2);
+        let data = mcond_graph::InductiveDataset::new(full, vec![0, 1, 2], vec![3], vec![4, 5]);
+        let syn = Graph::new(
+            Csr::eye(2),
+            DMat::from_rows(&[&[1., 0., 0.], &[0., 1., 0.]]),
+            vec![0, 1],
+            2,
+        );
+        let mut map = Coo::new(3, 2);
+        map.push(0, 0, 0.5);
+        map.push(1, 0, 0.5);
+        map.push(2, 1, 1.0);
+        let mapping = map.to_csr();
+        let model = GnnModel::new(GnnKind::Gcn, 3, 4, 2, 1);
+        // Two batches of different size: the peak is the larger one.
+        let batches = [data.batch(&[4], true), data.batch(&[4, 5], true)];
+
+        let server = InductiveServer::on_synthetic(&syn, &mapping, &model);
+        let peak = batches
+            .iter()
+            .map(|b| {
+                let attach = spmm_sparse(&b.incremental, &mapping);
+                syn.adj.block_extend(&attach, &b.interconnect).storage_bytes()
+                    + (syn.num_nodes() + b.len()) * 3 * 4
+            })
+            .max()
+            .unwrap();
+        assert_eq!(evaluate_inductive(&server, &batches).memory_bytes, peak);
     }
 
     #[test]

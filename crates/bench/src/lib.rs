@@ -4,6 +4,8 @@
 //! this library holds the common machinery: CLI parsing, the
 //! train-once/infer-per-batch evaluation loop, and table/JSON reporting.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod cost;
 pub mod microbench;

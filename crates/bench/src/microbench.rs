@@ -14,6 +14,11 @@
 //!   (default 10).
 //! * `MCOND_BENCH_JSON` — when set to a path, the run also dumps a
 //!   [`TableReport`](crate::TableReport) JSON file of every measurement.
+//!
+//! Setting either sample knob marks the run as a smoke run: benches that
+//! keep a committed baseline then write it under `target/bench-smoke/`
+//! instead of `results/` (see
+//! [`TableReport::dump_bench_json`](crate::TableReport::dump_bench_json)).
 
 pub use std::hint::black_box;
 use std::time::Instant;

@@ -17,6 +17,7 @@ use mcond_graph::Graph;
 use mcond_sparse::Csr;
 use mcond_store::codec::{self, ByteReader, ByteWriter};
 use mcond_store::{CheckpointReader, CheckpointWriter, StoreError};
+use std::borrow::Cow;
 use std::path::Path;
 use std::time::Instant;
 
@@ -204,6 +205,20 @@ impl Checkpoint {
             None => ckpt,
         })
     }
+
+    /// Moves the bundle into a server that owns it — what a long-lived
+    /// serving slot boots from. Same endpoint as
+    /// [`InductiveServer::from_checkpoint`], with nothing left to outlive.
+    #[must_use]
+    pub fn into_server(self) -> InductiveServer<'static> {
+        let version = self.lineage.map_or(0, |l| l.version);
+        InductiveServer::new(
+            Cow::Owned(self.synthetic),
+            Some(Cow::Owned(self.mapping)),
+            Cow::Owned(self.model),
+        )
+        .with_base_version(version)
+    }
 }
 
 impl Condensed {
@@ -229,11 +244,8 @@ impl<'a> InductiveServer<'a> {
     /// afterwards is in sync.
     #[must_use]
     pub fn from_checkpoint(ckpt: &'a Checkpoint) -> Self {
-        let server = Self::on_synthetic(&ckpt.synthetic, &ckpt.mapping, &ckpt.model);
-        match &ckpt.lineage {
-            Some(l) => server.with_base_version(l.version),
-            None => server,
-        }
+        Self::on_synthetic(&ckpt.synthetic, &ckpt.mapping, &ckpt.model)
+            .with_base_version(ckpt.lineage.map_or(0, |l| l.version))
     }
 }
 
@@ -293,8 +305,10 @@ mod tests {
         let stamped = tiny_bundle().with_lineage(lineage);
         let restored = Checkpoint::from_bytes(stamped.to_writer().to_bytes()).unwrap();
         assert_eq!(restored.lineage, Some(lineage));
-        // The restored server inherits the lineage's base version.
+        // The restored server inherits the lineage's base version, borrowed
+        // or owned.
         assert_eq!(InductiveServer::from_checkpoint(&restored).base_version(), 4);
+        assert_eq!(restored.into_server().base_version(), 4);
     }
 
     #[test]

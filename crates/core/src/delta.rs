@@ -29,11 +29,10 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::condense::Condensed;
-use crate::inference::spmm_sparse;
 use crate::server::InductiveServer;
 use mcond_gnn::{BaseDegrees, FrozenBase, GnnModel};
 use mcond_graph::{BatchError, Graph, NodeBatch};
-use mcond_sparse::{renormalize_rows, Csr};
+use mcond_sparse::{renormalize_rows, spmm_sparse, Csr};
 use mcond_store::StoreError;
 use std::fmt;
 

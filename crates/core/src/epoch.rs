@@ -6,20 +6,17 @@
 //! an `Arc`; every request clones that `Arc` and finishes on the epoch it
 //! started on, a swap is one pointer exchange under a short-held lock, and
 //! the retired epoch frees itself when its last in-flight request drops —
-//! no `Box::leak`, no per-reload growth.
+//! nothing is leaked, nothing grows per reload.
 //!
-//! # Why an owning wrapper
+//! # Ownership
 //!
-//! [`InductiveServer`] borrows its checkpoint (`&'a Checkpoint`) — the
-//! right shape for library callers, but a hot-swap slot needs *ownership*
-//! so epochs can die. `EpochServer` stores the `Arc<Checkpoint>` alongside
-//! an `InductiveServer<'static>` whose borrows point into that `Arc`'s
-//! heap allocation. The `'static` is a contained lie (see the `SAFETY`
-//! note in [`EpochServer::from_checkpoint_arc`]): the allocation is pinned
-//! by the `Arc`, never moved or mutated, and declared to drop *after* the
-//! server that borrows it.
+//! An [`InductiveServer`] owns or borrows its parts; an epoch needs the
+//! owning kind so it can die. [`EpochServer`] wraps an
+//! `InductiveServer<'static>` — built by
+//! [`Checkpoint::into_server`](crate::Checkpoint::into_server), which
+//! moves the bundle in — so the graph, mapping and weights live exactly as
+//! long as the epoch's last `Arc` holder.
 
-use crate::checkpoint::Checkpoint;
 use crate::serve_error::ServeError;
 use crate::server::InductiveServer;
 use mcond_graph::NodeBatch;
@@ -28,47 +25,22 @@ use mcond_sparse::Csr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// One immutable generation of the serving model: an owned checkpoint, the
-/// server built over it, the slot-assigned sequence number, and the
-/// checkpoint's content id.
+/// One immutable generation of the serving model: a server that owns its
+/// checkpoint, the slot-assigned sequence number, and the checkpoint's
+/// content id.
 pub struct EpochServer {
-    // Field order is load-bearing: `server` borrows into `_ckpt`'s heap
-    // allocation and must be dropped first; Rust drops fields in
-    // declaration order.
     server: InductiveServer<'static>,
-    _ckpt: Option<Arc<Checkpoint>>,
     seq: u64,
     id: String,
 }
 
 impl EpochServer {
-    /// Builds an epoch that owns `ckpt` and serves from it. `id` is the
+    /// Builds an epoch around a server that owns its parts. `id` is the
     /// checkpoint's content id (see `CheckpointReader::content_id`), or
     /// any operator-meaningful tag.
     #[must_use]
-    pub fn from_checkpoint_arc(ckpt: Arc<Checkpoint>, id: impl Into<String>) -> Self {
-        // SAFETY: `pinned` points into the Arc's heap allocation, which
-        //   (1) lives as long as any clone of `ckpt` — and `_ckpt` below is
-        //       dropped after `server` by declaration order, so the borrow
-        //       can never outlive the pointee;
-        //   (2) never moves — `Arc` pins its contents on the heap, and
-        //       moving the `EpochServer` moves only the pointer;
-        //   (3) is never mutated — nothing here calls `Arc::get_mut`, and
-        //       `Checkpoint` has no interior mutability.
-        // Under those three invariants the `'static` extension is sound.
-        let pinned: &'static Checkpoint = unsafe { &*Arc::as_ptr(&ckpt) };
-        let server = InductiveServer::from_checkpoint(pinned);
-        Self { server, _ckpt: Some(ckpt), seq: 0, id: id.into() }
-    }
-
-    /// Wraps a server whose checkpoint genuinely lives for the process
-    /// lifetime (leaked fixtures, borrowed statics). The epoch machinery —
-    /// sequence numbers, canary, swap — works identically; only the
-    /// free-on-retire property is moot. Test fixtures use this to build
-    /// deliberately misconfigured servers [`Checkpoint::new`] would reject.
-    #[must_use]
-    pub fn from_static(server: InductiveServer<'static>, id: impl Into<String>) -> Self {
-        Self { server, _ckpt: None, seq: 0, id: id.into() }
+    pub fn new(server: InductiveServer<'static>, id: impl Into<String>) -> Self {
+        Self { server, seq: 0, id: id.into() }
     }
 
     /// The server for this epoch. In-flight requests hold the epoch's
@@ -161,6 +133,7 @@ impl EpochSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Checkpoint;
     use mcond_gnn::{GnnKind, GnnModel};
     use mcond_graph::Graph;
     use mcond_sparse::Coo;
@@ -183,20 +156,18 @@ mod tests {
         Checkpoint::new(graph, map.to_csr(), model).unwrap()
     }
 
+    fn tiny_epoch(seed: u64, id: &str) -> EpochServer {
+        EpochServer::new(tiny_checkpoint(seed).into_server(), id)
+    }
+
     #[test]
     fn install_bumps_seq_and_inflight_requests_keep_their_epoch() {
-        let slot = EpochSlot::new(EpochServer::from_checkpoint_arc(
-            Arc::new(tiny_checkpoint(1)),
-            "a",
-        ));
+        let slot = EpochSlot::new(tiny_epoch(1, "a"));
         assert_eq!(slot.current_seq(), 1);
         let held = slot.load();
         assert_eq!(held.checkpoint_id(), "a");
 
-        let installed = slot.install(EpochServer::from_checkpoint_arc(
-            Arc::new(tiny_checkpoint(2)),
-            "b",
-        ));
+        let installed = slot.install(tiny_epoch(2, "b"));
         assert_eq!(installed.seq(), 2);
         assert_eq!(slot.current_seq(), 2);
         // The held epoch still answers — on its own weights.
@@ -207,13 +178,10 @@ mod tests {
 
     #[test]
     fn retired_epoch_frees_when_last_holder_drops() {
-        let slot = EpochSlot::new(EpochServer::from_checkpoint_arc(
-            Arc::new(tiny_checkpoint(1)),
-            "a",
-        ));
+        let slot = EpochSlot::new(tiny_epoch(1, "a"));
         let held = slot.load();
         let weak: Weak<EpochServer> = Arc::downgrade(&held);
-        slot.install(EpochServer::from_checkpoint_arc(Arc::new(tiny_checkpoint(2)), "b"));
+        slot.install(tiny_epoch(2, "b"));
         assert!(weak.upgrade().is_some(), "in-flight holder pins the retired epoch");
         drop(held);
         assert!(
@@ -225,17 +193,14 @@ mod tests {
 
     #[test]
     fn canary_catches_a_model_that_panics_on_real_shapes() {
-        // in_dim 5 against 3-dim features: constructible, passes the
-        // cheap validation, dies inside the forward pass.
-        let graph = tiny_checkpoint(1).synthetic;
-        let mapping = tiny_checkpoint(1).mapping;
-        let model = GnnModel::new(GnnKind::Gcn, 5, 4, 2, 1);
-        let server = InductiveServer::on_synthetic(
-            Box::leak(Box::new(graph)),
-            Box::leak(Box::new(mapping)),
-            Box::leak(Box::new(model)),
-        );
-        let epoch = EpochServer::from_static(server, "bad");
+        // in_dim 5 against 3-dim features: `Checkpoint::new` would reject
+        // it, so the bundle is assembled field by field; it passes the
+        // cheap request validation and dies inside the forward pass.
+        let bad = Checkpoint {
+            model: GnnModel::new(GnnKind::Gcn, 5, 4, 2, 1),
+            ..tiny_checkpoint(1)
+        };
+        let epoch = EpochServer::new(bad.into_server(), "bad");
         match epoch.canary() {
             Err(ServeError::Panicked { .. }) => {}
             other => panic!("expected Panicked, got {other:?}"),

@@ -12,7 +12,7 @@
 //!    (Eq. 12) constraints,
 //!
 //! alternating between the two (Algorithm 1) and finishing with threshold
-//! sparsification (Eq. 14). At inference time, [`attach_to_synthetic`]
+//! sparsification (Eq. 14). At inference time, [`InductiveServer::try_serve`]
 //! implements Eq. (11): an unseen node with incremental adjacency `a` into
 //! the original nodes is wired into `S` through `aM`, so message passing
 //! runs on `N' ≪ N` nodes.
@@ -29,6 +29,8 @@
 //! println!("synthetic nodes: {}", result.synthetic.num_nodes());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod adjgen;
 mod artifact;
 pub mod chaos;
@@ -37,7 +39,6 @@ mod condense;
 mod coreset;
 mod delta;
 mod epoch;
-mod inference;
 mod mapping;
 mod relay;
 mod sampling;
@@ -52,7 +53,6 @@ pub use condense::{condense, CondenseHistory, Condensed, GradDistance, McondConf
 pub use coreset::{coreset, CoresetMethod, ReducedGraph};
 pub use delta::{CacheOutcome, DeltaError, DeltaLineage, GraphDelta, LiveBase, PromotionReport};
 pub use epoch::{EpochServer, EpochSlot};
-pub use inference::{attach_to_original, attach_to_synthetic, infer_inductive, InferenceTarget};
 pub use mapping::{class_correlation_of, Mapping};
 pub use relay::Relay;
 pub use sampling::sample_edge_batch;

@@ -1,18 +1,27 @@
-//! Batch inference serving.
+//! Batch inference serving — the one function that turns a
+//! [`NodeBatch`] into logits.
 //!
-//! [`infer_inductive`](crate::infer_inductive) materialises the extended
-//! graph per batch: it copies the entire base graph into a fresh CSR and
-//! re-normalises it, which is `O(‖A‖₀)` per batch — fine for one-off
-//! evaluation, wasteful for a serving loop. [`InductiveServer`] instead
-//! pre-normalises nothing and uses the lazy extended
-//! [`Propagator`](mcond_gnn::Propagator): per batch it computes only the
+//! [`InductiveServer::try_serve`] attaches a batch of unseen nodes to a
+//! base graph (Eq. 3 on the original graph, Eq. 11 through the mapping on
+//! the condensed one) and runs the forward pass **without materialising
+//! the extended graph**: it uses the lazy extended
+//! [`Propagator`](mcond_gnn::Propagator), so a request computes only the
 //! incremental degree updates and streams the propagation through the
-//! shared base CSR, so the per-batch cost is
-//! `O(nnz(a) + nnz(ã) + forward pass)`.
+//! shared base CSR — `O(nnz(a) + nnz(ã) + forward pass)` per batch, never
+//! `O(‖A‖₀)`. Every caller — library users, the HTTP front end, the
+//! paper-figure binaries — goes through it.
 //!
-//! Results are exactly equal to the materialised path (verified by test).
+//! # Ownership
 //!
-//! # Serving fast path
+//! The server holds its graph, mapping and model as [`Cow`]s. The
+//! borrowing constructors ([`on_original`](InductiveServer::on_original),
+//! [`on_synthetic`](InductiveServer::on_synthetic),
+//! [`from_checkpoint`](InductiveServer::from_checkpoint)) copy nothing;
+//! [`Checkpoint::into_server`](crate::Checkpoint::into_server) moves an
+//! owned bundle in and yields an `InductiveServer<'static>` that a
+//! long-lived slot (see `epoch`) can own outright.
+//!
+//! # Forward passes
 //!
 //! The default [`ServeMode::Exact`] runs the **split-operator** forward
 //! pass ([`GnnModel::predict_split`]): base features and the batch's
@@ -21,10 +30,9 @@
 //! base graph's degree sums are shared across requests
 //! ([`mcond_gnn::BaseDegrees`], computed once at construction), and the
 //! final propagation computes only the `n` inductive output rows. The
-//! logits are **bitwise identical** to the legacy vstack-and-slice path
-//! ([`ServeMode::Extended`], kept for equivalence testing) at any thread
-//! count; the per-request `O(N'·d)` base-feature memcpy is gone entirely
-//! (tracked by the `serve.bytes_saved` gauge).
+//! logits are **bitwise identical** to vstacking the features, running
+//! every layer over all `N' + n` rows and slicing the bottom block, at any
+//! thread count (pinned by `mcond-gnn`'s split-vs-stacked test).
 //!
 //! [`ServeMode::FrozenBase`] additionally caches per-layer base
 //! activations under base-only normalisation
@@ -35,9 +43,10 @@
 //! # Fault tolerance
 //!
 //! Requests are untrusted. [`try_serve`](InductiveServer::try_serve)
-//! validates every batch against the serving base (dimensions, shapes,
-//! finiteness — see `NodeBatch::validate_against`) and returns a typed
-//! [`ServeError`] instead of panicking;
+//! sizes every batch against the batch cap, validates it against the
+//! serving base (dimensions, shapes, finiteness — see
+//! `NodeBatch::validate_against`) and returns a typed [`ServeError`]
+//! instead of panicking;
 //! [`try_serve_many`](InductiveServer::try_serve_many) additionally
 //! isolates each request behind `catch_unwind`, so an internal panic in one
 //! request surfaces as [`ServeError::Panicked`] while its siblings
@@ -54,28 +63,29 @@
 //! spans — `validate`, `attach`, `fallback` (when it fires), `propagate`,
 //! `head` — each feeding a `serve.stage.*` histogram even when no event
 //! sink is attached. When the flight recorder (`mcond_obs::flight`) is on,
-//! a panicking request in [`try_serve_many`] dumps the worker's recent
-//! event ring, trace-stamped, before reporting [`ServeError::Panicked`].
+//! a panicking request in [`try_serve_many`](InductiveServer::try_serve_many)
+//! dumps the worker's recent event ring, trace-stamped, before reporting
+//! [`ServeError::Panicked`].
 //!
 //! # Concurrency
 //!
-//! The server is `Sync`: the base graph is shared behind an [`Arc`] and the
-//! per-instance statistics sit behind a [`Mutex`], so [`serve_many`]
-//! (`InductiveServer::serve_many`) can fan independent batches across the
-//! `mcond-par` pool. Each request runs entirely on one worker — the nested
-//! kernels inside a request stay serial (the pool forbids nested
-//! parallelism), so per-batch results are identical to a sequential
-//! [`serve`](InductiveServer::serve) loop.
+//! The server is `Sync` — its parts are immutable and the per-instance
+//! statistics sit behind a [`Mutex`] — so
+//! [`try_serve_many`](InductiveServer::try_serve_many) can fan independent
+//! batches across the `mcond-par` pool. Each request runs entirely on one
+//! worker — the nested kernels inside a request stay serial (the pool
+//! forbids nested parallelism), so per-batch results are identical to a
+//! sequential [`try_serve`](InductiveServer::try_serve) loop.
 
 use crate::serve_error::{panic_context, ServeError};
 use mcond_gnn::{BaseDegrees, FrozenBase, GnnModel, GraphOps};
 use mcond_graph::{Graph, NodeBatch};
 use mcond_linalg::DMat;
 use mcond_obs::{Histogram, MetricsSnapshot};
-use mcond_sparse::{Coo, Csr};
+use mcond_sparse::{spmm_sparse, Coo, Csr};
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Default cap on nodes per request; far above any sane batch, low enough
@@ -85,15 +95,10 @@ pub const DEFAULT_MAX_BATCH: usize = 1 << 20;
 /// Which forward pass answers requests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ServeMode {
-    /// Split-operator fast path (the default): zero per-request base-side
-    /// copies, final layer computes only the `n` inductive rows. Bitwise
-    /// identical to [`ServeMode::Extended`].
+    /// Split-operator forward pass (the default): zero per-request
+    /// base-side copies, final layer computes only the `n` inductive rows.
     #[default]
     Exact,
-    /// Legacy extended path: vstacks base and batch features, runs all
-    /// layers over all `N' + n` rows, slices the bottom block. Kept as the
-    /// reference the fast path is verified against.
-    Extended,
     /// Frozen-base cache: per-layer base activations are cached under
     /// base-only normalisation at
     /// [`with_serve_mode`](InductiveServer::with_serve_mode) time and a
@@ -134,12 +139,19 @@ pub enum FallbackPolicy {
     OriginalGraph,
 }
 
-/// The Eq. 3 fallback target a synthetic server can degrade to.
-struct OriginalBase<'a> {
-    adj: Arc<Csr>,
-    features: &'a DMat,
-    /// Degree sums of `adj`, shared across every degraded request.
+/// A graph requests attach to — the serving base, or the Eq. 3 target a
+/// synthetic server degrades to — with its degree sums computed once and
+/// shared by every request's extension.
+struct Base<'a> {
+    graph: Cow<'a, Graph>,
     deg: BaseDegrees,
+}
+
+impl<'a> Base<'a> {
+    fn new(graph: Cow<'a, Graph>) -> Self {
+        let deg = BaseDegrees::of(&graph.adj);
+        Self { graph, deg }
+    }
 }
 
 /// What one answered request contributes to the serving statistics.
@@ -148,8 +160,6 @@ struct RequestTally {
     fanout: usize,
     /// Nodes the fallback policy handled in this request.
     fallback_nodes: u64,
-    /// Base-feature bytes the fast path avoided copying.
-    bytes_saved: u64,
     /// Whether the frozen-base cache answered the request.
     cache_hit: bool,
 }
@@ -163,9 +173,6 @@ struct ServeStats {
     rejected: u64,
     fallback: u64,
     panics: u64,
-    /// Base-feature bytes *not* copied per request by the split-operator
-    /// fast path (the `N'×d×4` vstack the legacy path pays), cumulative.
-    bytes_saved: u64,
     /// Requests answered from the frozen-base cache.
     cache_hits: u64,
     latency_us: Histogram,
@@ -175,24 +182,20 @@ struct ServeStats {
 }
 
 /// A reusable inductive-inference endpoint over a fixed base graph
-/// (original `T` per Eq. 3, or synthetic `S` + mapping per Eq. 11).
+/// (original `T` per Eq. 3, or synthetic `S` + mapping per Eq. 11). Its
+/// parts are owned or borrowed (see the module docs): `'a` is the lifetime
+/// of whatever it borrows, `'static` when it owns everything.
 pub struct InductiveServer<'a> {
-    base_adj: Arc<Csr>,
-    base_features: &'a DMat,
-    /// Degree sums of `base_adj`, computed once and shared by every
-    /// request's extension (the per-layer base-degree terms of the fast
-    /// path).
-    base_deg: BaseDegrees,
-    mapping: Option<&'a Csr>,
-    model: &'a GnnModel,
-    serve_mode: ServeMode,
-    /// Per-layer base activations, present iff `serve_mode` is
+    base: Base<'a>,
+    mapping: Option<Cow<'a, Csr>>,
+    model: Cow<'a, GnnModel>,
+    /// Per-layer base activations; present iff the server runs in
     /// [`ServeMode::FrozenBase`].
     frozen: Option<FrozenBase>,
     fallback: FallbackPolicy,
     coverage_threshold: f32,
     max_batch: usize,
-    original: Option<OriginalBase<'a>>,
+    original: Option<Base<'a>>,
     /// Version of the base graph this server was built against (0 for a
     /// static base). A frozen-base cache whose stamp trails this refuses
     /// to serve ([`ServeError::StaleCache`]).
@@ -201,16 +204,27 @@ pub struct InductiveServer<'a> {
 }
 
 impl<'a> InductiveServer<'a> {
-    /// Serves inference on the original graph (Eq. 3 attachment).
-    #[must_use]
-    pub fn on_original(graph: &'a Graph, model: &'a GnnModel) -> Self {
+    /// A server over owned or borrowed parts; `mapping` selects Eq. 11
+    /// (through `M`) over Eq. 3 (direct) attachment.
+    ///
+    /// # Panics
+    /// Panics when the mapping's columns do not index the graph's nodes.
+    pub(crate) fn new(
+        graph: Cow<'a, Graph>,
+        mapping: Option<Cow<'a, Csr>>,
+        model: Cow<'a, GnnModel>,
+    ) -> Self {
+        if let Some(m) = &mapping {
+            assert_eq!(
+                m.cols(),
+                graph.num_nodes(),
+                "InductiveServer: mapping columns must index the synthetic nodes"
+            );
+        }
         Self {
-            base_adj: Arc::new(graph.adj.clone()),
-            base_features: &graph.features,
-            base_deg: BaseDegrees::of(&graph.adj),
-            mapping: None,
+            base: Base::new(graph),
+            mapping,
             model,
-            serve_mode: ServeMode::default(),
             frozen: None,
             fallback: FallbackPolicy::default(),
             coverage_threshold: 0.0,
@@ -221,6 +235,12 @@ impl<'a> InductiveServer<'a> {
         }
     }
 
+    /// Serves inference on the original graph (Eq. 3 attachment).
+    #[must_use]
+    pub fn on_original(graph: &'a Graph, model: &'a GnnModel) -> Self {
+        Self::new(Cow::Borrowed(graph), None, Cow::Borrowed(model))
+    }
+
     /// Serves inference on the synthetic graph through the mapping
     /// (Eq. 11 attachment).
     ///
@@ -228,26 +248,7 @@ impl<'a> InductiveServer<'a> {
     /// Panics when the mapping's columns do not index the synthetic nodes.
     #[must_use]
     pub fn on_synthetic(graph: &'a Graph, mapping: &'a Csr, model: &'a GnnModel) -> Self {
-        assert_eq!(
-            mapping.cols(),
-            graph.num_nodes(),
-            "InductiveServer: mapping columns must index the synthetic nodes"
-        );
-        Self {
-            base_adj: Arc::new(graph.adj.clone()),
-            base_features: &graph.features,
-            base_deg: BaseDegrees::of(&graph.adj),
-            mapping: Some(mapping),
-            model,
-            serve_mode: ServeMode::default(),
-            frozen: None,
-            fallback: FallbackPolicy::default(),
-            coverage_threshold: 0.0,
-            max_batch: DEFAULT_MAX_BATCH,
-            original: None,
-            base_version: 0,
-            stats: Mutex::new(ServeStats::default()),
-        }
+        Self::new(Cow::Borrowed(graph), Some(Cow::Borrowed(mapping)), Cow::Borrowed(model))
     }
 
     /// Sets the per-node [`FallbackPolicy`] (default
@@ -262,15 +263,15 @@ impl<'a> InductiveServer<'a> {
     /// [`ServeMode::Exact`]). Switching to [`ServeMode::FrozenBase`] runs
     /// the base-only forward pass once, right here, and caches every
     /// propagation site's base activations (`serve.cache.builds` counter,
-    /// `serve.cache.bytes` gauge); any other mode drops the cache.
+    /// `serve.cache.bytes` gauge); [`ServeMode::Exact`] drops the cache.
     #[must_use]
     pub fn with_serve_mode(mut self, mode: ServeMode) -> Self {
-        self.serve_mode = mode;
         self.frozen = (mode == ServeMode::FrozenBase).then(|| {
             // Stamped with the *current* base version: call
             // `with_base_version` first when booting a live (promoted)
             // base so the fresh cache is in sync.
-            let frozen = FrozenBase::new(self.model, &self.base_adj, self.base_features)
+            let graph = &self.base.graph;
+            let frozen = FrozenBase::new(&self.model, &graph.adj, &graph.features)
                 .with_version(self.base_version);
             mcond_obs::counter_add("serve.cache.builds", 1);
             #[allow(clippy::cast_precision_loss)]
@@ -314,12 +315,11 @@ impl<'a> InductiveServer<'a> {
     pub fn with_frozen_cache(mut self, frozen: FrozenBase) -> Self {
         assert_eq!(
             frozen.n_base(),
-            self.base_adj.rows(),
+            self.base_nodes(),
             "with_frozen_cache: cache covers a different base node count"
         );
         #[allow(clippy::cast_precision_loss)]
         mcond_obs::gauge_set("serve.cache.bytes", frozen.bytes() as f64);
-        self.serve_mode = ServeMode::FrozenBase;
         self.frozen = Some(frozen);
         self
     }
@@ -354,26 +354,49 @@ impl<'a> InductiveServer<'a> {
     pub fn with_original_graph(mut self, graph: &'a Graph) -> Self {
         assert_eq!(
             graph.num_nodes(),
-            self.expected_inc_cols(),
+            self.expected_incremental_cols(),
             "with_original_graph: node count must match the batch indexing"
         );
         assert_eq!(
             graph.feature_dim(),
-            self.base_features.cols(),
+            self.feature_dim(),
             "with_original_graph: feature dimension must match the base"
         );
-        self.original = Some(OriginalBase {
-            adj: Arc::new(graph.adj.clone()),
-            features: &graph.features,
-            deg: BaseDegrees::of(&graph.adj),
-        });
+        self.original = Some(Base::new(Cow::Borrowed(graph)));
         self
+    }
+
+    /// The base graph requests attach to (`T` for Eq. 3 serving, `S` for
+    /// Eq. 11).
+    #[must_use]
+    pub fn base_graph(&self) -> &Graph {
+        &self.base.graph
+    }
+
+    /// The batch's attachment rows in the base's index space — its
+    /// incremental adjacency `a` on an Eq. 3 server, `aM` through the
+    /// mapping on an Eq. 11 server — before any fallback policy touches
+    /// them. [`try_serve`](InductiveServer::try_serve) attaches with
+    /// exactly this; cost experiments size the extended graph by it, and
+    /// label/error propagation build that graph from it.
+    ///
+    /// # Panics
+    /// Panics when the batch is wider than
+    /// [`expected_incremental_cols`](InductiveServer::expected_incremental_cols).
+    #[must_use]
+    pub fn attachment<'b>(&self, batch: &'b NodeBatch) -> Cow<'b, Csr> {
+        match self.mapping.as_deref() {
+            // The conversion indexes `M`'s rows by column value, so a
+            // prefix-width batch needs no widening first.
+            Some(mapping) => Cow::Owned(spmm_sparse(&batch.incremental, mapping)),
+            None => widened(&batch.incremental, self.base_nodes()),
+        }
     }
 
     /// Number of base nodes.
     #[must_use]
     pub fn base_nodes(&self) -> usize {
-        self.base_adj.rows()
+        self.base.graph.num_nodes()
     }
 
     /// The incremental-adjacency width every request must have: training
@@ -381,38 +404,21 @@ impl<'a> InductiveServer<'a> {
     /// synthetic probe batches (e.g. a reload canary) size them with this.
     #[must_use]
     pub fn expected_incremental_cols(&self) -> usize {
-        self.expected_inc_cols()
+        self.mapping.as_ref().map_or_else(|| self.base_nodes(), |m| m.rows())
     }
 
     /// Feature dimension every request's rows must have.
     #[must_use]
     pub fn feature_dim(&self) -> usize {
-        self.base_features.cols()
-    }
-
-    fn expected_inc_cols(&self) -> usize {
-        self.mapping.map_or_else(|| self.base_adj.rows(), Csr::rows)
-    }
-
-    /// Logits (`n x C`) for one batch of inductive nodes.
-    ///
-    /// Thin panicking wrapper over [`try_serve`](InductiveServer::try_serve)
-    /// for callers that control their inputs.
-    ///
-    /// # Panics
-    /// Panics on any [`ServeError`], e.g. when the batch's incremental
-    /// columns do not match the base (original-graph serving) or the
-    /// mapping rows (synthetic serving).
-    #[must_use]
-    pub fn serve(&self, batch: &NodeBatch) -> DMat {
-        self.try_serve(batch).unwrap_or_else(|e| panic!("serve: {e}"))
+        self.base.graph.feature_dim()
     }
 
     /// Logits (`n x C`) for one batch, with every failure mode reported as
     /// a typed [`ServeError`] instead of a panic.
     ///
-    /// The batch is validated against the serving base first (dimensions,
-    /// interconnect shape, finiteness), then sized against the batch cap;
+    /// The batch is sized against the batch cap first, then validated
+    /// against the serving base (dimensions, interconnect shape,
+    /// finiteness);
     /// an empty batch short-circuits to a `0 x C` response without
     /// touching the kernels. Per-node attachment coverage is measured and
     /// the [`FallbackPolicy`] applied before the forward pass, and the
@@ -437,16 +443,20 @@ impl<'a> InductiveServer<'a> {
     fn serve_validated(&self, batch: &NodeBatch) -> Result<DMat, ServeError> {
         let serve_span = mcond_obs::span_with("serve", vec![("batch", batch.len().into())]);
         let start = Instant::now();
+        let inc_cols = self.expected_incremental_cols();
         {
             let _stage = mcond_obs::span_timed("validate", "serve.stage.validate");
+            // The O(1) cap goes first: it exists to turn an oversized
+            // batch away before anything — the O(n·d) finiteness scan
+            // below included — walks it.
+            if batch.len() > self.max_batch {
+                return Err(ServeError::BatchTooLarge { len: batch.len(), max: self.max_batch });
+            }
             // Prefix-tolerant width check: a batch assembled against an
             // older, narrower base (before a delta promotion grew the
             // index space) stays valid — appended ids never change the
             // meaning of existing ones.
-            batch.validate_against_prefix(self.expected_inc_cols(), self.base_features.cols())?;
-            if batch.len() > self.max_batch {
-                return Err(ServeError::BatchTooLarge { len: batch.len(), max: self.max_batch });
-            }
+            batch.validate_against_prefix(inc_cols, self.feature_dim())?;
         }
         if batch.is_empty() {
             // Fast path: no degree updates, no forward pass — just the
@@ -454,47 +464,32 @@ impl<'a> InductiveServer<'a> {
             self.record_request(
                 batch,
                 &[],
-                RequestTally { fanout: 0, fallback_nodes: 0, bytes_saved: 0, cache_hit: false },
+                RequestTally { fanout: 0, fallback_nodes: 0, cache_hit: false },
                 start,
             );
             return Ok(DMat::zeros(0, self.model.out_dim()));
         }
 
-        // A prefix-width batch (built before the base grew) is widened to
-        // the current index space — pure metadata, entries untouched — so
-        // every downstream operator sees consistent block shapes. The
-        // mapping conversion indexes rows by column value and needs no
-        // widening; the direct paths (Eq. 3 serving, original-graph
-        // degradation) do.
-        let inc_batch: Cow<'_, Csr> = if batch.incremental.cols() < self.expected_inc_cols() {
-            Cow::Owned(batch.incremental.widen_cols(self.expected_inc_cols()))
-        } else {
-            Cow::Borrowed(&batch.incremental)
-        };
-
         // Attachment rows and per-node mapping coverage. The batch's own
         // incremental rows are borrowed — only the mapping conversion (and
         // a firing `clear_rows` fallback) materialises a new matrix.
         let attach_stage = mcond_obs::span_timed("attach", "serve.stage.attach");
-        let (inc, coverage): (Cow<'_, Csr>, Vec<f32>) = match self.mapping {
-            None => {
-                let cov: Vec<f32> = (0..batch.len())
-                    .map(|i| if batch.incremental.row_cols(i).is_empty() { 0.0 } else { 1.0 })
-                    .collect();
-                (Cow::Borrowed(inc_batch.as_ref()), cov)
-            }
-            Some(mapping) => {
-                let am = crate::inference::spmm_sparse(&batch.incremental, mapping);
+        let inc = self.attachment(batch);
+        let coverage: Vec<f32> = match self.mapping {
+            None => (0..batch.len())
+                .map(|i| if inc.row_cols(i).is_empty() { 0.0 } else { 1.0 })
+                .collect(),
+            Some(_) => {
                 // Coverage is the fraction of the node's *absolute*
                 // incremental mass surviving the mapping, clamped to
                 // [0, 1]: signed sums would zero out (and spuriously
                 // reject) nodes whose edge weights cancel, and could
                 // report > 1 into the coverage histogram.
-                let cov: Vec<f32> = (0..batch.len())
+                (0..batch.len())
                     .map(|i| {
                         let raw: f32 = batch.incremental.row_vals(i).iter().map(|v| v.abs()).sum();
                         if raw > 0.0 {
-                            let kept: f32 = am.row_vals(i).iter().map(|v| v.abs()).sum();
+                            let kept: f32 = inc.row_vals(i).iter().map(|v| v.abs()).sum();
                             // + 0.0 normalises the -0.0 that `Sum`'s float
                             // identity yields for an empty `aM` row, so
                             // errors report "0.000", not "-0.000".
@@ -503,8 +498,7 @@ impl<'a> InductiveServer<'a> {
                             0.0
                         }
                     })
-                    .collect();
-                (Cow::Owned(am), cov)
+                    .collect()
             }
         };
         let uncovered: Vec<usize> = (0..batch.len())
@@ -548,32 +542,20 @@ impl<'a> InductiveServer<'a> {
         // Forward pass on the chosen base (synthetic, or the Eq. 3 target
         // when the whole batch degraded to the original graph). All blocks
         // are borrowed into the extension — nothing is cloned.
-        let (base_adj, base_features, base_deg, inc): (&Csr, &DMat, &BaseDegrees, &Csr) =
-            if use_original {
-                let original = self.original.as_ref().expect("checked above");
-                (&original.adj, original.features, &original.deg, inc_batch.as_ref())
-            } else {
-                (&self.base_adj, self.base_features, &self.base_deg, inc.as_ref())
-            };
+        let (base, inc): (&Base<'_>, Cow<'_, Csr>) = if use_original {
+            // Eq. 3 attaches by the raw incremental rows, widened to the
+            // original graph's index space.
+            (self.original.as_ref().expect("checked above"), widened(&batch.incremental, inc_cols))
+        } else {
+            (&self.base, inc)
+        };
+        let inc = inc.as_ref();
         let inter = &batch.interconnect;
         let fanout = inc.nnz();
-        let mut bytes_saved = 0u64;
         let mut cache_hit = false;
         let propagate_stage = mcond_obs::span_timed("propagate", "serve.stage.propagate");
-        let out = match self.serve_mode {
-            ServeMode::Extended => {
-                let ops = GraphOps::extended_with(base_adj, inc, inter, base_deg);
-                let x = base_features.vstack(&batch.features);
-                let logits = self.model.predict(&ops, &x);
-                logits.slice_rows(base_adj.rows(), logits.rows())
-            }
-            ServeMode::Exact => {
-                bytes_saved = feature_bytes(base_features);
-                let ops = GraphOps::extended_with(base_adj, inc, inter, base_deg);
-                self.model.predict_split(&ops, base_features, &batch.features)
-            }
-            ServeMode::FrozenBase if !use_original => {
-                let frozen = self.frozen.as_ref().expect("cache built by with_serve_mode");
+        let out = match &self.frozen {
+            Some(frozen) if !use_original => {
                 if frozen.base_version() != self.base_version {
                     // A delta promotion mutated the base without patching
                     // or rebuilding the cache: its activations describe a
@@ -584,16 +566,15 @@ impl<'a> InductiveServer<'a> {
                         base_version: self.base_version,
                     });
                 }
-                bytes_saved = feature_bytes(base_features);
                 cache_hit = true;
                 self.model.predict_frozen(frozen, inc, inter, &batch.features)
             }
-            ServeMode::FrozenBase => {
-                // Degraded to the original graph: the cache covers the
-                // primary base only — answer exactly (split path).
-                bytes_saved = feature_bytes(base_features);
-                let ops = GraphOps::extended_with(base_adj, inc, inter, base_deg);
-                self.model.predict_split(&ops, base_features, &batch.features)
+            // Exact mode — or a frozen-base server degraded to the
+            // original graph: the cache covers the primary base only.
+            _ => {
+                let graph = &base.graph;
+                let ops = GraphOps::extended_with(&graph.adj, inc, inter, &base.deg);
+                self.model.predict_split(&ops, &graph.features, &batch.features)
             }
         };
         drop(propagate_stage);
@@ -617,7 +598,7 @@ impl<'a> InductiveServer<'a> {
         self.record_request(
             batch,
             &coverage,
-            RequestTally { fanout, fallback_nodes, bytes_saved, cache_hit },
+            RequestTally { fanout, fallback_nodes, cache_hit },
             start,
         );
         Ok(out)
@@ -637,13 +618,9 @@ impl<'a> InductiveServer<'a> {
             let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
             stats.requests += 1;
             stats.fallback += tally.fallback_nodes;
-            stats.bytes_saved += tally.bytes_saved;
             stats.cache_hits += u64::from(tally.cache_hit);
             #[allow(clippy::cast_precision_loss)]
             {
-                if tally.bytes_saved > 0 {
-                    mcond_obs::gauge_set("serve.bytes_saved", stats.bytes_saved as f64);
-                }
                 stats.latency_us.record(latency_us as f64);
                 stats.fanout.record(tally.fanout as f64);
                 stats.batch_size.record(batch.len() as f64);
@@ -663,39 +640,6 @@ impl<'a> InductiveServer<'a> {
                 ],
             );
         }
-    }
-
-    /// Logits for every batch, fanned across the `mcond-par` pool.
-    ///
-    /// One pool task per request: results and statistics are exactly what a
-    /// sequential [`serve`](InductiveServer::serve) loop would produce (only
-    /// the interleaving of histogram records differs, which no summary
-    /// statistic observes). Output order matches input order.
-    ///
-    /// # Panics
-    /// Panics when any batch fails [`try_serve`](InductiveServer::try_serve),
-    /// exactly as [`serve`](InductiveServer::serve) would — use
-    /// [`try_serve_many`](InductiveServer::try_serve_many) to keep one bad
-    /// batch from failing the fan-out.
-    #[must_use]
-    pub fn serve_many(&self, batches: &[NodeBatch]) -> Vec<DMat> {
-        let _span = mcond_obs::span_with("serve_many", vec![("batches", batches.len().into())]);
-        let slots: Vec<Mutex<Option<DMat>>> =
-            batches.iter().map(|_| Mutex::new(None)).collect();
-        mcond_par::parallel_for_chunks(batches.len(), 1, |range| {
-            for i in range {
-                let out = self.serve(&batches[i]);
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("serve_many: pool completed with an unfilled slot")
-            })
-            .collect()
     }
 
     /// Per-request results for every batch, fanned across the `mcond-par`
@@ -768,9 +712,8 @@ impl<'a> InductiveServer<'a> {
 
     /// Freezes this server's request statistics (latency, attachment
     /// fanout `‖aM̂‖₀`, batch sizes, per-node mapping coverage, the
-    /// rejected/fallback/panic tallies, cache hits, and the cumulative
-    /// base-feature bytes the fast path avoided copying) into a snapshot
-    /// for reports.
+    /// rejected/fallback/panic tallies and cache hits) into a snapshot for
+    /// reports.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
@@ -783,7 +726,7 @@ impl<'a> InductiveServer<'a> {
                 ("serve.panic".to_owned(), stats.panics),
                 ("serve.cache.hits".to_owned(), stats.cache_hits),
             ],
-            gauges: vec![("serve.bytes_saved".to_owned(), stats.bytes_saved as f64)],
+            gauges: Vec::new(),
             histograms: vec![
                 ("serve.latency_us".to_owned(), stats.latency_us.summary()),
                 ("serve.fanout".to_owned(), stats.fanout.summary()),
@@ -794,10 +737,16 @@ impl<'a> InductiveServer<'a> {
     }
 }
 
-/// Size in bytes of a dense feature matrix — the per-request copy the
-/// split path avoids.
-fn feature_bytes(x: &DMat) -> u64 {
-    (x.rows() * x.cols() * core::mem::size_of::<f32>()) as u64
+/// `m` addressed in a `cols`-wide index space. A prefix-width block
+/// (built before the base grew) is widened — pure metadata, entries
+/// untouched — so every downstream operator sees consistent block shapes;
+/// a full-width one is borrowed as it is.
+fn widened(m: &Csr, cols: usize) -> Cow<'_, Csr> {
+    if m.cols() < cols {
+        Cow::Owned(m.widen_cols(cols))
+    } else {
+        Cow::Borrowed(m)
+    }
 }
 
 /// A copy of `m` with the given rows structurally emptied — the
@@ -819,10 +768,27 @@ fn clear_rows(m: &Csr, rows: &[usize]) -> Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{condense, infer_inductive, InferenceTarget, McondConfig};
+    use crate::{condense, McondConfig};
     use mcond_gnn::GnnKind;
     use mcond_graph::{load_dataset, Scale};
     use mcond_linalg::approx_eq;
+
+    /// Reference forward the lazy path is held to (within tolerance — the
+    /// normalisation is summed in a different order): materialise the whole
+    /// extended graph, re-normalise it, run every row, slice the batch.
+    fn materialised(
+        model: &GnnModel,
+        base: &Graph,
+        mapping: Option<&Csr>,
+        batch: &NodeBatch,
+    ) -> DMat {
+        let attach = mapping
+            .map_or_else(|| batch.incremental.clone(), |m| spmm_sparse(&batch.incremental, m));
+        let adj = base.adj.block_extend(&attach, &batch.interconnect);
+        let x = base.features.vstack(&batch.features);
+        let logits = model.predict(&GraphOps::from_adj(&adj), &x);
+        logits.slice_rows(base.num_nodes(), logits.rows())
+    }
 
     fn setup() -> (mcond_graph::InductiveDataset, crate::Condensed, GnnModel) {
         let data = load_dataset("pubmed", Scale::Small, 0).unwrap();
@@ -885,9 +851,8 @@ mod tests {
         let original = data.original_graph();
         let server = InductiveServer::on_original(&original, &model);
         for batch in data.test_batches(60, true) {
-            let lazy = server.serve(&batch);
-            let eager =
-                infer_inductive(&model, &InferenceTarget::Original(&original), &batch);
+            let lazy = server.try_serve(&batch).unwrap();
+            let eager = materialised(&model, &original, None, &batch);
             assert_eq!(lazy.shape(), eager.shape());
             for (a, b) in lazy.as_slice().iter().zip(eager.as_slice()) {
                 assert!(approx_eq(*a, *b, 1e-4), "{a} vs {b}");
@@ -901,15 +866,9 @@ mod tests {
         let server =
             InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model);
         let batch = data.test_batches(80, false).remove(0);
-        let lazy = server.serve(&batch);
-        let eager = infer_inductive(
-            &model,
-            &InferenceTarget::Synthetic {
-                graph: &condensed.synthetic,
-                mapping: &condensed.mapping,
-            },
-            &batch,
-        );
+        let lazy = server.try_serve(&batch).unwrap();
+        let eager =
+            materialised(&model, &condensed.synthetic, Some(&condensed.mapping), &batch);
         for (a, b) in lazy.as_slice().iter().zip(eager.as_slice()) {
             assert!(approx_eq(*a, *b, 1e-4), "{a} vs {b}");
         }
@@ -932,15 +891,9 @@ mod tests {
                 &condensed.mapping,
                 &model,
             );
-            let lazy = server.serve(&batch);
-            let eager = infer_inductive(
-                &model,
-                &InferenceTarget::Synthetic {
-                    graph: &condensed.synthetic,
-                    mapping: &condensed.mapping,
-                },
-                &batch,
-            );
+            let lazy = server.try_serve(&batch).unwrap();
+            let eager =
+                materialised(&model, &condensed.synthetic, Some(&condensed.mapping), &batch);
             for (a, b) in lazy.as_slice().iter().zip(eager.as_slice()) {
                 assert!(approx_eq(*a, *b, 1e-4), "{}: {a} vs {b}", kind.name());
             }
@@ -951,7 +904,7 @@ mod tests {
     /// logits bitwise-match a sequential serve loop, and the request
     /// counter reflects every batch exactly once.
     #[test]
-    fn serve_many_matches_sequential_serve_loop() {
+    fn try_serve_many_matches_sequential_serve_loop() {
         let (data, condensed, model) = setup();
         let batches = data.test_batches(30, true);
         assert!(batches.len() > 1, "need several batches to exercise fan-out");
@@ -962,18 +915,18 @@ mod tests {
             &model,
         );
         let expected: Vec<DMat> =
-            batches.iter().map(|b| sequential.serve(b)).collect();
+            batches.iter().map(|b| sequential.try_serve(b).unwrap()).collect();
 
         let concurrent = InductiveServer::on_synthetic(
             &condensed.synthetic,
             &condensed.mapping,
             &model,
         );
-        let got = mcond_par::with_thread_limit(4, || concurrent.serve_many(&batches));
+        let got = mcond_par::with_thread_limit(4, || concurrent.try_serve_many(&batches));
 
         assert_eq!(got.len(), expected.len());
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-            assert_eq!(g.as_slice(), e.as_slice(), "batch {i} drifted");
+            assert_eq!(g.as_ref().unwrap().as_slice(), e.as_slice(), "batch {i} drifted");
         }
 
         let seq_snap = sequential.metrics_snapshot();
@@ -993,7 +946,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different base graph")]
     fn mismatched_batch_is_rejected() {
         let (data, _, model) = setup();
         let original = data.original_graph();
@@ -1002,7 +954,10 @@ mod tests {
         // *different* dataset.
         let other = load_dataset("flickr", Scale::Small, 0).unwrap();
         let bad_batch = other.test_batches(10, false).remove(0);
-        let _ = server.serve(&bad_batch);
+        assert!(matches!(
+            server.try_serve(&bad_batch),
+            Err(ServeError::InvalidBatch(mcond_graph::BatchError::IncrementalWidth { .. }))
+        ));
     }
 
     /// Empty batches short-circuit to `0 x C` on both serving modes — no
@@ -1014,7 +969,7 @@ mod tests {
         let empty = data.batch(&[], true);
 
         let on_original = InductiveServer::on_original(&original, &model);
-        let out = on_original.serve(&empty);
+        let out = on_original.try_serve(&empty).expect("empty batch is valid");
         assert_eq!(out.shape(), (0, model.out_dim()));
 
         let on_synthetic = InductiveServer::on_synthetic(&syn, &mapping, &model);
@@ -1038,6 +993,16 @@ mod tests {
         );
         let snap = server.metrics_snapshot();
         assert!(snap.counters.contains(&("serve.rejected".to_owned(), 1)));
+
+        // The cap is checked before the O(n·d) finiteness scan: an
+        // over-cap batch is turned away as too large even when it also
+        // carries a NaN the scan would have found.
+        let mut poisoned = batch.clone();
+        poisoned.features.set(1, 0, f32::NAN);
+        assert_eq!(
+            server.try_serve(&poisoned),
+            Err(ServeError::BatchTooLarge { len: 2, max: 1 })
+        );
     }
 
     /// Node 5's `aM` row is empty (its only training neighbour has a fully
@@ -1082,7 +1047,8 @@ mod tests {
             .with_fallback(FallbackPolicy::OriginalGraph)
             .with_original_graph(&original);
         let degraded = armed.try_serve(&batch).expect("degraded serve succeeds");
-        let reference = InductiveServer::on_original(&original, &model).serve(&batch);
+        let reference =
+            InductiveServer::on_original(&original, &model).try_serve(&batch).unwrap();
         assert_eq!(degraded.as_slice(), reference.as_slice());
         assert!(armed
             .metrics_snapshot()

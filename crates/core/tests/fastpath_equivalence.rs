@@ -1,20 +1,21 @@
-//! Split-operator serving fast path: equivalence, probes, and calibration
+//! Split-operator serving fast path: equivalence and calibration
 //! (DESIGN.md §4g).
 //!
-//! The sweep asserts the tentpole contract: [`ServeMode::Exact`] logits
-//! are **bitwise identical** to the legacy [`ServeMode::Extended`] path
-//! for every architecture, at 1 and 4 threads, under every fallback
-//! policy — while copying zero base-feature bytes per request (the
-//! `serve.bytes_saved` probe). The chaos catalogue passes through the
-//! fast path with the same typed-error taxonomy, and the opt-in
-//! [`ServeMode::FrozenBase`] cache is calibrated against the exact path.
+//! The sweep asserts the tentpole contract: the logits
+//! [`InductiveServer::try_serve`] returns are **bitwise identical** to the
+//! vstack-and-slice reference forward — written out below from public
+//! `mcond-gnn`/`mcond-sparse` API, attach and fallback included — for
+//! every architecture, at 1 and 4 threads, under every fallback policy.
+//! The chaos catalogue passes through the fast path with the same
+//! typed-error taxonomy, and the opt-in [`ServeMode::FrozenBase`] cache is
+//! calibrated against the exact path.
 
 use mcond_core::chaos::corrupted_batches;
 use mcond_core::{FallbackPolicy, InductiveServer, ServeError, ServeMode};
-use mcond_gnn::{GnnKind, GnnModel};
-use mcond_graph::{Graph, InductiveDataset};
+use mcond_gnn::{GnnKind, GnnModel, GraphOps};
+use mcond_graph::{Graph, InductiveDataset, NodeBatch};
 use mcond_linalg::{DMat, MatRng};
-use mcond_sparse::{Coo, Csr};
+use mcond_sparse::{spmm_sparse, Coo, Csr};
 
 /// 6-node toy split: train {0,1,2} triangle, val {3}, test {4,5}; 3-dim
 /// features; plus a 2-node synthetic graph whose mapping covers train
@@ -55,21 +56,43 @@ fn counter(server: &InductiveServer<'_>, name: &str) -> u64 {
     server.metrics_snapshot().counters.iter().find(|(k, _)| k == name).map_or(0, |(_, v)| *v)
 }
 
-fn bytes_saved(server: &InductiveServer<'_>) -> f64 {
-    server
-        .metrics_snapshot()
-        .gauges
-        .iter()
-        .find(|(k, _)| k == "serve.bytes_saved")
-        .map_or(0.0, |(_, v)| *v)
+/// The reference answer: attach (`a`, or `aM` through `mapping`), apply
+/// the fallback policy to nodes left without an attachment row, then
+/// vstack base and batch features, run every layer over all `N + n` rows
+/// of the lazily extended graph and slice the batch's rows off the bottom.
+fn reference(
+    model: &GnnModel,
+    base: &Graph,
+    mapping: Option<&Csr>,
+    original: &Graph,
+    policy: FallbackPolicy,
+    batch: &NodeBatch,
+) -> Result<DMat, ServeError> {
+    let attach =
+        mapping.map_or_else(|| batch.incremental.clone(), |m| spmm_sparse(&batch.incremental, m));
+    let uncovered = (0..batch.len()).find(|&i| attach.row_cols(i).is_empty());
+    let (base, attach) = match (uncovered, policy) {
+        (Some(node), FallbackPolicy::Reject) => {
+            return Err(ServeError::NoAttachment { node, coverage: 0.0 })
+        }
+        // Degrade the whole batch to Eq. 3 (a no-op when already there).
+        (Some(_), FallbackPolicy::OriginalGraph) if mapping.is_some() => {
+            (original, batch.incremental.clone())
+        }
+        // Fully covered, or `SelfLoopOnly` over an already-empty row.
+        _ => (base, attach),
+    };
+    let ops = GraphOps::extended(&base.adj, &attach, &batch.interconnect);
+    let logits = model.predict(&ops, &base.features.vstack(&batch.features));
+    Ok(logits.slice_rows(base.num_nodes(), logits.rows()))
 }
 
 /// The tentpole sweep: every architecture × thread count × fallback
-/// policy, on both serving modes, with a coverage threshold that forces
-/// some nodes through the fallback — Exact and Extended must agree
+/// policy × attachment target, over a mapping that leaves one node
+/// without an attachment row — the server and the reference must agree
 /// bitwise on every Ok result and on every typed error.
 #[test]
-fn exact_path_is_bitwise_identical_to_extended_everywhere() {
+fn exact_path_is_bitwise_identical_to_the_stacked_reference_everywhere() {
     let (data, syn, _) = fixture();
     let mapping = pruned_mapping();
     let original = data.original_graph();
@@ -88,13 +111,10 @@ fn exact_path_is_bitwise_identical_to_extended_everywhere() {
                     let exact = InductiveServer::on_synthetic(&syn, &mapping, &model)
                         .with_fallback(policy)
                         .with_original_graph(&original);
-                    let legacy = InductiveServer::on_synthetic(&syn, &mapping, &model)
-                        .with_fallback(policy)
-                        .with_original_graph(&original)
-                        .with_serve_mode(ServeMode::Extended);
                     for (bi, batch) in batches.iter().enumerate() {
                         let a = exact.try_serve(batch);
-                        let b = legacy.try_serve(batch);
+                        let b =
+                            reference(&model, &syn, Some(&mapping), &original, policy, batch);
                         match (&a, &b) {
                             (Ok(x), Ok(y)) => assert_eq!(
                                 x.as_slice(),
@@ -113,12 +133,9 @@ fn exact_path_is_bitwise_identical_to_extended_everywhere() {
                     // Original-graph (Eq. 3) serving.
                     let exact = InductiveServer::on_original(&original, &model)
                         .with_fallback(policy);
-                    let legacy = InductiveServer::on_original(&original, &model)
-                        .with_fallback(policy)
-                        .with_serve_mode(ServeMode::Extended);
                     for (bi, batch) in batches.iter().enumerate() {
                         let a = exact.try_serve(batch);
-                        let b = legacy.try_serve(batch);
+                        let b = reference(&model, &original, None, &original, policy, batch);
                         match (&a, &b) {
                             (Ok(x), Ok(y)) => assert_eq!(
                                 x.as_slice(),
@@ -134,33 +151,6 @@ fn exact_path_is_bitwise_identical_to_extended_everywhere() {
             });
         }
     }
-}
-
-/// The zero-copy probe: every fast-path request books exactly the
-/// `N'×d×4` base-feature bytes the legacy vstack would have copied; the
-/// legacy path books none.
-#[test]
-fn bytes_saved_probe_counts_the_avoided_base_copies() {
-    let (data, syn, mapping) = fixture();
-    let model = GnnModel::new(GnnKind::Gcn, 3, 4, 2, 1);
-    let batch = data.batch(&[4, 5], false);
-    let per_request = (syn.features.rows() * syn.features.cols() * 4) as f64;
-
-    let fast = InductiveServer::on_synthetic(&syn, &mapping, &model);
-    for _ in 0..3 {
-        let _ = fast.serve(&batch);
-    }
-    assert_eq!(bytes_saved(&fast), 3.0 * per_request);
-
-    // Empty batches never reach the forward pass — nothing to save.
-    let _ = fast.serve(&data.batch(&[], false));
-    assert_eq!(bytes_saved(&fast), 3.0 * per_request);
-    assert_eq!(counter(&fast, "serve.requests"), 4);
-
-    let legacy = InductiveServer::on_synthetic(&syn, &mapping, &model)
-        .with_serve_mode(ServeMode::Extended);
-    let _ = legacy.serve(&batch);
-    assert_eq!(bytes_saved(&legacy), 0.0);
 }
 
 /// The chaos catalogue passes through the fast path (and the frozen-base
@@ -220,8 +210,8 @@ fn frozen_base_calibration_against_the_exact_path() {
             .with_serve_mode(ServeMode::FrozenBase);
 
         // Exact on disconnected batches (no base perturbation to ignore).
-        let e = exact.serve(&disconnected);
-        let f = frozen.serve(&disconnected);
+        let e = exact.try_serve(&disconnected).expect("exact serves");
+        let f = frozen.try_serve(&disconnected).expect("frozen serves");
         for (a, b) in e.as_slice().iter().zip(f.as_slice()) {
             assert!(
                 mcond_linalg::approx_eq(*a, *b, 1e-5),
@@ -231,8 +221,8 @@ fn frozen_base_calibration_against_the_exact_path() {
         }
 
         // Bounded deviation on connected batches.
-        let e = exact.serve(&connected);
-        let f = frozen.serve(&connected);
+        let e = exact.try_serve(&connected).expect("exact serves");
+        let f = frozen.try_serve(&connected).expect("frozen serves");
         assert_eq!(e.shape(), f.shape());
         assert!(f.all_finite(), "{}", kind.name());
         let dev = e
@@ -304,7 +294,7 @@ fn coverage_uses_absolute_mass_and_clamps_to_one() {
         b
     };
     let server = InductiveServer::on_synthetic(&syn, &heavy, &model);
-    let _ = server.serve(&inflated);
+    server.try_serve(&inflated).expect("inflated batch serves");
     let cov = server
         .metrics_snapshot()
         .histograms

@@ -48,7 +48,7 @@ fn condense_train_serve_emits_well_formed_jsonl() {
     let server =
         InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model);
     let batch = data.test_batches(40, false).remove(0);
-    let _ = server.serve(&batch);
+    server.try_serve(&batch).expect("golden batch serves");
 
     // --- Every emitted line must parse back as a JSON object with the
     // --- envelope keys. --------------------------------------------------

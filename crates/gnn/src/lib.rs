@@ -7,8 +7,11 @@
 //! features, labels)` triple — original or synthetic graph alike — and
 //! [`GnnModel::predict`] runs tape-free inference.
 //!
-//! [`CostMeter`] implements the paper's evaluation metrics: wall-clock
-//! inference time and the storage model `O(‖A‖₀ + (N + n)d)` of §II-B.
+//! [`accuracy`] and [`extended_storage_bytes`] are the paper's evaluation
+//! metrics: test accuracy and the storage model `O(‖A‖₀ + (N + n)d)` of
+//! §II-B.
+
+#![forbid(unsafe_code)]
 
 mod frozen;
 mod metrics;
@@ -17,7 +20,7 @@ mod propagator;
 mod trainer;
 
 pub use frozen::FrozenBase;
-pub use metrics::{accuracy, confusion_counts, CostMeter, InferenceCost};
+pub use metrics::{accuracy, confusion_counts, extended_storage_bytes};
 pub use model::{GnnKind, GnnModel, GraphOps};
 pub use propagator::{BaseDegrees, Propagator};
 pub use trainer::{train, TrainConfig, TrainReport};

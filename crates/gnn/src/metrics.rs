@@ -1,8 +1,7 @@
-//! Evaluation metrics and the inference cost meter.
+//! Evaluation metrics: accuracy and the paper's storage model.
 
+use mcond_graph::{Graph, NodeBatch};
 use mcond_linalg::DMat;
-use mcond_sparse::Csr;
-use std::time::Instant;
 
 /// Classification accuracy of row-argmax predictions against labels.
 ///
@@ -34,69 +33,17 @@ pub fn confusion_counts(logits: &DMat, labels: &[usize], num_classes: usize) -> 
     counts
 }
 
-/// Deployment cost of one inference configuration — the quantities plotted
-/// in the paper's Fig. 3 / Fig. 4.
-#[derive(Clone, Copy, Debug)]
-pub struct InferenceCost {
-    /// Wall-clock seconds for the measured closure.
-    pub seconds: f64,
-    /// Storage model of §II-B: CSR bytes of the (extended) adjacency plus
-    /// `(N + n) · d` feature bytes.
-    pub memory_bytes: usize,
-}
-
-impl InferenceCost {
-    /// Speedup of `self` relative to `baseline` (>1 means `self` is faster).
-    #[must_use]
-    pub fn speedup_vs(&self, baseline: &InferenceCost) -> f64 {
-        baseline.seconds / self.seconds.max(1e-12)
-    }
-
-    /// Memory compression of `self` relative to `baseline` (>1 means `self`
-    /// is smaller).
-    #[must_use]
-    pub fn compression_vs(&self, baseline: &InferenceCost) -> f64 {
-        baseline.memory_bytes as f64 / self.memory_bytes.max(1) as f64
-    }
-}
-
-/// Measures wall time and the paper's storage model for inference runs.
-pub struct CostMeter {
-    /// Number of timed repetitions (the median is reported).
-    pub repeats: usize,
-}
-
-impl Default for CostMeter {
-    fn default() -> Self {
-        Self { repeats: 3 }
-    }
-}
-
-impl CostMeter {
-    /// Times `f` (median of `repeats` runs) and accounts the memory for an
-    /// inference over adjacency `adj` and a feature matrix with `feat_rows`
-    /// rows and `feat_dim` columns.
-    pub fn measure<T>(
-        &self,
-        adj: &Csr,
-        feat_rows: usize,
-        feat_dim: usize,
-        mut f: impl FnMut() -> T,
-    ) -> (T, InferenceCost) {
-        let mut times = Vec::with_capacity(self.repeats.max(1));
-        let mut out = None;
-        for _ in 0..self.repeats.max(1) {
-            let start = Instant::now();
-            out = Some(f());
-            times.push(start.elapsed().as_secs_f64());
-        }
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let cost = InferenceCost {
-            seconds: times[times.len() / 2],
-            memory_bytes: adj.storage_bytes() + feat_rows * feat_dim * std::mem::size_of::<f32>(),
-        };
-        (out.expect("at least one repetition"), cost)
-    }
+/// Storage model of §II-B for serving `batch` on `base` — the memory axis
+/// of the paper's Fig. 3 / Fig. 4: CSR bytes of the extended adjacency
+/// `[[A, attachᵀ], [attach, ã]]` (8-byte row pointers, 4 + 4 bytes per
+/// stored entry) plus `(N + n)·d` feature floats. Counted, not
+/// materialised: `attach_nnz` is `‖a‖₀` for Eq. 3 serving and `‖aM‖₀`
+/// for Eq. 11.
+#[must_use]
+pub fn extended_storage_bytes(base: &Graph, attach_nnz: usize, batch: &NodeBatch) -> usize {
+    let rows = base.num_nodes() + batch.len();
+    let nnz = base.adj.nnz() + 2 * attach_nnz + batch.interconnect.nnz();
+    (rows + 1) * 8 + nnz * 8 + rows * base.feature_dim() * 4
 }
 
 #[cfg(test)]
@@ -124,23 +71,31 @@ mod tests {
         assert_eq!(counts[1], (1, 2));
     }
 
+    /// The counted model equals the bytes of the extended graph it stands
+    /// for, whatever the attachment block holds.
     #[test]
-    fn cost_meter_reports_storage_model() {
+    fn storage_model_matches_the_materialised_extended_graph() {
         let mut coo = Coo::new(3, 3);
         coo.push_sym(0, 1, 1.0);
-        let adj = coo.to_csr();
-        let meter = CostMeter { repeats: 1 };
-        let (val, cost) = meter.measure(&adj, 3, 4, || 42);
-        assert_eq!(val, 42);
-        assert_eq!(cost.memory_bytes, adj.storage_bytes() + 3 * 4 * 4);
-        assert!(cost.seconds >= 0.0);
-    }
-
-    #[test]
-    fn speedup_and_compression_ratios() {
-        let fast = InferenceCost { seconds: 0.1, memory_bytes: 100 };
-        let slow = InferenceCost { seconds: 1.0, memory_bytes: 1000 };
-        assert!((fast.speedup_vs(&slow) - 10.0).abs() < 1e-9);
-        assert!((fast.compression_vs(&slow) - 10.0).abs() < 1e-9);
+        coo.push_sym(1, 2, 0.5);
+        let base = Graph::new(coo.to_csr(), DMat::zeros(3, 4), vec![0, 1, 0], 2);
+        let mut attach = Coo::new(2, 3);
+        attach.push(0, 1, 1.0);
+        attach.push(1, 0, 0.5);
+        attach.push(1, 2, 0.5);
+        let attach = attach.to_csr();
+        let mut inter = Coo::new(2, 2);
+        inter.push_sym(0, 1, 1.0);
+        let batch = NodeBatch {
+            features: DMat::zeros(2, 4),
+            incremental: attach.clone(),
+            interconnect: inter.to_csr(),
+            labels: vec![0, 1],
+        };
+        let materialised = base.adj.block_extend(&attach, &batch.interconnect);
+        assert_eq!(
+            extended_storage_bytes(&base, attach.nnz(), &batch),
+            materialised.storage_bytes() + (3 + 2) * 4 * 4
+        );
     }
 }

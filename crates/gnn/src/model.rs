@@ -3,7 +3,7 @@
 use crate::propagator::{BaseDegrees, Propagator};
 use mcond_autodiff::{Tape, Var};
 use mcond_linalg::{DMat, MatRng};
-use mcond_sparse::{row_normalize_dense, sym_normalize, Csr};
+use mcond_sparse::{sym_normalize, Csr};
 use std::sync::Arc;
 
 /// Architecture selector (paper §IV-A and Table IV).
@@ -105,7 +105,6 @@ impl GraphOps<'static> {
             }
             coo.to_csr()
         };
-        let _ = row_normalize_dense; // dense variant lives in mcond-sparse for adjacency blocks
         Self { sym: Propagator::Matrix(sym), mean: Propagator::Matrix(Arc::new(dense_free)) }
     }
 }
@@ -502,6 +501,60 @@ mod tests {
             let out = model.predict(&ops, &x);
             assert_eq!(out.shape(), (6, 3), "{}", kind.name());
             assert!(out.as_slice().iter().all(|v| v.is_finite()), "{}", kind.name());
+        }
+    }
+
+    /// The split-operator contract every serving caller relies on:
+    /// `predict_split` returns exactly the rows a vstacked `predict` would
+    /// put at the bottom — bitwise, for every architecture, at 1 and 4
+    /// threads, whether the new nodes' blocks are dense, have
+    /// structurally empty rows, or carry no edges at all.
+    #[test]
+    fn predict_split_is_bitwise_the_bottom_of_the_stacked_predict() {
+        let base = ring(7);
+        let n = 3;
+        let block = |rows: usize, cols: usize, entries: &[(usize, usize, f32)]| {
+            let mut coo = Coo::new(rows, cols);
+            for &(i, j, v) in entries {
+                coo.push(i, j, v);
+            }
+            coo.to_csr()
+        };
+        let cases = [
+            (
+                "dense",
+                block(n, 7, &[(0, 0, 1.0), (0, 3, 0.5), (1, 1, 2.0), (1, 6, 1.0), (2, 2, 0.25), (2, 5, 1.5)]),
+                block(n, n, &[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 0.5), (2, 1, 0.5)]),
+            ),
+            (
+                "some-empty-rows",
+                block(n, 7, &[(0, 4, 1.0), (2, 0, 0.5), (2, 6, 2.0)]),
+                block(n, n, &[(0, 2, 1.0), (2, 0, 1.0)]),
+            ),
+            ("edge-free", Csr::empty(n, 7), Csr::empty(n, n)),
+        ];
+        let deg = BaseDegrees::of(&base);
+        let mut rng = MatRng::seed_from(12);
+        let x_base = rng.normal(7, 4, 0.0, 1.0);
+        let x_new = rng.normal(n, 4, 0.0, 1.0);
+        let stacked = x_base.vstack(&x_new);
+        for kind in GnnKind::ALL {
+            let model = GnnModel::new(kind, 4, 6, 3, 5);
+            for (case, inc, inter) in &cases {
+                let ops = GraphOps::extended_with(&base, inc, inter, &deg);
+                for threads in [1usize, 4] {
+                    mcond_par::with_thread_limit(threads, || {
+                        let full = model.predict(&ops, &stacked);
+                        let split = model.predict_split(&ops, &x_base, &x_new);
+                        assert_eq!(
+                            split.as_slice(),
+                            full.slice_rows(7, 7 + n).as_slice(),
+                            "{} {case} t{threads}",
+                            kind.name()
+                        );
+                    });
+                }
+            }
         }
     }
 

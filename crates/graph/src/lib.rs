@@ -17,6 +17,8 @@
 //! assert_eq!(original.num_nodes(), data.train_idx.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod graph;
 mod import;
 mod inductive;

@@ -58,12 +58,7 @@
 //! * `serve.cache.hits` — requests answered from the frozen-base cache
 //!   (degraded requests fall through to the exact path and do not count);
 //! * `serve.cache.bytes` — gauge: resident size of the frozen-base cache
-//!   at build time;
-//! * `serve.bytes_saved` — gauge: cumulative base-feature bytes the
-//!   split-operator fast path did *not* copy (the per-request `N'×d×4`
-//!   vstack the legacy extended path pays). Zero on
-//!   `ServeMode::Extended`; the `fastpath_equivalence` test asserts it
-//!   equals `requests × N'×d×4` on the fast path.
+//!   at build time.
 //!
 //! The live-graph ingestion path (`mcond-core`'s `LiveBase`) reports its
 //! promotion and refresh activity under the `delta.*` prefix, and how it
@@ -165,6 +160,8 @@
 //! let lines = _capture.parsed_lines();
 //! assert_eq!(lines.len(), 3); // span_start, point, span
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod flight;
 pub mod json;

@@ -13,6 +13,8 @@
 //! Both run the damped fixed-point iteration
 //! `F ← α Â F + (1 - α) F₀` for a fixed number of steps.
 
+#![forbid(unsafe_code)]
+
 mod propagation;
 
 pub use propagation::{

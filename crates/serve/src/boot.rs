@@ -2,9 +2,8 @@
 //! bundle (written by `mcond-store`) into the [`EpochSlot`] the front end
 //! serves from — the deployment path where the serving process never sees
 //! the original graph, only the condensed artifact. The slot *owns* its
-//! checkpoint: unlike the leaked-`'static` boot of earlier revisions,
-//! every reload frees the retired epoch once its last in-flight request
-//! completes.
+//! checkpoint: every reload frees the retired epoch once its last
+//! in-flight request completes.
 
 use mcond_core::{Checkpoint, EpochServer, EpochSlot};
 use mcond_store::StoreError;
@@ -21,5 +20,5 @@ use std::sync::Arc;
 /// Any [`StoreError`] from reading or validating the bundle.
 pub fn boot_slot(path: impl AsRef<Path>) -> Result<Arc<EpochSlot>, StoreError> {
     let (ckpt, id) = Checkpoint::load_for_serving(path)?;
-    Ok(Arc::new(EpochSlot::new(EpochServer::from_checkpoint_arc(Arc::new(ckpt), id))))
+    Ok(Arc::new(EpochSlot::new(EpochServer::new(ckpt.into_server(), id))))
 }

@@ -980,6 +980,6 @@ mod tests {
         map.push(2, 1, 1.0);
         let model = GnnModel::new(GnnKind::Gcn, 2, 4, 2, 1);
         let ckpt = Checkpoint::new(graph, map.to_csr(), model).unwrap();
-        EpochServer::from_checkpoint_arc(Arc::new(ckpt), "test")
+        EpochServer::new(ckpt.into_server(), "test")
     }
 }

@@ -54,6 +54,8 @@
 //! test suite drives, in the same catalogue style as
 //! [`mcond_core::chaos`].
 
+#![forbid(unsafe_code)]
+
 mod batcher;
 pub mod boot;
 pub mod chaos;

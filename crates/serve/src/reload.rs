@@ -131,7 +131,7 @@ pub(crate) fn attempt(
 
     let start = Instant::now();
     let staged = match Checkpoint::load_for_serving(path) {
-        Ok((ckpt, id)) => EpochServer::from_checkpoint_arc(Arc::new(ckpt), id),
+        Ok((ckpt, id)) => EpochServer::new(ckpt.into_server(), id),
         Err(e) => {
             record_failure(&mut gate, cfg);
             return Err(ReloadError::Store(e));
@@ -212,10 +212,8 @@ mod tests {
             Checkpoint::new(graph, map.to_csr(), GnnModel::new(GnnKind::Gcn, 2, 4, 2, 9))
                 .unwrap()
         };
-        let slot = Arc::new(EpochSlot::new(EpochServer::from_checkpoint_arc(
-            Arc::new(make_ckpt()),
-            "boot",
-        )));
+        let slot =
+            Arc::new(EpochSlot::new(EpochServer::new(make_ckpt().into_server(), "boot")));
         let control = ReloadControl::new();
         let cfg = ServeConfig {
             reload_backoff: Duration::from_secs(60),

@@ -1,11 +1,11 @@
 //! Shared fixture for the serve integration suites: the same 6-node toy
-//! split as `mcond-core`'s chaos sweep, leaked into `'static` servers and
+//! split as `mcond-core`'s chaos sweep, moved into owning servers and
 //! wrapped in epoch slots the front end's hot-swap machinery expects.
 
 // Each test binary includes this module but uses a different subset.
 #![allow(dead_code)]
 
-use mcond_core::{Checkpoint, EpochServer, EpochSlot, InductiveServer};
+use mcond_core::{Checkpoint, EpochServer, EpochSlot};
 use mcond_serve::Client;
 use mcond_gnn::{GnnKind, GnnModel};
 use mcond_graph::{Graph, InductiveDataset};
@@ -31,32 +31,34 @@ pub fn dataset() -> InductiveDataset {
     InductiveDataset::new(g, vec![0, 1, 2], vec![3], vec![4, 5])
 }
 
-/// Boot epoch slot over a leaked 2-node synthetic graph and 3x2 mapping.
+/// Boot epoch slot over a 2-node synthetic graph and 3x2 mapping.
 /// `model_in_dim = FEATURE_DIM` gives a healthy server;
 /// `model_in_dim = 5` passes validation but panics inside the forward
-/// pass (the chaos-sweep misconfiguration), for exercising 500s — the
-/// `from_static` escape hatch exists exactly because `Checkpoint::new`
-/// would reject that fixture.
-pub fn leaked_slot(model_in_dim: usize) -> Arc<EpochSlot> {
-    let syn: &'static Graph = Box::leak(Box::new(Graph::new(
+/// pass (the chaos-sweep misconfiguration), for exercising 500s —
+/// `Checkpoint::new` would reject that fixture, so the bundle is
+/// assembled field by field.
+pub fn toy_slot(model_in_dim: usize) -> Arc<EpochSlot> {
+    let synthetic = Graph::new(
         Csr::eye(2),
         DMat::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0]]),
         vec![0, 1],
         2,
-    )));
+    );
     let mut map = Coo::new(INC_COLS, 2);
     map.push(0, 0, 0.5);
     map.push(1, 0, 0.5);
     map.push(2, 1, 1.0);
-    let mapping: &'static Csr = Box::leak(Box::new(map.to_csr()));
-    let model: &'static GnnModel =
-        Box::leak(Box::new(GnnModel::new(GnnKind::Gcn, model_in_dim, 4, 2, 1)));
-    let server = InductiveServer::on_synthetic(syn, mapping, model);
-    Arc::new(EpochSlot::new(EpochServer::from_static(server, "toy-fixture")))
+    let ckpt = Checkpoint {
+        synthetic,
+        mapping: map.to_csr(),
+        model: GnnModel::new(GnnKind::Gcn, model_in_dim, 4, 2, 1),
+        lineage: None,
+    };
+    Arc::new(EpochSlot::new(EpochServer::new(ckpt.into_server(), "toy-fixture")))
 }
 
 /// A valid, saveable checkpoint over the same toy shapes as
-/// [`leaked_slot`] — 2 synthetic nodes, 3-dim features, 3x2 mapping.
+/// [`toy_slot`] — 2 synthetic nodes, 3-dim features, 3x2 mapping.
 /// Different `seed`s produce bitwise-distinct model weights, which is
 /// what the reload chaos suite alternates between to prove each answer
 /// came from the epoch its header claims.

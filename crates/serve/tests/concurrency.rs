@@ -30,7 +30,7 @@ fn batch_mix() -> Vec<NodeBatch> {
 fn responses_are_bitwise_identical_to_direct_calls_across_thread_counts() {
     let batches = batch_mix();
     for worker_threads in [1usize, 4] {
-        let slot = common::leaked_slot(common::FEATURE_DIM);
+        let slot = common::toy_slot(common::FEATURE_DIM);
         let epoch = slot.load();
         let expected: Vec<_> = batches
             .iter()
@@ -82,7 +82,7 @@ fn responses_are_bitwise_identical_to_direct_calls_across_thread_counts() {
 fn panicking_request_returns_500_while_siblings_succeed() {
     let data = common::dataset();
     let handle = spawn(
-        common::leaked_slot(5),
+        common::toy_slot(5),
         ServeConfig { coalesce_window: Duration::from_millis(20), ..ServeConfig::default() },
     )
     .expect("spawn front end");
@@ -122,7 +122,7 @@ fn panicking_request_returns_500_while_siblings_succeed() {
 #[test]
 fn corrupted_batches_map_to_client_errors_over_http() {
     let data = common::dataset();
-    let slot = common::leaked_slot(common::FEATURE_DIM);
+    let slot = common::toy_slot(common::FEATURE_DIM);
     let donor = data.batch(&[4, 5], true);
     let reference = slot.load().server().try_serve(&donor).expect("donor valid");
 

@@ -756,6 +756,58 @@ impl Csr {
     }
 }
 
+/// Sparse × sparse product specialised for `a · M` (tall-thin result): the
+/// left factor's rows are short and the result has few columns, so each
+/// output row is accumulated densely.
+///
+/// The accumulator is only reset at the columns a row actually touched
+/// (tracked via a `seen` mask), and structurally empty rows are skipped
+/// outright — the conversion costs `O(Σ_i fanout_i)`, not `O(n·N')`, so a
+/// near-empty batch no longer pays for the accumulator width. Touched
+/// columns are emitted in ascending order, exactly like the full
+/// accumulator sweep did, so the output is bitwise unchanged.
+///
+/// `a` may be narrower than `m` has rows (a batch assembled before the
+/// mapping grew): its columns address a prefix of `m`'s rows.
+///
+/// # Panics
+/// Panics when `a` has more columns than `m` has rows.
+#[must_use]
+pub fn spmm_sparse(a: &Csr, m: &Csr) -> Csr {
+    assert!(a.cols() <= m.rows(), "spmm_sparse: left columns must index the right factor's rows");
+    let mut coo = Coo::new(a.rows(), m.cols());
+    let mut acc = vec![0f32; m.cols()];
+    let mut seen = vec![false; m.cols()];
+    let mut touched: Vec<u32> = Vec::new();
+    for i in 0..a.rows() {
+        if a.row_cols(i).is_empty() {
+            continue;
+        }
+        touched.clear();
+        for (&k, &av) in a.row_cols(i).iter().zip(a.row_vals(i)) {
+            let k = k as usize;
+            for (&c, &mv) in m.row_cols(k).iter().zip(m.row_vals(k)) {
+                let cu = c as usize;
+                if !seen[cu] {
+                    seen[cu] = true;
+                    touched.push(c);
+                }
+                acc[cu] += av * mv;
+            }
+        }
+        touched.sort_unstable();
+        for &c in &touched {
+            let cu = c as usize;
+            if acc[cu] != 0.0 {
+                coo.push(i, cu, acc[cu]);
+            }
+            acc[cu] = 0.0;
+            seen[cu] = false;
+        }
+    }
+    coo.to_csr()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1123,5 +1175,56 @@ mod tests {
         let serial = mcond_par::with_thread_limit(1, || m.spmm(&x));
         let parallel = mcond_par::with_thread_limit(4, || m.spmm(&x));
         assert_eq!(serial.as_slice(), parallel.as_slice());
+    }
+
+    #[test]
+    fn spmm_sparse_matches_dense_product() {
+        let mut a = Coo::new(2, 3);
+        a.push(0, 1, 2.0);
+        a.push(1, 2, 3.0);
+        a.push(1, 0, 1.0);
+        let a = a.to_csr();
+        let mut m = Coo::new(3, 2);
+        m.push(0, 0, 1.0);
+        m.push(1, 1, 4.0);
+        m.push(2, 0, 5.0);
+        let m = m.to_csr();
+        let product = spmm_sparse(&a, &m).to_dense();
+        let reference = a.to_dense().matmul(&m.to_dense());
+        assert_eq!(product, reference);
+    }
+
+    /// The touched-column reset must behave exactly like the full
+    /// accumulator sweep on the hard cases: rows that are structurally
+    /// empty (skipped outright), columns whose contributions cancel to an
+    /// exact zero (dropped, but still reset for the next row), and
+    /// out-of-order column touches (emitted ascending).
+    #[test]
+    fn spmm_sparse_handles_empty_rows_and_cancellation() {
+        // 5 rows, only rows 1 and 3 non-empty.
+        let mut a = Coo::new(5, 4);
+        a.push(1, 0, 1.0);
+        a.push(1, 1, -1.0);
+        a.push(3, 1, 2.0);
+        let a = a.to_csr();
+        // m rows 0 and 1 hit the same column 2 with equal weight, so row 1
+        // of the product cancels to exact zero there; column 0 is touched
+        // by m row 1 only.
+        let mut m = Coo::new(4, 3);
+        m.push(0, 2, 3.0);
+        m.push(1, 2, 3.0);
+        m.push(1, 0, 4.0);
+        let m = m.to_csr();
+        let product = spmm_sparse(&a, &m);
+        let reference = a.to_dense().matmul(&m.to_dense());
+        assert_eq!(product.to_dense(), reference);
+        // The cancelled (1, 2) entry is structurally absent, not a stored
+        // zero, and the empty rows contributed nothing.
+        assert_eq!(product.row_cols(1), &[0]);
+        assert_eq!(product.row_cols(3), &[0, 2]);
+        assert_eq!(product.nnz(), 3);
+        for i in [0, 2, 4] {
+            assert!(product.row_cols(i).is_empty());
+        }
     }
 }

@@ -32,6 +32,8 @@
 //! assert!(back.bit_eq(&x));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 mod crc32;
 mod error;

@@ -12,10 +12,6 @@ fn main() {
     let data = load_dataset("flickr", Scale::Small, 0).expect("bundled dataset");
     let condensed = condense(&data, &McondConfig { ratio: 0.05, ..Default::default() });
     let batches = data.test_batches(1000, false);
-    let target = InferenceTarget::Synthetic {
-        graph: &condensed.synthetic,
-        mapping: &condensed.mapping,
-    };
 
     println!("architecture    train-acc   inductive-acc (node batch)");
     for kind in GnnKind::ALL {
@@ -35,10 +31,12 @@ fn main() {
             &TrainConfig { epochs: 200, lr: 0.03, ..TrainConfig::default() },
             None,
         );
+        let server =
+            InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model);
         let mut hits = 0.0;
         let mut total = 0usize;
         for batch in &batches {
-            let logits = infer_inductive(&model, &target, batch);
+            let logits = server.try_serve(batch).expect("test batch serves");
             hits += accuracy(&logits, &batch.labels) * batch.len() as f64;
             total += batch.len();
         }

@@ -51,9 +51,9 @@ fn main() {
     let mut hits = 0.0;
     let mut total = 0usize;
     for batch in &batches {
-        let logits = server.serve(batch);
+        let logits = server.try_serve(batch).expect("restored server serves");
         assert!(
-            logits.bit_eq(&live.serve(batch)),
+            logits.bit_eq(&live.try_serve(batch).expect("live server serves")),
             "restored server drifted from the in-memory pipeline"
         );
         hits += accuracy(&logits, &batch.labels) * batch.len() as f64;

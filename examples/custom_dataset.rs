@@ -63,14 +63,11 @@ fn main() {
         );
         m
     };
-    let target = InferenceTarget::Synthetic {
-        graph: &condensed.synthetic,
-        mapping: &condensed.mapping,
-    };
+    let server = InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model);
     let mut hits = 0.0;
     let mut total = 0usize;
     for batch in data.test_batches(500, false) {
-        let logits = infer_inductive(&model, &target, &batch);
+        let logits = server.try_serve(&batch).expect("test batch serves");
         hits += accuracy(&logits, &batch.labels) * batch.len() as f64;
         total += batch.len();
     }

@@ -2,12 +2,9 @@
 //! inductive inference on the condensed graph versus the original graph?
 //! (Paper: up to 121.5x speedup and 55.9x memory reduction on Reddit.)
 //!
-//! The second half layers the **serving fast path** on top: the same
-//! condensed graph served through [`InductiveServer`] in each
-//! [`ServeMode`] — the legacy vstack-and-slice reference (`Extended`),
-//! the split-operator zero-copy path (`Exact`, the default; verified
-//! bitwise against the reference here), and the approximate frozen-base
-//! cache (`FrozenBase`).
+//! Both targets are served through [`InductiveServer::try_serve`] — the
+//! one attach path. The second half adds the opt-in approximate
+//! frozen-base cache ([`ServeMode::FrozenBase`]) on the condensed graph.
 //!
 //! ```sh
 //! cargo run --release --example inference_acceleration
@@ -43,37 +40,30 @@ fn main() {
         None,
     );
 
-    let meter = CostMeter::default();
     let batches = data.test_batches(1000, true);
-    let targets = [
-        ("original graph (Whole)", InferenceTarget::Original(&original)),
+    let servers = [
+        ("original graph (Whole)", InductiveServer::on_original(&original, &model)),
         (
             "synthetic graph (MCond)",
-            InferenceTarget::Synthetic {
-                graph: &condensed.synthetic,
-                mapping: &condensed.mapping,
-            },
+            InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model),
         ),
     ];
 
     let mut costs = Vec::new();
-    for (label, target) in &targets {
+    for (label, server) in &servers {
         let mut seconds = 0.0;
         let mut memory = 0usize;
         let mut hits = 0.0;
         let mut total = 0usize;
         for batch in &batches {
-            let (adj, x) = target.attach(batch);
-            let n_base = target.base_nodes();
-            let (logits, cost) = meter.measure(&adj, x.rows(), x.cols(), || {
-                let ops = GraphOps::from_adj(&adj);
-                let full = model.predict(&ops, &x);
-                full.slice_rows(n_base, full.rows())
-            });
+            let start = Instant::now();
+            let logits = server.try_serve(batch).expect("test batch serves");
+            seconds += start.elapsed().as_secs_f64();
             hits += accuracy(&logits, &batch.labels) * batch.len() as f64;
             total += batch.len();
-            seconds += cost.seconds;
-            memory = memory.max(cost.memory_bytes);
+            // §II-B storage model: the extended graph's bytes, counted.
+            let attach_nnz = server.attachment(batch).nnz();
+            memory = memory.max(extended_storage_bytes(server.base_graph(), attach_nnz, batch));
         }
         println!(
             "{label:>24}: acc {:.2}%  time {:.2} ms/batch  memory {:.2} MB",
@@ -90,45 +80,17 @@ fn main() {
         costs[0].1 as f64 / costs[1].1.max(1) as f64
     );
 
-    // --- Serving fast path on the condensed graph -----------------------
-    // The servers above re-materialised the extended graph per batch; the
-    // InductiveServer streams through the shared base instead, and the
-    // split-operator fast path (the default) never copies base features.
-    println!("\nserving fast path (same condensed graph, {} batches):", batches.len());
-    let modes = [
-        ("Extended (reference)", ServeMode::Extended),
-        ("Exact (fast path)", ServeMode::Exact),
-        ("FrozenBase (approx.)", ServeMode::FrozenBase),
-    ];
-    let mut reference: Option<DMat> = None;
-    for (label, mode) in modes {
-        let server =
-            InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model)
-                .with_serve_mode(mode);
-        let start = Instant::now();
-        let first = server.serve(&batches[0]);
-        for batch in &batches[1..] {
-            let _ = server.serve(batch);
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        match (&reference, mode) {
-            (None, _) => reference = Some(first),
-            (Some(r), ServeMode::Exact) => assert_eq!(
-                r.as_slice(),
-                first.as_slice(),
-                "exact fast path must be bitwise identical to the reference"
-            ),
-            _ => {}
-        }
-        let snap = server.metrics_snapshot();
-        let gauge = |name: &str| {
-            snap.gauges.iter().find(|(k, _)| k == name).map_or(0.0, |(_, v)| *v)
-        };
-        println!(
-            "{label:>22}: {:.2} ms/batch  base bytes avoided {:.2} MB",
-            1000.0 * elapsed / batches.len() as f64,
-            gauge("serve.bytes_saved") / 1e6
-        );
+    // --- Frozen-base cache on the condensed graph -----------------------
+    // Opt-in and approximate: per-layer base activations are cached once,
+    // so a request touches only its own rows.
+    let frozen = InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model)
+        .with_serve_mode(ServeMode::FrozenBase);
+    let start = Instant::now();
+    for batch in &batches {
+        frozen.try_serve(batch).expect("test batch serves");
     }
-    println!("exact fast path verified bitwise against the extended reference");
+    println!(
+        "FrozenBase (approx.) on the condensed graph: {:.2} ms/batch",
+        1000.0 * start.elapsed().as_secs_f64() / batches.len() as f64
+    );
 }

@@ -32,7 +32,12 @@ fn main() {
     );
 
     let cfg = PropagationConfig::default();
-    let n_syn = condensed.synthetic.num_nodes();
+    let syn = &condensed.synthetic;
+    let n_syn = syn.num_nodes();
+    let server = InductiveServer::on_synthetic(syn, &condensed.mapping, &model);
+    // The residual error propagation diffuses: the model's error on the
+    // labelled synthetic nodes.
+    let base_logits = model.predict(&ops, &syn.features);
     let mut vanilla_hits = 0.0;
     let mut lp_hits = 0.0;
     let mut ep_hits = 0.0;
@@ -40,12 +45,15 @@ fn main() {
     let mut prop_seconds = 0.0;
 
     for batch in data.test_batches(1000, true) {
-        // Attach test nodes to S through M (Eq. 11).
-        let (adj, x) = attach_to_synthetic(&condensed.synthetic, &condensed.mapping, &batch);
-        let graph_ops = GraphOps::from_adj(&adj);
-        let logits = model.predict(&graph_ops, &x);
-        let test_logits = logits.slice_rows(n_syn, logits.rows());
+        // Serve the test nodes on S through M (Eq. 11).
+        let test_logits = server.try_serve(&batch).expect("test batch serves");
         vanilla_hits += accuracy(&test_logits, &batch.labels) * batch.len() as f64;
+
+        // LP/EP run on the combined structure, so spell it out: S
+        // block-extended with the attachment rows aM.
+        let attach = spmm_sparse(&batch.incremental, &condensed.mapping);
+        let adj = syn.adj.block_extend(&attach, &batch.interconnect);
+        let logits = base_logits.vstack(&test_logits);
 
         let start = Instant::now();
         // LP: diffuse the synthetic labels Y' to the attached test nodes.

@@ -50,17 +50,15 @@ fn main() {
 
     // 4. Inductive inference: attach test nodes to S through M (Eq. 11)
     //    and, for comparison, to the original graph (Eq. 3).
-    let synthetic_target = InferenceTarget::Synthetic {
-        graph: &condensed.synthetic,
-        mapping: &condensed.mapping,
-    };
-    let original_target = InferenceTarget::Original(&original);
+    let on_synthetic =
+        InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model);
+    let on_original = InductiveServer::on_original(&original, &model);
     let mut hits_s = 0.0;
     let mut hits_o = 0.0;
     let mut total = 0usize;
     for batch in data.test_batches(1000, false) {
-        let logits_s = infer_inductive(&model, &synthetic_target, &batch);
-        let logits_o = infer_inductive(&model, &original_target, &batch);
+        let logits_s = on_synthetic.try_serve(&batch).expect("test batch serves");
+        let logits_o = on_original.try_serve(&batch).expect("test batch serves");
         hits_s += accuracy(&logits_s, &batch.labels) * batch.len() as f64;
         hits_o += accuracy(&logits_o, &batch.labels) * batch.len() as f64;
         total += batch.len();

@@ -213,7 +213,9 @@ fn main() {
         .with_original_graph(&original);
     let degraded = degraded_server.try_serve(&batch).expect("OriginalGraph fallback serves");
     if uncovered {
-        let eq3 = InductiveServer::on_original(&original, &model).serve(&batch);
+        let eq3 = InductiveServer::on_original(&original, &model)
+            .try_serve(&batch)
+            .expect("Eq. 3 serving succeeds");
         assert_eq!(
             degraded.as_slice(),
             eq3.as_slice(),

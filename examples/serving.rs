@@ -1,8 +1,7 @@
 //! Deployment serving: persist a condensation artifact, reload it, and
-//! serve inductive batches with the lazy [`InductiveServer`] — comparing
-//! its per-batch cost against the materialise-per-batch path — then put
-//! the same artifact behind the `mcond-serve` HTTP front end and round-
-//! trip a batch over a real localhost socket.
+//! serve inductive batches with [`InductiveServer`], then put the same
+//! artifact behind the `mcond-serve` HTTP front end and round-trip a
+//! batch over a real localhost socket.
 //!
 //! ```sh
 //! cargo run --release --example serving
@@ -54,46 +53,22 @@ fn main() {
         None,
     );
 
-    // Serve batches two ways and compare.
+    // Serve the test batches from the library.
     let batches = data.test_batches(100, true);
     let server = InductiveServer::on_synthetic(&artifact.synthetic, &artifact.mapping, &model);
-    let target = InferenceTarget::Synthetic {
-        graph: &artifact.synthetic,
-        mapping: &artifact.mapping,
-    };
-
     let start = Instant::now();
-    let mut hits_lazy = 0.0;
+    let mut hits = 0.0;
     let mut total = 0usize;
     for batch in &batches {
-        let logits = server.serve(batch);
-        hits_lazy += accuracy(&logits, &batch.labels) * batch.len() as f64;
+        let logits = server.try_serve(batch).expect("test batch serves");
+        hits += accuracy(&logits, &batch.labels) * batch.len() as f64;
         total += batch.len();
     }
-    let lazy_time = start.elapsed();
-
-    let start = Instant::now();
-    let mut hits_eager = 0.0;
-    for batch in &batches {
-        let logits = infer_inductive(&model, &target, batch);
-        hits_eager += accuracy(&logits, &batch.labels) * batch.len() as f64;
-    }
-    let eager_time = start.elapsed();
-
     println!(
-        "lazy server:          {:.2}% accuracy, {:.2} ms for {} batches",
-        100.0 * hits_lazy / total as f64,
-        1000.0 * lazy_time.as_secs_f64(),
+        "library serving: {:.2}% accuracy, {:.2} ms for {} batches",
+        100.0 * hits / total as f64,
+        1000.0 * start.elapsed().as_secs_f64(),
         batches.len()
-    );
-    println!(
-        "materialised path:    {:.2}% accuracy, {:.2} ms",
-        100.0 * hits_eager / total as f64,
-        1000.0 * eager_time.as_secs_f64()
-    );
-    println!(
-        "serving speedup: {:.2}x (identical logits by construction)",
-        eager_time.as_secs_f64() / lazy_time.as_secs_f64().max(1e-12)
     );
 
     // ── Network serving ────────────────────────────────────────────────

@@ -185,15 +185,12 @@ fn cmd_infer(flags: &HashMap<String, String>) -> Result<(), String> {
         None,
     );
 
-    let target = InferenceTarget::Synthetic {
-        graph: &artifact.synthetic,
-        mapping: &artifact.mapping,
-    };
+    let server = InductiveServer::on_synthetic(&artifact.synthetic, &artifact.mapping, &model);
     let mut hits = 0.0;
     let mut total = 0usize;
     let start = std::time::Instant::now();
     for batch in data.test_batches(1000, graph_batch) {
-        let logits = infer_inductive(&model, &target, &batch);
+        let logits = server.try_serve(&batch).map_err(|e| e.to_string())?;
         hits += accuracy(&logits, &batch.labels) * batch.len() as f64;
         total += batch.len();
     }

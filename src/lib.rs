@@ -49,13 +49,12 @@
 //!
 //! // 4. Inductive inference directly on S through M (Eq. 11).
 //! let batch = data.test_batches(1000, false).remove(0);
-//! let target = InferenceTarget::Synthetic {
-//!     graph: &condensed.synthetic,
-//!     mapping: &condensed.mapping,
-//! };
-//! let logits = infer_inductive(&model, &target, &batch);
+//! let server = InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model);
+//! let logits = server.try_serve(&batch).expect("test batches are valid");
 //! println!("accuracy: {:.2}%", 100.0 * accuracy(&logits, &batch.labels));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use mcond_autodiff as autodiff;
 pub use mcond_core as core;
@@ -73,13 +72,13 @@ pub use mcond_store as store;
 pub mod prelude {
     pub use mcond_autodiff::{Adam, Tape, Var};
     pub use mcond_core::{
-        attach_to_original, attach_to_synthetic, condense, coreset, infer_inductive, vng,
-        CacheOutcome, Checkpoint, Condensed, CoresetMethod, DeltaError, DeltaLineage,
-        FallbackPolicy, GraphDelta, InductiveServer, InferenceTarget, LiveBase, McondConfig,
+        condense, coreset, vng, CacheOutcome, Checkpoint, Condensed, CoresetMethod, DeltaError,
+        DeltaLineage, FallbackPolicy, GraphDelta, InductiveServer, LiveBase, McondConfig,
         PromotionReport, ServeError, ServeMode,
     };
     pub use mcond_gnn::{
-        accuracy, train, CostMeter, FrozenBase, GnnKind, GnnModel, GraphOps, TrainConfig,
+        accuracy, extended_storage_bytes, train, FrozenBase, GnnKind, GnnModel, GraphOps,
+        TrainConfig,
     };
     pub use mcond_graph::{
         generate_sbm, load_dataset, BatchError, Graph, InductiveDataset, NodeBatch, SbmConfig,
@@ -88,6 +87,6 @@ pub mod prelude {
     pub use mcond_linalg::{DMat, MatRng};
     pub use mcond_propagate::{error_propagation, label_propagation, PropagationConfig};
     pub use mcond_serve::{ServeConfig, ServeHandle};
-    pub use mcond_sparse::{sparsify_dense, sym_normalize, Coo, Csr};
+    pub use mcond_sparse::{sparsify_dense, spmm_sparse, sym_normalize, Coo, Csr};
     pub use mcond_store::StoreError;
 }

@@ -71,11 +71,11 @@ fn restored_server_is_bitwise_identical_to_in_memory_pipeline() {
         let expected: Vec<DMat> = mcond::par::with_thread_limit(threads, || {
             let live =
                 InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, model);
-            batches.iter().map(|b| live.serve(b)).collect()
+            batches.iter().map(|b| live.try_serve(b).expect("live server serves")).collect()
         });
         let got: Vec<DMat> = mcond::par::with_thread_limit(threads, || {
             let server = InductiveServer::from_checkpoint(&restored);
-            batches.iter().map(|b| server.serve(b)).collect()
+            batches.iter().map(|b| server.try_serve(b).expect("restored server serves")).collect()
         });
         for (i, (e, g)) in expected.iter().zip(&got).enumerate() {
             assert!(

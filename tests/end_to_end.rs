@@ -37,15 +37,14 @@ fn train_sgc(graph: &Graph, seed: u64) -> GnnModel {
 }
 
 fn inductive_accuracy(
-    model: &GnnModel,
-    target: &InferenceTarget,
+    server: &InductiveServer<'_>,
     data: &InductiveDataset,
     graph_batch: bool,
 ) -> f64 {
     let mut hits = 0.0;
     let mut total = 0usize;
     for batch in data.test_batches(100, graph_batch) {
-        let logits = infer_inductive(model, target, &batch);
+        let logits = server.try_serve(&batch).expect("test batch serves");
         hits += accuracy(&logits, &batch.labels) * batch.len() as f64;
         total += batch.len();
     }
@@ -59,14 +58,15 @@ fn condense_then_infer_beats_chance_and_tracks_whole() {
     let condensed = condense(&data, &quick_cfg(0.02, 0));
 
     let model_o = train_sgc(&original, 0);
-    let whole = inductive_accuracy(&model_o, &InferenceTarget::Original(&original), &data, false);
+    let whole =
+        inductive_accuracy(&InductiveServer::on_original(&original, &model_o), &data, false);
 
     let model_s = train_sgc(&condensed.synthetic, 0);
-    let target_s = InferenceTarget::Synthetic {
-        graph: &condensed.synthetic,
-        mapping: &condensed.mapping,
-    };
-    let on_s = inductive_accuracy(&model_s, &target_s, &data, false);
+    let on_s = inductive_accuracy(
+        &InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model_s),
+        &data,
+        false,
+    );
 
     let chance = 1.0 / original.num_classes as f64;
     assert!(whole > 0.75, "whole accuracy too low: {whole}");
@@ -85,11 +85,7 @@ fn learned_mapping_beats_shuffled_mapping() {
     let model = train_sgc(&condensed.synthetic, 1);
 
     let good = inductive_accuracy(
-        &model,
-        &InferenceTarget::Synthetic {
-            graph: &condensed.synthetic,
-            mapping: &condensed.mapping,
-        },
+        &InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model),
         &data,
         false,
     );
@@ -101,8 +97,7 @@ fn learned_mapping_beats_shuffled_mapping() {
     let shuffled_dense = condensed.dense_mapping.select_rows(&perm);
     let (shuffled, _) = sparsify_dense(&shuffled_dense, 0.01);
     let bad = inductive_accuracy(
-        &model,
-        &InferenceTarget::Synthetic { graph: &condensed.synthetic, mapping: &shuffled },
+        &InductiveServer::on_synthetic(&condensed.synthetic, &shuffled, &model),
         &data,
         false,
     );
@@ -123,11 +118,15 @@ fn condensation_is_deterministic_per_seed() {
 
 #[test]
 fn eq11_attachment_matches_manual_block_construction() {
-    // attach_to_synthetic must equal hand-building [[A', (aM)ᵀ],[aM, ã]].
+    // Extending S by the sparse aM must equal hand-building
+    // [[A', (aM)ᵀ],[aM, ã]] from the dense product.
     let data = load_dataset("pubmed", Scale::Small, 3).unwrap();
     let condensed = condense(&data, &quick_cfg(0.02, 3));
     let batch = data.test_batches(50, true).remove(0);
-    let (adj, x) = attach_to_synthetic(&condensed.synthetic, &condensed.mapping, &batch);
+    let adj = condensed.synthetic.adj.block_extend(
+        &spmm_sparse(&batch.incremental, &condensed.mapping),
+        &batch.interconnect,
+    );
 
     let n_syn = condensed.synthetic.num_nodes();
     let am = batch.incremental.to_dense().matmul(&condensed.mapping.to_dense());
@@ -145,7 +144,7 @@ fn eq11_attachment_matches_manual_block_construction() {
     for (i, j, v) in batch.interconnect.iter() {
         assert_eq!(adj.get(n_syn + i, n_syn + j), v, "ã corner mismatch");
     }
-    assert_eq!(x.rows(), n_syn + batch.len());
+    assert_eq!(adj.rows(), n_syn + batch.len());
 }
 
 #[test]
@@ -157,8 +156,7 @@ fn coresets_and_vng_slot_into_the_same_inference_path() {
     for method in CoresetMethod::ALL {
         let reduced = coreset(&original, &original.features, n_syn, method, 4);
         let acc = inductive_accuracy(
-            &model,
-            &InferenceTarget::Synthetic { graph: &reduced.graph, mapping: &reduced.mapping },
+            &InductiveServer::on_synthetic(&reduced.graph, &reduced.mapping, &model),
             &data,
             false,
         );
@@ -166,11 +164,7 @@ fn coresets_and_vng_slot_into_the_same_inference_path() {
     }
     let virtual_graph = vng(&original, &original.features, n_syn, 4);
     let acc = inductive_accuracy(
-        &model,
-        &InferenceTarget::Synthetic {
-            graph: &virtual_graph.graph,
-            mapping: &virtual_graph.mapping,
-        },
+        &InductiveServer::on_synthetic(&virtual_graph.graph, &virtual_graph.mapping, &model),
         &data,
         false,
     );
@@ -186,7 +180,11 @@ fn label_and_error_propagation_run_on_condensed_graph() {
     let n_syn = condensed.synthetic.num_nodes();
 
     let batch = data.test_batches(100, true).remove(0);
-    let (adj, x) = attach_to_synthetic(&condensed.synthetic, &condensed.mapping, &batch);
+    let adj = condensed.synthetic.adj.block_extend(
+        &spmm_sparse(&batch.incremental, &condensed.mapping),
+        &batch.interconnect,
+    );
+    let x = condensed.synthetic.features.vstack(&batch.features);
     let ops = GraphOps::from_adj(&adj);
     let logits = model.predict(&ops, &x);
     let vanilla = accuracy(&logits.slice_rows(n_syn, logits.rows()), &batch.labels);
@@ -221,8 +219,7 @@ fn sparsification_trades_accuracy_for_storage() {
             condensed.synthetic.num_classes,
         );
         let acc = inductive_accuracy(
-            &model,
-            &InferenceTarget::Synthetic { graph: &graph, mapping: &map },
+            &InductiveServer::on_synthetic(&graph, &map, &model),
             &data,
             false,
         );
@@ -235,10 +232,6 @@ fn every_architecture_runs_inductively_on_the_condensed_graph() {
     let data = load_dataset("pubmed", Scale::Small, 7).unwrap();
     let condensed = condense(&data, &quick_cfg(0.02, 7));
     let batch = data.test_batches(50, false).remove(0);
-    let target = InferenceTarget::Synthetic {
-        graph: &condensed.synthetic,
-        mapping: &condensed.mapping,
-    };
     for kind in GnnKind::ALL {
         let ops = GraphOps::from_adj(&condensed.synthetic.adj);
         let mut model = GnnModel::new(
@@ -256,7 +249,10 @@ fn every_architecture_runs_inductively_on_the_condensed_graph() {
             &TrainConfig { epochs: 40, lr: 0.05, ..TrainConfig::default() },
             None,
         );
-        let logits = infer_inductive(&model, &target, &batch);
+        let logits =
+            InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model)
+                .try_serve(&batch)
+                .expect("test batch serves");
         assert_eq!(logits.rows(), batch.len(), "{}", kind.name());
         assert!(
             logits.as_slice().iter().all(|v| v.is_finite()),

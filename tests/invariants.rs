@@ -12,13 +12,18 @@ fn storage_model_matches_paper_formula() {
     let data = load_dataset("pubmed", Scale::Small, 0).unwrap();
     let original = data.original_graph();
     let batch = data.test_batches(100, true).remove(0);
-    let (adj, x) = mcond::core::attach_to_original(&original, &batch);
+    let adj = original.adj.block_extend(&batch.incremental, &batch.interconnect);
 
     let nnz = adj.nnz();
     let bytes = adj.storage_bytes();
     // indptr (u64) + cols (u32) + vals (f32): 8·(rows+1) + 8·nnz.
     assert_eq!(bytes, 8 * (adj.rows() + 1) + 8 * nnz);
-    assert_eq!(x.rows(), original.num_nodes() + batch.len());
+    // ...and the counted model the cost figures report agrees with it.
+    let rows = original.num_nodes() + batch.len();
+    assert_eq!(
+        extended_storage_bytes(&original, batch.incremental.nnz(), &batch),
+        bytes + rows * original.feature_dim() * 4
+    );
 }
 
 #[test]
@@ -28,7 +33,7 @@ fn extended_graph_normalisation_is_consistent() {
     let data = load_dataset("pubmed", Scale::Small, 1).unwrap();
     let original = data.original_graph();
     let batch = data.test_batches(50, true).remove(0);
-    let (adj, _) = mcond::core::attach_to_original(&original, &batch);
+    let adj = original.adj.block_extend(&batch.incremental, &batch.interconnect);
 
     let direct = sym_normalize(&adj).to_dense();
     let via_dense = mcond::sparse::sym_normalize_dense(&adj.to_dense());
@@ -172,7 +177,7 @@ fn resparsify_with_extreme_delta_prunes_rows_without_nans() {
 }
 
 #[test]
-fn cost_meter_reports_synthetic_graph_as_smaller() {
+fn storage_model_reports_synthetic_graph_as_smaller() {
     let data = load_dataset("reddit", Scale::Small, 6).unwrap();
     let original = data.original_graph();
     let condensed = condense(
@@ -187,11 +192,9 @@ fn cost_meter_reports_synthetic_graph_as_smaller() {
         },
     );
     let batch = data.test_batches(100, true).remove(0);
-    let (adj_o, x_o) = mcond::core::attach_to_original(&original, &batch);
-    let (adj_s, x_s) =
-        mcond::core::attach_to_synthetic(&condensed.synthetic, &condensed.mapping, &batch);
-    let mem_o = adj_o.storage_bytes() + x_o.len() * 4;
-    let mem_s = adj_s.storage_bytes() + x_s.len() * 4;
+    let mem_o = extended_storage_bytes(&original, batch.incremental.nnz(), &batch);
+    let am = spmm_sparse(&batch.incremental, &condensed.mapping);
+    let mem_s = extended_storage_bytes(&condensed.synthetic, am.nnz(), &batch);
     assert!(
         mem_s * 2 < mem_o,
         "synthetic deployment should be at least 2x smaller: {mem_s} vs {mem_o}"

@@ -39,15 +39,11 @@ fn train_sgc(graph: &Graph, seed: u64) -> GnnModel {
     model
 }
 
-fn inductive_accuracy(
-    model: &GnnModel,
-    target: &InferenceTarget,
-    data: &InductiveDataset,
-) -> f64 {
+fn inductive_accuracy(server: &InductiveServer<'_>, data: &InductiveDataset) -> f64 {
     let mut hits = 0.0;
     let mut total = 0usize;
     for batch in data.test_batches(100, false) {
-        let logits = infer_inductive(model, target, &batch);
+        let logits = server.try_serve(&batch).expect("test batch serves");
         hits += accuracy(&logits, &batch.labels) * batch.len() as f64;
         total += batch.len();
     }
@@ -67,9 +63,9 @@ fn reddit_ordering_condensation_beats_coresets_and_vng() {
     let model_o = train_sgc(&original, 0);
     let model_s = train_sgc(&condensed.synthetic, 0);
 
-    let whole = inductive_accuracy(&model_o, &InferenceTarget::Original(&original), &data);
+    let whole = inductive_accuracy(&InductiveServer::on_original(&original, &model_o), &data);
     let mcond_so =
-        inductive_accuracy(&model_s, &InferenceTarget::Original(&original), &data);
+        inductive_accuracy(&InductiveServer::on_original(&original, &model_s), &data);
 
     let embeddings = {
         let ahat = sym_normalize(&original.adj);
@@ -82,17 +78,12 @@ fn reddit_ordering_condensation_beats_coresets_and_vng() {
     let n_syn = condensed.synthetic.num_nodes();
     let random = coreset(&original, &embeddings, n_syn, CoresetMethod::Random, 0);
     let coreset_acc = inductive_accuracy(
-        &model_o,
-        &InferenceTarget::Synthetic { graph: &random.graph, mapping: &random.mapping },
+        &InductiveServer::on_synthetic(&random.graph, &random.mapping, &model_o),
         &data,
     );
     let virtual_graph = vng(&original, &original.features, n_syn, 0);
     let vng_acc = inductive_accuracy(
-        &model_o,
-        &InferenceTarget::Synthetic {
-            graph: &virtual_graph.graph,
-            mapping: &virtual_graph.mapping,
-        },
+        &InductiveServer::on_synthetic(&virtual_graph.graph, &virtual_graph.mapping, &model_o),
         &data,
     );
 
@@ -118,11 +109,9 @@ fn deployment_cost_gap_grows_with_graph_size() {
         let original = data.original_graph();
         let condensed = condense(&data, &pipeline_cfg(0.015, 0));
         let batch = data.test_batches(100, true).remove(0);
-        let (adj_o, x_o) = attach_to_original(&original, &batch);
-        let (adj_s, x_s) =
-            attach_to_synthetic(&condensed.synthetic, &condensed.mapping, &batch);
-        let mem_o = adj_o.storage_bytes() + x_o.len() * 4;
-        let mem_s = adj_s.storage_bytes() + x_s.len() * 4;
+        let mem_o = extended_storage_bytes(&original, batch.incremental.nnz(), &batch);
+        let am = spmm_sparse(&batch.incremental, &condensed.mapping);
+        let mem_s = extended_storage_bytes(&condensed.synthetic, am.nnz(), &batch);
         ratios.push(mem_o as f64 / mem_s as f64);
     }
     assert!(ratios[0] > 2.0, "pubmed compression too small: {}", ratios[0]);
@@ -147,11 +136,7 @@ fn full_losses_beat_plain_ablation() {
         let condensed = condense(&data, cfg);
         let model = train_sgc(&condensed.synthetic, 0);
         inductive_accuracy(
-            &model,
-            &InferenceTarget::Synthetic {
-                graph: &condensed.synthetic,
-                mapping: &condensed.mapping,
-            },
+            &InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model),
             &data,
         )
     };
