@@ -23,7 +23,8 @@ for cmd in \
     "cargo bench -p mcond-bench --bench obs" \
     "cargo bench -p mcond-bench --bench kernels_simd" \
     "cargo run --release -p mcond-bench --bin trace-report -- target/robust_serving_trace.jsonl" \
-    "cargo check --release --offline --manifest-path benchmark/Cargo.toml"
+    "cargo check --release --offline --manifest-path benchmark/Cargo.toml" \
+    "cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload online_syn --seed 0 --smoke"
 do
     if ! grep -q "run: $cmd\$" "$WORKFLOW"; then
         echo "DRIFT: $WORKFLOW is missing the tier-1 step: $cmd" >&2
@@ -57,6 +58,10 @@ cargo bench --workspace --no-run
 # crates/*; nothing above compiles it, so an API break there would only
 # surface in the benchmark pipeline. Type-check it here.
 cargo check --release --offline --manifest-path benchmark/Cargo.toml
+# ...and run its smallest workload: condense → checkpoint → boot → serve,
+# every wire response verified bitwise against try_serve (exits 1 on any
+# wrong logit). Under 10 s; writes only under git-ignored benchmark/out/.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload online_syn --seed 0 --smoke
 # Checkpoint round-trip smoke: condense → save → restore → serve, bitwise
 # verified inside the example (also exercises a corrupted-file rejection).
 cargo run --release --example checkpointing

@@ -196,14 +196,7 @@ fn main() {
     drop((ckpt_a, ckpt_b));
 
     let slot = boot_slot(&path_a).expect("boot from checkpoint A");
-    let handle = spawn(
-        slot,
-        ServeConfig {
-            coalesce_window: Duration::from_micros(200),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("spawn front end");
+    let handle = spawn(slot, ServeConfig::default()).expect("spawn front end");
     let addr = handle.addr();
 
     let duration = Duration::from_millis(env_usize("MCOND_RELOAD_MS", 1500) as u64);

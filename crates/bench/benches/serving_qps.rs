@@ -156,14 +156,7 @@ fn main() {
     let slot = boot_slot(&ckpt_path).expect("boot from checkpoint");
     let batches = Arc::new(data.test_batches(25, true));
 
-    let handle = spawn(
-        Arc::clone(&slot),
-        ServeConfig {
-            coalesce_window: Duration::from_micros(200),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("spawn front end");
+    let handle = spawn(Arc::clone(&slot), ServeConfig::default()).expect("spawn front end");
     let addr = handle.addr();
 
     // Correctness before latency: every batch's HTTP logits must be

@@ -409,14 +409,16 @@ impl LiveBase {
     }
 
     /// Boots a serving endpoint on this base's *current* state: version
-    /// stamped, frozen cache handed over as-is (no rebuild) when one is
-    /// attached.
+    /// stamped, the incrementally maintained degree sums and (when one is
+    /// attached) the frozen cache handed over as-is, neither recomputed.
     #[must_use]
     pub fn server<'a>(&'a self, model: &'a GnnModel) -> InductiveServer<'a> {
-        let mut server = match &self.mapping {
-            Some(m) => InductiveServer::on_synthetic(&self.base, m, model),
-            None => InductiveServer::on_original(&self.base, model),
-        }
+        let mut server = InductiveServer::with_degrees(
+            &self.base,
+            &self.degrees,
+            self.mapping.as_ref(),
+            model,
+        )
         .with_base_version(self.version);
         if let Some((_, frozen)) = &self.frozen {
             server = server.with_frozen_cache(frozen.clone());

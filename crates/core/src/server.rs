@@ -144,12 +144,12 @@ pub enum FallbackPolicy {
 /// shared by every request's extension.
 struct Base<'a> {
     graph: Cow<'a, Graph>,
-    deg: BaseDegrees,
+    deg: Cow<'a, BaseDegrees>,
 }
 
 impl<'a> Base<'a> {
     fn new(graph: Cow<'a, Graph>) -> Self {
-        let deg = BaseDegrees::of(&graph.adj);
+        let deg = Cow::Owned(BaseDegrees::of(&graph.adj));
         Self { graph, deg }
     }
 }
@@ -214,15 +214,40 @@ impl<'a> InductiveServer<'a> {
         mapping: Option<Cow<'a, Csr>>,
         model: Cow<'a, GnnModel>,
     ) -> Self {
+        Self::on_base(Base::new(graph), mapping, model)
+    }
+
+    /// [`new`](Self::new) for a caller that already keeps the graph's
+    /// degree sums up to date (`LiveBase`), so they are not recomputed.
+    /// `degrees` must be what `BaseDegrees::of(&graph.adj)` would return.
+    ///
+    /// # Panics
+    /// As [`new`](Self::new), and when `degrees` does not cover the graph.
+    pub(crate) fn with_degrees(
+        graph: &'a Graph,
+        degrees: &'a BaseDegrees,
+        mapping: Option<&'a Csr>,
+        model: &'a GnnModel,
+    ) -> Self {
+        assert_eq!(
+            degrees.sym.len(),
+            graph.num_nodes(),
+            "InductiveServer: degree sums must cover the base nodes"
+        );
+        let base = Base { graph: Cow::Borrowed(graph), deg: Cow::Borrowed(degrees) };
+        Self::on_base(base, mapping.map(Cow::Borrowed), Cow::Borrowed(model))
+    }
+
+    fn on_base(base: Base<'a>, mapping: Option<Cow<'a, Csr>>, model: Cow<'a, GnnModel>) -> Self {
         if let Some(m) = &mapping {
             assert_eq!(
                 m.cols(),
-                graph.num_nodes(),
+                base.graph.num_nodes(),
                 "InductiveServer: mapping columns must index the synthetic nodes"
             );
         }
         Self {
-            base: Base::new(graph),
+            base,
             mapping,
             model,
             frozen: None,

@@ -162,6 +162,17 @@ fn check_state_equivalence() {
     // accumulated drift.
     let fresh = BaseDegrees::of(&incremental.base().adj);
     assert_degrees_bitwise(incremental.degrees(), &fresh, "vs from-scratch");
+
+    // `LiveBase::server` hands those degrees to the server as they are; a
+    // server that recomputes them from the adjacency answers the same.
+    let model = GnnModel::new(GnnKind::Gcn, 3, 4, 2, 2);
+    let handed = incremental.server(&model).try_serve(&probe()).unwrap();
+    let recomputed =
+        InductiveServer::on_synthetic(incremental.base(), incremental.mapping().unwrap(), &model)
+            .with_base_version(incremental.version())
+            .try_serve(&probe())
+            .unwrap();
+    assert!(handed.bit_eq(&recomputed), "handed-over degrees changed the served logits");
 }
 
 /// Serving off the grown base: incremental (patched-cache) path vs. a

@@ -52,6 +52,7 @@ use std::sync::Arc;
 /// [`Propagator::extended_sym`] / [`Propagator::extended_mean`] would
 /// compute from scratch, so operators built via the `_with` constructors
 /// are bitwise identical to the direct ones.
+#[derive(Clone)]
 pub struct BaseDegrees {
     /// `1 + row mass` per base node (symmetric kernel, self-loop included).
     pub sym: Vec<f32>,

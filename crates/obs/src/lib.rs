@@ -117,7 +117,16 @@
 //!   queue replies that missed `reply_timeout` (`504`);
 //! * `serve.http.batches` / `serve.http.coalesced` — fan-outs executed
 //!   and requests merged into them (their ratio is the effective
-//!   coalescing factor);
+//!   coalescing factor; 1.0 means every request rode alone);
+//! * `serve.http.stage.queue_wait` — histogram (µs), one sample per
+//!   job: enqueue to dispatch, any linger included — the number the
+//!   queue-wait EWMA is fed;
+//! * `serve.http.stage.coalesce_wait` — histogram (µs), one sample per
+//!   fan-out: first pop to dispatch, i.e. what the batcher spent
+//!   gathering the batch. Near zero unless it lingered for a request a
+//!   connection handler was still receiving, or gathered until a window
+//!   after a fan-out that carried more than one job; never above
+//!   `coalesce_window`;
 //! * `serve.http.conns` / `serve.http.conns_rejected` — connections
 //!   accepted / refused at the `max_connections` bound;
 //! * `serve.http.queue_depth`, `serve.http.queue_wait_ewma_us` —

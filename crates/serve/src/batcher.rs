@@ -1,22 +1,24 @@
 //! The micro-batching worker and its supervisor.
 //!
-//! The **batcher** coalesces queued jobs, expires overdue deadlines, and
-//! runs one `try_serve_many_traced` fan-out per merged batch on the
-//! current epoch. It beats a heartbeat every loop tick (and while paused);
-//! the fan-out itself does not, which is exactly the property the
-//! **watchdog** supervises: a heartbeat older than `watchdog_period`
-//! means the batcher is wedged (or dead of a panic), so the watchdog
-//! dumps the flight recorder, answers the in-flight orphans with typed
-//! `503`s, bumps the batcher generation, and spawns a replacement. A
-//! wedged predecessor that eventually wakes observes the stale generation
-//! and retires without touching the queue — at most one live consumer,
-//! always.
+//! The **batcher** merges queued jobs ([`merge`]: everything already
+//! queued, plus a bounded wait for company it has a sign of: a request
+//! that is observably arriving, or a previous fan-out that coalesced),
+//! expires overdue deadlines, and runs one `try_serve_many_traced`
+//! fan-out per merged batch on the current epoch. It beats a heartbeat
+//! every loop tick (and while paused); the fan-out itself does not, which
+//! is exactly the property the **watchdog** supervises: a heartbeat older
+//! than `watchdog_period` means the batcher is wedged (or dead of a
+//! panic), so the watchdog dumps the flight recorder, answers the
+//! in-flight orphans with typed `503`s, bumps the batcher generation, and
+//! spawns a replacement. A wedged predecessor that eventually wakes
+//! observes the stale generation and retires without touching the queue —
+//! at most one live consumer, always.
 
 use crate::front::{ServeConfig, Shared};
-use crate::queue::{Job, Pop};
+use crate::queue::{Job, JobQueue, Pop};
 use mcond_core::ServeError;
 use mcond_graph::NodeBatch;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -37,6 +39,9 @@ pub(crate) fn spawn_batcher(
 }
 
 fn batcher_loop(shared: &Arc<Shared>, cfg: &ServeConfig, gen: u64) {
+    // When the previous fan-out was dispatched, if it carried more than
+    // one job.
+    let mut coalesced_at = None;
     loop {
         if shared.stop.load(Ordering::Acquire)
             || gen != shared.batcher_gen.load(Ordering::Acquire)
@@ -69,21 +74,23 @@ fn batcher_loop(shared: &Arc<Shared>, cfg: &ServeConfig, gen: u64) {
             }
             Pop::Closed => return,
         };
-        let mut jobs = vec![first];
-        let merge_until = Instant::now() + cfg.coalesce_window;
-        while jobs.len() < cfg.max_coalesce {
-            let now = Instant::now();
-            if now >= merge_until {
-                break;
-            }
-            match shared.queue.pop_timeout(merge_until - now) {
-                Pop::Job(job) => jobs.push(*job),
-                Pop::Empty | Pop::Closed => break,
-            }
-        }
+        let popped = Instant::now();
+        let jobs = merge(
+            &shared.queue,
+            &shared.receiving,
+            first,
+            cfg.coalesce_window,
+            cfg.max_coalesce,
+            coalesced_at,
+        );
+        let dispatched = Instant::now();
+        coalesced_at = (jobs.len() > 1).then_some(dispatched);
+        let gathering_us = (dispatched - popped).as_secs_f64() * 1e6;
+        mcond_obs::histogram_record("serve.http.stage.coalesce_wait", gathering_us);
         for job in &jobs {
-            let wait_us = job.enqueued.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+            let wait_us = micros_since(job.enqueued);
             shared.record_wait(wait_us);
+            mcond_obs::histogram_record("serve.http.stage.queue_wait", wait_us as f64);
         }
         #[allow(clippy::cast_precision_loss)]
         mcond_obs::gauge_set("serve.http.queue_depth", shared.queue.len() as f64);
@@ -163,6 +170,55 @@ fn batcher_loop(shared: &Arc<Shared>, cfg: &ServeConfig, gen: u64) {
     }
 }
 
+fn micros_since(t: Instant) -> u64 {
+    u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Gathers one fan-out's jobs behind `first`. Whatever is already queued
+/// is taken at once (up to `max_coalesce`). With the queue empty the
+/// batch is dispatched, unless there is a sign of company:
+///
+/// - `receiving` says a connection handler has read part of a request it
+///   has not pushed or answered yet: the batch lingers for that request
+///   until it arrives or the count drops to zero, `window` at the longest;
+/// - `coalesced_at`, the previous fan-out carried more than one job and
+///   was dispatched then: the batch gathers until `window` after that
+///   dispatch. While clients are concurrent, fan-outs are then spaced a
+///   window apart and each carries what arrived in it; clients in a closed
+///   loop keep riding one fan-out per round trip, paced by the window
+///   rather than by how the scheduler interleaves their threads. A server
+///   whose fan-out and round trip already take longer than the window
+///   waits for nothing.
+///
+/// A lone request sees neither sign and pays nothing; its fan-out carries
+/// one job and ends the spacing.
+pub(crate) fn merge(
+    queue: &JobQueue,
+    receiving: &AtomicUsize,
+    first: Job,
+    window: Duration,
+    max_coalesce: usize,
+    coalesced_at: Option<Instant>,
+) -> Vec<Job> {
+    let mut jobs = vec![first];
+    let cap = Instant::now() + window;
+    if let Some(spaced) = coalesced_at.map(|at| at + window) {
+        while jobs.len() < max_coalesce {
+            match queue.pop_until(spaced, || true) {
+                Pop::Job(job) => jobs.push(*job),
+                Pop::Empty | Pop::Closed => break,
+            }
+        }
+    }
+    while jobs.len() < max_coalesce {
+        match queue.pop_until(cap, || receiving.load(Ordering::Acquire) > 0) {
+            Pop::Job(job) => jobs.push(*job),
+            Pop::Empty | Pop::Closed => break,
+        }
+    }
+    jobs
+}
+
 /// The supervisor: watches the batcher heartbeat and restarts on stall.
 pub(crate) fn watchdog_loop(shared: &Arc<Shared>, cfg: &ServeConfig) {
     let period_ms = u64::try_from(cfg.watchdog_period.as_millis()).unwrap_or(u64::MAX).max(1);
@@ -231,5 +287,173 @@ pub(crate) fn watchdog_loop(shared: &Arc<Shared>, cfg: &ServeConfig) {
 pub(crate) fn fail_jobs(jobs: Vec<Job>, epoch_seq: u64, reason: &'static str) {
     for job in jobs {
         let _ = job.reply.try_send((Err(ServeError::Aborted { reason }), 0, epoch_seq));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::front::tests::{batcher_tests, test_batch, test_shared};
+    use crate::front::Receiving;
+    use crate::queue::Reply;
+    use std::sync::mpsc::{self, Receiver};
+
+    /// Far longer than any test may take: a merge that sleeps on it shows
+    /// up as a failed elapsed-time assertion, not as a slow pass.
+    const WIDE: Duration = Duration::from_secs(30);
+
+    fn job() -> (Job, Receiver<Reply>) {
+        let (reply, rx) = mpsc::sync_channel(1);
+        let job = Job {
+            batch: test_batch(),
+            enqueued: Instant::now(),
+            deadline: None,
+            budget: None,
+            reply,
+        };
+        (job, rx)
+    }
+
+    fn push_jobs(queue: &JobQueue, n: usize) -> Vec<Receiver<Reply>> {
+        (0..n)
+            .map(|_| {
+                let (job, rx) = job();
+                assert!(queue.push(job).is_ok(), "queue has room");
+                rx
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_takes_what_is_queued_and_does_not_wait_for_more() {
+        let queue = JobQueue::new(8);
+        let receiving = AtomicUsize::new(0);
+        let _replies = push_jobs(&queue, 5);
+        let started = Instant::now();
+        let jobs = merge(&queue, &receiving, job().0, WIDE, 4, None);
+        assert_eq!(jobs.len(), 4, "stops at max_coalesce");
+        assert_eq!(queue.len(), 2, "the rest stays queued for the next fan-out");
+        let jobs = merge(&queue, &receiving, job().0, WIDE, 4, None);
+        assert_eq!(jobs.len(), 3, "takes what is left and dispatches");
+        assert!(started.elapsed() < WIDE / 2, "nobody is receiving: no linger");
+    }
+
+    #[test]
+    fn merge_lingers_while_a_request_is_arriving_and_no_longer() {
+        let shared = test_shared();
+        let pushing = Receiving::begin(&shared);
+        let abandoning = Receiving::begin(&shared);
+        let started = Instant::now();
+        let jobs = thread::scope(|s| {
+            let merging =
+                s.spawn(|| merge(&shared.queue, &shared.receiving, job().0, WIDE, 8, None));
+            // One arriving request is pushed, the other goes away. The
+            // merge must pick up the first and stop waiting at the second,
+            // wherever it was when each happened.
+            pushing.before_push();
+            assert!(shared.queue.push(job().0).is_ok());
+            drop(abandoning);
+            merging.join().expect("merge returns")
+        });
+        assert_eq!(jobs.len(), 2, "the arriving job rides the same fan-out");
+        assert!(started.elapsed() < WIDE / 2, "the linger ends when the count reaches zero");
+    }
+
+    #[test]
+    fn merge_gives_up_on_a_stalled_request_after_the_window() {
+        let shared = test_shared();
+        let _stalled = Receiving::begin(&shared);
+        let window = Duration::from_millis(20);
+        let started = Instant::now();
+        let jobs = merge(&shared.queue, &shared.receiving, job().0, window, 8, None);
+        assert_eq!(jobs.len(), 1);
+        assert!(started.elapsed() >= window, "a request was arriving: linger the whole window");
+    }
+
+    #[test]
+    fn merge_spaces_a_fan_out_a_window_after_a_coalesced_one() {
+        let queue = JobQueue::new(8);
+        let receiving = AtomicUsize::new(0);
+        let window = Duration::from_millis(20);
+        let _replies = push_jobs(&queue, 1);
+        let coalesced_at = Instant::now();
+        let jobs = merge(&queue, &receiving, job().0, window, 8, Some(coalesced_at));
+        assert_eq!(jobs.len(), 2);
+        assert!(coalesced_at.elapsed() >= window, "nobody is receiving, it gathers anyway");
+
+        let started = Instant::now();
+        let jobs = merge(&queue, &receiving, job().0, WIDE, 8, Some(coalesced_at - WIDE));
+        assert_eq!(jobs.len(), 1);
+        assert!(started.elapsed() < WIDE / 2, "a window has passed since: nothing to wait for");
+
+        let _replies = push_jobs(&queue, 1);
+        let started = Instant::now();
+        let jobs = merge(&queue, &receiving, job().0, WIDE, 2, Some(started));
+        assert_eq!(jobs.len(), 2);
+        assert!(started.elapsed() < WIDE / 2, "a full batch is dispatched at once");
+    }
+
+    /// Jobs queued behind a closed pause gate ride ONE fan-out when it
+    /// opens: merging what is already queued needs no window.
+    #[test]
+    fn jobs_queued_while_paused_merge_into_one_fan_out() {
+        const K: usize = 4;
+        let _serial = batcher_tests();
+        mcond_obs::enable_metrics();
+        let shared = Arc::new(test_shared());
+        let cfg = ServeConfig { coalesce_window: WIDE, ..ServeConfig::default() };
+        *shared.paused.lock().unwrap() = true;
+        let batcher = spawn_batcher(&shared, &cfg, 1).expect("spawn batcher");
+        let replies = push_jobs(&shared.queue, K);
+        let before = mcond_obs::snapshot();
+
+        let started = Instant::now();
+        *shared.paused.lock().unwrap() = false;
+        shared.unpause.notify_all();
+        for rx in replies {
+            let (result, _, _) = rx.recv().expect("every queued job is answered");
+            result.expect("the fixture batch is valid");
+        }
+        assert!(started.elapsed() < WIDE / 2, "queued jobs do not wait out the window");
+        let after = mcond_obs::snapshot();
+        let grew = |name| after.counter(name) - before.counter(name);
+        assert_eq!(grew("serve.http.batches"), 1, "one fan-out");
+        assert_eq!(grew("serve.http.coalesced"), K as u64, "carrying every queued job");
+
+        shared.stop.store(true, Ordering::Release);
+        batcher.join().expect("batcher exits cleanly");
+    }
+
+    /// A fan-out that follows a coalesced one is dispatched no sooner than
+    /// a window after it; one that follows a lone job is dispatched at
+    /// once again.
+    #[test]
+    fn fan_outs_are_spaced_a_window_apart_only_while_they_coalesce() {
+        let _serial = batcher_tests();
+        let shared = Arc::new(test_shared());
+        let window = Duration::from_millis(200);
+        let cfg = ServeConfig { coalesce_window: window, ..ServeConfig::default() };
+        *shared.paused.lock().unwrap() = true;
+        let batcher = spawn_batcher(&shared, &cfg, 1).expect("spawn batcher");
+        // Pushes `n` jobs, opens the gate, and times until all are answered.
+        let round_trip = |n: usize| {
+            let started = Instant::now();
+            let replies = push_jobs(&shared.queue, n);
+            *shared.paused.lock().unwrap() = false;
+            shared.unpause.notify_all();
+            for rx in replies {
+                rx.recv().expect("answered").0.expect("the fixture batch is valid");
+            }
+            started.elapsed()
+        };
+
+        let started = Instant::now();
+        assert!(round_trip(2) < window / 2, "queued together behind the gate: no wait");
+        round_trip(1);
+        assert!(started.elapsed() >= window, "the fan-out before it was coalesced");
+        assert!(round_trip(1) < window / 2, "the fan-out before it carried one job");
+
+        shared.stop.store(true, Ordering::Release);
+        batcher.join().expect("batcher exits cleanly");
     }
 }

@@ -167,7 +167,7 @@ impl std::fmt::Display for PostError {
 impl std::error::Error for PostError {}
 
 /// Reads exactly one `Content-Length`-framed response from the stream.
-fn read_response(stream: &mut TcpStream) -> io::Result<Response> {
+pub(crate) fn read_response(stream: &mut TcpStream) -> io::Result<Response> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
     let head_end = loop {

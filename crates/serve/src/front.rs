@@ -9,9 +9,11 @@
 //!                        ▼
 //!                  bounded JobQueue (Mutex<VecDeque> + Condvar)
 //!                        │
-//!                  batcher thread: coalesce ≤ max_coalesce jobs within
-//!                  coalesce_window, expire overdue deadlines, then one
-//!                  `try_serve_many_traced` fan-out on the current epoch
+//!                  batcher thread: take every queued job (≤ max_coalesce),
+//!                  linger ≤ coalesce_window only while a handler is still
+//!                  receiving a request or fan-outs are coalescing, expire
+//!                  overdue deadlines, then one `try_serve_many_traced`
+//!                  fan-out on the current epoch
 //!                        │                          ▲ heartbeat
 //!                  per-job reply channel      watchdog thread: respawns a
 //!                        │                    stalled batcher, answers its
@@ -29,6 +31,14 @@
 //! serving epoch in `x-mcond-epoch`.
 //!
 //! # Coalescing / shedding state machine (DESIGN.md §4j)
+//!
+//! The batcher merges what is queued and dispatches without waiting,
+//! unless it sees company (`batcher::merge`). The `receiving` count says a
+//! handler has read part of a request it has not pushed or answered: the
+//! batcher lingers for that request, at most
+//! [`ServeConfig::coalesce_window`]. Or its previous fan-out carried more
+//! than one job: it gathers until a window after that dispatch, so
+//! fan-outs are spaced a window apart for as long as they keep coalescing.
 //!
 //! A `POST /v1/serve` request is **admitted** when the queue has room and
 //! the smoothed queue-wait EWMA is under `shed_wait_us`; admitted jobs are
@@ -68,9 +78,17 @@ pub struct ServeConfig {
     /// Bind address; port `0` picks an ephemeral port (see
     /// [`ServeHandle::addr`]).
     pub addr: String,
-    /// How long the batcher waits for more requests to merge after the
-    /// first one arrives. Larger windows raise per-request latency but
-    /// amortise fan-out overhead under load.
+    /// The longest a fan-out may wait for company. The batcher dispatches
+    /// what is queued at once, except that
+    /// - while some connection handler has read part of a request it has
+    ///   not yet pushed or answered, it lingers until that request lands,
+    ///   no handler is mid-request any more, or this much time has passed;
+    /// - after a fan-out that carried more than one job, it gathers until
+    ///   this much time after that dispatch: under concurrent load
+    ///   fan-outs are at least a window apart, each carrying what arrived
+    ///   in it.
+    ///
+    /// A lone request never pays it.
     pub coalesce_window: Duration,
     /// Most requests merged into one fan-out.
     pub max_coalesce: usize,
@@ -159,6 +177,12 @@ pub(crate) struct Shared {
     /// Admitted jobs whose HTTP response has not been written yet — the
     /// graceful drain waits for this to reach zero.
     pub(crate) open_replies: AtomicUsize,
+    /// Connection handlers that have read bytes of a request they have
+    /// not yet pushed or answered (see [`Receiving`]). The batcher lingers
+    /// for them while this is non-zero. It publishes nothing:
+    /// a job travels through the queue mutex, and a stale read only costs
+    /// one linger (bounded by `coalesce_window`) or one missed merge.
+    pub(crate) receiving: AtomicUsize,
     /// Chaos/testing gate: while `true` the batcher stops dequeuing, so
     /// the queue fills deterministically (the load-shed suite drives it).
     pub(crate) paused: Mutex<bool>,
@@ -186,6 +210,30 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    fn new(slot: Arc<EpochSlot>, queue_capacity: usize) -> Self {
+        Self {
+            stop: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
+            restarting: AtomicBool::new(false),
+            ewma_wait_us: AtomicU64::new(0),
+            live_conns: AtomicUsize::new(0),
+            open_replies: AtomicUsize::new(0),
+            receiving: AtomicUsize::new(0),
+            paused: Mutex::new(false),
+            unpause: Condvar::new(),
+            queue: JobQueue::new(queue_capacity),
+            slot,
+            reload: ReloadControl::new(),
+            t0: Instant::now(),
+            heartbeat_ms: AtomicU64::new(0),
+            batcher_gen: AtomicU64::new(1),
+            batcher: Mutex::new(None),
+            inflight: Mutex::new((0, Vec::new())),
+            inject_panic: AtomicBool::new(false),
+            inject_stall_ms: AtomicU64::new(0),
+        }
+    }
+
     pub(crate) fn overloaded(&self, cfg: &ServeConfig) -> bool {
         self.queue.len() >= cfg.queue_capacity
             || self.ewma_wait_us.load(Ordering::Relaxed) > cfg.shed_wait_us
@@ -233,6 +281,35 @@ impl Shared {
 
     pub(crate) fn lock_inflight(&self) -> MutexGuard<'_, (u64, Vec<mpsc::SyncSender<Reply>>)> {
         self.inflight.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One handler's count in [`Shared::receiving`], held from the first bytes
+/// of a request until that request is pushed or answered.
+pub(crate) struct Receiving<'a>(&'a Shared);
+
+impl<'a> Receiving<'a> {
+    pub(crate) fn begin(shared: &'a Shared) -> Self {
+        shared.receiving.fetch_add(1, Ordering::AcqRel);
+        Self(shared)
+    }
+
+    /// Lowers the count for a job that is about to be pushed, without a
+    /// wake-up: the push's own notify wakes a lingering batcher, which
+    /// then pops the job and already sees the lower count.
+    pub(crate) fn before_push(self) {
+        self.0.receiving.fetch_sub(1, Ordering::AcqRel);
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for Receiving<'_> {
+    /// Every way out but a push: the request was answered or abandoned,
+    /// so a batcher lingering for it has nothing left to wait for.
+    fn drop(&mut self) {
+        if self.0.receiving.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.0.queue.wake();
+        }
     }
 }
 
@@ -385,26 +462,7 @@ pub fn spawn(slot: Arc<EpochSlot>, config: ServeConfig) -> std::io::Result<Serve
     mcond_obs::enable_metrics();
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let shared = Arc::new(Shared {
-        stop: AtomicBool::new(false),
-        draining: AtomicBool::new(false),
-        restarting: AtomicBool::new(false),
-        ewma_wait_us: AtomicU64::new(0),
-        live_conns: AtomicUsize::new(0),
-        open_replies: AtomicUsize::new(0),
-        paused: Mutex::new(false),
-        unpause: Condvar::new(),
-        queue: JobQueue::new(config.queue_capacity),
-        slot,
-        reload: ReloadControl::new(),
-        t0: Instant::now(),
-        heartbeat_ms: AtomicU64::new(0),
-        batcher_gen: AtomicU64::new(1),
-        batcher: Mutex::new(None),
-        inflight: Mutex::new((0, Vec::new())),
-        inject_panic: AtomicBool::new(false),
-        inject_stall_ms: AtomicU64::new(0),
-    });
+    let shared = Arc::new(Shared::new(slot, config.queue_capacity));
     shared.stamp_heartbeat();
 
     let first = crate::batcher::spawn_batcher(&shared, &config, 1)
@@ -477,6 +535,8 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>, cfg: &ServeConfig) {
     let _ = stream.set_nodelay(true);
     let mut parser = RequestParser::new(cfg.limits);
     let mut buf = [0u8; 16 * 1024];
+    // Held while a request is partly read; every `return` below drops it.
+    let mut receiving: Option<Receiving> = None;
     loop {
         if shared.stop.load(Ordering::Acquire) {
             return;
@@ -488,7 +548,10 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>, cfg: &ServeConfig) {
                 Ok(Some(req)) => {
                     mcond_obs::counter_add("serve.http.requests", 1);
                     let keep = req.keep_alive();
-                    let routed = route(&req, shared, cfg, keep);
+                    // A pipelined request was buffered whole by an
+                    // earlier read and starts its count here.
+                    let receiving = receiving.take().unwrap_or_else(|| Receiving::begin(shared));
+                    let routed = route(&req, shared, cfg, keep, receiving);
                     let wrote = stream.write_all(&routed.bytes).is_ok();
                     if routed.admitted {
                         // Decrement only after the bytes hit the socket:
@@ -514,7 +577,10 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>, cfg: &ServeConfig) {
         }
         match stream.read(&mut buf) {
             Ok(0) => return, // peer closed
-            Ok(n) => parser.push(&buf[..n]),
+            Ok(n) => {
+                parser.push(&buf[..n]);
+                receiving.get_or_insert_with(|| Receiving::begin(shared));
+            }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if parser.mid_request() {
                     // A started-but-stalled request (slowloris): typed
@@ -531,12 +597,23 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>, cfg: &ServeConfig) {
 }
 
 /// Routes one parsed request to its endpoint and frames the response.
-fn route(req: &Request, shared: &Arc<Shared>, cfg: &ServeConfig, keep_alive: bool) -> Routed {
+fn route(
+    req: &Request,
+    shared: &Arc<Shared>,
+    cfg: &ServeConfig,
+    keep_alive: bool,
+    receiving: Receiving,
+) -> Routed {
     // Mid-drain responses close the connection so keep-alive clients
     // re-resolve to a healthy server instead of queueing on a dying one.
     let close = !keep_alive || shared.draining.load(Ordering::Acquire);
-    match (req.method.as_str(), req.target.as_str()) {
-        ("POST", "/v1/serve") => serve_endpoint(req, shared, cfg, close),
+    let endpoint = (req.method.as_str(), req.target.as_str());
+    if endpoint == ("POST", "/v1/serve") {
+        return serve_endpoint(req, shared, cfg, close, receiving);
+    }
+    // No other route feeds the batcher (and a reload runs for a long time).
+    drop(receiving);
+    match endpoint {
         ("POST", "/v1/admin/reload") => Routed::plain(reload_endpoint(req, shared, cfg, close)),
         ("GET", "/healthz") => Routed::plain(healthz_endpoint(shared, close)),
         ("GET", "/metrics") => {
@@ -659,7 +736,13 @@ fn request_budget(req: &Request, cfg: &ServeConfig) -> Result<Option<Duration>, 
 /// `POST /v1/serve`: decode, admit (or shed), enqueue, await the fan-out
 /// result, map it to a status. Every response — success or failure —
 /// carries `x-mcond-epoch`.
-fn serve_endpoint(req: &Request, shared: &Arc<Shared>, cfg: &ServeConfig, close: bool) -> Routed {
+fn serve_endpoint(
+    req: &Request,
+    shared: &Arc<Shared>,
+    cfg: &ServeConfig,
+    close: bool,
+    receiving: Receiving,
+) -> Routed {
     let epoch_hdr = |seq: u64| ("x-mcond-epoch", seq.to_string());
     let current = shared.slot.current_seq();
     let Ok(text) = std::str::from_utf8(&req.body) else {
@@ -710,6 +793,7 @@ fn serve_endpoint(req: &Request, shared: &Arc<Shared>, cfg: &ServeConfig, close:
         budget,
         reply: reply_tx,
     };
+    receiving.before_push();
     match shared.queue.push(job) {
         Ok(()) => {
             mcond_obs::counter_add("serve.http.admitted", 1);
@@ -832,8 +916,11 @@ pub(crate) fn error_body(kind: &str, message: &str) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::client::{read_response, Client};
+    use crate::queue::Pop;
+    use mcond_graph::NodeBatch;
 
     #[test]
     fn serve_error_mapping_is_total_and_stable() {
@@ -937,27 +1024,169 @@ mod tests {
         assert!(text.contains("\"restarting\""), "{text}");
     }
 
-    fn test_shared() -> Shared {
-        Shared {
-            stop: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            restarting: AtomicBool::new(false),
-            ewma_wait_us: AtomicU64::new(0),
-            live_conns: AtomicUsize::new(0),
-            open_replies: AtomicUsize::new(0),
-            paused: Mutex::new(false),
-            unpause: Condvar::new(),
-            queue: JobQueue::new(4),
-            slot: Arc::new(EpochSlot::new(test_epoch())),
-            reload: ReloadControl::new(),
-            t0: Instant::now(),
-            heartbeat_ms: AtomicU64::new(0),
-            batcher_gen: AtomicU64::new(1),
-            batcher: Mutex::new(None),
-            inflight: Mutex::new((0, Vec::new())),
-            inject_panic: AtomicBool::new(false),
-            inject_stall_ms: AtomicU64::new(0),
+    /// Tests that run a batcher take this: `serve.http.batches` and
+    /// `serve.http.coalesced` are process-wide counters.
+    pub(crate) fn batcher_tests() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Spins (yielding) until `done` holds; a condition that never comes
+    /// true fails the test instead of hanging it.
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            thread::yield_now();
         }
+    }
+
+    /// Runs `handle_conn` on its own thread over a loopback pair and
+    /// returns the client end.
+    fn conn(shared: &Arc<Shared>, cfg: &ServeConfig) -> (TcpStream, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        client.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        let (stream, _) = listener.accept().expect("accept");
+        let (shared, cfg) = (Arc::clone(shared), cfg.clone());
+        (client, thread::spawn(move || handle_conn(stream, &shared, &cfg)))
+    }
+
+    /// Writes one request and reads its response status.
+    fn send(stream: &mut TcpStream, head: &str, body: &[u8]) -> u16 {
+        stream.write_all(head.as_bytes()).expect("write head");
+        stream.write_all(body).expect("write body");
+        read_response(stream).expect("response").status
+    }
+
+    fn post_serve(stream: &mut TcpStream, extra_headers: &str, body: &[u8]) -> u16 {
+        send(stream, &serve_head(extra_headers, body.len()), body)
+    }
+
+    fn serve_head(extra_headers: &str, body_len: usize) -> String {
+        format!("POST /v1/serve HTTP/1.1\r\n{extra_headers}content-length: {body_len}\r\n\r\n")
+    }
+
+    fn receiving(shared: &Shared) -> usize {
+        shared.receiving.load(Ordering::Acquire)
+    }
+
+    #[test]
+    fn receiving_returns_to_zero_on_every_way_out_of_a_request() {
+        let shared = Arc::new(test_shared());
+        let cfg = ServeConfig::default();
+        let good = codec::encode_batch(&test_batch());
+        let (mut stream, handler) = conn(&shared, &cfg);
+
+        // Routed exits lower the count before the response is written, so
+        // once the client holds the response it must read zero.
+        assert_eq!(post_serve(&mut stream, "", &[0xff, 0xfe]), 400, "bad UTF-8");
+        assert_eq!(receiving(&shared), 0, "after bad UTF-8");
+        assert_eq!(post_serve(&mut stream, "", b"{\"not\": \"a batch\"}"), 400, "codec");
+        assert_eq!(receiving(&shared), 0, "after a codec error");
+        assert_eq!(
+            post_serve(&mut stream, "x-mcond-deadline-ms: 0\r\n", good.as_bytes()),
+            400,
+            "bad deadline"
+        );
+        assert_eq!(receiving(&shared), 0, "after a bad deadline");
+        shared.ewma_wait_us.store(2 * cfg.shed_wait_us, Ordering::Relaxed);
+        assert_eq!(post_serve(&mut stream, "", good.as_bytes()), 429, "shed");
+        assert_eq!(receiving(&shared), 0, "after a shed");
+        shared.ewma_wait_us.store(0, Ordering::Relaxed);
+        assert_eq!(send(&mut stream, "GET /healthz HTTP/1.1\r\n\r\n", b""), 200);
+        assert_eq!(receiving(&shared), 0, "after /healthz");
+        assert_eq!(send(&mut stream, "GET /metrics HTTP/1.1\r\n\r\n", b""), 200);
+        assert_eq!(receiving(&shared), 0, "after /metrics");
+
+        // Admitted: the count is already down when the job is in the queue.
+        stream.write_all(serve_head("", good.len()).as_bytes()).expect("write head");
+        stream.write_all(good.as_bytes()).expect("write body");
+        let Pop::Job(job) = shared.queue.pop_timeout(Duration::from_secs(10)) else {
+            panic!("the valid request was not enqueued");
+        };
+        assert_eq!(receiving(&shared), 0, "lowered before the push");
+        job.reply
+            .try_send((Err(ServeError::Aborted { reason: "test" }), 0, 0))
+            .expect("reply slot is free");
+        assert_eq!(read_response(&mut stream).expect("response").status, 503);
+        drop(stream);
+        handler.join().expect("handler returns when the peer hangs up");
+
+        shared.draining.store(true, Ordering::Release);
+        let (mut stream, handler) = conn(&shared, &cfg);
+        assert_eq!(post_serve(&mut stream, "", good.as_bytes()), 503, "draining");
+        assert_eq!(receiving(&shared), 0, "after a drain refusal");
+        handler.join().expect("a draining handler closes the connection");
+        shared.draining.store(false, Ordering::Release);
+
+        // Framing errors, a stall and a disconnect end the handler, which
+        // is when the count drops: join it first.
+        let short_timeout =
+            ServeConfig { read_timeout: Duration::from_millis(50), ..ServeConfig::default() };
+        let half = serve_head("", 64) + "{";
+        let oversize = serve_head("", 999_999_999);
+        let framing = [
+            ("oversize", &cfg, oversize.as_str(), Some(413)),
+            ("no length", &cfg, "POST /v1/serve HTTP/1.1\r\n\r\n", Some(411)),
+            ("stall", &short_timeout, half.as_str(), Some(408)),
+            ("disconnect", &cfg, half.as_str(), None),
+        ];
+        for (name, cfg, head, status) in framing {
+            let (mut stream, handler) = conn(&shared, cfg);
+            stream.write_all(head.as_bytes()).expect("write");
+            match status {
+                Some(status) => {
+                    let got = read_response(&mut stream).expect("response").status;
+                    assert_eq!(got, status, "{name}");
+                }
+                None => {
+                    wait_for("the half request to be read", || receiving(&shared) == 1);
+                    drop(stream);
+                }
+            }
+            handler.join().expect("handler returns");
+            assert_eq!(receiving(&shared), 0, "after {name}");
+        }
+    }
+
+    /// A connection that sent half a request makes other clients' fan-outs
+    /// linger, but only for `coalesce_window`, never for as long as the
+    /// half request stays open (`read_timeout`, 30 s here).
+    #[test]
+    fn a_half_sent_request_delays_others_by_at_most_the_window() {
+        let _serial = batcher_tests();
+        let window = Duration::from_millis(100);
+        let handle = spawn(
+            Arc::new(EpochSlot::new(test_epoch())),
+            ServeConfig {
+                coalesce_window: window,
+                read_timeout: Duration::from_secs(30),
+                ..ServeConfig::default()
+            },
+        )
+        .expect("spawn front end");
+        let shared = Arc::clone(&handle.shared);
+        let mut staller = TcpStream::connect(handle.addr()).expect("connect");
+        staller
+            .write_all((serve_head("", 64) + "{").as_bytes())
+            .expect("write half a request");
+        wait_for("the half request to be read", || receiving(&shared) == 1);
+
+        let mut client = Client::connect(handle.addr(), Duration::from_secs(20)).expect("connect");
+        let sent = Instant::now();
+        client.post_batch(&test_batch()).expect("the lone client is served");
+        let took = sent.elapsed();
+        assert!(took >= window, "did not linger for the arriving request: {took:?}");
+        assert!(took < Duration::from_secs(5), "linger not capped by the window: {took:?}");
+
+        drop(staller);
+        wait_for("the staller's count to drop", || receiving(&shared) == 0);
+        handle.shutdown();
+    }
+
+    pub(crate) fn test_shared() -> Shared {
+        Shared::new(Arc::new(EpochSlot::new(test_epoch())), 4)
     }
 
     fn test_epoch() -> mcond_core::EpochServer {
@@ -981,5 +1210,19 @@ mod tests {
         let model = GnnModel::new(GnnKind::Gcn, 2, 4, 2, 1);
         let ckpt = Checkpoint::new(graph, map.to_csr(), model).unwrap();
         EpochServer::new(ckpt.into_server(), "test")
+    }
+
+    /// One node the [`test_epoch`] server accepts.
+    pub(crate) fn test_batch() -> NodeBatch {
+        use mcond_linalg::DMat;
+        use mcond_sparse::{Coo, Csr};
+        let mut inc = Coo::new(1, 3);
+        inc.push(0, 0, 1.0);
+        NodeBatch {
+            features: DMat::from_rows(&[&[1.0, 0.0]]),
+            incremental: inc.to_csr(),
+            interconnect: Csr::empty(1, 1),
+            labels: vec![0],
+        }
     }
 }

@@ -18,9 +18,15 @@
 //!
 //! ## Behaviour under load
 //!
-//! Requests landing within [`ServeConfig::coalesce_window`] of each
-//! other merge into one `try_serve_many` fan-out (adaptive
-//! micro-batching over the `mcond-par` pool); panic isolation there
+//! The batcher merges every queued request into one `try_serve_many`
+//! fan-out (adaptive micro-batching over the `mcond-par` pool) and
+//! dispatches at once. It waits for more only when it sees company, and
+//! never longer than [`ServeConfig::coalesce_window`]: while another
+//! connection has sent part of a request, and, after a fan-out that
+//! carried more than one request, until a window after that dispatch. So
+//! a lone request is not delayed, and under concurrent load fan-outs are a
+//! window apart, each carrying what arrived in it. Panic isolation in the
+//! fan-out
 //! means a poisoned request answers `500` while its coalesced siblings
 //! answer `200`. A bounded job queue plus a queue-wait EWMA shed excess
 //! load with `429` + `Retry-After` and recover on their own once

@@ -92,7 +92,14 @@ impl JobQueue {
     /// Waits up to `timeout` for a job. `Closed` is terminal: the queue is
     /// empty and no job will ever arrive again.
     pub fn pop_timeout(&self, timeout: Duration) -> Pop {
-        let deadline = Instant::now() + timeout;
+        self.pop_until(Instant::now() + timeout, || true)
+    }
+
+    /// Takes a queued job at once; with none queued, waits for one for as
+    /// long as `expecting()` holds, until `deadline` at the latest.
+    /// `expecting` is evaluated under the queue lock, so a change to what
+    /// it reads followed by [`wake`](Self::wake) is never missed.
+    pub fn pop_until(&self, deadline: Instant, expecting: impl Fn() -> bool) -> Pop {
         let mut inner = self.lock();
         loop {
             if let Some(job) = inner.jobs.pop_front() {
@@ -100,6 +107,9 @@ impl JobQueue {
             }
             if inner.closed {
                 return Pop::Closed;
+            }
+            if !expecting() {
+                return Pop::Empty;
             }
             let now = Instant::now();
             if now >= deadline {
@@ -111,6 +121,15 @@ impl JobQueue {
                 .unwrap_or_else(PoisonError::into_inner);
             inner = guard;
         }
+    }
+
+    /// Makes a blocked [`pop_until`](Self::pop_until) evaluate its
+    /// condition again. Passing through the lock first orders the wake
+    /// after any check the popper already made, so it is either waiting
+    /// (and hears this) or has yet to check (and sees the new state).
+    pub fn wake(&self) {
+        drop(self.lock());
+        self.ready.notify_all();
     }
 
     pub fn len(&self) -> usize {
