@@ -45,6 +45,17 @@ if ! grep -q 'MCOND_SIMD: "0"' "$WORKFLOW"; then
     exit 1
 fi
 
+# Same for the architecture guard (fixed-string match: the command is
+# itself a regex).
+if ! grep -qF "run: if grep -nE 'GnnKind::\w+[^;]*=>' crates/gnn/src/frozen.rs crates/gnn/src/propagator.rs; then exit 1; fi" "$WORKFLOW"; then
+    echo "DRIFT: $WORKFLOW is missing the architecture-arm guard." >&2
+    exit 1
+fi
+
+# Architecture semantics live in crates/gnn/src/model.rs (GnnModel::run)
+# only: the cache and the propagators are evaluators of that program and
+# must not match on an architecture. Prints the offending arm and fails.
+if grep -nE 'GnnKind::\w+[^;]*=>' crates/gnn/src/frozen.rs crates/gnn/src/propagator.rs; then exit 1; fi
 cargo fmt --all --check 2>/dev/null || echo "note: rustfmt not enforced (formatting is hand-maintained)"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace

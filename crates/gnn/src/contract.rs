@@ -1,0 +1,189 @@
+//! The architecture contract: every evaluator of [`GnnModel::run`] against
+//! one hand-written reference, for every architecture and depth.
+//!
+//! [`reference_predict`] is the paper's layer equations written out per
+//! architecture on plain matrices — readable, and deliberately *not*
+//! derived from `run`. The table below pins the six evaluators to it:
+//!
+//! | evaluator                    | must equal                              |
+//! |------------------------------|-----------------------------------------|
+//! | dense (`predict`)            | the reference, bitwise                  |
+//! | split (`predict_split`)      | bottom rows of the stacked dense, bitwise |
+//! | tape (`forward`)             | dense on the materialised graph, bitwise |
+//! | frozen-serve (`predict_frozen`) | split, on a batch with no edges      |
+//! | frozen-build / patch (`FrozenBase::{new, try_patch}`) | each other, at every site, bitwise |
+
+use crate::{BaseDegrees, FrozenBase, GnnKind, GnnModel, GraphOps};
+use mcond_autodiff::Tape;
+use mcond_linalg::{DMat, MatRng};
+use mcond_sparse::{Coo, Csr};
+
+/// Whole-graph logits, one arm per architecture (paper §IV-A, Table IV).
+fn reference_predict(model: &GnnModel, ops: &GraphOps, x: &DMat) -> DMat {
+    let p = model.params();
+    match model.kind() {
+        GnnKind::Sgc => {
+            let mut h = x.clone();
+            for _ in 0..model.hops {
+                h = ops.sym.spmm(&h);
+            }
+            h.matmul(&p[0]).add_row_broadcast(p[1].row(0))
+        }
+        GnnKind::Gcn => {
+            let h = ops.sym.spmm(&x.matmul(&p[0])).add_row_broadcast(p[1].row(0)).relu();
+            ops.sym.spmm(&h.matmul(&p[2])).add_row_broadcast(p[3].row(0))
+        }
+        GnnKind::Sage => {
+            let h = x
+                .matmul(&p[0])
+                .add(&ops.mean.spmm(x).matmul(&p[1]))
+                .add_row_broadcast(p[2].row(0))
+                .relu();
+            h.matmul(&p[3])
+                .add(&ops.mean.spmm(&h).matmul(&p[4]))
+                .add_row_broadcast(p[5].row(0))
+        }
+        GnnKind::Appnp => {
+            let h = x.matmul(&p[0]).add_row_broadcast(p[1].row(0)).relu();
+            let h0 = h.matmul(&p[2]).add_row_broadcast(p[3].row(0));
+            let teleport = h0.scale(model.alpha);
+            let mut z = h0;
+            for _ in 0..model.hops {
+                z = ops.sym.spmm(&z).scale(1.0 - model.alpha).add(&teleport);
+            }
+            z
+        }
+        GnnKind::Cheby => {
+            let t1x = ops.sym.spmm(x).scale(-1.0);
+            let h = x
+                .matmul(&p[0])
+                .add(&t1x.matmul(&p[1]))
+                .add_row_broadcast(p[2].row(0))
+                .relu();
+            let t1h = ops.sym.spmm(&h).scale(-1.0);
+            h.matmul(&p[3])
+                .add(&t1h.matmul(&p[4]))
+                .add_row_broadcast(p[5].row(0))
+        }
+    }
+}
+
+fn block(rows: usize, cols: usize, entries: &[(usize, usize, f32)]) -> Csr {
+    let mut coo = Coo::new(rows, cols);
+    for &(i, j, v) in entries {
+        coo.push(i, j, v);
+    }
+    coo.to_csr()
+}
+
+const N_BASE: usize = 7;
+const N_NEW: usize = 3;
+
+/// A 7-ring with one weighted chord, so base degrees are not uniform.
+fn base_graph() -> Csr {
+    let mut coo = Coo::new(N_BASE, N_BASE);
+    for i in 0..N_BASE {
+        coo.push_sym(i, (i + 1) % N_BASE, 1.0);
+    }
+    coo.push_sym(0, 3, 0.5);
+    coo.to_csr()
+}
+
+/// `(name, inc, inter)` for three new nodes: every row attached, some
+/// rows structurally empty, no edges at all.
+fn batches() -> [(&'static str, Csr, Csr); 3] {
+    let (n, b) = (N_NEW, N_BASE);
+    [
+        (
+            "dense",
+            block(n, b, &[(0, 0, 1.0), (0, 3, 0.5), (1, 1, 2.0), (1, 6, 1.0), (2, 2, 0.25), (2, 5, 1.5)]),
+            block(n, n, &[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 0.5), (2, 1, 0.5)]),
+        ),
+        (
+            "some-empty-rows",
+            block(n, b, &[(0, 4, 1.0), (2, 0, 0.5), (2, 6, 2.0)]),
+            block(n, n, &[(0, 2, 1.0), (2, 0, 1.0)]),
+        ),
+        ("edge-free", Csr::empty(n, b), Csr::empty(n, n)),
+    ]
+}
+
+#[test]
+fn every_evaluator_agrees_with_the_reference_forward() {
+    let base = base_graph();
+    let deg = BaseDegrees::of(&base);
+    let mut rng = MatRng::seed_from(12);
+    let x_base = rng.normal(N_BASE, 4, 0.0, 1.0);
+    let x_new = rng.normal(N_NEW, 4, 0.0, 1.0);
+    let stacked = x_base.vstack(&x_new);
+    for kind in GnnKind::ALL {
+        for hops in 0..=3 {
+            let mut model = GnnModel::new(kind, 4, 6, 3, 5);
+            model.hops = hops;
+            let frozen = FrozenBase::new(&model, &base, &x_base);
+            for (case, inc, inter) in &batches() {
+                let extended = GraphOps::extended_with(&base, inc, inter, &deg);
+                let grown = base.block_extend(inc, inter);
+                let materialised = GraphOps::from_adj(&grown);
+                let touched: Vec<usize> = {
+                    let mut t: Vec<usize> = inc.iter().map(|(_, j, _)| j).collect();
+                    t.sort_unstable();
+                    t.dedup();
+                    t
+                };
+                for threads in [1usize, 4] {
+                    let tag = format!("{} hops={hops} {case} t{threads}", kind.name());
+                    mcond_par::with_thread_limit(threads, || {
+                        // dense == reference, on both operator forms.
+                        let dense = model.predict(&extended, &stacked);
+                        assert_eq!(dense, reference_predict(&model, &extended, &stacked), "dense {tag}");
+                        let dense_mat = model.predict(&materialised, &stacked);
+                        assert_eq!(
+                            dense_mat,
+                            reference_predict(&model, &materialised, &stacked),
+                            "dense (materialised) {tag}"
+                        );
+
+                        // split == bottom rows of the stacked dense.
+                        let split = model.predict_split(&extended, &x_base, &x_new);
+                        assert_eq!(
+                            split.as_slice(),
+                            dense.slice_rows(N_BASE, N_BASE + N_NEW).as_slice(),
+                            "split {tag}"
+                        );
+
+                        // tape == dense on the same materialised operators.
+                        let mut tape = Tape::new();
+                        let ps = model.tape_params(&mut tape);
+                        let xv = tape.constant(stacked.clone());
+                        let out = model.forward(&mut tape, &ps, &materialised, xv);
+                        assert_eq!(tape.value(out), &dense_mat, "tape {tag}");
+
+                        // frozen-serve == exact when the batch perturbs nothing.
+                        let served = model.predict_frozen(&frozen, inc, inter, &x_new);
+                        assert_eq!(served.shape(), split.shape(), "frozen-serve {tag}");
+                        assert!(served.all_finite(), "frozen-serve {tag}");
+                        if *case == "edge-free" {
+                            assert_eq!(served, split, "frozen-serve {tag}");
+                        }
+
+                        // patch == rebuild, promoting the batch into the base.
+                        let patched = frozen
+                            .try_patch(
+                                &model,
+                                &grown,
+                                &stacked,
+                                &BaseDegrees::of(&grown),
+                                &touched,
+                                usize::MAX,
+                                7,
+                            )
+                            .expect("closure fits");
+                        let rebuilt = FrozenBase::new(&model, &grown, &stacked).with_version(7);
+                        assert!(patched == rebuilt, "patch differs from rebuild: {tag}");
+                    });
+                }
+            }
+        }
+    }
+}

@@ -13,6 +13,8 @@
 
 #![forbid(unsafe_code)]
 
+#[cfg(test)]
+mod contract;
 mod frozen;
 mod metrics;
 mod model;

@@ -1,9 +1,27 @@
-//! The five GNN architectures of the paper.
+//! The five GNN architectures of the paper — each written once.
+//!
+//! [`GnnModel::run`] states every forward pass as seven ops over an
+//! abstract value ([`Interp`]); it is the only place that says what a
+//! layer *is*. Six evaluators supply what a value is and what `prop`
+//! means, and run that one program: tape ([`GnnModel::forward`]), dense
+//! ([`GnnModel::predict`]) and split ([`GnnModel::predict_split`]) here,
+//! the cache's build, serve and patch in `frozen.rs`. `contract.rs` holds
+//! each to a hand-written reference, bitwise.
+//!
+//! The program marks an architecture's last propagation [`Rows::Output`]:
+//! nothing propagates after it, so only the rows logits were asked for
+//! are read from its product. What that buys is up to the evaluator:
+//! split computes `n` rows instead of `N' + n`, the cache builders (whose
+//! graph has no output rows) skip the product, tape and dense ignore it.
+//! The five dense ops treat rows independently, so the tape-free
+//! evaluators share one implementation of them ([`Mats`]).
 
 use crate::propagator::{BaseDegrees, Propagator};
 use mcond_autodiff::{Tape, Var};
 use mcond_linalg::{DMat, MatRng};
 use mcond_sparse::{sym_normalize, Csr};
+use std::borrow::Cow;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Architecture selector (paper §IV-A and Table IV).
@@ -138,6 +156,13 @@ impl<'a> GraphOps<'a> {
             mean: Propagator::extended_mean_with(base, inc, inter, deg),
         }
     }
+
+    pub(crate) fn kernel(&self, kernel: Kernel) -> &Propagator<'a> {
+        match kernel {
+            Kernel::Sym => &self.sym,
+            Kernel::Mean => &self.mean,
+        }
+    }
 }
 
 /// A GNN with owned parameters.
@@ -242,6 +267,84 @@ impl GnnModel {
         self.params.iter().map(|p| tape.param(p.clone())).collect()
     }
 
+    /// The forward pass of every architecture, with `p` the parameter
+    /// list in [`GnnModel::new`]'s layout. Ops are issued in the order the
+    /// training tape has always recorded them.
+    pub(crate) fn run<I: Interp>(&self, i: &mut I, p: &[I::P], x: I::V) -> I::V {
+        use Kernel::{Mean, Sym};
+        use Rows::{All, Output};
+        match self.kind {
+            GnnKind::Sgc => {
+                let mut h = x;
+                for k in 0..self.hops {
+                    h = i.prop(Sym, &h, if k + 1 == self.hops { Output } else { All });
+                }
+                // Narrows only when `hops == 0` left every row in place.
+                let h = i.output_rows(&h);
+                let hw = i.matmul(&h, &p[0]);
+                i.bias(&hw, &p[1])
+            }
+            GnnKind::Gcn => {
+                let xw = i.matmul(&x, &p[0]);
+                let h = i.prop(Sym, &xw, All);
+                let h = i.bias(&h, &p[1]);
+                let h = i.relu(&h);
+                let hw = i.matmul(&h, &p[2]);
+                let out = i.prop(Sym, &hw, Output);
+                i.bias(&out, &p[3])
+            }
+            GnnKind::Sage => {
+                let self1 = i.matmul(&x, &p[0]);
+                let agg = i.prop(Mean, &x, All);
+                let nbr1 = i.matmul(&agg, &p[1]);
+                let h = i.add(&self1, &nbr1);
+                let h = i.bias(&h, &p[2]);
+                let h = i.relu(&h);
+                let h_out = i.output_rows(&h);
+                let self2 = i.matmul(&h_out, &p[3]);
+                let agg2 = i.prop(Mean, &h, Output);
+                let nbr2 = i.matmul(&agg2, &p[4]);
+                let out = i.add(&self2, &nbr2);
+                i.bias(&out, &p[5])
+            }
+            GnnKind::Appnp => {
+                let xw = i.matmul(&x, &p[0]);
+                let h = i.bias(&xw, &p[1]);
+                let h = i.relu(&h);
+                let hw = i.matmul(&h, &p[2]);
+                let h0 = i.bias(&hw, &p[3]);
+                // Personalised PageRank: Z_{k+1} = (1-α) Â Z_k + α H₀.
+                let teleport = i.scale(&h0, self.alpha);
+                let teleport_out = i.output_rows(&teleport);
+                let mut z = h0;
+                for k in 0..self.hops {
+                    let last = k + 1 == self.hops;
+                    let prop = i.prop(Sym, &z, if last { Output } else { All });
+                    let damped = i.scale(&prop, 1.0 - self.alpha);
+                    z = i.add(&damped, if last { &teleport_out } else { &teleport });
+                }
+                i.output_rows(&z)
+            }
+            GnnKind::Cheby => {
+                // λ_max ≈ 2 gives T0 = X, T1 = L̃X = -ÂX.
+                let t1x = i.prop(Sym, &x, All);
+                let t1x = i.scale(&t1x, -1.0);
+                let h0 = i.matmul(&x, &p[0]);
+                let h1 = i.matmul(&t1x, &p[1]);
+                let h = i.add(&h0, &h1);
+                let h = i.bias(&h, &p[2]);
+                let h = i.relu(&h);
+                let t1h = i.prop(Sym, &h, Output);
+                let t1h = i.scale(&t1h, -1.0);
+                let h_out = i.output_rows(&h);
+                let o0 = i.matmul(&h_out, &p[3]);
+                let o1 = i.matmul(&t1h, &p[4]);
+                let out = i.add(&o0, &o1);
+                i.bias(&out, &p[5])
+            }
+        }
+    }
+
     /// Builds the logits graph on `tape` using parameter vars `ps` (from
     /// [`GnnModel::tape_params`]) and feature var `x`.
     ///
@@ -249,70 +352,7 @@ impl GnnModel {
     /// Panics if `ps` does not match the architecture's parameter count.
     pub fn forward(&self, tape: &mut Tape, ps: &[Var], ops: &GraphOps, x: Var) -> Var {
         assert_eq!(ps.len(), self.params.len(), "forward: wrong parameter count");
-        match self.kind {
-            GnnKind::Sgc => {
-                let mut h = x;
-                for _ in 0..self.hops {
-                    h = tape.spmm(ops.sym.csr(), h);
-                }
-                let hw = tape.matmul(h, ps[0]);
-                tape.add_row_broadcast(hw, ps[1])
-            }
-            GnnKind::Gcn => {
-                let xw = tape.matmul(x, ps[0]);
-                let h = tape.spmm(ops.sym.csr(), xw);
-                let h = tape.add_row_broadcast(h, ps[1]);
-                let h = tape.relu(h);
-                let hw = tape.matmul(h, ps[2]);
-                let out = tape.spmm(ops.sym.csr(), hw);
-                tape.add_row_broadcast(out, ps[3])
-            }
-            GnnKind::Sage => {
-                let self1 = tape.matmul(x, ps[0]);
-                let agg = tape.spmm(ops.mean.csr(), x);
-                let nbr1 = tape.matmul(agg, ps[1]);
-                let h = tape.add(self1, nbr1);
-                let h = tape.add_row_broadcast(h, ps[2]);
-                let h = tape.relu(h);
-                let self2 = tape.matmul(h, ps[3]);
-                let agg2 = tape.spmm(ops.mean.csr(), h);
-                let nbr2 = tape.matmul(agg2, ps[4]);
-                let out = tape.add(self2, nbr2);
-                tape.add_row_broadcast(out, ps[5])
-            }
-            GnnKind::Appnp => {
-                let xw = tape.matmul(x, ps[0]);
-                let h = tape.add_row_broadcast(xw, ps[1]);
-                let h = tape.relu(h);
-                let hw = tape.matmul(h, ps[2]);
-                let h0 = tape.add_row_broadcast(hw, ps[3]);
-                // Personalised PageRank: Z_{k+1} = (1-α) Â Z_k + α H₀.
-                let teleport = tape.scale(h0, self.alpha);
-                let mut z = h0;
-                for _ in 0..self.hops {
-                    let prop = tape.spmm(ops.sym.csr(), z);
-                    let damped = tape.scale(prop, 1.0 - self.alpha);
-                    z = tape.add(damped, teleport);
-                }
-                z
-            }
-            GnnKind::Cheby => {
-                // λ_max ≈ 2 gives T0 = X, T1 = L̃X = -ÂX.
-                let t1x = tape.spmm(ops.sym.csr(), x);
-                let t1x = tape.scale(t1x, -1.0);
-                let h0 = tape.matmul(x, ps[0]);
-                let h1 = tape.matmul(t1x, ps[1]);
-                let h = tape.add(h0, h1);
-                let h = tape.add_row_broadcast(h, ps[2]);
-                let h = tape.relu(h);
-                let t1h = tape.spmm(ops.sym.csr(), h);
-                let t1h = tape.scale(t1h, -1.0);
-                let o0 = tape.matmul(h, ps[3]);
-                let o1 = tape.matmul(t1h, ps[4]);
-                let out = tape.add(o0, o1);
-                tape.add_row_broadcast(out, ps[5])
-            }
-        }
+        self.run(&mut OnTape { tape, ops }, ps, x)
     }
 
     /// Tape-free inference: logits for every node of `(adj, x)`.
@@ -321,52 +361,7 @@ impl GnnModel {
     /// experiments; it allocates no autodiff bookkeeping.
     #[must_use]
     pub fn predict(&self, ops: &GraphOps, x: &DMat) -> DMat {
-        let p = &self.params;
-        match self.kind {
-            GnnKind::Sgc => {
-                let mut h = x.clone();
-                for _ in 0..self.hops {
-                    h = ops.sym.spmm(&h);
-                }
-                h.matmul(&p[0]).add_row_broadcast(p[1].row(0))
-            }
-            GnnKind::Gcn => {
-                let h = ops.sym.spmm(&x.matmul(&p[0])).add_row_broadcast(p[1].row(0)).relu();
-                ops.sym.spmm(&h.matmul(&p[2])).add_row_broadcast(p[3].row(0))
-            }
-            GnnKind::Sage => {
-                let h = x
-                    .matmul(&p[0])
-                    .add(&ops.mean.spmm(x).matmul(&p[1]))
-                    .add_row_broadcast(p[2].row(0))
-                    .relu();
-                h.matmul(&p[3])
-                    .add(&ops.mean.spmm(&h).matmul(&p[4]))
-                    .add_row_broadcast(p[5].row(0))
-            }
-            GnnKind::Appnp => {
-                let h = x.matmul(&p[0]).add_row_broadcast(p[1].row(0)).relu();
-                let h0 = h.matmul(&p[2]).add_row_broadcast(p[3].row(0));
-                let teleport = h0.scale(self.alpha);
-                let mut z = h0;
-                for _ in 0..self.hops {
-                    z = ops.sym.spmm(&z).scale(1.0 - self.alpha).add(&teleport);
-                }
-                z
-            }
-            GnnKind::Cheby => {
-                let t1x = ops.sym.spmm(x).scale(-1.0);
-                let h = x
-                    .matmul(&p[0])
-                    .add(&t1x.matmul(&p[1]))
-                    .add_row_broadcast(p[2].row(0))
-                    .relu();
-                let t1h = ops.sym.spmm(&h).scale(-1.0);
-                h.matmul(&p[3])
-                    .add(&t1h.matmul(&p[4]))
-                    .add_row_broadcast(p[5].row(0))
-            }
-        }
+        into_dmat(self.run(&mut Dense { ops }, &self.params, input(x)))
     }
 
     /// Split-operator inference: logits for the **new rows only** of the
@@ -382,98 +377,194 @@ impl GnnModel {
     /// `n` inductive output rows and no base-side state is copied.
     ///
     /// # Panics
-    /// Panics on dimension mismatch between the split inputs and `ops`.
+    /// Panics on dimension mismatch between the split inputs and `ops`,
+    /// and when `ops` holds materialised operators.
     #[must_use]
     pub fn predict_split(&self, ops: &GraphOps<'_>, x_base: &DMat, x_new: &DMat) -> DMat {
-        let p = &self.params;
-        match self.kind {
-            GnnKind::Sgc => {
-                if self.hops == 0 {
-                    return x_new.matmul(&p[0]).add_row_broadcast(p[1].row(0));
-                }
-                if self.hops == 1 {
-                    return ops
-                        .sym
-                        .spmm_bottom(x_base, x_new)
-                        .matmul(&p[0])
-                        .add_row_broadcast(p[1].row(0));
-                }
-                let (mut hb, mut hn) = ops.sym.spmm_split(x_base, x_new);
-                for _ in 1..self.hops - 1 {
-                    let (tb, tn) = ops.sym.spmm_split(&hb, &hn);
-                    hb = tb;
-                    hn = tn;
-                }
-                ops.sym
-                    .spmm_bottom(&hb, &hn)
-                    .matmul(&p[0])
-                    .add_row_broadcast(p[1].row(0))
-            }
-            GnnKind::Gcn => {
-                let (hb, hn) = ops.sym.spmm_split(&x_base.matmul(&p[0]), &x_new.matmul(&p[0]));
-                let hb = hb.add_row_broadcast(p[1].row(0)).relu();
-                let hn = hn.add_row_broadcast(p[1].row(0)).relu();
-                ops.sym
-                    .spmm_bottom(&hb.matmul(&p[2]), &hn.matmul(&p[2]))
-                    .add_row_broadcast(p[3].row(0))
-            }
-            GnnKind::Sage => {
-                let (ab, an) = ops.mean.spmm_split(x_base, x_new);
-                let hb = x_base
-                    .matmul(&p[0])
-                    .add(&ab.matmul(&p[1]))
-                    .add_row_broadcast(p[2].row(0))
-                    .relu();
-                let hn = x_new
-                    .matmul(&p[0])
-                    .add(&an.matmul(&p[1]))
-                    .add_row_broadcast(p[2].row(0))
-                    .relu();
-                hn.matmul(&p[3])
-                    .add(&ops.mean.spmm_bottom(&hb, &hn).matmul(&p[4]))
-                    .add_row_broadcast(p[5].row(0))
-            }
-            GnnKind::Appnp => {
-                let mlp = |x: &DMat| {
-                    x.matmul(&p[0])
-                        .add_row_broadcast(p[1].row(0))
-                        .relu()
-                        .matmul(&p[2])
-                        .add_row_broadcast(p[3].row(0))
-                };
-                let hb0 = mlp(x_base);
-                let hn0 = mlp(x_new);
-                if self.hops == 0 {
-                    return hn0;
-                }
-                let tb = hb0.scale(self.alpha);
-                let tn = hn0.scale(self.alpha);
-                let (mut zb, mut zn) = (hb0, hn0);
-                for _ in 0..self.hops - 1 {
-                    let (pb, pn) = ops.sym.spmm_split(&zb, &zn);
-                    zb = pb.scale(1.0 - self.alpha).add(&tb);
-                    zn = pn.scale(1.0 - self.alpha).add(&tn);
-                }
-                ops.sym.spmm_bottom(&zb, &zn).scale(1.0 - self.alpha).add(&tn)
-            }
-            GnnKind::Cheby => {
-                let (t1b, t1n) = ops.sym.spmm_split(x_base, x_new);
-                let hb = x_base
-                    .matmul(&p[0])
-                    .add(&t1b.scale(-1.0).matmul(&p[1]))
-                    .add_row_broadcast(p[2].row(0))
-                    .relu();
-                let hn = x_new
-                    .matmul(&p[0])
-                    .add(&t1n.scale(-1.0).matmul(&p[1]))
-                    .add_row_broadcast(p[2].row(0))
-                    .relu();
-                let t1h_n = ops.sym.spmm_bottom(&hb, &hn).scale(-1.0);
-                hn.matmul(&p[3])
-                    .add(&t1h_n.matmul(&p[4]))
-                    .add_row_broadcast(p[5].row(0))
-            }
+        let x = Halves { base: Some(input(x_base)), new: input(x_new) };
+        into_dmat(self.run(&mut Split { ops }, &self.params, x).new)
+    }
+}
+
+/// Which normalised adjacency a propagation multiplies by.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kernel {
+    Sym,
+    Mean,
+}
+
+/// Which rows of a propagation's product the rest of the program reads.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rows {
+    /// Every row: a later propagation consumes the product.
+    All,
+    /// Only the rows logits were asked for: nothing propagates after this
+    /// product, so rows that exist to feed neighbours are dead.
+    Output,
+}
+
+/// What an evaluator of [`GnnModel::run`] says for itself: what a value
+/// is, what propagation means, and how a value narrows.
+pub(crate) trait Evaluator {
+    type V: Clone;
+    /// `kernel · v`; with [`Rows::Output`], only the output rows of it.
+    fn prop(&mut self, kernel: Kernel, v: &Self::V, rows: Rows) -> Self::V;
+    /// `v` narrowed to the rows logits were asked for, as it must be to
+    /// meet a [`Rows::Output`] product. Copies nothing; by default every
+    /// row is an output row.
+    fn output_rows(&mut self, v: &Self::V) -> Self::V {
+        v.clone()
+    }
+}
+
+/// What [`GnnModel::run`] is written against: an [`Evaluator`] and the
+/// five dense ops, over its values `V` and parameters `P`.
+pub(crate) trait Interp: Evaluator {
+    type P;
+    fn matmul(&mut self, v: &Self::V, w: &Self::P) -> Self::V;
+    fn bias(&mut self, v: &Self::V, b: &Self::P) -> Self::V;
+    fn relu(&mut self, v: &Self::V) -> Self::V;
+    fn scale(&mut self, v: &Self::V, c: f32) -> Self::V;
+    fn add(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
+}
+
+/// Training: values are tape vars, every op is recorded, every row kept.
+struct OnTape<'t, 'o> {
+    tape: &'t mut Tape,
+    ops: &'t GraphOps<'o>,
+}
+
+impl Evaluator for OnTape<'_, '_> {
+    type V = Var;
+    fn prop(&mut self, kernel: Kernel, v: &Var, _: Rows) -> Var {
+        self.tape.spmm(self.ops.kernel(kernel).csr(), *v)
+    }
+}
+
+impl Interp for OnTape<'_, '_> {
+    type P = Var;
+    fn matmul(&mut self, v: &Var, w: &Var) -> Var {
+        self.tape.matmul(*v, *w)
+    }
+    fn bias(&mut self, v: &Var, b: &Var) -> Var {
+        self.tape.add_row_broadcast(*v, *b)
+    }
+    fn relu(&mut self, v: &Var) -> Var {
+        self.tape.relu(*v)
+    }
+    fn scale(&mut self, v: &Var, c: f32) -> Var {
+        self.tape.scale(*v, c)
+    }
+    fn add(&mut self, a: &Var, b: &Var) -> Var {
+        self.tape.add(*a, *b)
+    }
+}
+
+/// A matrix held by a tape-free evaluator: the caller's input, borrowed,
+/// or an intermediate it computed. Cloning shares, so narrowing is free.
+pub(crate) type Mat<'a> = Rc<Cow<'a, DMat>>;
+
+pub(crate) fn input(m: &DMat) -> Mat<'_> {
+    Rc::new(Cow::Borrowed(m))
+}
+
+pub(crate) fn made(m: DMat) -> Mat<'static> {
+    Rc::new(Cow::Owned(m))
+}
+
+pub(crate) fn into_dmat(m: Mat<'_>) -> DMat {
+    Rc::try_unwrap(m).map_or_else(|shared| DMat::clone(&shared), Cow::into_owned)
+}
+
+/// A value made of dense matrices: a dense op on it is the `DMat` op on
+/// each — the blanket [`Interp`] impl below, for every such evaluator.
+pub(crate) trait Mats {
+    fn map(&self, f: impl Fn(&DMat) -> DMat) -> Self;
+    fn zip(&self, other: &Self, f: impl Fn(&DMat, &DMat) -> DMat) -> Self;
+}
+
+impl Mats for Mat<'_> {
+    fn map(&self, f: impl Fn(&DMat) -> DMat) -> Self {
+        made(f(self))
+    }
+    fn zip(&self, other: &Self, f: impl Fn(&DMat, &DMat) -> DMat) -> Self {
+        made(f(self, other))
+    }
+}
+
+impl<V: Mats, T: Evaluator<V = V>> Interp for T {
+    type P = DMat;
+    fn matmul(&mut self, v: &V, w: &DMat) -> V {
+        v.map(|m| m.matmul(w))
+    }
+    fn bias(&mut self, v: &V, b: &DMat) -> V {
+        v.map(|m| m.add_row_broadcast(b.row(0)))
+    }
+    fn relu(&mut self, v: &V) -> V {
+        v.map(DMat::relu)
+    }
+    fn scale(&mut self, v: &V, c: f32) -> V {
+        v.map(|m| m.scale(c))
+    }
+    fn add(&mut self, a: &V, b: &V) -> V {
+        a.zip(b, DMat::add)
+    }
+}
+
+/// Whole-graph inference: one matrix, every row kept.
+struct Dense<'a> {
+    ops: &'a GraphOps<'a>,
+}
+
+impl<'a> Evaluator for Dense<'a> {
+    type V = Mat<'a>;
+    fn prop(&mut self, kernel: Kernel, v: &Mat<'a>, _: Rows) -> Mat<'a> {
+        made(self.ops.kernel(kernel).spmm(v))
+    }
+}
+
+/// A value of the [`Split`] evaluator: base rows and new rows, never
+/// stacked. `base` is gone once the value is narrowed to its output rows.
+#[derive(Clone)]
+struct Halves<'a> {
+    base: Option<Mat<'a>>,
+    new: Mat<'a>,
+}
+
+impl Mats for Halves<'_> {
+    fn map(&self, f: impl Fn(&DMat) -> DMat) -> Self {
+        Halves { base: self.base.as_ref().map(|b| b.map(&f)), new: self.new.map(&f) }
+    }
+    fn zip(&self, other: &Self, f: impl Fn(&DMat, &DMat) -> DMat) -> Self {
+        assert_eq!(self.base.is_some(), other.base.is_some(), "zip: one operand is narrowed");
+        Halves {
+            base: self.base.as_ref().zip(other.base.as_ref()).map(|(a, b)| a.zip(b, &f)),
+            new: self.new.zip(&other.new, &f),
         }
+    }
+}
+
+/// Serving on the extended graph: the `n` new rows are the output rows,
+/// so a [`Rows::Output`] product is [`Propagator::spmm_bottom`].
+struct Split<'a> {
+    ops: &'a GraphOps<'a>,
+}
+
+impl<'a> Evaluator for Split<'a> {
+    type V = Halves<'a>;
+    fn prop(&mut self, kernel: Kernel, v: &Halves<'a>, rows: Rows) -> Halves<'a> {
+        let op = self.ops.kernel(kernel);
+        let base = v.base.as_ref().expect("prop: operand already narrowed to its output rows");
+        match rows {
+            Rows::All => {
+                let (top, bottom) = op.spmm_split(base, &v.new);
+                Halves { base: Some(made(top)), new: made(bottom) }
+            }
+            Rows::Output => Halves { base: None, new: made(op.spmm_bottom(base, &v.new)) },
+        }
+    }
+    fn output_rows(&mut self, v: &Halves<'a>) -> Halves<'a> {
+        Halves { base: None, new: v.new.clone() }
     }
 }
 
@@ -504,88 +595,11 @@ mod tests {
         }
     }
 
-    /// The split-operator contract every serving caller relies on:
-    /// `predict_split` returns exactly the rows a vstacked `predict` would
-    /// put at the bottom — bitwise, for every architecture, at 1 and 4
-    /// threads, whether the new nodes' blocks are dense, have
-    /// structurally empty rows, or carry no edges at all.
-    #[test]
-    fn predict_split_is_bitwise_the_bottom_of_the_stacked_predict() {
-        let base = ring(7);
-        let n = 3;
-        let block = |rows: usize, cols: usize, entries: &[(usize, usize, f32)]| {
-            let mut coo = Coo::new(rows, cols);
-            for &(i, j, v) in entries {
-                coo.push(i, j, v);
-            }
-            coo.to_csr()
-        };
-        let cases = [
-            (
-                "dense",
-                block(n, 7, &[(0, 0, 1.0), (0, 3, 0.5), (1, 1, 2.0), (1, 6, 1.0), (2, 2, 0.25), (2, 5, 1.5)]),
-                block(n, n, &[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 0.5), (2, 1, 0.5)]),
-            ),
-            (
-                "some-empty-rows",
-                block(n, 7, &[(0, 4, 1.0), (2, 0, 0.5), (2, 6, 2.0)]),
-                block(n, n, &[(0, 2, 1.0), (2, 0, 1.0)]),
-            ),
-            ("edge-free", Csr::empty(n, 7), Csr::empty(n, n)),
-        ];
-        let deg = BaseDegrees::of(&base);
-        let mut rng = MatRng::seed_from(12);
-        let x_base = rng.normal(7, 4, 0.0, 1.0);
-        let x_new = rng.normal(n, 4, 0.0, 1.0);
-        let stacked = x_base.vstack(&x_new);
-        for kind in GnnKind::ALL {
-            let model = GnnModel::new(kind, 4, 6, 3, 5);
-            for (case, inc, inter) in &cases {
-                let ops = GraphOps::extended_with(&base, inc, inter, &deg);
-                for threads in [1usize, 4] {
-                    mcond_par::with_thread_limit(threads, || {
-                        let full = model.predict(&ops, &stacked);
-                        let split = model.predict_split(&ops, &x_base, &x_new);
-                        assert_eq!(
-                            split.as_slice(),
-                            full.slice_rows(7, 7 + n).as_slice(),
-                            "{} {case} t{threads}",
-                            kind.name()
-                        );
-                    });
-                }
-            }
-        }
-    }
-
     #[test]
     fn out_dim_reports_class_count_for_every_architecture() {
         for kind in GnnKind::ALL {
             let model = GnnModel::new(kind, 4, 8, 3, 7);
             assert_eq!(model.out_dim(), 3, "{}", kind.name());
-        }
-    }
-
-    #[test]
-    fn tape_forward_matches_predict() {
-        let adj = ring(5);
-        let ops = GraphOps::from_adj(&adj);
-        let x = MatRng::seed_from(2).normal(5, 3, 0.0, 1.0);
-        for kind in GnnKind::ALL {
-            let model = GnnModel::new(kind, 3, 6, 2, 11);
-            let mut tape = Tape::new();
-            let ps = model.tape_params(&mut tape);
-            let xv = tape.constant(x.clone());
-            let out_var = model.forward(&mut tape, &ps, &ops, xv);
-            let tape_out = tape.value(out_var).clone();
-            let direct = model.predict(&ops, &x);
-            for (a, b) in tape_out.as_slice().iter().zip(direct.as_slice()) {
-                assert!(
-                    mcond_linalg::approx_eq(*a, *b, 1e-4),
-                    "{}: {a} vs {b}",
-                    kind.name()
-                );
-            }
         }
     }
 

@@ -211,35 +211,26 @@ impl<'a> Propagator<'a> {
     /// into its two row blocks, at any thread count.
     ///
     /// # Panics
-    /// Panics on dimension mismatch (for the extended form, `x_base` must
-    /// carry exactly the base rows and `x_new` the new rows).
+    /// Panics on dimension mismatch (`x_base` must carry exactly the base
+    /// rows and `x_new` the new rows) and for materialised operators.
     #[must_use]
     pub fn spmm_split(&self, x_base: &DMat, x_new: &DMat) -> (DMat, DMat) {
-        match self {
-            Propagator::Matrix(m) => {
-                let x = x_base.vstack(x_new);
-                let top = m.spmm_row_range(0..x_base.rows(), &x);
-                let bottom = m.spmm_row_range(x_base.rows()..x.rows(), &x);
-                (top, bottom)
-            }
-            Propagator::Extended(e) => {
-                check_split_input(e, x_base, x_new);
-                if e.self_loop {
-                    // Symmetric kernel: scale, raw product, scale.
-                    let xbs = x_base.scale_rows(&e.scale_base);
-                    let xns = x_new.scale_rows(&e.scale_new);
-                    let (mut top, mut bottom) = e.raw_split(&xbs, &xns);
-                    top.scale_rows_assign(&e.scale_base);
-                    bottom.scale_rows_assign(&e.scale_new);
-                    (top, bottom)
-                } else {
-                    // Mean kernel: raw product, then reciprocal-degree scale.
-                    let (mut top, mut bottom) = e.raw_split(x_base, x_new);
-                    top.scale_rows_assign(&e.scale_base);
-                    bottom.scale_rows_assign(&e.scale_new);
-                    (top, bottom)
-                }
-            }
+        let e = self.extension();
+        check_split_input(e, x_base, x_new);
+        if e.self_loop {
+            // Symmetric kernel: scale, raw product, scale.
+            let xbs = x_base.scale_rows(&e.scale_base);
+            let xns = x_new.scale_rows(&e.scale_new);
+            let (mut top, mut bottom) = e.raw_split(&xbs, &xns);
+            top.scale_rows_assign(&e.scale_base);
+            bottom.scale_rows_assign(&e.scale_new);
+            (top, bottom)
+        } else {
+            // Mean kernel: raw product, then reciprocal-degree scale.
+            let (mut top, mut bottom) = e.raw_split(x_base, x_new);
+            top.scale_rows_assign(&e.scale_base);
+            bottom.scale_rows_assign(&e.scale_new);
+            (top, bottom)
         }
     }
 
@@ -250,26 +241,34 @@ impl<'a> Propagator<'a> {
     /// Bitwise identical to `self.spmm_split(x_base, x_new).1`.
     ///
     /// # Panics
-    /// Panics on dimension mismatch.
+    /// Panics on dimension mismatch and for materialised operators.
     #[must_use]
     pub fn spmm_bottom(&self, x_base: &DMat, x_new: &DMat) -> DMat {
+        let e = self.extension();
+        check_split_input(e, x_base, x_new);
+        let mut bottom = if e.self_loop {
+            let xbs = x_base.scale_rows(&e.scale_base);
+            let xns = x_new.scale_rows(&e.scale_new);
+            e.raw_bottom(&xbs, &xns)
+        } else {
+            e.raw_bottom(x_base, x_new)
+        };
+        bottom.scale_rows_assign(&e.scale_new);
+        bottom
+    }
+
+    /// The block payload behind the split forms.
+    ///
+    /// # Panics
+    /// Panics for materialised operators: a stacked matrix has no
+    /// base/new halves, and serving only ever builds extended operators.
+    fn extension(&self) -> &Extension<'a> {
         match self {
-            Propagator::Matrix(m) => {
-                let x = x_base.vstack(x_new);
-                m.spmm_row_range(x_base.rows()..x.rows(), &x)
-            }
-            Propagator::Extended(e) => {
-                check_split_input(e, x_base, x_new);
-                let mut bottom = if e.self_loop {
-                    let xbs = x_base.scale_rows(&e.scale_base);
-                    let xns = x_new.scale_rows(&e.scale_new);
-                    e.raw_bottom(&xbs, &xns)
-                } else {
-                    e.raw_bottom(x_base, x_new)
-                };
-                bottom.scale_rows_assign(&e.scale_new);
-                bottom
-            }
+            Propagator::Extended(e) => e,
+            Propagator::Matrix(_) => panic!(
+                "Propagator: the split forms need an extended operator; \
+                 a materialised matrix multiplies the stacked input with spmm"
+            ),
         }
     }
 
@@ -472,20 +471,18 @@ mod tests {
     }
 
     /// The split/bottom forms must reproduce the vstacked product bitwise,
-    /// for the extended and the materialised variants, at 1 and 4 threads.
+    /// for both extended kernels, at 1 and 4 threads.
     #[test]
     fn split_and_bottom_match_full_product_bitwise() {
         let (base, inc, inter) = blocks();
         let x = MatRng::seed_from(9).normal(6, 5, 0.0, 1.0);
         let xb = x.slice_rows(0, 4);
         let xn = x.slice_rows(4, 6);
-        let mat = Arc::new(sym_normalize(&materialised(&base, &inc, &inter)));
         for threads in [1usize, 4] {
             mcond_par::with_thread_limit(threads, || {
                 for p in [
                     Propagator::extended_sym(&base, &inc, &inter),
                     Propagator::extended_mean(&base, &inc, &inter),
-                    Propagator::Matrix(Arc::clone(&mat)),
                 ] {
                     let full = p.spmm(&x);
                     let (top, bottom) = p.spmm_split(&xb, &xn);
@@ -542,6 +539,14 @@ mod tests {
         assert_eq!(p.spmm(&x), norm.spmm(&x));
         assert_eq!(p.rows(), 4);
         assert!(Arc::ptr_eq(&p.csr(), &norm));
+    }
+
+    #[test]
+    #[should_panic(expected = "need an extended operator")]
+    fn materialised_split_panics() {
+        let (base, _, _) = blocks();
+        let p = Propagator::Matrix(Arc::new(sym_normalize(&base)));
+        let _ = p.spmm_bottom(&DMat::zeros(3, 1), &DMat::zeros(1, 1));
     }
 
     #[test]

@@ -58,7 +58,10 @@
 //! * `serve.cache.hits` — requests answered from the frozen-base cache
 //!   (degraded requests fall through to the exact path and do not count);
 //! * `serve.cache.bytes` — gauge: resident size of the frozen-base cache
-//!   at build time.
+//!   when it was last built or patched: one operand per propagation site,
+//!   plus an unscaled copy at each symmetric site the patch path has to
+//!   multiply by (none at the last site, none where the operand is the
+//!   feature matrix).
 //!
 //! The live-graph ingestion path (`mcond-core`'s `LiveBase`) reports its
 //! promotion and refresh activity under the `delta.*` prefix, and how it

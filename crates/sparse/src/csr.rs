@@ -479,57 +479,6 @@ impl Csr {
         }
     }
 
-    /// Row-subset SpMM: the rows `range` of `self · rhs`, without computing
-    /// any other output row.
-    ///
-    /// This is the bottom-block kernel of the serving fast path: when only
-    /// the `n` inductive rows of an extended product are returned, the final
-    /// layer can pay `O(nnz(rows) · d)` instead of the full product. Each
-    /// output row is accumulated exactly as [`Csr::spmm`] would — ascending
-    /// source position — so the result is bitwise identical to
-    /// `self.spmm(rhs).slice_rows(range.start, range.end)` at any thread
-    /// count.
-    ///
-    /// # Panics
-    /// Panics when `rhs.rows() != self.cols()` or the range exceeds the row
-    /// count.
-    #[must_use]
-    pub fn spmm_row_range(&self, range: Range<usize>, rhs: &DMat) -> DMat {
-        assert_eq!(rhs.rows(), self.cols_n, "spmm_row_range: inner dimension mismatch");
-        assert!(
-            range.start <= range.end && range.end <= self.rows,
-            "spmm_row_range: bad range {range:?} for {} rows",
-            self.rows
-        );
-        let d = rhs.cols();
-        let nnz = (self.indptr[range.end] - self.indptr[range.start]) as usize;
-        count_spmm(nnz, d);
-        let mut out = DMat::zeros(range.len(), d);
-        let threads = mcond_par::max_threads();
-        // Resolve the SIMD tier on the submitting thread, before fan-out.
-        let level = simd::simd_level();
-        if threads > 1 && nnz * d >= PAR_MIN_WORK && d > 0 {
-            // nnz-balance the sub-range the same way spmm balances 0..rows.
-            let per_chunk = (nnz / (threads * 4).max(1)).max(1) as u64;
-            let mut ranges = Vec::new();
-            let mut start = range.start;
-            while start < range.end {
-                let goal = self.indptr[start] + per_chunk;
-                let rel = self.indptr[start + 1..=range.end].partition_point(|&x| x < goal);
-                let end = (start + 1 + rel).min(range.end);
-                ranges.push(start - range.start..end - range.start);
-                start = end;
-            }
-            let offset = range.start;
-            mcond_par::parallel_row_ranges(out.as_mut_slice(), d, &ranges, |rows, chunk| {
-                self.spmm_rows(rhs, rows.start + offset..rows.end + offset, chunk, level);
-            });
-        } else {
-            self.spmm_rows(rhs, range, out.as_mut_slice(), level);
-        }
-        out
-    }
-
     /// Sparse × dense product `self · rhs` — the message-passing kernel.
     ///
     /// Fans out across nnz-balanced output-row ranges when the work is
@@ -1026,39 +975,6 @@ mod tests {
         }
     }
 
-    /// The row-subset kernel is bitwise identical to slicing the full
-    /// product, for every sub-range — including empty ones — and at both
-    /// 1 and 4 threads.
-    #[test]
-    fn spmm_row_range_matches_sliced_full_product() {
-        let m = random_csr(400, 250, 23);
-        let mut x = DMat::zeros(250, 48);
-        for i in 0..250 {
-            for j in 0..48 {
-                x.set(i, j, ((i * 48 + j) as f32).sin());
-            }
-        }
-        let full = m.spmm(&x);
-        for range in [0..400, 0..1, 399..400, 137..400, 50..51, 200..200] {
-            let serial = mcond_par::with_thread_limit(1, || {
-                m.spmm_row_range(range.clone(), &x)
-            });
-            let parallel = mcond_par::with_thread_limit(4, || {
-                m.spmm_row_range(range.clone(), &x)
-            });
-            let expect = full.slice_rows(range.start, range.end);
-            assert_eq!(serial.as_slice(), expect.as_slice(), "range {range:?} (serial)");
-            assert_eq!(parallel.as_slice(), expect.as_slice(), "range {range:?} (parallel)");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "bad range")]
-    fn spmm_row_range_rejects_out_of_bounds() {
-        let m = small();
-        let _ = m.spmm_row_range(2..4, &DMat::zeros(3, 1));
-    }
-
     /// The determinism contract: spmm and spmm_t outputs are bitwise
     /// identical whether the pool runs 1 thread or 4 — the parallel paths
     /// never reorder any per-element accumulation.
@@ -1104,24 +1020,19 @@ mod tests {
         }
         let reference = simd::with_simd_level(SimdLevel::Scalar, || {
             mcond_par::with_thread_limit(1, || {
-                (m.spmm(&x), m.spmm_t(&y), m.spmm_row_range(123..457, &x))
+                (m.spmm(&x), m.spmm_t(&y))
             })
         });
         for level in simd::available_levels() {
             for threads in [1, 4] {
                 let got = simd::with_simd_level(level, || {
                     mcond_par::with_thread_limit(threads, || {
-                        (m.spmm(&x), m.spmm_t(&y), m.spmm_row_range(123..457, &x))
+                        (m.spmm(&x), m.spmm_t(&y))
                     })
                 });
                 let tag = format!("{} @ {threads} threads", level.name());
                 assert_eq!(got.0.as_slice(), reference.0.as_slice(), "spmm drifted ({tag})");
                 assert_eq!(got.1.as_slice(), reference.1.as_slice(), "spmm_t drifted ({tag})");
-                assert_eq!(
-                    got.2.as_slice(),
-                    reference.2.as_slice(),
-                    "spmm_row_range drifted ({tag})"
-                );
             }
         }
     }

@@ -5,6 +5,13 @@
 //! ```sh
 //! cargo run --release --example architecture_zoo
 //! ```
+//!
+//! Adding an architecture to this table: a `GnnKind` variant (arms in
+//! `name`/`code`/`param_count`), its parameters in `GnnModel::new`, and one
+//! arm in `GnnModel::run` (`crates/gnn/src/model.rs`) — training, split
+//! serving and the frozen-base cache all evaluate that one program, so
+//! nothing in `frozen.rs`, `mcond-core` or `mcond-serve` changes. The loop
+//! below iterates `GnnKind::ALL`.
 
 use mcond::prelude::*;
 
