@@ -126,12 +126,11 @@ impl TableReport {
 }
 
 /// Whether an environment variable shrinks (or otherwise changes) a
-/// bench's measurement budget: the microbench sample knobs and the
-/// per-bench `MCOND_QPS_*` / `MCOND_RELOAD_*` / `MCOND_DRIFT_*` families.
-/// Output-path and runtime variables (`MCOND_BENCH_JSON`, `MCOND_THREADS`,
-/// `MCOND_SIMD`, `MCOND_LOG`) are not budget.
+/// bench's measurement budget: the per-bench `MCOND_QPS_*` /
+/// `MCOND_RELOAD_*` / `MCOND_DRIFT_*` families. Runtime variables
+/// (`MCOND_THREADS`, `MCOND_SIMD`, `MCOND_LOG`) are not budget.
 fn is_budget_override(key: &str) -> bool {
-    ["MCOND_BENCH_SAMPLE", "MCOND_QPS_", "MCOND_RELOAD_", "MCOND_DRIFT_"]
+    ["MCOND_QPS_", "MCOND_RELOAD_", "MCOND_DRIFT_"]
         .iter()
         .any(|prefix| key.starts_with(prefix))
 }
@@ -253,17 +252,10 @@ mod tests {
 
     #[test]
     fn only_budget_knobs_divert_a_bench_dump() {
-        for key in [
-            "MCOND_BENCH_SAMPLES",
-            "MCOND_BENCH_SAMPLE_MS",
-            "MCOND_QPS_MS",
-            "MCOND_RELOAD_MS",
-            "MCOND_DRIFT_WAVES",
-            "MCOND_DRIFT_PROBES",
-        ] {
+        for key in ["MCOND_QPS_MS", "MCOND_RELOAD_MS", "MCOND_DRIFT_WAVES", "MCOND_DRIFT_PROBES"] {
             assert!(is_budget_override(key), "{key}");
         }
-        for key in ["MCOND_BENCH_JSON", "MCOND_THREADS", "MCOND_SIMD", "MCOND_LOG", "PATH"] {
+        for key in ["MCOND_THREADS", "MCOND_SIMD", "MCOND_LOG", "PATH"] {
             assert!(!is_budget_override(key), "{key}");
         }
     }

@@ -2,18 +2,21 @@
 //! bundle so the (tiny) synthetic graph and mapping can ship without the
 //! original graph — the storage win the paper's Fig. 3/4 measure.
 //!
-//! Layout of an artifact directory:
-//!
-//! ```text
-//! <dir>/synthetic.mcg   the synthetic graph S = {A', X', Y'} (MCG1)
-//! <dir>/mapping.mcs     the sparsified mapping M : N x N' (MCS1)
-//! ```
+//! An artifact is a [`Checkpoint`](crate::Checkpoint) without its `model`
+//! section: one `MCST` container, `<dir>/condensed.mcst`, whose
+//! `synthetic` section holds `S = {A', X', Y'}` and whose `mapping`
+//! section holds the sparsified `M : N x N'`. Both bundles write and read
+//! those two sections through the functions below.
 
 use crate::Condensed;
-use mcond_graph::{load_graph, save_graph, Graph};
-use mcond_sparse::{load_csr, save_csr, Csr};
-use std::io;
+use mcond_graph::Graph;
+use mcond_sparse::Csr;
+use mcond_store::{codec, CheckpointReader, CheckpointWriter, StoreError};
 use std::path::Path;
+
+const SEC_SYNTHETIC: &str = "synthetic";
+const SEC_MAPPING: &str = "mapping";
+const FILE_NAME: &str = "condensed.mcst";
 
 /// The deployable subset of a condensation result.
 #[derive(Debug)]
@@ -36,35 +39,56 @@ impl Artifact {
     }
 }
 
+/// Adds the `synthetic` and `mapping` sections to `w`.
+pub(crate) fn add_sections(w: &mut CheckpointWriter, synthetic: &Graph, mapping: &Csr) {
+    w.add_encoded(SEC_SYNTHETIC, |b| codec::encode_graph(b, synthetic));
+    w.add_encoded(SEC_MAPPING, |b| codec::encode_csr(b, mapping));
+}
+
+/// Decodes the two sections [`add_sections`] wrote. Each is valid on its
+/// own; whether they fit each other is [`mapping_indexes`]' to say.
+pub(crate) fn read_sections(reader: &CheckpointReader) -> Result<Artifact, StoreError> {
+    let synthetic = reader.decode(SEC_SYNTHETIC, codec::decode_graph)?;
+    let mapping = reader.decode(SEC_MAPPING, codec::decode_csr)?;
+    Ok(Artifact { synthetic, mapping })
+}
+
+/// The cross-section invariant of every bundle: `M`'s columns index the
+/// synthetic nodes.
+pub(crate) fn mapping_indexes(mapping: &Csr, synthetic: &Graph) -> Result<(), StoreError> {
+    if mapping.cols() != synthetic.num_nodes() {
+        return Err(StoreError::ShapeMismatch {
+            reason: format!(
+                "mapping has {} columns but the synthetic graph has {} nodes",
+                mapping.cols(),
+                synthetic.num_nodes()
+            ),
+        });
+    }
+    Ok(())
+}
+
 /// Writes the deployable pieces of `condensed` into `dir` (created if
 /// missing).
 ///
 /// # Errors
-/// Propagates I/O errors.
-pub fn save_condensed(condensed: &Condensed, dir: &Path) -> io::Result<()> {
+/// [`StoreError::Io`] on filesystem failures.
+pub fn save_condensed(condensed: &Condensed, dir: &Path) -> Result<(), StoreError> {
     std::fs::create_dir_all(dir)?;
-    save_graph(&condensed.synthetic, &dir.join("synthetic.mcg"))?;
-    save_csr(&condensed.mapping, &dir.join("mapping.mcs"))
+    let mut w = CheckpointWriter::new();
+    add_sections(&mut w, &condensed.synthetic, &condensed.mapping);
+    w.write_atomic(&dir.join(FILE_NAME)).map(|_| ())
 }
 
 /// Loads an artifact bundle written by [`save_condensed`].
 ///
 /// # Errors
-/// Propagates I/O errors; cross-file inconsistencies yield `InvalidData`.
-pub fn load_condensed(dir: &Path) -> io::Result<Artifact> {
-    let synthetic = load_graph(&dir.join("synthetic.mcg"))?;
-    let mapping = load_csr(&dir.join("mapping.mcs"))?;
-    if mapping.cols() != synthetic.num_nodes() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "mapping has {} columns but the synthetic graph has {} nodes",
-                mapping.cols(),
-                synthetic.num_nodes()
-            ),
-        ));
-    }
-    Ok(Artifact { synthetic, mapping })
+/// Any [`StoreError`]: the bytes are untrusted, so damage is a typed error
+/// and sections that disagree are [`StoreError::ShapeMismatch`].
+pub fn load_condensed(dir: &Path) -> Result<Artifact, StoreError> {
+    let artifact = read_sections(&CheckpointReader::open(&dir.join(FILE_NAME))?)?;
+    mapping_indexes(&artifact.mapping, &artifact.synthetic)?;
+    Ok(artifact)
 }
 
 #[cfg(test)]
@@ -95,23 +119,22 @@ mod tests {
         save_condensed(&condensed, &dir).unwrap();
         let artifact = load_condensed(&dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(artifact.synthetic.adj, condensed.synthetic.adj);
-        assert_eq!(artifact.synthetic.features, condensed.synthetic.features);
+        assert!(artifact.synthetic.adj.bit_eq(&condensed.synthetic.adj));
+        assert!(artifact.synthetic.features.bit_eq(&condensed.synthetic.features));
         assert_eq!(artifact.synthetic.labels, condensed.synthetic.labels);
-        assert_eq!(artifact.mapping, condensed.mapping);
+        assert!(artifact.mapping.bit_eq(&condensed.mapping));
     }
 
     #[test]
     fn mismatched_bundle_is_rejected() {
-        let condensed = quick();
+        // A mapping of the wrong width, sealed into an otherwise valid
+        // bundle: every CRC passes and every section decodes.
+        let condensed = Condensed { mapping: Csr::eye(3), ..quick() };
         let dir = std::env::temp_dir().join("mcond_artifact_bad");
         save_condensed(&condensed, &dir).unwrap();
-        // Overwrite the mapping with one of the wrong width.
-        let wrong = Csr::eye(3);
-        mcond_sparse::save_csr(&wrong, &dir.join("mapping.mcs")).unwrap();
         let err = load_condensed(&dir).unwrap_err();
         std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(matches!(err, StoreError::ShapeMismatch { .. }), "{err}");
     }
 
     #[test]

@@ -9,21 +9,20 @@
 //! exactly as safe to serve from as a freshly condensed one, and a server
 //! booted from it never touches the original graph.
 
+use crate::artifact::{self, Artifact};
 use crate::condense::Condensed;
 use crate::delta::DeltaLineage;
 use crate::server::InductiveServer;
 use mcond_gnn::GnnModel;
 use mcond_graph::Graph;
 use mcond_sparse::Csr;
-use mcond_store::codec::{self, ByteReader, ByteWriter};
-use mcond_store::{CheckpointReader, CheckpointWriter, StoreError};
+use mcond_store::{codec, CheckpointReader, CheckpointWriter, StoreError};
 use std::borrow::Cow;
 use std::path::Path;
 use std::time::Instant;
 
-/// Section names inside the container.
-const SEC_SYNTHETIC: &str = "synthetic";
-const SEC_MAPPING: &str = "mapping";
+/// Section names inside the container, beside the `synthetic` and
+/// `mapping` sections a checkpoint shares with an [`Artifact`].
 const SEC_MODEL: &str = "model";
 /// Optional section: delta lineage of a live (promoted) base. Absent on
 /// checkpoints from a plain condensation run; readers treat absence as
@@ -55,15 +54,7 @@ impl Checkpoint {
     /// [`StoreError::ShapeMismatch`] when the mapping or model does not fit
     /// the synthetic graph.
     pub fn new(synthetic: Graph, mapping: Csr, model: GnnModel) -> Result<Self, StoreError> {
-        if mapping.cols() != synthetic.num_nodes() {
-            return Err(StoreError::ShapeMismatch {
-                reason: format!(
-                    "mapping has {} columns but the synthetic graph has {} nodes",
-                    mapping.cols(),
-                    synthetic.num_nodes()
-                ),
-            });
-        }
+        artifact::mapping_indexes(&mapping, &synthetic)?;
         let in_dim = model.params()[0].rows();
         if in_dim != synthetic.feature_dim() {
             return Err(StoreError::ShapeMismatch {
@@ -96,24 +87,17 @@ impl Checkpoint {
     /// Serialises the bundle into an `MCST` image.
     #[must_use]
     pub fn to_writer(&self) -> CheckpointWriter {
-        let mut graph_w = ByteWriter::new();
-        codec::encode_graph(&mut graph_w, &self.synthetic);
-        let mut map_w = ByteWriter::new();
-        codec::encode_csr(&mut map_w, &self.mapping);
-        let mut model_w = ByteWriter::new();
-        codec::encode_model(&mut model_w, &self.model);
         let mut w = CheckpointWriter::new();
-        w.add_section(SEC_SYNTHETIC, graph_w.into_bytes());
-        w.add_section(SEC_MAPPING, map_w.into_bytes());
-        w.add_section(SEC_MODEL, model_w.into_bytes());
+        artifact::add_sections(&mut w, &self.synthetic, &self.mapping);
+        w.add_encoded(SEC_MODEL, |b| codec::encode_model(b, &self.model));
         if let Some(l) = &self.lineage {
-            let mut lw = ByteWriter::new();
-            lw.put_u64(l.version);
-            lw.put_u64(l.promotions);
-            lw.put_u64(l.promoted_nodes);
-            lw.put_u64(l.base_nodes);
-            lw.put_u64(l.mapping_rows);
-            w.add_section(SEC_DELTA, lw.into_bytes());
+            w.add_encoded(SEC_DELTA, |b| {
+                b.put_u64(l.version);
+                b.put_u64(l.promotions);
+                b.put_u64(l.promoted_nodes);
+                b.put_u64(l.base_nodes);
+                b.put_u64(l.mapping_rows);
+            });
         }
         w
     }
@@ -174,28 +158,19 @@ impl Checkpoint {
     }
 
     fn from_reader(reader: &CheckpointReader) -> Result<Self, StoreError> {
-        let mut r = ByteReader::new(reader.section(SEC_SYNTHETIC)?, SEC_SYNTHETIC);
-        let synthetic = codec::decode_graph(&mut r)?;
-        r.finish()?;
-        let mut r = ByteReader::new(reader.section(SEC_MAPPING)?, SEC_MAPPING);
-        let mapping = codec::decode_csr(&mut r)?;
-        r.finish()?;
-        let mut r = ByteReader::new(reader.section(SEC_MODEL)?, SEC_MODEL);
-        let model = codec::decode_model(&mut r)?;
-        r.finish()?;
-        let lineage = match reader.section(SEC_DELTA) {
-            Ok(bytes) => {
-                let mut r = ByteReader::new(bytes, SEC_DELTA);
-                let lineage = DeltaLineage {
-                    version: r.get_u64()?,
-                    promotions: r.get_u64()?,
-                    promoted_nodes: r.get_u64()?,
-                    base_nodes: r.get_u64()?,
-                    mapping_rows: r.get_u64()?,
-                };
-                r.finish()?;
-                Some(lineage)
-            }
+        let Artifact { synthetic, mapping } = artifact::read_sections(reader)?;
+        let model = reader.decode(SEC_MODEL, codec::decode_model)?;
+        let lineage = reader.decode(SEC_DELTA, |r| {
+            Ok(DeltaLineage {
+                version: r.get_u64()?,
+                promotions: r.get_u64()?,
+                promoted_nodes: r.get_u64()?,
+                base_nodes: r.get_u64()?,
+                mapping_rows: r.get_u64()?,
+            })
+        });
+        let lineage = match lineage {
+            Ok(l) => Some(l),
             Err(StoreError::MissingSection { .. }) => None,
             Err(e) => return Err(e),
         };

@@ -37,8 +37,9 @@
 //! [`ServeMode::FrozenBase`] additionally caches per-layer base
 //! activations under base-only normalisation
 //! ([`mcond_gnn::FrozenBase`]) and serves a request in
-//! `O(L·(nnz(aM̂) + n·d))` — an opt-in, *documented approximation* (see
-//! `mcond_gnn::frozen`); the default stays exact.
+//! `O(L·(nnz(aM̂) + n·d))` — opt-in, and on a connected batch a
+//! *different predictor*, not an estimate of the exact one (see
+//! [`ServeMode::FrozenBase`]); the default stays exact.
 //!
 //! # Fault tolerance
 //!
@@ -102,11 +103,13 @@ pub enum ServeMode {
     /// Frozen-base cache: per-layer base activations are cached under
     /// base-only normalisation at
     /// [`with_serve_mode`](InductiveServer::with_serve_mode) time and a
-    /// request costs `O(L·(nnz + n·d))`. **Approximate** — the cache
-    /// ignores the batch's back-edges into the base graph (exact for
-    /// batches with no incremental edges; see `mcond_gnn::frozen` for the
-    /// contract and the calibration test for measured deviation). Requests
-    /// degraded to the original graph by
+    /// request costs `O(L·(nnz + n·d))`. **Not `Exact`, approximately** —
+    /// the cache ignores the batch's back-edges into the base graph, which
+    /// is exact for batches with no incremental edges and otherwise a
+    /// different predictor, more accurate than `Exact` on some datasets
+    /// and less on others (`mcond_gnn::frozen` has the measured agreement,
+    /// deviation and speed-up; `results/ablation_serve_mode.txt` the
+    /// table). Requests degraded to the original graph by
     /// [`FallbackPolicy::OriginalGraph`] are answered by the exact split
     /// path — the fallback already trades latency for accuracy.
     FrozenBase,

@@ -1,9 +1,10 @@
-//! Frozen-base serving cache: the `ServeMode::FrozenBase` approximation.
+//! Frozen-base serving cache: `ServeMode::FrozenBase`.
 //!
 //! The exact extended-operator forward pass must re-propagate over all
 //! `N' + n` rows because attaching a batch perturbs base-side degrees and
 //! base activations feed the new rows at every layer. [`FrozenBase`]
-//! trades that exactness for speed. Nothing here knows an architecture:
+//! attaches one way instead: new rows read the base, the base never reads
+//! them. Nothing here knows an architecture:
 //! building, serving and patching are three evaluators of `GnnModel::run`
 //! (see `model.rs`), and a *site* is a `prop` the program issues.
 //!
@@ -25,14 +26,21 @@
 //!
 //! where `s_b ∘ H_b` / `H_b` is the next site's operand and `s_n`/`r_n`
 //! are the request's own degree scales (exact, from `inc`/`inter` row
-//! mass). The **approximation** is entirely base-side: cached `H_b` ignores
+//! mass). The **difference** is entirely base-side: cached `H_b` ignores
 //! the batch's back-edges into the base graph, and `s_b` is the base-only
 //! scale `1/sqrt(1 + base mass)` rather than the batch-perturbed one. For
 //! a batch with *no* incremental edges the two coincide and the frozen
-//! path reproduces the exact logits; deviation grows with the batch's
-//! relative edge mass (quantified by the calibration test in
-//! `mcond-core`). The exact split path stays the default — this cache is
-//! opt-in.
+//! path reproduces the exact logits. For a connected batch it is not an
+//! estimate of them but a different predictor:
+//! `results/ablation_serve_mode.txt` (S-trained GCN, three datasets × three
+//! seeds) has its argmax agree with the exact path on 72–96 % of one-node
+//! requests to an 18–39-node synthetic graph, logits up to 75 apart, and
+//! accuracy *higher* on reddit (0.82 → 0.95) and pubmed, lower on flickr
+//! (0.40 → 0.33); on the original graph at reddit's density it is close
+//! (agreement ≥ 0.99, |Δlogit| ≤ 2.6), on pubmed's and flickr's it is not
+//! (0.72–0.94). The calibration test in `mcond-core` pins the edge-free
+//! case and a 6-node fixture, nothing more. The exact split path stays
+//! the default — this cache is opt-in.
 //!
 //! **Patch** runs the program on the closure rows of a base mutation:
 //! each `prop` scatters its operand's rows into the old site and
@@ -456,8 +464,8 @@ impl<'a> Evaluator for Serve<'a> {
 
 impl GnnModel {
     /// Serves a batch's logits from a [`FrozenBase`] cache — the
-    /// approximate `O(L·(nnz + n·d))` path. See the module docs for the
-    /// approximation contract.
+    /// one-way-attachment `O(L·(nnz + n·d))` path. See the module docs for
+    /// how its answers differ from the exact ones.
     ///
     /// # Panics
     /// Panics when `frozen` was built for a different architecture /

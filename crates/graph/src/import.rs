@@ -2,7 +2,7 @@
 //!
 //! Real Pubmed/Flickr/Reddit (or any attributed graph) can be exported from
 //! their Python loaders into two text files and imported here once, then
-//! saved to the fast binary `MCG1` format:
+//! saved as a binary graph file with `mcond_store::save_graph`:
 //!
 //! * **edge list** — one `src dst` (or `src,dst` / `src\tdst`) pair per
 //!   line; `#`-prefixed lines are comments; edges are made symmetric.
@@ -10,12 +10,11 @@
 //!   `label feat_0 feat_1 …` with the same separators.
 //!
 //! ```no_run
-//! use mcond_graph::{import_graph, save_graph};
+//! use mcond_graph::import_graph;
 //! let g = import_graph(
 //!     std::path::Path::new("reddit_edges.txt"),
 //!     std::path::Path::new("reddit_nodes.txt"),
 //! ).unwrap();
-//! save_graph(&g, std::path::Path::new("reddit.mcg")).unwrap();
 //! ```
 
 use crate::Graph;
@@ -187,21 +186,5 @@ mod tests {
     fn rejects_empty_node_table() {
         let (e, v) = write_files("", "# only comments\n", "empty");
         assert!(import_graph(&e, &v).is_err());
-    }
-
-    #[test]
-    fn round_trips_through_binary_format() {
-        let (e, v) = write_files(
-            "0 1\n1 2\n2 3\n3 0\n",
-            "0 1.0 0.0\n1 0.0 1.0\n2 1.0 1.0\n1 0.5 0.5\n",
-            "roundtrip",
-        );
-        let g = import_graph(&e, &v).unwrap();
-        let path = std::env::temp_dir().join("mcond_import_roundtrip.mcg");
-        crate::save_graph(&g, &path).unwrap();
-        let loaded = crate::load_graph(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.adj, g.adj);
-        assert_eq!(loaded.labels, g.labels);
     }
 }

@@ -22,7 +22,6 @@
 mod graph;
 mod import;
 mod inductive;
-mod io;
 mod sbm;
 mod specs;
 mod validate;
@@ -31,6 +30,5 @@ pub use graph::{Graph, GraphStats};
 pub use import::import_graph;
 pub use inductive::{InductiveDataset, NodeBatch};
 pub use validate::BatchError;
-pub use io::{load_graph, save_graph};
 pub use sbm::{generate_sbm, SbmConfig};
 pub use specs::{dataset_spec, load_dataset, DatasetSpec, Scale, DATASET_NAMES};

@@ -5,7 +5,7 @@
 //! slivers of B, both k-major) and an `MR×NR` micro-kernel accumulates each
 //! output tile entirely in registers. The micro-kernel body is written once
 //! against plain arrays and instantiated behind `#[target_feature]` wrappers
-//! so the same source auto-vectorises at SSE2, AVX2+FMA, and AVX-512 width;
+//! so the same source auto-vectorises at SSE2 and at AVX2+FMA width;
 //! `crate::simd` picks the tier at runtime (`MCOND_SIMD=0` forces the
 //! retained scalar reference kernels). Transpose flavours avoid
 //! materialising transposes: `a.matmul_tn(b)` computes `Aᵀ·B` and
@@ -41,10 +41,15 @@ fn count_flops(m: usize, k: usize, n: usize) {
 const SCALAR_BLOCK: usize = 64;
 
 /// Micro-kernel register-tile height (rows of A per sliver). Six is the
-/// classic f32 choice: 6 broadcast values × 2–4 accumulator vectors stay
-/// inside 16 architectural registers on AVX2 and leave headroom on
-/// AVX-512. Measured best among {4, 6, 8, 12} on the dev box.
+/// classic f32 choice: 6 × 2 accumulator vectors plus a broadcast and two
+/// B loads stay inside 16 architectural registers on AVX2. Measured best
+/// among {4, 6, 8, 12} on the dev box.
 const MR: usize = 6;
+
+/// Micro-kernel register-tile width (columns of B per sliver): two
+/// [`LANES`]-wide vectors. Wider tiles (8×32, 8×48) measured *slower* on
+/// the dev box — register spills.
+const NR: usize = 2 * LANES;
 
 /// k-extent of one packed block: `KC·(MR+NR)·4` bytes of panel per block
 /// must stay cache-resident. 256 beat 128 and 512 on the dev box.
@@ -55,7 +60,7 @@ const KC: usize = 256;
 const MC: usize = 252;
 
 /// Column-panel edge: one packed B panel is ≤ `NC·KC` floats (512 KiB).
-/// Must be a multiple of every `NR` in use (16 and 32).
+/// Must be a multiple of `NR`.
 const NC: usize = 512;
 
 /// Minimum `2·m·k·n` FLOPs before a product is worth fanning out to the
@@ -154,10 +159,10 @@ fn matvec_rows_scalar(a: &[f32], v: &[f32], out: &mut [f32], rows: Range<usize>,
 }
 
 // ---------------------------------------------------------------------------
-// Packed micro-kernel GEMM, generic over the register-tile width `NR` and
-// whether the target has hardware FMA. The `FMA` flag is a const so each
-// instantiation compiles to branch-free straight-line code; `f32::mul_add`
-// without the `fma` target feature would lower to a libm call per element.
+// Packed micro-kernel GEMM, generic over whether the target has hardware
+// FMA. The `FMA` flag is a const so each instantiation compiles to
+// branch-free straight-line code; `f32::mul_add` without the `fma` target
+// feature would lower to a libm call per element.
 // ---------------------------------------------------------------------------
 
 /// `C[0..rh, 0..cw] += Ap · Bp` for one register tile. `ap` is an A sliver
@@ -178,7 +183,7 @@ fn matvec_rows_scalar(a: &[f32], v: &[f32], out: &mut [f32], rows: Range<usize>,
 ///   go through [`micro_tile_edge`] instead.
 #[allow(clippy::needless_range_loop)]
 #[inline(always)]
-fn micro_tile_full<const NR: usize, const FMA: bool>(ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
+fn micro_tile_full<const FMA: bool>(ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
     let mut acc = [[0.0f32; NR]; MR];
     for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
         let av: &[f32; MR] = av.try_into().expect("A sliver row");
@@ -205,7 +210,7 @@ fn micro_tile_full<const NR: usize, const FMA: bool>(ap: &[f32], bp: &[f32], c: 
 /// does not matter.
 #[allow(clippy::needless_range_loop)]
 #[inline(always)]
-fn micro_tile_edge<const NR: usize, const FMA: bool>(
+fn micro_tile_edge<const FMA: bool>(
     ap: &[f32],
     bp: &[f32],
     c: &mut [f32],
@@ -244,7 +249,7 @@ fn micro_tile_edge<const NR: usize, const FMA: bool>(
 /// inside each block — independent of the stripe, which keeps the parallel
 /// split bitwise-deterministic at any thread count.
 #[inline(always)]
-fn gemm_packed<const NR: usize, const FMA: bool>(
+fn gemm_packed<const FMA: bool>(
     rows: Range<usize>,
     k: usize,
     n: usize,
@@ -310,9 +315,9 @@ fn gemm_packed<const NR: usize, const FMA: bool>(
                         let bp = &bpack[sb * NR * kc..(sb + 1) * NR * kc];
                         let ct = &mut c[(i0 + rr) * n + j0 + jj..];
                         if rh == MR && jw == NR {
-                            micro_tile_full::<NR, FMA>(ap, bp, ct, n);
+                            micro_tile_full::<FMA>(ap, bp, ct, n);
                         } else {
-                            micro_tile_edge::<NR, FMA>(ap, bp, ct, n, rh, jw);
+                            micro_tile_edge::<FMA>(ap, bp, ct, n, rh, jw);
                         }
                         jj += NR;
                         sb += 1;
@@ -385,20 +390,19 @@ fn matvec_rows_lanes<const FMA: bool>(
 // ---------------------------------------------------------------------------
 // Level instantiations: the same generic bodies compiled per feature tier.
 // The `#[target_feature]` wrappers are what let LLVM re-vectorise the
-// `#[inline(always)]` kernels at AVX2/AVX-512 width; portable tiers use
-// NR=16 without FMA, x86 tiers NR=16/32 with FMA. Wider tiles (8×32,
-// 8×48) measured *slower* on the dev box — register spills.
+// `#[inline(always)]` kernels at AVX2 width with FMA; the portable tier
+// runs them without.
 // ---------------------------------------------------------------------------
 
 fn gemm_nn_portable(a: &[f32], b: &[f32], c: &mut [f32], rows: Range<usize>, k: usize, n: usize) {
-    gemm_packed::<16, false>(rows, k, n, &|i, p| a[i * k + p], &|p, j| b[p * n + j], c);
+    gemm_packed::<false>(rows, k, n, &|i, p| a[i * k + p], &|p, j| b[p * n + j], c);
 }
 #[allow(clippy::too_many_arguments)]
 fn gemm_tn_portable(a: &[f32], b: &[f32], c: &mut [f32], rows: Range<usize>, k: usize, m: usize, n: usize) {
-    gemm_packed::<16, false>(rows, k, n, &|i, p| a[p * m + i], &|p, j| b[p * n + j], c);
+    gemm_packed::<false>(rows, k, n, &|i, p| a[p * m + i], &|p, j| b[p * n + j], c);
 }
 fn gemm_nt_portable(a: &[f32], b: &[f32], c: &mut [f32], rows: Range<usize>, k: usize, n: usize) {
-    gemm_packed::<16, false>(rows, k, n, &|i, p| a[i * k + p], &|p, j| b[j * k + p], c);
+    gemm_packed::<false>(rows, k, n, &|i, p| a[i * k + p], &|p, j| b[j * k + p], c);
 }
 fn matvec_portable(a: &[f32], v: &[f32], out: &mut [f32], rows: Range<usize>, k: usize) {
     matvec_rows_lanes::<false>(a, v, out, rows, k);
@@ -407,40 +411,23 @@ fn matvec_portable(a: &[f32], v: &[f32], out: &mut [f32], rows: Range<usize>, k:
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn gemm_nn_avx2(a: &[f32], b: &[f32], c: &mut [f32], rows: Range<usize>, k: usize, n: usize) {
-    gemm_packed::<16, true>(rows, k, n, &|i, p| a[i * k + p], &|p, j| b[p * n + j], c);
+    gemm_packed::<true>(rows, k, n, &|i, p| a[i * k + p], &|p, j| b[p * n + j], c);
 }
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn gemm_tn_avx2(a: &[f32], b: &[f32], c: &mut [f32], rows: Range<usize>, k: usize, m: usize, n: usize) {
-    gemm_packed::<16, true>(rows, k, n, &|i, p| a[p * m + i], &|p, j| b[p * n + j], c);
+    gemm_packed::<true>(rows, k, n, &|i, p| a[p * m + i], &|p, j| b[p * n + j], c);
 }
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn gemm_nt_avx2(a: &[f32], b: &[f32], c: &mut [f32], rows: Range<usize>, k: usize, n: usize) {
-    gemm_packed::<16, true>(rows, k, n, &|i, p| a[i * k + p], &|p, j| b[j * k + p], c);
+    gemm_packed::<true>(rows, k, n, &|i, p| a[i * k + p], &|p, j| b[j * k + p], c);
 }
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn matvec_avx2(a: &[f32], v: &[f32], out: &mut [f32], rows: Range<usize>, k: usize) {
     matvec_rows_lanes::<true>(a, v, out, rows, k);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn gemm_nn_avx512(a: &[f32], b: &[f32], c: &mut [f32], rows: Range<usize>, k: usize, n: usize) {
-    gemm_packed::<32, true>(rows, k, n, &|i, p| a[i * k + p], &|p, j| b[p * n + j], c);
-}
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_tn_avx512(a: &[f32], b: &[f32], c: &mut [f32], rows: Range<usize>, k: usize, m: usize, n: usize) {
-    gemm_packed::<32, true>(rows, k, n, &|i, p| a[p * m + i], &|p, j| b[p * n + j], c);
-}
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn gemm_nt_avx512(a: &[f32], b: &[f32], c: &mut [f32], rows: Range<usize>, k: usize, n: usize) {
-    gemm_packed::<32, true>(rows, k, n, &|i, p| a[i * k + p], &|p, j| b[j * k + p], c);
 }
 
 // ---------------------------------------------------------------------------
@@ -461,12 +448,10 @@ fn matmul_rows_level(
     match level {
         SimdLevel::Scalar => matmul_rows_scalar(a, b, c, rows, k, n),
         SimdLevel::Portable => gemm_nn_portable(a, b, c, rows, k, n),
-        // SAFETY: `simd::simd_level()` only yields Avx2/Avx512 after runtime
+        // SAFETY: `simd::simd_level()` only yields Avx2 after runtime
         // feature detection succeeded (clamped in `with_simd_level` too).
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { gemm_nn_avx2(a, b, c, rows, k, n) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { gemm_nn_avx512(a, b, c, rows, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => gemm_nn_portable(a, b, c, rows, k, n),
     }
@@ -489,8 +474,6 @@ fn matmul_tn_rows_level(
         // SAFETY: as in `matmul_rows_level`.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { gemm_tn_avx2(a, b, c, rows, k, m, n) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { gemm_tn_avx512(a, b, c, rows, k, m, n) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => gemm_tn_portable(a, b, c, rows, k, m, n),
     }
@@ -511,8 +494,6 @@ fn matmul_nt_rows_level(
         // SAFETY: as in `matmul_rows_level`.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { gemm_nt_avx2(a, b, c, rows, k, n) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { gemm_nt_avx512(a, b, c, rows, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => gemm_nt_portable(a, b, c, rows, k, n),
     }
@@ -530,13 +511,8 @@ fn matvec_rows_level(
         SimdLevel::Scalar => matvec_rows_scalar(a, v, out, rows, k),
         SimdLevel::Portable => matvec_portable(a, v, out, rows, k),
         // SAFETY: as in `matmul_rows_level`.
-        // Avx512 deliberately reuses the avx2 instantiation: matvec is
-        // written at 256-bit width (it is bandwidth-bound, not port-bound)
-        // and the avx512-feature compile of the same body measured ~2.5x
-        // slower on the dev box. Both instantiations execute the identical
-        // operation sequence, so this is invisible in results.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { matvec_avx2(a, v, out, rows, k) },
+        SimdLevel::Avx2 => unsafe { matvec_avx2(a, v, out, rows, k) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => matvec_portable(a, v, out, rows, k),
     }
@@ -700,7 +676,7 @@ mod tests {
     #[test]
     fn every_simd_level_matches_naive() {
         let mut rng = MatRng::seed_from(19);
-        // Shapes straddle the MR=6 / NR=16|32 tile edges and KC.
+        // Shapes straddle the MR=6 / NR=16 tile edges and KC.
         for &(m, k, n) in &[(1, 1, 1), (6, 16, 32), (7, 300, 33), (65, 130, 31)] {
             let a = rng.uniform(m, k, -1.0, 1.0);
             let b = rng.uniform(k, n, -1.0, 1.0);

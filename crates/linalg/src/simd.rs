@@ -4,11 +4,11 @@
 //! The workspace does not hand-write intrinsics for every kernel. Instead the
 //! hot loops are written once against [`F32x8`] — a plain `[f32; 8]` wrapper
 //! whose operations LLVM reliably lowers to vector instructions — and each
-//! kernel body is instantiated several times behind
-//! `#[target_feature(enable = …)]` wrapper functions (see
-//! `matmul.rs`/`csr.rs`). Because the wrappers carry the feature attributes,
+//! kernel body is instantiated twice: plainly, and behind a
+//! `#[target_feature(enable = "avx2,fma")]` wrapper function (see
+//! `matmul.rs`/`csr.rs`). Because the wrapper carries the feature attributes,
 //! the *same source* is auto-vectorised at SSE2 width in the portable build
-//! and at AVX2/AVX-512 width in the feature-gated builds; which one runs is
+//! and at AVX2 width with FMA in the feature-gated one; which one runs is
 //! decided once per process by [`simd_level`].
 //!
 //! # Levels and the `MCOND_SIMD` contract
@@ -18,13 +18,15 @@
 //! | `0` / `scalar`    | [`SimdLevel::Scalar`] — reference kernels         |
 //! | `portable`        | [`SimdLevel::Portable`] — lane structs, no FMA    |
 //! | `avx2`            | [`SimdLevel::Avx2`] when detected, else clamped   |
-//! | `avx512`          | [`SimdLevel::Avx512`] when detected, else clamped |
 //! | unset / other     | best level the CPU supports                       |
 //!
 //! Requests above what the CPU supports clamp down (never up), so setting
-//! `MCOND_SIMD=avx512` on an AVX2 box runs the AVX2 kernels and on a
-//! non-x86 box the portable ones. `MCOND_SIMD=0` is the escape hatch that
-//! forces the retained scalar reference kernels everywhere.
+//! `MCOND_SIMD=avx2` on a non-x86 box runs the portable kernels.
+//! `MCOND_SIMD=0` is the escape hatch that forces the retained scalar
+//! reference kernels everywhere. There is no wider tier: an AVX-512
+//! instantiation of the same bodies was bitwise identical to the AVX2 one
+//! and measured slower end to end (DESIGN.md §4i), so a host with AVX-512
+//! runs [`SimdLevel::Avx2`].
 //!
 //! # Determinism
 //!
@@ -39,8 +41,8 @@
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-/// Lane count of [`F32x8`]. Eight f32s = one AVX2 register, half an AVX-512
-/// register, two SSE2 registers — a width every target handles well.
+/// Lane count of [`F32x8`]. Eight f32s = one AVX2 register, two SSE2
+/// registers — a width every target handles well.
 pub const LANES: usize = 8;
 
 /// Kernel implementation tiers, ordered so `min` clamps a request to what
@@ -54,8 +56,6 @@ pub enum SimdLevel {
     Portable,
     /// Lane-struct kernels compiled with `avx2,fma` enabled (x86-64 only).
     Avx2,
-    /// Same kernels at AVX-512 width (`avx512f,avx512vl`, x86-64 only).
-    Avx512,
 }
 
 impl SimdLevel {
@@ -66,7 +66,6 @@ impl SimdLevel {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Portable => "portable",
             SimdLevel::Avx2 => "avx2",
-            SimdLevel::Avx512 => "avx512",
         }
     }
 }
@@ -85,12 +84,6 @@ fn detect_best() -> SimdLevel {
     *BEST.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512vl")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return SimdLevel::Avx512;
-            }
             if std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
             {
@@ -110,7 +103,6 @@ fn env_level() -> SimdLevel {
             "0" | "scalar" => SimdLevel::Scalar,
             "portable" => SimdLevel::Portable,
             "avx2" => SimdLevel::Avx2.min(best),
-            "avx512" => SimdLevel::Avx512.min(best),
             // Unset, "1", or anything unrecognised: auto-detect.
             _ => best,
         }
@@ -134,7 +126,7 @@ pub fn simd_level() -> SimdLevel {
 ///
 /// Mirrors `mcond_par::with_thread_limit`: it exists so tests and benches
 /// can compare SIMD levels within one process. Requests the CPU cannot
-/// honour clamp down, so forcing `Avx512` is safe everywhere.
+/// honour clamp down, so forcing `Avx2` is safe everywhere.
 pub fn with_simd_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<SimdLevel>);
     impl Drop for Restore {
@@ -148,16 +140,13 @@ pub fn with_simd_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
 
 /// Every level that is *exactly honoured* on this machine, ascending
 /// (always contains `Scalar` and `Portable`). Tests sweep this list so a
-/// run on an AVX-512 box exercises all four tiers while a portable box
+/// run on an AVX2 box exercises all three tiers while a portable box
 /// still passes.
 #[must_use]
 pub fn available_levels() -> Vec<SimdLevel> {
     let mut levels = vec![SimdLevel::Scalar, SimdLevel::Portable];
     if detect_best() >= SimdLevel::Avx2 {
         levels.push(SimdLevel::Avx2);
-    }
-    if detect_best() >= SimdLevel::Avx512 {
-        levels.push(SimdLevel::Avx512);
     }
     levels
 }
@@ -301,7 +290,6 @@ mod tests {
     fn level_order_supports_clamping() {
         assert!(SimdLevel::Scalar < SimdLevel::Portable);
         assert!(SimdLevel::Portable < SimdLevel::Avx2);
-        assert!(SimdLevel::Avx2 < SimdLevel::Avx512);
     }
 
     #[test]
@@ -335,9 +323,9 @@ mod tests {
 
     #[test]
     fn forcing_an_unsupported_level_clamps_down() {
-        // Avx512 may or may not exist on the test machine; either way the
+        // Avx2 may or may not exist on the test machine; either way the
         // override must resolve to something the CPU honours.
-        with_simd_level(SimdLevel::Avx512, || {
+        with_simd_level(SimdLevel::Avx2, || {
             assert!(simd_level() <= detect_best());
         });
     }

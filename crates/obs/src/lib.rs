@@ -20,9 +20,11 @@
 //! * **Points** ([`point`]) are one-shot named measurements with structured
 //!   fields (losses per step, sparsification counts, …).
 //! * **Metrics** ([`counter_add`], [`gauge_set`], [`histogram_record`])
-//!   aggregate in a thread-sharded registry; [`snapshot`] merges the
-//!   shards into a [`MetricsSnapshot`] for reports and [`emit_snapshot`]
-//!   writes them to the event log.
+//!   aggregate in a thread-sharded registry (one shard per live thread;
+//!   an exiting thread folds its shard into a retired one, so a server
+//!   that spawns a thread per connection does not grow); [`snapshot`]
+//!   merges the shards into a [`MetricsSnapshot`] for reports and
+//!   [`emit_snapshot`] writes them to the event log.
 //! * **Profiler** ([`profile::start`], [`profile::stop`]) folds span
 //!   closes into a call-tree [`Profile`] (calls, total/self µs per path)
 //!   with text-table and folded-stack renderings; [`Profile::from_jsonl`]

@@ -2,24 +2,28 @@
 //!
 //! Kernels report work here (`linalg.matmul.flops` and its SpMM mirror
 //! `sparse.spmm.flops` — both 2·(multiply-adds), so a counter delta over a
-//! timed call yields FLOP/s directly, as the `kernels_simd` bench does —
-//! plus `sparse.spmm.nnz`, `sparse.spmm.bytes`, …) and serving paths
-//! record latency distributions. Recording is gated on
+//! timed call yields FLOP/s directly, as the lifecycle benchmark's kernel
+//! probes do — plus `sparse.spmm.nnz`, `sparse.spmm.bytes`, …) and serving
+//! paths record latency distributions. Recording is gated on
 //! [`crate::metrics_on`], so with no sink and no explicit opt-in every call
 //! is a single atomic load. When on, each thread accumulates into its own
-//! shard (an uncontended per-thread mutex), so 4 worker threads hammering
-//! `counter_add` never serialise on a global lock; [`snapshot`] merges the
-//! shards — counters sum, histograms [`Histogram::merge`] exactly, gauges
-//! resolve last-write-wins via a global write stamp — into a
-//! [`MetricsSnapshot`] that serialises to JSON — the unit the bench harness
-//! folds into its result dumps and `emit_snapshot` writes to the event log.
+//! shard (an uncontended per-thread mutex), so pool workers recording ~30
+//! metrics per 25 µs request never serialise on a global lock (a one-lock
+//! registry cost 12 % of `online_syn` offline throughput; DESIGN.md §4h).
+//! A thread that exits folds its shard into one retired shard and leaves
+//! the list, so the registry holds one shard per *live* thread however
+//! many connections a server has accepted. [`snapshot`] merges the shards
+//! — counters sum, histograms [`Histogram::merge`] exactly, gauges resolve
+//! last-write-wins via a global write stamp — into a [`MetricsSnapshot`]
+//! that serialises to JSON — the unit the table reports fold into their
+//! result dumps and `emit_snapshot` writes to the event log.
 
 use crate::json::Json;
 use crate::sink::{emit, enabled, metrics_on, Record};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A log-bucketed histogram of non-negative samples.
 ///
@@ -264,17 +268,60 @@ struct Shard {
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
+impl Shard {
+    /// Folds `other` into `self`: counters sum, histograms merge exactly,
+    /// gauges keep the later-stamped write.
+    fn absorb(&mut self, other: &Shard) {
+        for (k, v) in &other.counters {
+            *self.counters.entry(k).or_insert(0) += v;
+        }
+        for (k, &(stamp, value)) in &other.gauges {
+            let slot = self.gauges.entry(k).or_insert((0, 0.0));
+            if stamp > slot.0 {
+                *slot = (stamp, value);
+            }
+        }
+        for (k, h) in &other.histograms {
+            self.histograms.entry(k).or_default().merge(h);
+        }
+    }
+}
+
 /// Monotonic stamp ordering gauge writes across shards.
 static GAUGE_STAMP: AtomicU64 = AtomicU64::new(1);
 
-/// Every live (and dead — shards outlive their thread) shard, for merging.
-fn shards() -> &'static Mutex<Vec<Arc<Mutex<Shard>>>> {
-    static SHARDS: OnceLock<Mutex<Vec<Arc<Mutex<Shard>>>>> = OnceLock::new();
-    SHARDS.get_or_init(|| Mutex::new(Vec::new()))
+/// One shard per live thread that has recorded, plus one holding what
+/// threads that have since exited recorded.
+#[derive(Default)]
+struct Registry {
+    live: Vec<Arc<Mutex<Shard>>>,
+    retired: Shard,
+}
+
+/// The registry, locked. Lock order is registry, then shard.
+fn registry() -> MutexGuard<'static, Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A thread's handle on its shard. Dropped when the thread exits, which
+/// retires the shard: under the registry lock — so a concurrent
+/// [`snapshot`] sees it in exactly one place — it leaves the live list
+/// and its contents move to [`Registry::retired`].
+struct Local(RefCell<Option<Arc<Mutex<Shard>>>>);
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        if let Some(shard) = self.0.get_mut().take() {
+            let mut registry = registry();
+            registry.live.retain(|s| !Arc::ptr_eq(s, &shard));
+            registry.retired.absorb(&shard.lock().unwrap_or_else(PoisonError::into_inner));
+        }
+    }
 }
 
 thread_local! {
-    static LOCAL: RefCell<Option<Arc<Mutex<Shard>>>> = const { RefCell::new(None) };
+    static LOCAL: Local = const { Local(RefCell::new(None)) };
 }
 
 /// Runs `f` on the calling thread's shard, creating and registering it on
@@ -282,11 +329,11 @@ thread_local! {
 /// [`snapshot`]/[`reset_metrics`] briefly visits, so the hot path is one
 /// thread-local read plus one uncontended lock.
 fn with_local_shard(f: impl FnOnce(&mut Shard)) {
-    LOCAL.with(|cell| {
-        let mut slot = cell.borrow_mut();
+    LOCAL.with(|local| {
+        let mut slot = local.0.borrow_mut();
         let arc = slot.get_or_insert_with(|| {
             let arc = Arc::new(Mutex::new(Shard::default()));
-            shards().lock().unwrap_or_else(PoisonError::into_inner).push(Arc::clone(&arc));
+            registry().live.push(Arc::clone(&arc));
             arc
         });
         f(&mut arc.lock().unwrap_or_else(PoisonError::into_inner));
@@ -325,42 +372,27 @@ pub fn histogram_record(name: &'static str, value: f64) {
 /// histograms merge exactly, gauges keep the latest-stamped write.
 #[must_use]
 pub fn snapshot() -> MetricsSnapshot {
-    let shards: Vec<Arc<Mutex<Shard>>> =
-        shards().lock().unwrap_or_else(PoisonError::into_inner).clone();
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut gauges: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-    let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
-    for shard in &shards {
-        let s = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        for (k, v) in &s.counters {
-            *counters.entry((*k).to_owned()).or_insert(0) += v;
-        }
-        for (k, &(stamp, value)) in &s.gauges {
-            let slot = gauges.entry((*k).to_owned()).or_insert((0, 0.0));
-            if stamp > slot.0 {
-                *slot = (stamp, value);
-            }
-        }
-        for (k, h) in &s.histograms {
-            histograms.entry((*k).to_owned()).or_default().merge(h);
+    let mut all = Shard::default();
+    {
+        let registry = registry();
+        all.absorb(&registry.retired);
+        for shard in &registry.live {
+            all.absorb(&shard.lock().unwrap_or_else(PoisonError::into_inner));
         }
     }
     MetricsSnapshot {
-        counters: counters.into_iter().collect(),
-        gauges: gauges.into_iter().map(|(k, (_, v))| (k, v)).collect(),
-        histograms: histograms.into_iter().map(|(k, h)| (k, h.summary())).collect(),
+        counters: all.counters.into_iter().map(|(k, v)| (k.to_owned(), v)).collect(),
+        gauges: all.gauges.into_iter().map(|(k, (_, v))| (k.to_owned(), v)).collect(),
+        histograms: all.histograms.into_iter().map(|(k, h)| (k.to_owned(), h.summary())).collect(),
     }
 }
 
 /// Clears every counter, gauge, and histogram in every shard.
 pub fn reset_metrics() {
-    let shards: Vec<Arc<Mutex<Shard>>> =
-        shards().lock().unwrap_or_else(PoisonError::into_inner).clone();
-    for shard in &shards {
-        let mut s = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        s.counters.clear();
-        s.gauges.clear();
-        s.histograms.clear();
+    let mut registry = registry();
+    registry.retired = Shard::default();
+    for shard in &registry.live {
+        *shard.lock().unwrap_or_else(PoisonError::into_inner) = Shard::default();
     }
 }
 
@@ -512,6 +544,30 @@ mod tests {
         }
         assert!(h.quantile(0.0) >= 3.0);
         assert!(h.quantile(1.0) <= 100.0);
+    }
+
+    /// A server spawns a thread per accepted connection; each must leave
+    /// its numbers behind and take its shard with it.
+    #[test]
+    fn an_exiting_thread_leaves_its_numbers_and_takes_its_shard() {
+        crate::enable_metrics();
+        let shards: Vec<_> = (0..1000u32)
+            .map(|i| {
+                let worker = std::thread::spawn(move || {
+                    counter_add("test.retire.count", u64::from(i));
+                    histogram_record("test.retire.sample", f64::from(i));
+                    LOCAL.with(|l| Arc::downgrade(l.0.borrow().as_ref().expect("recorded")))
+                });
+                worker.join().expect("worker")
+            })
+            .collect();
+        let snap = snapshot();
+        assert_eq!(snap.counter("test.retire.count"), 999 * 1000 / 2);
+        let h = snap.histogram("test.retire.sample").expect("samples survive their threads");
+        assert_eq!((h.count, h.sum, h.min, h.max), (1000, 499_500.0, 0.0, 999.0));
+        // The list held the only other strong reference to each shard.
+        let listed = shards.iter().filter(|s| s.upgrade().is_some()).count();
+        assert_eq!(listed, 0, "{listed} of 1000 exited threads still have a shard in the list");
     }
 
     #[test]

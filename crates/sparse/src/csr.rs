@@ -22,7 +22,7 @@
 //! row, then a single pass over that row's column/value slices) and
 //! accumulate each touched dense row with [`mcond_linalg::simd::axpy`] —
 //! a lane-widened `y += v · x` gather. The lane bodies are instantiated
-//! behind `avx2`/`avx512` `#[target_feature]` wrappers and picked by
+//! plainly and behind an `avx2` `#[target_feature]` wrapper and picked by
 //! [`mcond_linalg::simd::simd_level`], resolved **once per kernel entry**
 //! and threaded through the pool fan-out.
 //!
@@ -142,19 +142,6 @@ unsafe fn spmm_rows_avx2(
     spmm_rows_lanes(indptr, cols, vals, rhs, rows, out);
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn spmm_rows_avx512(
-    indptr: &[u64],
-    cols: &[u32],
-    vals: &[f32],
-    rhs: &DMat,
-    rows: Range<usize>,
-    out: &mut [f32],
-) {
-    spmm_rows_lanes(indptr, cols, vals, rhs, rows, out);
-}
-
 /// Column-window gather for `spmm_t`, scalar reference tier.
 fn spmm_t_cols_scalar(
     indptr: &[u64],
@@ -230,20 +217,6 @@ fn spmm_t_cols_portable(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn spmm_t_cols_avx2(
-    indptr: &[u64],
-    cols: &[u32],
-    vals: &[f32],
-    n_rows: usize,
-    rhs: &DMat,
-    cols_range: Range<usize>,
-    out: &mut [f32],
-) {
-    spmm_t_cols_lanes(indptr, cols, vals, n_rows, rhs, cols_range, out);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn spmm_t_cols_avx512(
     indptr: &[u64],
     cols: &[u32],
     vals: &[f32],
@@ -470,11 +443,9 @@ impl Csr {
         match level {
             SimdLevel::Scalar => spmm_rows_scalar(ip, cs, vs, rhs, rows, out),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: the level only resolves to Avx2/Avx512 when runtime
+            // SAFETY: the level only resolves to Avx2 when runtime
             // detection confirmed the features (simd::simd_level clamps).
             SimdLevel::Avx2 => unsafe { spmm_rows_avx2(ip, cs, vs, rhs, rows, out) },
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx512 => unsafe { spmm_rows_avx512(ip, cs, vs, rhs, rows, out) },
             _ => spmm_rows_portable(ip, cs, vs, rhs, rows, out),
         }
     }
@@ -540,8 +511,6 @@ impl Csr {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: level resolution clamps to runtime-detected features.
             SimdLevel::Avx2 => unsafe { spmm_t_cols_avx2(ip, cs, vs, nr, rhs, cols_range, out) },
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx512 => unsafe { spmm_t_cols_avx512(ip, cs, vs, nr, rhs, cols_range, out) },
             _ => spmm_t_cols_portable(ip, cs, vs, nr, rhs, cols_range, out),
         }
     }

@@ -23,13 +23,11 @@
 //! ```
 
 mod coo;
-pub mod io;
 mod csr;
 mod normalize;
 mod sparsify;
 
 pub use coo::Coo;
-pub use io::{load_csr, save_csr};
 pub use csr::{spmm_sparse, Csr};
 pub use normalize::{renormalize_rows, row_normalize_dense, sym_normalize, sym_normalize_dense};
 pub use sparsify::{sparsify_dense, SparsifyStats};

@@ -21,6 +21,7 @@
 //! directory followed by an atomic rename, so a crash mid-save can never
 //! leave a torn checkpoint under the final name.
 
+use crate::codec::{ByteReader, ByteWriter};
 use crate::crc32::crc32;
 use crate::StoreError;
 use std::io::Write;
@@ -71,15 +72,25 @@ impl CheckpointWriter {
         self.sections.push((name.to_owned(), payload));
     }
 
-    /// Serialises the checkpoint into its on-disk image.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    /// Adds a named section holding whatever `encode` writes — one of the
+    /// [`codec`](crate::codec) encoders, usually.
+    ///
+    /// # Panics
+    /// As [`CheckpointWriter::add_section`].
+    pub fn add_encoded(&mut self, name: &str, encode: impl FnOnce(&mut ByteWriter)) {
+        let mut payload = ByteWriter::new();
+        encode(&mut payload);
+        self.add_section(name, payload.into_bytes());
+    }
+
+    /// The fixed header and the section table — everything before the
+    /// first payload.
+    fn header(&self) -> Vec<u8> {
         let table_len: usize =
             self.sections.iter().map(|(name, _)| 1 + name.len() + 8 + 8 + 4).sum();
-        let payload_base = FIXED_HEADER + table_len;
 
         let mut table = Vec::with_capacity(table_len);
-        let mut offset = payload_base as u64;
+        let mut offset = (FIXED_HEADER + table_len) as u64;
         for (name, payload) in &self.sections {
             table.push(name.len() as u8);
             table.extend_from_slice(name.as_bytes());
@@ -89,13 +100,20 @@ impl CheckpointWriter {
             offset += payload.len() as u64;
         }
 
-        let total = payload_base + self.sections.iter().map(|(_, p)| p.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(total);
+        let mut out = Vec::with_capacity(FIXED_HEADER + table_len);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
         out.extend_from_slice(&crc32(&table).to_le_bytes());
         out.extend_from_slice(&table);
+        out
+    }
+
+    /// Serialises the checkpoint into its on-disk image.
+    #[must_use]
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = self.header();
+        out.reserve_exact(self.sections.iter().map(|(_, p)| p.len()).sum());
         for (_, payload) in &self.sections {
             out.extend_from_slice(payload);
         }
@@ -105,17 +123,24 @@ impl CheckpointWriter {
     /// Writes the checkpoint to `path` atomically (temp file + rename in
     /// the same directory) and fsyncs before the rename, so a crash during
     /// the save leaves either the previous file or the complete new one —
-    /// never a torn image. Returns the number of bytes written.
+    /// never a torn image. The payloads go to the temp file one by one —
+    /// no second copy of a dataset-sized section is built on the way.
+    /// Returns the number of bytes written.
     ///
     /// # Errors
     /// [`StoreError::Io`] on filesystem failures.
     pub fn write_atomic(&self, path: &Path) -> Result<u64, StoreError> {
         let start = Instant::now();
-        let bytes = self.to_bytes();
+        let header = self.header();
+        let written =
+            (header.len() + self.sections.iter().map(|(_, p)| p.len()).sum::<usize>()) as u64;
         let tmp = tmp_path(path);
         let result = (|| -> Result<(), StoreError> {
             let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
+            f.write_all(&header)?;
+            for (_, payload) in &self.sections {
+                f.write_all(payload)?;
+            }
             f.sync_all()?;
             drop(f);
             std::fs::rename(&tmp, path)?;
@@ -125,10 +150,10 @@ impl CheckpointWriter {
             std::fs::remove_file(&tmp).ok();
         }
         result?;
-        mcond_obs::counter_add("store.save.bytes", bytes.len() as u64);
+        mcond_obs::counter_add("store.save.bytes", written);
         mcond_obs::histogram_record("store.save.ms", start.elapsed().as_secs_f64() * 1e3);
         mcond_obs::emit_snapshot("store.save");
-        Ok(bytes.len() as u64)
+        Ok(written)
     }
 }
 
@@ -305,6 +330,24 @@ impl CheckpointReader {
             return Err(StoreError::ChecksumMismatch { section: name.to_owned() });
         }
         Ok(payload)
+    }
+
+    /// Decodes section `name` with `decode` (one of the
+    /// [`codec`](crate::codec) decoders, usually), requiring that it
+    /// consumes the payload to its last byte.
+    ///
+    /// # Errors
+    /// As [`CheckpointReader::section`], then whatever `decode` returns,
+    /// then [`StoreError::Malformed`] on trailing bytes.
+    pub fn decode<T>(
+        &self,
+        name: &'static str,
+        decode: impl FnOnce(&mut ByteReader<'_>) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        let mut r = ByteReader::new(self.section(name)?, name);
+        let value = decode(&mut r)?;
+        r.finish()?;
+        Ok(value)
     }
 
     /// CRC-verifies **every** section payload up front, not just the ones a

@@ -9,7 +9,10 @@
 //! end-of-file accounting) fails this suite immediately.
 
 use mcond_store::codec::{self, ByteReader, ByteWriter};
-use mcond_store::{corruption_sweep, CheckpointReader, CheckpointWriter, StoreError};
+use mcond_store::{
+    corruption_sweep, load_graph, save_graph, CheckpointReader, CheckpointWriter, StoreError,
+};
+use std::path::PathBuf;
 
 /// A small but structurally complete image: several sections of different
 /// sizes, including an empty one.
@@ -147,4 +150,102 @@ fn hostile_payload_lengths_are_rejected() {
         Err(StoreError::Malformed { section, .. }) => assert_eq!(section, "dmat"),
         other => panic!("expected Malformed, got {:?}", other.err()),
     }
+}
+
+// --- graph files -------------------------------------------------------------
+
+/// Four nodes, three features, two classes; row 0 holds two edges so a
+/// pair of column ids can be swapped inside one row.
+fn sample_graph() -> mcond_graph::Graph {
+    let mut coo = mcond_sparse::Coo::new(4, 4);
+    coo.push_sym(0, 1, 1.0);
+    coo.push_sym(0, 2, 0.5);
+    coo.push_sym(2, 3, 2.0);
+    mcond_graph::Graph::new(
+        coo.to_csr(),
+        mcond_linalg::DMat::from_rows(&[
+            &[1.0, 0.0, 0.5],
+            &[0.0, 1.0, -0.5],
+            &[f32::NAN, -0.0, 3.0],
+            &[2.0, 2.0, 2.0],
+        ]),
+        vec![0, 1, 1, 0],
+        2,
+    )
+}
+
+fn scratch(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("mcond_store_faults_{name}.mcst"))
+}
+
+#[test]
+fn graph_file_round_trips_bitwise_and_starts_with_the_magic() {
+    let (g, path) = (sample_graph(), scratch("roundtrip"));
+    let written = save_graph(&g, &path).unwrap();
+    let image = std::fs::read(&path).unwrap();
+    let back = load_graph(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(written, image.len() as u64);
+    assert_eq!(image[..4], mcond_store::MAGIC);
+    assert!(back.adj.bit_eq(&g.adj));
+    assert!(back.features.bit_eq(&g.features));
+    assert_eq!((back.labels, back.num_classes), (g.labels, g.num_classes));
+}
+
+/// Every truncation and every bit flip of a saved graph file is a typed
+/// error from `load_graph` — through the filesystem, as a user would meet it.
+#[test]
+fn every_corruption_of_a_graph_file_is_a_typed_error() {
+    let path = scratch("sweep");
+    save_graph(&sample_graph(), &path).unwrap();
+    let image = std::fs::read(&path).unwrap();
+    let mut checked = 0usize;
+    for c in corruption_sweep(&image) {
+        std::fs::write(&path, &c.bytes).unwrap();
+        assert!(load_graph(&path).is_err(), "{} was not detected", c.label);
+        checked += 1;
+    }
+    std::fs::remove_file(&path).ok();
+    assert!(checked > image.len(), "sweep too small: {checked} mutations");
+    assert!(matches!(load_graph(&path), Err(StoreError::Io(_))), "a missing file is typed too");
+}
+
+/// Structurally hostile graph payloads, re-sealed through
+/// `CheckpointWriter` so every CRC passes and the bytes reach the decoder.
+/// A reader that trusts its header answers the four with two aborts (an
+/// 8 TB allocation each), a panic and a silent load of unsorted rows.
+#[test]
+fn hostile_graph_payloads_are_rejected_by_the_decoder() {
+    let path = scratch("hostile");
+    save_graph(&sample_graph(), &path).unwrap();
+    let pristine = CheckpointReader::open(&path).unwrap();
+    let (section, range) = pristine.payload_ranges().remove(0);
+    let payload = std::fs::read(&path).unwrap()[range].to_vec();
+
+    // Graph payload: u64 classes | Csr (u64 rows, cols, nnz; u64*rows row
+    // lengths; u32*nnz column ids; f32*nnz values) | DMat (u64 rows, cols;
+    // data) | u32*N labels. The sample has N = 4, nnz = 6.
+    let (n, nnz) = (4usize, 6usize);
+    let csr_rows = 8;
+    let col_ids = csr_rows + 24 + 8 * n;
+    let dmat_cols = col_ids + 8 * nnz + 8;
+    type Edit = fn(&mut [u8], usize);
+    let cases: [(&str, usize, Edit); 4] = [
+        ("N = 2^40", csr_rows, |b, at| b[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes())),
+        ("d = 2^40", dmat_cols, |b, at| b[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes())),
+        ("column id = N", col_ids, |b, at| b[at..at + 4].copy_from_slice(&4u32.to_le_bytes())),
+        ("row 0 columns swapped", col_ids, |b, at| b[at..at + 8].rotate_left(4)),
+    ];
+    for (what, at, edit) in cases {
+        let mut hostile = payload.clone();
+        edit(&mut hostile, at);
+        let mut w = CheckpointWriter::new();
+        w.add_section(&section, hostile);
+        w.write_atomic(&path).unwrap();
+        match load_graph(&path) {
+            Err(StoreError::Malformed { section: s, .. }) => assert_eq!(s, section, "{what}"),
+            other => panic!("{what}: expected Malformed, got {:?}", other.err()),
+        }
+    }
+    std::fs::remove_file(&path).ok();
 }

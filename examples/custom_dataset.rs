@@ -1,13 +1,13 @@
 //! Bring your own graph: generate (or load) a custom attributed graph,
-//! persist it in the on-disk format, build an inductive split, and condense
-//! it. Real datasets converted to the `MCG1` format drop into the same
-//! pipeline.
+//! persist it as a graph file (a one-section `MCST` container), build an
+//! inductive split, and condense it. Real datasets saved the same way drop
+//! into the same pipeline.
 //!
 //! ```sh
 //! cargo run --release --example custom_dataset
 //! ```
 
-use mcond::graph::{load_graph, save_graph};
+use mcond::store::{load_graph, save_graph};
 use mcond::prelude::*;
 
 fn main() {
@@ -31,11 +31,11 @@ fn main() {
     );
 
     // 2. Round-trip through the on-disk format.
-    let path = std::env::temp_dir().join("mcond_custom.mcg");
+    let path = std::env::temp_dir().join("mcond_custom.mcst");
     save_graph(&graph, &path).expect("save");
     let graph = load_graph(&path).expect("load");
     std::fs::remove_file(&path).ok();
-    println!("round-tripped through the MCG1 format");
+    println!("round-tripped through a graph file");
 
     // 3. Build an inductive split: 80% train (the original graph), 10%
     //    validation (support nodes), 10% test (inductive).

@@ -81,8 +81,9 @@ fn main() {
     );
 
     // --- Frozen-base cache on the condensed graph -----------------------
-    // Opt-in and approximate: per-layer base activations are cached once,
-    // so a request touches only its own rows.
+    // Opt-in, and a different predictor on connected batches (see
+    // results/ablation_serve_mode.txt): per-layer base activations are
+    // cached once, so a request touches only its own rows.
     let frozen = InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model)
         .with_serve_mode(ServeMode::FrozenBase);
     let start = Instant::now();
@@ -90,7 +91,7 @@ fn main() {
         frozen.try_serve(batch).expect("test batch serves");
     }
     println!(
-        "FrozenBase (approx.) on the condensed graph: {:.2} ms/batch",
+        "FrozenBase (one-way attach) on the condensed graph: {:.2} ms/batch",
         1000.0 * start.elapsed().as_secs_f64() / batches.len() as f64
     );
 }

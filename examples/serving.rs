@@ -1,4 +1,5 @@
-//! Deployment serving: persist a condensation artifact, reload it, and
+//! Deployment serving: persist a condensation artifact (one `MCST`
+//! container — a checkpoint without its `model` section), reload it, and
 //! serve inductive batches with [`InductiveServer`], then put the same
 //! artifact behind the `mcond-serve` HTTP front end and round-trip a
 //! batch over a real localhost socket.

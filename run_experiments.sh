@@ -17,6 +17,7 @@ fi
 for exp in table1_datasets table2_accuracy fig3_cost_graph_batch fig4_cost_node_batch \
            table3_propagation table4_architectures table5_ablation \
            fig5_mapping_vis fig6_sparsification fig7_sensitivity ablation_design \
+           ablation_serve_mode \
            calibrate_datasets; do
   echo "=== running $exp (scale=$SCALE) ==="
   "${BIN_DIR:-target/release}/$exp" \

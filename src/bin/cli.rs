@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! # generate a bundled dataset and save the full graph
-//! mcond-cli generate --dataset pubmed --scale small --out pubmed.mcg
+//! mcond-cli generate --dataset pubmed --scale small --out pubmed.mcst
 //!
 //! # condense it and save the deployable artifact bundle
 //! mcond-cli condense --dataset pubmed --scale small --ratio 0.02 --out artifact/
@@ -11,11 +11,12 @@
 //! # evaluate inductive inference from the artifact
 //! mcond-cli infer --artifact artifact/ --dataset pubmed --scale small
 //!
-//! # inspect any .mcg graph file
-//! mcond-cli info --graph pubmed.mcg
+//! # inspect any graph file
+//! mcond-cli info --graph pubmed.mcst
 //! ```
 
-use mcond::graph::{import_graph, load_graph, save_graph};
+use mcond::graph::import_graph;
+use mcond::store::{load_graph, save_graph};
 use mcond::prelude::*;
 use std::collections::HashMap;
 use std::path::Path;
@@ -37,13 +38,13 @@ const USAGE: &str = "\
 usage: mcond-cli <command> [options]
 
 commands:
-  generate  --dataset NAME [--scale small|paper] [--seed N] --out FILE.mcg
-  import    --edges FILE --nodes FILE --out FILE.mcg
+  generate  --dataset NAME [--scale small|paper] [--seed N] --out FILE.mcst
+  import    --edges FILE --nodes FILE --out FILE.mcst
   condense  --dataset NAME [--scale small|paper] [--seed N] [--ratio R]
             [--epochs N] --out DIR
   infer     --artifact DIR --dataset NAME [--scale small|paper] [--seed N]
             [--epochs N] [--graph-batch]
-  info      --graph FILE.mcg";
+  info      --graph FILE.mcst";
 
 /// Parses `--key value` pairs after the subcommand.
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {

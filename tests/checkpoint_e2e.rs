@@ -5,7 +5,7 @@
 //! fault-injection sweep (every truncation and injected bit flip is a
 //! typed error, never a panic or a silently different answer).
 
-use mcond::core::{Checkpoint, InductiveServer};
+use mcond::core::{load_condensed, save_condensed, Checkpoint, InductiveServer};
 use mcond::prelude::*;
 use mcond::store::corruption_sweep;
 
@@ -86,12 +86,11 @@ fn restored_server_is_bitwise_identical_to_in_memory_pipeline() {
     }
 }
 
-#[test]
-fn real_checkpoint_survives_the_fault_sweep() {
-    // A real condense→train checkpoint, but from a deliberately tiny graph:
-    // the sweep is exhaustive (one load per truncation boundary and per
-    // flipped bit), so its cost scales with image size squared — a small
-    // image keeps the exhaustiveness affordable.
+/// A real condensation, but of a deliberately tiny graph: the sweeps below
+/// are exhaustive (one load per truncation boundary and per flipped bit),
+/// so their cost scales with image size squared — a small image keeps the
+/// exhaustiveness affordable.
+fn tiny_condensed() -> mcond::core::Condensed {
     let graph = generate_sbm(&SbmConfig {
         nodes: 240,
         edges: 720,
@@ -108,7 +107,7 @@ fn real_checkpoint_survives_the_fault_sweep() {
         order[n * 8 / 10..n * 9 / 10].to_vec(),
         order[n * 9 / 10..].to_vec(),
     );
-    let condensed = condense(
+    condense(
         &data,
         &McondConfig {
             ratio: 0.05,
@@ -118,7 +117,12 @@ fn real_checkpoint_survives_the_fault_sweep() {
             support_cap: 16,
             ..McondConfig::default()
         },
-    );
+    )
+}
+
+#[test]
+fn real_checkpoint_survives_the_fault_sweep() {
+    let condensed = tiny_condensed();
     let ops = GraphOps::from_adj(&condensed.synthetic.adj);
     let mut model = GnnModel::new(
         GnnKind::Sgc,
@@ -149,5 +153,32 @@ fn real_checkpoint_survives_the_fault_sweep() {
         );
         mutations += 1;
     }
+    assert!(mutations > image.len(), "sweep covered only {mutations} mutations");
+}
+
+/// The same sweep over the other bundle the system persists — the
+/// `save_condensed` directory — through the filesystem, since that is the
+/// only way its bytes are ever read.
+#[test]
+fn saved_artifact_bundle_survives_the_fault_sweep() {
+    let dir = std::env::temp_dir().join("mcond_artifact_fault_sweep");
+    save_condensed(&tiny_condensed(), &dir).expect("save artifact");
+    load_condensed(&dir).expect("pristine artifact");
+    let files: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+    let [file] = files.as_slice() else { panic!("one container expected, found {files:?}") };
+    let image = std::fs::read(file).unwrap();
+    assert_eq!(image[..4], mcond::store::MAGIC);
+
+    let mut mutations = 0usize;
+    for c in corruption_sweep(&image) {
+        std::fs::write(file, &c.bytes).unwrap();
+        assert!(
+            load_condensed(&dir).is_err(),
+            "{} produced a successful load from a corrupted artifact",
+            c.label
+        );
+        mutations += 1;
+    }
+    std::fs::remove_dir_all(&dir).ok();
     assert!(mutations > image.len(), "sweep covered only {mutations} mutations");
 }

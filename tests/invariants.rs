@@ -2,7 +2,7 @@
 //! inductive-split bookkeeping, and on-disk round trips through the whole
 //! pipeline.
 
-use mcond::graph::{load_graph, save_graph};
+use mcond::store::{load_graph, save_graph};
 use mcond::prelude::*;
 
 #[test]
@@ -66,7 +66,7 @@ fn pipeline_survives_disk_round_trip() {
     // Save the full graph, reload, rebuild the same split, and verify the
     // original graph and a condensation run are identical.
     let data = load_dataset("pubmed", Scale::Small, 3).unwrap();
-    let path = std::env::temp_dir().join("mcond_pipeline_roundtrip.mcg");
+    let path = std::env::temp_dir().join("mcond_pipeline_roundtrip.mcst");
     save_graph(&data.full, &path).unwrap();
     let reloaded = load_graph(&path).unwrap();
     std::fs::remove_file(&path).ok();
