@@ -108,7 +108,7 @@ impl Tape {
                     add_grad(grads, *a, g.scale(*c));
                 }
             }
-            Op::AddConst(a, _) => {
+            Op::AddConst(a) => {
                 if self.rg(*a) {
                     add_grad(grads, *a, g.clone());
                 }
@@ -123,13 +123,6 @@ impl Tape {
                 if self.rg(*a) {
                     let y = &node.value;
                     let dy = y.map(|v| v * (1.0 - v));
-                    add_grad(grads, *a, g.hadamard(&dy));
-                }
-            }
-            Op::Tanh(a) => {
-                if self.rg(*a) {
-                    let y = &node.value;
-                    let dy = y.map(|v| 1.0 - v * v);
                     add_grad(grads, *a, g.hadamard(&dy));
                 }
             }
@@ -304,16 +297,6 @@ impl Tape {
                     add_grad(grads, *a, ga);
                 }
             }
-            Op::Frobenius(a) => {
-                if self.rg(*a) {
-                    // d‖X‖_F/dX = X / ‖X‖_F (zero at the origin).
-                    let x = &self.nodes[*a].value;
-                    let norm = node.value.get(0, 0);
-                    if norm > 1e-12 {
-                        add_grad(grads, *a, x.scale(g.get(0, 0) / norm));
-                    }
-                }
-            }
             Op::CosineColDist(a, b) => {
                 let seed = g.get(0, 0);
                 let (x, y) = (&self.nodes[*a].value, &self.nodes[*b].value);
@@ -369,13 +352,6 @@ impl Tape {
                     add_grad(grads, *h, gh);
                 }
             }
-            Op::MeanAll(a) => {
-                if self.rg(*a) {
-                    let x = &self.nodes[*a].value;
-                    let seed = g.get(0, 0) / x.len().max(1) as f32;
-                    add_grad(grads, *a, DMat::filled(x.rows(), x.cols(), seed));
-                }
-            }
         }
     }
 
@@ -392,7 +368,7 @@ impl Tape {
     fn sym_normalize_backward(&self, id: usize, a: usize, g: &DMat) -> DMat {
         let node = &self.nodes[id];
         let r = node.cache.as_ref().expect("SymNormalize cache");
-        let x = &self.nodes[a].value;
+        let x: &DMat = &self.nodes[a].value;
         let n = x.rows();
         // Recover T = X + I.
         let mut t = x.clone();

@@ -44,7 +44,7 @@ impl Tape {
     pub fn add_const(&mut self, a: Var, c: f32) -> Var {
         let value = self.value(a).map(|v| v + c);
         let rg = self.rg(a.0);
-        self.push(value, Op::AddConst(a.0, c), rg, None)
+        self.push(value, Op::AddConst(a.0), rg, None)
     }
 
     /// `max(a, 0)`.
@@ -59,13 +59,6 @@ impl Tape {
         let value = self.value(a).sigmoid();
         let rg = self.rg(a.0);
         self.push(value, Op::Sigmoid(a.0), rg, None)
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::tanh);
-        let rg = self.rg(a.0);
-        self.push(value, Op::Tanh(a.0), rg, None)
     }
 
     /// `aᵀ`.
@@ -131,12 +124,5 @@ impl Tape {
         }
         let rg = self.rg(a.0);
         self.push(value, Op::DivRowSum(a.0), rg, Some(sums))
-    }
-
-    /// Scalar mean of all entries.
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        let value = DMat::from_vec(1, 1, vec![self.value(a).mean()]);
-        let rg = self.rg(a.0);
-        self.push(value, Op::MeanAll(a.0), rg, None)
     }
 }

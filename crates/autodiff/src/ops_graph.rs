@@ -20,7 +20,8 @@ impl Tape {
     }
 
     /// Differentiable symmetric GCN normalisation of a dense square input:
-    /// `Y = D̃^{-1/2}(A + I)D̃^{-1/2}` with `D̃ = diag(rowsum(A + I))`.
+    /// `Y = D̃^{-1/2}(A + I)D̃^{-1/2}` with `D̃ = diag(rowsum(A + I))`. The
+    /// forward value *is* [`mcond_sparse::sym_normalize_dense`]'s.
     ///
     /// Used to train through the learned synthetic adjacency `A'` and, in
     /// the inductive loss, through blocks containing `aM`.
@@ -28,26 +29,9 @@ impl Tape {
     /// # Panics
     /// Panics when the input is not square.
     pub fn sym_normalize(&mut self, a: Var) -> Var {
-        let x = self.value(a);
-        assert_eq!(x.rows(), x.cols(), "sym_normalize: input must be square");
-        let n = x.rows();
-        let mut tilde = x.clone();
-        for i in 0..n {
-            let v = tilde.get(i, i) + 1.0;
-            tilde.set(i, i, v);
-        }
-        let deg = tilde.row_sums();
-        let r: Vec<f32> =
-            deg.iter().map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 }).collect();
-        let mut value = tilde;
-        for i in 0..n {
-            let ri = r[i];
-            for (j, v) in value.row_mut(i).iter_mut().enumerate() {
-                *v *= ri * r[j];
-            }
-        }
+        let (value, r) = mcond_sparse::sym_normalize_dense_with_scale(self.value(a));
         // Cache r (as an n x 1 matrix) for the backward pass.
-        let cache = DMat::from_vec(n, 1, r);
+        let cache = DMat::from_vec(r.len(), 1, r);
         let rg = self.rg(a.0);
         self.push(value, Op::SymNormalize(a.0), rg, Some(cache))
     }

@@ -59,14 +59,6 @@ impl Tape {
         self.push(value, Op::L21(a.0), rg, None)
     }
 
-    /// Scalar Frobenius norm `‖X‖_F = sqrt(Σ v²)` — used by the plain-L2
-    /// gradient-distance ablation of the gradient-matching objective.
-    pub fn frobenius(&mut self, a: Var) -> Var {
-        let value = DMat::from_vec(1, 1, vec![self.value(a).frobenius_norm()]);
-        let rg = self.rg(a.0);
-        self.push(value, Op::Frobenius(a.0), rg, None)
-    }
-
     /// Column-wise cosine distance `Σ_j (1 - cos(A_:j, B_:j))` — the per-layer
     /// gradient distance of Eq. (5). Zero-norm columns contribute `1`
     /// (maximum distance) and receive zero gradient.

@@ -32,15 +32,12 @@ pub(crate) enum Op {
     Hadamard(usize, usize),
     /// `c · A`.
     ScaleConst(usize, f32),
-    /// `A + c` (element-wise; the constant is not needed by the
-    /// backward rule, so only recorded for debugging).
-    AddConst(usize, #[allow(dead_code)] f32),
+    /// `A + c` (element-wise; the backward rule does not need `c`).
+    AddConst(usize),
     /// `max(A, 0)`.
     Relu(usize),
     /// Logistic sigmoid.
     Sigmoid(usize),
-    /// Hyperbolic tangent.
-    Tanh(usize),
     /// `Aᵀ`.
     Transpose(usize),
     /// `[A; B]` (rows of A on top).
@@ -72,19 +69,17 @@ pub(crate) enum Op {
     SoftmaxError(usize, Arc<Vec<usize>>),
     /// Scalar L2,1 norm: `Σ_i ‖X_i‖₂` (Eq. 10 / Eq. 12).
     L21(usize),
-    /// Scalar Frobenius norm `‖X‖_F` — the L2 gradient-distance ablation.
-    Frobenius(usize),
     /// Scalar `Σ_j (1 - cos(A_:j, B_:j))` over columns (Eq. 5).
     CosineColDist(usize, usize),
     /// Scalar binary cross-entropy over sampled node pairs `(i, j, target)`
     /// with logits `H_i · H_j` (Eq. 8 with negative samples).
     PairBce(usize, Arc<Vec<(u32, u32, f32)>>),
-    /// Scalar mean of all entries.
-    MeanAll(usize),
 }
 
 pub(crate) struct Node {
-    pub value: DMat,
+    /// Shared so a leaf can borrow a matrix its caller keeps; computed
+    /// nodes wrap their value once.
+    pub value: Arc<DMat>,
     pub op: Op,
     /// Whether any gradient can flow into this node (a parameter, or an op
     /// with at least one grad-requiring input).
@@ -96,8 +91,10 @@ pub(crate) struct Node {
 /// A define-by-run computation tape.
 ///
 /// Record operations through the builder methods, then call
-/// [`Tape::backward`] on a scalar node. Training loops typically construct a
-/// fresh tape per step (or [`Tape::clear`] and reuse the allocation).
+/// [`Tape::backward`] on a scalar node. The training loops build one tape
+/// per step: parameters are copied onto it (the optimiser mutates them
+/// between steps), while loop-invariant operands are kept in an
+/// `Arc<DMat>` by the caller and registered as leaves without a copy.
 #[derive(Default)]
 pub struct Tape {
     pub(crate) nodes: Vec<Node>,
@@ -128,13 +125,14 @@ impl Tape {
     }
 
     /// Records a trainable leaf; its gradient is produced by
-    /// [`Tape::backward`].
-    pub fn param(&mut self, value: DMat) -> Var {
+    /// [`Tape::backward`]. An `Arc<DMat>` is shared, not copied.
+    pub fn param(&mut self, value: impl Into<Arc<DMat>>) -> Var {
         self.push(value, Op::Leaf, true, None)
     }
 
-    /// Records a constant leaf; no gradient is accumulated for it.
-    pub fn constant(&mut self, value: DMat) -> Var {
+    /// Records a constant leaf; no gradient is accumulated for it. An
+    /// `Arc<DMat>` is shared, not copied.
+    pub fn constant(&mut self, value: impl Into<Arc<DMat>>) -> Var {
         self.push(value, Op::Leaf, false, None)
     }
 
@@ -157,12 +155,12 @@ impl Tape {
 
     pub(crate) fn push(
         &mut self,
-        value: DMat,
+        value: impl Into<Arc<DMat>>,
         op: Op,
         requires_grad: bool,
         cache: Option<DMat>,
     ) -> Var {
-        self.nodes.push(Node { value, op, requires_grad, cache });
+        self.nodes.push(Node { value: value.into(), op, requires_grad, cache });
         Var(self.nodes.len() - 1)
     }
 

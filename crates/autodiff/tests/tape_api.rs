@@ -156,3 +156,33 @@ fn multi_parameter_backward_gives_gradients_to_each() {
     assert!(grads.get(w1).unwrap().frobenius_norm() > 0.0);
     assert!(grads.get(w2).unwrap().frobenius_norm() > 0.0);
 }
+
+#[test]
+fn shared_leaves_match_by_value_leaves_bitwise_and_are_left_untouched() {
+    // loss = ‖P·Cᵀ + P⊙C‖₂,₁ with P a parameter and C a constant.
+    fn loss_and_grad(p: impl Into<Arc<DMat>>, c: impl Into<Arc<DMat>>) -> (u32, Vec<u32>) {
+        let mut tape = Tape::new();
+        let p = tape.param(p);
+        let c = tape.constant(c);
+        let ct = tape.transpose(c);
+        let prod = tape.matmul(p, ct);
+        let had = tape.hadamard(p, c);
+        let sum = tape.add(prod, had);
+        let l = tape.l21(sum);
+        let grads = tape.backward(l);
+        assert!(grads.get(c).is_none(), "a shared constant still receives no gradient");
+        let g = grads.get(p).expect("parameter gradient");
+        (tape.scalar(l).to_bits(), g.as_slice().iter().map(|v| v.to_bits()).collect())
+    }
+    let x0 = DMat::from_rows(&[&[0.3, -1.2, 0.7], &[2.0, 0.1, -0.4], &[-0.9, 0.8, 1.5]]);
+    let by_value = loss_and_grad(x0.clone(), x0.clone());
+
+    // One Arc, registered twice on one tape (param and constant), on two
+    // successive tapes.
+    let shared = Arc::new(x0.clone());
+    for _ in 0..2 {
+        assert_eq!(loss_and_grad(Arc::clone(&shared), Arc::clone(&shared)), by_value);
+    }
+    assert_eq!(*shared, x0, "the tape never writes through a leaf");
+    assert_eq!(Arc::strong_count(&shared), 1, "dropped tapes release their leaves");
+}

@@ -23,18 +23,19 @@ fn main() {
         let ratio = if name == "reddit" { spec.ratios[0] } else { spec.ratios[1] };
         let p = build_pipeline(name, args.scale, ratio, args.seed, args.epochs);
         let epochs = args.epochs.unwrap_or_else(|| default_epochs(args.scale));
+        let models = architectures
+            .map(|kind| (kind, train_on_graph(&p.mcond.synthetic, kind, epochs, 64, args.seed)));
 
         for &graph_batch in &[true, false] {
             let batch_label = if graph_batch { "graph" } else { "node" };
             let batches = p.data.test_batches(default_batch_size(args.scale), graph_batch);
-            for kind in architectures {
-                let model = train_on_graph(&p.mcond.synthetic, kind, epochs, 64, args.seed);
+            for (kind, model) in &models {
                 let so = evaluate_inductive(
-                    &InductiveServer::on_original(&p.original, &model),
+                    &InductiveServer::on_original(&p.original, model),
                     &batches,
                 );
                 let ss = evaluate_inductive(
-                    &InductiveServer::on_synthetic(&p.mcond.synthetic, &p.mcond.mapping, &model),
+                    &InductiveServer::on_synthetic(&p.mcond.synthetic, &p.mcond.mapping, model),
                     &batches,
                 );
                 for (setting, res) in [("MCond_SO", so), ("MCond_SS", ss)] {

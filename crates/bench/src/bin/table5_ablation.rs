@@ -30,34 +30,31 @@ fn main() {
         };
         let ratio = if name == "reddit" { spec.ratios[0] } else { spec.ratios[1] };
         for (variant_name, tweak) in variants {
-            for &graph_batch in &[true, false] {
-                let mut accs = Vec::with_capacity(args.repeats);
-                for rep in 0..args.repeats {
-                    let seed = args.seed + rep as u64;
-                    let data = load_dataset(name, args.scale, seed).expect("known dataset");
-                    let mut cfg = default_condense_config(name, args.scale, ratio, seed);
-                    tweak(&mut cfg);
-                    let condensed = condense(&data, &cfg);
-                    let epochs = args.epochs.unwrap_or_else(|| default_epochs(args.scale));
-                    let model =
-                        train_on_graph(&condensed.synthetic, GnnKind::Sgc, epochs, 64, seed);
+            // The batch mode only picks the test batches, so it is the
+            // innermost loop: one condensation per (variant, seed).
+            let mut accs = [Vec::with_capacity(args.repeats), Vec::with_capacity(args.repeats)];
+            for rep in 0..args.repeats {
+                let seed = args.seed + rep as u64;
+                let data = load_dataset(name, args.scale, seed).expect("known dataset");
+                let mut cfg = default_condense_config(name, args.scale, ratio, seed);
+                tweak(&mut cfg);
+                let condensed = condense(&data, &cfg);
+                let epochs = args.epochs.unwrap_or_else(|| default_epochs(args.scale));
+                let model = train_on_graph(&condensed.synthetic, GnnKind::Sgc, epochs, 64, seed);
+                let server =
+                    InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model);
+                for (graph_batch, accs) in [true, false].into_iter().zip(&mut accs) {
                     let batches = data.test_batches(default_batch_size(args.scale), graph_batch);
-                    let res = evaluate_inductive(
-                        &InductiveServer::on_synthetic(
-                            &condensed.synthetic,
-                            &condensed.mapping,
-                            &model,
-                        ),
-                        &batches,
-                    );
-                    accs.push(100.0 * res.accuracy);
+                    accs.push(100.0 * evaluate_inductive(&server, &batches).accuracy);
                 }
+            }
+            for (batch_label, accs) in ["graph", "node"].into_iter().zip(accs) {
                 let (mean, std) = mean_std(&accs);
                 report.push(
                     Row::new()
                         .key("dataset", format!("{name} ({:.2}%)", 100.0 * ratio))
                         .key("method", variant_name)
-                        .key("batch", if graph_batch { "graph" } else { "node" })
+                        .key("batch", batch_label)
                         .metric("acc", mean)
                         .metric("std", std),
                 );

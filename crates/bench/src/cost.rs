@@ -1,6 +1,6 @@
 //! Shared driver for the Fig. 3 / Fig. 4 inference-cost experiments.
 
-use crate::pipeline::{build_pipeline, default_batch_size};
+use crate::pipeline::{build_pipelines, default_batch_size};
 use crate::{evaluate_inductive, parse_args, print_table, propagated_embeddings, Row, TableReport};
 use mcond_core::{coreset, vng, CoresetMethod, InductiveServer};
 use mcond_graph::dataset_spec;
@@ -34,8 +34,7 @@ pub fn run_cost_experiment(graph_batch: bool, title: &str) {
             eprintln!("skipping unknown dataset {name}");
             continue;
         };
-        for &ratio in &spec.ratios {
-            let p = build_pipeline(name, args.scale, ratio, args.seed, args.epochs);
+        build_pipelines(name, args.scale, &spec.ratios, args.seed, args.epochs, |ratio, p| {
             let batches = p.data.test_batches(default_batch_size(args.scale), graph_batch);
             let embeddings = propagated_embeddings(&p.original, 2);
             let n_syn = p.mcond.synthetic.num_nodes();
@@ -100,7 +99,7 @@ pub fn run_cost_experiment(graph_batch: bool, title: &str) {
                 &server_mcond.metrics_snapshot(),
                 &format!("{tag}mcond."),
             ));
-        }
+        });
     }
     report.attach_metrics(&mcond_obs::snapshot());
     print_table(&report);

@@ -95,6 +95,21 @@ pub fn default_batch_size(scale: Scale) -> usize {
     }
 }
 
+/// The per-ratio half of a [`Pipeline`]: condensation and the SGC trained
+/// on its output.
+fn build_synthetic(
+    data: &InductiveDataset,
+    dataset: &str,
+    scale: Scale,
+    ratio: f64,
+    seed: u64,
+    epochs: usize,
+) -> (Condensed, GnnModel) {
+    let mcond = condense(data, &default_condense_config(dataset, scale, ratio, seed));
+    let model_synthetic = train_on_graph(&mcond.synthetic, GnnKind::Sgc, epochs, 64, seed);
+    (mcond, model_synthetic)
+}
+
 /// Builds the full pipeline for one configuration.
 ///
 /// # Panics
@@ -109,10 +124,33 @@ pub fn build_pipeline(
 ) -> Pipeline {
     let data = load_dataset(dataset, scale, seed).expect("dataset name validated by caller");
     let original = data.original_graph();
-    let cfg = default_condense_config(dataset, scale, ratio, seed);
-    let mcond = condense(&data, &cfg);
     let epochs = epochs_override.unwrap_or_else(|| default_epochs(scale));
     let model_original = train_on_graph(&original, GnnKind::Sgc, epochs, 64, seed);
-    let model_synthetic = train_on_graph(&mcond.synthetic, GnnKind::Sgc, epochs, 64, seed);
+    let (mcond, model_synthetic) = build_synthetic(&data, dataset, scale, ratio, seed, epochs);
     Pipeline { data, original, mcond, model_original, model_synthetic, epochs }
+}
+
+/// Hands `each` the pipeline of every ratio in turn. The ratio-independent
+/// half — the dataset, `T` and the model trained on it, minutes at paper
+/// scale — is built once; only the condensation and the model trained on
+/// `S` are redone per ratio.
+///
+/// # Panics
+/// Panics on unknown dataset names (the binaries validate earlier).
+pub fn build_pipelines(
+    dataset: &str,
+    scale: Scale,
+    ratios: &[f64],
+    seed: u64,
+    epochs_override: Option<usize>,
+    mut each: impl FnMut(f64, &Pipeline),
+) {
+    let Some((&first, rest)) = ratios.split_first() else { return };
+    let mut p = build_pipeline(dataset, scale, first, seed, epochs_override);
+    each(first, &p);
+    for &ratio in rest {
+        (p.mcond, p.model_synthetic) =
+            build_synthetic(&p.data, dataset, scale, ratio, seed, p.epochs);
+        each(ratio, &p);
+    }
 }

@@ -102,37 +102,6 @@ impl TableReport {
     pub fn dump_json(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.to_json().pretty())
     }
-
-    /// Writes a bench's report as `<name>.json` — under the workspace's
-    /// `results/` when the bench ran at its default budget, under
-    /// `target/bench-smoke/` when the environment overrides that budget
-    /// (see [`is_budget_override`]), so a smoke run never replaces
-    /// committed numbers. A write failure is reported, not fatal: the
-    /// measurements were already printed.
-    pub fn dump_bench_json(&self, name: &str) {
-        let smoke = std::env::vars_os()
-            .any(|(key, _)| key.to_str().is_some_and(is_budget_override));
-        let dir = if smoke {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/bench-smoke")
-        } else {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../results")
-        };
-        let path = format!("{dir}/{name}.json");
-        match std::fs::create_dir_all(dir).and_then(|()| self.dump_json(&path)) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("cannot write {path}: {e}"),
-        }
-    }
-}
-
-/// Whether an environment variable shrinks (or otherwise changes) a
-/// bench's measurement budget: the per-bench `MCOND_QPS_*` /
-/// `MCOND_RELOAD_*` / `MCOND_DRIFT_*` families. Runtime variables
-/// (`MCOND_THREADS`, `MCOND_SIMD`, `MCOND_LOG`) are not budget.
-fn is_budget_override(key: &str) -> bool {
-    ["MCOND_QPS_", "MCOND_RELOAD_", "MCOND_DRIFT_"]
-        .iter()
-        .any(|prefix| key.starts_with(prefix))
 }
 
 /// Renders a report as an aligned text table to stdout.
@@ -248,16 +217,6 @@ mod tests {
         // Empty snapshots stay out of the dump entirely.
         let bare = TableReport::new("bare").to_json();
         assert!(bare.get("metrics").is_none());
-    }
-
-    #[test]
-    fn only_budget_knobs_divert_a_bench_dump() {
-        for key in ["MCOND_QPS_MS", "MCOND_RELOAD_MS", "MCOND_DRIFT_WAVES", "MCOND_DRIFT_PROBES"] {
-            assert!(is_budget_override(key), "{key}");
-        }
-        for key in ["MCOND_THREADS", "MCOND_SIMD", "MCOND_LOG", "PATH"] {
-            assert!(!is_budget_override(key), "{key}");
-        }
     }
 
     #[test]

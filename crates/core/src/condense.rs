@@ -9,18 +9,8 @@ use crate::sampling::sample_edge_batch;
 use mcond_autodiff::{Adam, Tape};
 use mcond_graph::{Graph, InductiveDataset};
 use mcond_linalg::{DMat, MatRng};
-use mcond_sparse::{renormalize_rows, sparsify_dense, sym_normalize, Csr};
+use mcond_sparse::{renormalize_rows, sparsify_dense, sym_normalize, sym_normalize_dense, Csr};
 use std::sync::Arc;
-
-/// Distance used to compare relay gradients in the matching objective.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GradDistance {
-    /// Eq. (5): summed column-wise cosine distances (the paper's choice).
-    Cosine,
-    /// Plain Frobenius distance `‖G - G'‖_F` (DosCond-style) — the DESIGN.md
-    /// ablation comparator.
-    L2,
-}
 
 /// Hyper-parameters of MCond (defaults follow §IV-A where stated).
 #[derive(Clone, Debug)]
@@ -76,13 +66,6 @@ pub struct McondConfig {
     /// Class-aware init for `M` (§III-E); `false` gives the Fig. 5(c)
     /// random-init comparator.
     pub class_aware_init: bool,
-    /// Gradient-distance variant (ablation; the paper uses cosine).
-    pub grad_distance: GradDistance,
-    /// Match gradients per class (as the original GCond implementation
-    /// does) instead of over the whole graph at once. Per-class matching is
-    /// `C+1`x more work per step; at the default whole-graph setting the
-    /// class balance is carried by the label-proportional `Y'`.
-    pub per_class_matching: bool,
     /// RNG seed.
     pub seed: u64,
 }
@@ -112,8 +95,6 @@ impl Default for McondConfig {
             use_inductive_loss: true,
             train_mapping: true,
             class_aware_init: true,
-            grad_distance: GradDistance::Cosine,
-            per_class_matching: false,
             seed: 0,
         }
     }
@@ -178,10 +159,32 @@ impl Condensed {
     }
 }
 
+/// Loop-invariant operands of the inductive loss (Eq. 11–12): the support
+/// batch's pieces in the form every mapping-step tape registers them.
+struct Support {
+    len: usize,
+    features: DMat,
+    /// `a`: support → original-node edges.
+    incremental: Arc<Csr>,
+    /// Support ↔ support edges, densified for the Eq. (11) block.
+    interconnect: Arc<DMat>,
+    /// Support embeddings `Â^L X` on the *original* graph (θ-independent).
+    target: Arc<DMat>,
+}
+
+/// `L` propagation steps from `x`: `Â^L X` for `step = |z| Â·z`.
+fn propagate(hops: usize, x: DMat, step: impl Fn(&DMat) -> DMat) -> DMat {
+    (0..hops).fold(x, |z, _| step(&z))
+}
+
 /// Runs MCond (Algorithm 1) on the dataset's original (training) graph.
 ///
+/// A ratio that yields fewer synthetic nodes than classes is raised to one
+/// node per class.
+///
 /// # Panics
-/// Panics when the ratio yields fewer synthetic nodes than classes.
+/// Panics when a class has no node in the training graph (every class
+/// needs a real node to initialise its synthetic ones from).
 #[must_use]
 pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
     let original = data.original_graph();
@@ -220,27 +223,7 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
 
     // --- Original-graph precomputation. -----------------------------------
     let ahat = sym_normalize(&original.adj);
-    let mut z_orig = original.features.clone();
-    for _ in 0..cfg.hops {
-        z_orig = ahat.spmm(&z_orig);
-    }
-
-    // --- Per-class row indices for per-class gradient matching. ------------
-    let orig_class_rows: Vec<Vec<usize>> =
-        (0..c).map(|class| original.class_members(class)).collect();
-    let syn_class_rows: Vec<Arc<Vec<usize>>> = (0..c)
-        .map(|class| {
-            Arc::new(
-                labels_syn
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &y)| (y == class).then_some(i))
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .collect();
-    let class_fractions: Vec<f32> =
-        original.class_counts().iter().map(|&cnt| cnt as f32 / n as f32).collect();
+    let z_orig = Arc::new(propagate(cfg.hops, original.features.clone(), |z| ahat.spmm(z)));
 
     // --- Support nodes (validation split, capped). -------------------------
     let support_nodes: Vec<usize> = {
@@ -248,17 +231,19 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
         let picks = rng.sample_indices(data.val_idx.len(), cap);
         picks.into_iter().map(|p| data.val_idx[p]).collect()
     };
-    let support = (!support_nodes.is_empty()).then(|| data.batch(&support_nodes, false));
-    // Propagated features of the support nodes on the *original* graph
-    // (θ-independent; embeddings follow by multiplying with the relay).
-    let z_support_orig = support.as_ref().map(|sup| {
-        let ext_adj = original.adj.block_extend(&sup.incremental, &sup.interconnect);
-        let ext_hat = sym_normalize(&ext_adj);
-        let mut z = original.features.vstack(&sup.features);
-        for _ in 0..cfg.hops {
-            z = ext_hat.spmm(&z);
+    let use_support = cfg.train_mapping && cfg.use_inductive_loss && !support_nodes.is_empty();
+    let support = use_support.then(|| {
+        let sup = data.batch(&support_nodes, false);
+        let ext_hat =
+            sym_normalize(&original.adj.block_extend(&sup.incremental, &sup.interconnect));
+        let z = propagate(cfg.hops, original.features.vstack(&sup.features), |z| ext_hat.spmm(z));
+        Support {
+            len: sup.len(),
+            target: Arc::new(z.slice_rows(n, n + sup.len())),
+            interconnect: Arc::new(sup.interconnect.to_dense()),
+            incremental: Arc::new(sup.incremental),
+            features: sup.features,
         }
-        z.slice_rows(n, n + sup.len())
     });
 
     // --- Trainable pieces. --------------------------------------------------
@@ -281,9 +266,9 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
         let mut relay_opt_b = Adam::new(cfg.lr_relay, 1, c);
 
         // ---- Update synthetic graph (lines 6–11). -------------------------
+        // `M` only moves in the mapping phase below.
+        let m_norm = cfg.use_structure_loss.then(|| mapping.normalized_detached());
         for t in 0..cfg.relay_steps {
-            let m_norm = mapping.normalized_detached();
-
             let mut tape = Tape::new();
             let phi = generator.tape_params(&mut tape);
             let xs = tape.param(x_syn.clone());
@@ -294,52 +279,23 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                 z = tape.matmul(ahat_syn, z);
             }
 
-            let distance = |tape: &mut Tape, target: mcond_autodiff::Var, g| match cfg
-                .grad_distance
-            {
-                GradDistance::Cosine => tape.cosine_col_dist(target, g),
-                GradDistance::L2 => {
-                    let diff = tape.sub(target, g);
-                    tape.frobenius(diff)
-                }
-            };
-            let l_gra = if cfg.per_class_matching {
-                // Σ_c (N_c/N) · dist(G_c, G'_c) over class-restricted
-                // gradients (the original GCond objective).
-                let mut total: Option<mcond_autodiff::Var> = None;
-                for class in 0..c {
-                    let rows_syn = &syn_class_rows[class];
-                    if rows_syn.is_empty() || orig_class_rows[class].is_empty() {
-                        continue;
-                    }
-                    let z_orig_c = z_orig.select_rows(&orig_class_rows[class]);
-                    let labels_c = vec![class; orig_class_rows[class].len()];
-                    let g_orig_c = relay.gradient(&z_orig_c, &labels_c);
-                    let z_c = tape.select_rows(z, Arc::clone(rows_syn));
-                    let g_syn_c = relay.gradient_on_tape(
-                        &mut tape,
-                        z_c,
-                        Arc::new(vec![class; rows_syn.len()]),
-                    );
-                    let target = tape.constant(g_orig_c);
-                    let dist = distance(&mut tape, target, g_syn_c);
-                    let weighted = tape.scale(dist, class_fractions[class]);
-                    total = Some(match total {
-                        Some(acc) => tape.add(acc, weighted),
-                        None => weighted,
-                    });
-                }
-                total.expect("at least one non-empty class")
-            } else {
-                let g_orig = relay.gradient(&z_orig, &original.labels);
-                let g_syn =
-                    relay.gradient_on_tape(&mut tape, z, Arc::clone(&labels_syn_rc));
-                let g_target = tape.constant(g_orig);
-                distance(&mut tape, g_target, g_syn)
-            };
+            // Relay step of the *previous* iteration (line 11), deferred to
+            // here: it trains on Z' = Â'^L X' at the (Φ, X') that iteration
+            // left behind, which is the forward value just computed. The
+            // update after an outer loop's last step has no reader (the
+            // relay is re-drawn, the mapping phase never sees it) and is
+            // not made.
+            if t > 0 {
+                relay.train_step(tape.value(z), &labels_syn, &mut relay_opt_w, &mut relay_opt_b);
+            }
+
+            let g_orig = relay.gradient(&z_orig, &original.labels);
+            let g_syn = relay.gradient_on_tape(&mut tape, z, Arc::clone(&labels_syn_rc));
+            let g_target = tape.constant(g_orig);
+            let l_gra = tape.cosine_col_dist(g_target, g_syn);
             history.grad_loss.push(tape.scalar(l_gra));
 
-            let l_s = if cfg.use_structure_loss {
+            let l_s = if let Some(m_norm) = &m_norm {
                 // For SGC, the relay's node embeddings H' = f(A', X') are
                 // the propagated features Â'^L X' (the classifier W is the
                 // separate readout of Eq. 2), i.e. the node `z` itself.
@@ -374,10 +330,6 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
             }
             generator.apply(&mut grads, &phi, &mut gen_opts);
 
-            // Relay step on the detached synthetic graph (line 11).
-            let z_det = propagate_synthetic(&generator, &x_syn, cfg.hops);
-            relay.train_step(&z_det, &labels_syn, &mut relay_opt_w, &mut relay_opt_b);
-
             if mcond_obs::enabled() {
                 let mut fields = vec![
                     ("outer", outer.into()),
@@ -403,18 +355,13 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
             // pre-threshold A' here changes the degrees — and hence the
             // symmetric normalisation — enough that a mapping tuned on it
             // misfires at inference time.
-            let adj_syn_det =
-                generator.adjacency_detached(&x_syn).map(|v| if v >= cfg.mu { v } else { 0.0 });
-            let h_syn = {
-                let ahat_syn = mcond_sparse::sym_normalize_dense(&adj_syn_det);
-                let mut z = x_syn.clone();
-                for _ in 0..cfg.hops {
-                    z = ahat_syn.matmul(&z);
-                }
-                z
-            };
-            let h_orig = &z_orig;
-            let h_support = z_support_orig.as_ref();
+            let adj_syn_det = Arc::new(
+                generator.adjacency_detached(&x_syn).map(|v| if v >= cfg.mu { v } else { 0.0 }),
+            );
+            let ahat_syn = sym_normalize_dense(&adj_syn_det);
+            let h_syn = Arc::new(propagate(cfg.hops, x_syn.clone(), |z| ahat_syn.matmul(z)));
+            let inductive =
+                support.as_ref().map(|sup| (sup, Arc::new(x_syn.vstack(&sup.features))));
 
             for step in 0..cfg.mapping_steps {
                 let mut tape = Tape::new();
@@ -429,12 +376,11 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                     if cfg.transductive_batch > 0 && cfg.transductive_batch < n {
                         let ids = Arc::new(rng.sample_indices(n, cfg.transductive_batch));
                         let m_sel = tape.select_rows(m_hat, Arc::clone(&ids));
-                        let h_sel = h_orig.select_rows(&ids);
-                        (m_sel, h_sel, cfg.transductive_batch)
+                        (m_sel, Arc::new(z_orig.select_rows(&ids)), cfg.transductive_batch)
                     } else {
-                        (m_hat, h_orig.clone(), n)
+                        (m_hat, Arc::clone(&z_orig), n)
                     };
-                let h_syn_c = tape.constant(h_syn.clone());
+                let h_syn_c = tape.constant(Arc::clone(&h_syn));
                 let h_tilde = tape.matmul(m_rows, h_syn_c);
                 let h_orig_c = tape.constant(h_rows);
                 let diff = tape.sub(h_orig_c, h_tilde);
@@ -442,34 +388,31 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                 let l_tra = tape.scale(l21, 1.0 / rows_used as f32);
                 history.transductive_loss.push(tape.scalar(l_tra));
 
-                let l_m = match (&support, &h_support, cfg.use_inductive_loss) {
-                    (Some(sup), Some(h_sup_target), true) => {
-                        // L_ind (Eq. 11–12): connect support nodes to S
-                        // through aM̂ and compare embeddings.
-                        let am = tape.spmm(Arc::new(sup.incremental.clone()), m_hat);
-                        let a_syn_c = tape.constant(adj_syn_det.clone());
-                        let am_t = tape.transpose(am);
-                        let top = tape.hstack(a_syn_c, am_t);
-                        let corner =
-                            tape.constant(sup.interconnect.to_dense());
-                        let bottom = tape.hstack(am, corner);
-                        let block = tape.vstack(top, bottom);
-                        let block_hat = tape.sym_normalize(block);
-                        let x_ext = tape.constant(x_syn.vstack(&sup.features));
-                        let mut z_ext = x_ext;
-                        for _ in 0..cfg.hops {
-                            z_ext = tape.matmul(block_hat, z_ext);
-                        }
-                        let h_sup_syn = tape.slice_rows(z_ext, n_syn, n_syn + sup.len());
-                        let target = tape.constant((*h_sup_target).clone());
-                        let diff_sup = tape.sub(target, h_sup_syn);
-                        let l21_sup = tape.l21(diff_sup);
-                        let l_ind = tape.scale(l21_sup, 1.0 / sup.len() as f32);
-                        history.inductive_loss.push(tape.scalar(l_ind));
-                        let weighted = tape.scale(l_ind, cfg.beta);
-                        tape.add(l_tra, weighted)
+                let l_m = if let Some((sup, x_ext)) = &inductive {
+                    // L_ind (Eq. 11–12): connect support nodes to S
+                    // through aM̂ and compare embeddings.
+                    let am = tape.spmm(Arc::clone(&sup.incremental), m_hat);
+                    let a_syn_c = tape.constant(Arc::clone(&adj_syn_det));
+                    let am_t = tape.transpose(am);
+                    let top = tape.hstack(a_syn_c, am_t);
+                    let corner = tape.constant(Arc::clone(&sup.interconnect));
+                    let bottom = tape.hstack(am, corner);
+                    let block = tape.vstack(top, bottom);
+                    let block_hat = tape.sym_normalize(block);
+                    let mut z_ext = tape.constant(Arc::clone(x_ext));
+                    for _ in 0..cfg.hops {
+                        z_ext = tape.matmul(block_hat, z_ext);
                     }
-                    _ => l_tra,
+                    let h_sup_syn = tape.slice_rows(z_ext, n_syn, n_syn + sup.len);
+                    let target = tape.constant(Arc::clone(&sup.target));
+                    let diff_sup = tape.sub(target, h_sup_syn);
+                    let l21_sup = tape.l21(diff_sup);
+                    let l_ind = tape.scale(l21_sup, 1.0 / sup.len as f32);
+                    history.inductive_loss.push(tape.scalar(l_ind));
+                    let weighted = tape.scale(l_ind, cfg.beta);
+                    tape.add(l_tra, weighted)
+                } else {
+                    l_tra
                 };
                 history.mapping_loss.push(tape.scalar(l_m));
 
@@ -523,17 +466,6 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
         dense_mapping,
         history,
     }
-}
-
-/// Detached propagation `Z' = Â'^L X'` for the current generator/features.
-fn propagate_synthetic(generator: &AdjacencyGenerator, x_syn: &DMat, hops: usize) -> DMat {
-    let adj = generator.adjacency_detached(x_syn);
-    let ahat = mcond_sparse::sym_normalize_dense(&adj);
-    let mut z = x_syn.clone();
-    for _ in 0..hops {
-        z = ahat.matmul(&z);
-    }
-    z
 }
 
 #[cfg(test)]
@@ -628,30 +560,6 @@ mod tests {
         assert!(result.history.structure_loss.is_empty());
         // Mapping still usable (normalised class init).
         assert!(result.mapping.nnz() > 0);
-    }
-
-    #[test]
-    fn l2_distance_variant_condenses() {
-        let data = load_dataset("pubmed", Scale::Small, 8).unwrap();
-        let cfg = McondConfig { grad_distance: GradDistance::L2, ..quick_cfg() };
-        let result = condense(&data, &cfg);
-        assert!(result.history.grad_loss.iter().all(|v| v.is_finite()));
-        // L2 losses are norms, not cosine sums: strictly positive.
-        assert!(result.history.grad_loss.iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
-    fn per_class_matching_condenses_and_differs_from_whole_graph() {
-        let data = load_dataset("pubmed", Scale::Small, 9).unwrap();
-        let whole = condense(&data, &quick_cfg());
-        let cfg = McondConfig { per_class_matching: true, ..quick_cfg() };
-        let per_class = condense(&data, &cfg);
-        assert_eq!(
-            whole.synthetic.num_nodes(),
-            per_class.synthetic.num_nodes()
-        );
-        assert_ne!(whole.synthetic.features, per_class.synthetic.features);
-        assert!(per_class.history.grad_loss.iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod vng;
 pub use adjgen::AdjacencyGenerator;
 pub use artifact::{load_condensed, save_condensed, Artifact};
 pub use checkpoint::Checkpoint;
-pub use condense::{condense, CondenseHistory, Condensed, GradDistance, McondConfig};
+pub use condense::{condense, CondenseHistory, Condensed, McondConfig};
 pub use coreset::{coreset, CoresetMethod, ReducedGraph};
 pub use delta::{CacheOutcome, DeltaError, DeltaLineage, GraphDelta, LiveBase, PromotionReport};
 pub use epoch::{EpochServer, EpochSlot};

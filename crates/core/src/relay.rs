@@ -74,14 +74,6 @@ impl Relay {
         tape.vstack(gw, gb)
     }
 
-    /// Tape expression of the embeddings `Z W + b` for a variable `z`.
-    pub fn embed_on_tape(&self, tape: &mut Tape, z: Var) -> Var {
-        let w = tape.constant(self.w.clone());
-        let b = tape.constant(self.b.clone());
-        let zw = tape.matmul(z, w);
-        tape.add_row_broadcast(zw, b)
-    }
-
     /// One optimisation step of the relay parameters on a (detached)
     /// synthetic graph — line 11 of Algorithm 1. Returns the loss.
     pub fn train_step(

@@ -65,6 +65,7 @@ pub fn train(
         ],
     );
     let labels_rc = Arc::new(labels.to_vec());
+    let features_rc = Arc::new(features.clone());
     let mut opts: Vec<Adam> = model
         .params()
         .iter()
@@ -81,7 +82,7 @@ pub fn train(
         epochs_run += 1;
         let mut tape = Tape::new();
         let ps = model.tape_params(&mut tape);
-        let x = tape.constant(features.clone());
+        let x = tape.constant(Arc::clone(&features_rc));
         let logits = model.forward(&mut tape, &ps, ops, x);
         let loss = tape.softmax_cross_entropy(logits, Arc::clone(&labels_rc));
         losses.push(tape.scalar(loss));

@@ -115,6 +115,35 @@ fn hundred_reloads_under_load_serve_only_200s_with_epoch_true_answers() {
     std::fs::remove_file(path_b).ok();
 }
 
+/// Retired epochs are freed through the real reload path: the front end
+/// (handlers, batcher, reload pipeline), not just `EpochSlot`, must let go
+/// of an epoch once the next one answers. 50 reloads of one bundle with a
+/// served request after each; every earlier epoch is then unreachable.
+#[test]
+fn fifty_reloads_through_the_front_end_free_every_retired_epoch() {
+    const RELOADS: u64 = 50;
+    let path = common::checkpoint_file("retire", 51);
+    let batch = probe_batch();
+    let slot = boot_slot(&path).expect("boot from checkpoint");
+    let handle = spawn(Arc::clone(&slot), ServeConfig::default()).expect("spawn front end");
+    let mut client = Client::connect(handle.addr(), Duration::from_secs(30)).expect("connect");
+
+    let mut retired = Vec::new();
+    for i in 1..=RELOADS {
+        retired.push(Arc::downgrade(&slot.load()));
+        handle.reload(&path).unwrap_or_else(|e| panic!("reload {i}: {e}"));
+        let reply = client.post_batch_tagged(&batch).expect("served after the swap");
+        assert_eq!(reply.epoch, Some(1 + i), "the request after reload {i} runs on its epoch");
+    }
+    assert_eq!(handle.epoch(), 1 + RELOADS);
+    for (i, epoch) in retired.iter().enumerate() {
+        assert!(epoch.upgrade().is_none(), "epoch {} is still held after retirement", i + 1);
+    }
+
+    handle.shutdown();
+    std::fs::remove_file(path).ok();
+}
+
 /// The live-graph loop under traffic: 100 cycles of promote-one-node →
 /// lineage-stamped checkpoint → hot swap, while four closed-loop clients
 /// hammer `/v1/serve` with an *original-width* probe batch. Zero non-200s

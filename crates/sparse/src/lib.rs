@@ -29,5 +29,8 @@ mod sparsify;
 
 pub use coo::Coo;
 pub use csr::{spmm_sparse, Csr};
-pub use normalize::{renormalize_rows, row_normalize_dense, sym_normalize, sym_normalize_dense};
+pub use normalize::{
+    renormalize_rows, row_normalize_dense, sym_normalize, sym_normalize_dense,
+    sym_normalize_dense_with_scale,
+};
 pub use sparsify::{sparsify_dense, SparsifyStats};

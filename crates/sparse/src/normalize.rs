@@ -51,6 +51,17 @@ pub fn sym_normalize(adj: &Csr) -> Csr {
 /// Panics when `adj` is not square.
 #[must_use]
 pub fn sym_normalize_dense(adj: &DMat) -> DMat {
+    sym_normalize_dense_with_scale(adj).0
+}
+
+/// [`sym_normalize_dense`] together with the `D̃^{-1/2}` diagonal it scaled
+/// by (zero where the degree is not positive) — the by-product the
+/// differentiable tape op keeps for its backward rule.
+///
+/// # Panics
+/// Panics when `adj` is not square.
+#[must_use]
+pub fn sym_normalize_dense_with_scale(adj: &DMat) -> (DMat, Vec<f32>) {
     assert_eq!(adj.rows(), adj.cols(), "sym_normalize_dense: adjacency must be square");
     let n = adj.rows();
     let mut tilde = adj.clone();
@@ -68,7 +79,7 @@ pub fn sym_normalize_dense(adj: &DMat) -> DMat {
             *v *= si * inv_sqrt[j];
         }
     }
-    out
+    (out, inv_sqrt)
 }
 
 /// Row (random-walk) normalisation of a dense matrix: `D^{-1} A` with

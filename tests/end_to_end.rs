@@ -117,6 +117,28 @@ fn condensation_is_deterministic_per_seed() {
 }
 
 #[test]
+fn condensation_is_thread_invariant_as_a_whole() {
+    // The kernels are each bitwise thread-invariant; this pins the whole of
+    // Algorithm 1 — every tape step, optimiser update and loss trace.
+    let data = load_dataset("pubmed", Scale::Small, 2).unwrap();
+    let cfg = quick_cfg(0.02, 7);
+    let serial = mcond::par::with_thread_limit(1, || condense(&data, &cfg));
+    let pooled = mcond::par::with_thread_limit(4, || condense(&data, &cfg));
+    assert!(serial.synthetic.features.bit_eq(&pooled.synthetic.features));
+    assert!(serial.synthetic.adj.bit_eq(&pooled.synthetic.adj));
+    assert!(serial.mapping.bit_eq(&pooled.mapping));
+    assert!(serial.dense_adj.bit_eq(&pooled.dense_adj));
+    assert!(serial.dense_mapping.bit_eq(&pooled.dense_mapping));
+    let (a, b) = (&serial.history, &pooled.history);
+    assert_eq!(a.grad_loss, b.grad_loss);
+    assert_eq!(a.structure_loss, b.structure_loss);
+    assert_eq!(a.transductive_loss, b.transductive_loss);
+    assert_eq!(a.inductive_loss, b.inductive_loss);
+    assert_eq!(a.mapping_loss, b.mapping_loss);
+    assert!(!a.inductive_loss.is_empty(), "the config must exercise every loss");
+}
+
+#[test]
 fn eq11_attachment_matches_manual_block_construction() {
     // Extending S by the sparse aM must equal hand-building
     // [[A', (aM)ᵀ],[aM, ã]] from the dense product.
