@@ -6,6 +6,16 @@ set -e
 # only: the cache and the propagators are evaluators of that program and
 # must not match on an architecture. Prints the offending arm and fails.
 if grep -nE 'GnnKind::\w+[^;]*=>' crates/gnn/src/frozen.rs crates/gnn/src/propagator.rs; then exit 1; fi
+# Every tape op has a finite-difference check: a `pub fn` of
+# crates/autodiff/src/ops_*.rs that gradcheck.rs never calls is named here.
+unchecked=0
+for op in $(grep -hoE 'pub fn [a-z0-9_]+' crates/autodiff/src/ops_*.rs | cut -d' ' -f3); do
+    if ! grep -q "\.$op(" crates/autodiff/tests/gradcheck.rs; then
+        echo "Tape::$op has no gradcheck in crates/autodiff/tests/gradcheck.rs"
+        unchecked=1
+    fi
+done
+if [ "$unchecked" -ne 0 ]; then exit 1; fi
 cargo fmt --all --check 2>/dev/null || echo "note: rustfmt not enforced (formatting is hand-maintained)"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace

@@ -140,24 +140,6 @@ impl Tape {
                     add_grad(grads, *b, g.slice_rows(ra, g.rows()));
                 }
             }
-            Op::HStack(a, b) => {
-                let ca = self.nodes[*a].value.cols();
-                if self.rg(*a) {
-                    let mut ga = DMat::zeros(g.rows(), ca);
-                    for i in 0..g.rows() {
-                        ga.row_mut(i).copy_from_slice(&g.row(i)[..ca]);
-                    }
-                    add_grad(grads, *a, ga);
-                }
-                if self.rg(*b) {
-                    let cb = g.cols() - ca;
-                    let mut gb = DMat::zeros(g.rows(), cb);
-                    for i in 0..g.rows() {
-                        gb.row_mut(i).copy_from_slice(&g.row(i)[ca..]);
-                    }
-                    add_grad(grads, *b, gb);
-                }
-            }
             Op::SliceRows(a, lo, _hi) => {
                 if self.rg(*a) {
                     let src = &self.nodes[*a].value;
@@ -188,6 +170,24 @@ impl Tape {
                     add_grad(grads, *bias, DMat::from_vec(1, g.cols(), g.col_sums()));
                 }
             }
+            Op::ScaleRows(a, v) => {
+                if self.rg(*a) {
+                    add_grad(grads, *a, g.scale_rows(self.nodes[*v].value.as_slice()));
+                }
+                if self.rg(*v) {
+                    let x = &self.nodes[*a].value;
+                    let gv = (0..g.rows())
+                        .map(|i| g.row(i).iter().zip(x.row(i)).map(|(gv, xv)| gv * xv).sum())
+                        .collect();
+                    add_grad(grads, *v, DMat::from_vec(g.rows(), 1, gv));
+                }
+            }
+            Op::InvSqrt(a) => {
+                if self.rg(*a) {
+                    // y = x^{-1/2}  =>  dy/dx = -y³/2 (and 0 where y was clamped to 0).
+                    add_grad(grads, *a, g.zip_with(&node.value, |gv, y| -0.5 * gv * y * y * y));
+                }
+            }
             Op::DivRowSum(a) => {
                 if self.rg(*a) {
                     // y_ij = x_ij / s_i  =>  dx_ij = (g_ij - Σ_k g_ik y_ik) / s_i
@@ -213,23 +213,28 @@ impl Tape {
                     add_grad(grads, *a, self.sym_normalize_backward(id, *a, g));
                 }
             }
-            Op::PairConcat(a) => {
-                if self.rg(*a) {
-                    let x = &self.nodes[*a].value;
-                    let (n, d) = x.shape();
-                    let mut ga = DMat::zeros(n, d);
-                    for i in 0..n {
-                        for j in 0..n {
-                            let grow = g.row(i * n + j);
-                            for (dst, s) in ga.row_mut(i).iter_mut().zip(&grow[..d]) {
-                                *dst += *s;
-                            }
-                            for (dst, s) in ga.row_mut(j).iter_mut().zip(&grow[d..]) {
-                                *dst += *s;
-                            }
+            Op::PairSum(p, q) => {
+                // Row i·n + j is p_i + q_j: p_i collects the rows of block i,
+                // q_j the j-th row of every block.
+                let (n, h) = self.nodes[*p].value.shape();
+                let mut gp = DMat::zeros(n, h);
+                let mut gq = DMat::zeros(n, h);
+                for i in 0..n {
+                    for j in 0..n {
+                        let grow = g.row(i * n + j);
+                        for (dst, s) in gp.row_mut(i).iter_mut().zip(grow) {
+                            *dst += *s;
+                        }
+                        for (dst, s) in gq.row_mut(j).iter_mut().zip(grow) {
+                            *dst += *s;
                         }
                     }
-                    add_grad(grads, *a, ga);
+                }
+                if self.rg(*p) {
+                    add_grad(grads, *p, gp);
+                }
+                if self.rg(*q) {
+                    add_grad(grads, *q, gq);
                 }
             }
             Op::PairMeanSym(z) => {
@@ -283,11 +288,11 @@ impl Tape {
             Op::L21(a) => {
                 if self.rg(*a) {
                     let x = &self.nodes[*a].value;
+                    let norms = node.cache.as_ref().expect("L21 cache");
                     let seed = g.get(0, 0);
                     let mut ga = DMat::zeros(x.rows(), x.cols());
                     for i in 0..x.rows() {
-                        let norm: f32 =
-                            x.row(i).iter().map(|v| v * v).sum::<f32>().sqrt();
+                        let norm = norms.get(i, 0);
                         if norm > 1e-12 {
                             for (dst, v) in ga.row_mut(i).iter_mut().zip(x.row(i)) {
                                 *dst = seed * v / norm;

@@ -11,7 +11,10 @@
 //! * a **differentiable symmetric GCN normalisation** (training through the
 //!   learned synthetic adjacency `A'`),
 //! * the **pairwise-MLP adjacency generator** plumbing (Eq. 6:
-//!   [`Tape::pair_concat`], [`Tape::pair_mean_sym`]),
+//!   [`Tape::pair_sum`], [`Tape::pair_mean_sym`]),
+//! * a degree scaling whose degrees are on the tape ([`Tape::inv_sqrt`],
+//!   [`Tape::scale_rows`]) — Eq. (11)'s extended graph propagated block by
+//!   block, never assembled,
 //! * row-sum normalisation for the mapping matrix (Eq. 15),
 //! * loss heads: softmax cross-entropy, the *softmax error* term used by
 //!   gradient matching (Eq. 4), column-wise cosine distance (Eq. 5),

@@ -75,13 +75,6 @@ impl Tape {
         self.push(value, Op::VStack(a.0, b.0), rg, None)
     }
 
-    /// `[a, b]` — horizontal concatenation.
-    pub fn hstack(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).hstack(self.value(b));
-        let rg = self.rg(a.0) || self.rg(b.0);
-        self.push(value, Op::HStack(a.0, b.0), rg, None)
-    }
-
     /// Rows `lo..hi` of `a`.
     pub fn slice_rows(&mut self, a: Var, lo: usize, hi: usize) -> Var {
         let value = self.value(a).slice_rows(lo, hi);
@@ -106,6 +99,28 @@ impl Tape {
         let value = self.value(a).add_row_broadcast(b.row(0));
         let rg = self.rg(a.0) || self.rg(bias.0);
         self.push(value, Op::AddRowBroadcast(a.0, bias.0), rg, None)
+    }
+
+    /// `diag(v) · a`: multiplies row `i` of `a` by `v_i` — the degree scaling
+    /// of a propagation whose degrees are themselves on the tape.
+    ///
+    /// # Panics
+    /// Panics when `v` is not `a.rows() x 1`.
+    pub fn scale_rows(&mut self, a: Var, v: Var) -> Var {
+        let scales = self.value(v);
+        assert_eq!(scales.cols(), 1, "scale_rows: scales must be a single column");
+        let value = self.value(a).scale_rows(scales.as_slice());
+        let rg = self.rg(a.0) || self.rg(v.0);
+        self.push(value, Op::ScaleRows(a.0, v.0), rg, None)
+    }
+
+    /// Element-wise `x^{-1/2}`, with zero where `x <= 0` — the `D̃^{-1/2}` of
+    /// [`mcond_sparse::sym_normalize_dense`], same expression and same
+    /// treatment of non-positive degrees.
+    pub fn inv_sqrt(&mut self, a: Var) -> Var {
+        let value = self.value(a).map(|d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 });
+        let rg = self.rg(a.0);
+        self.push(value, Op::InvSqrt(a.0), rg, None)
     }
 
     /// Row-sum normalisation `Y_ij = X_ij / Σ_k X_ik` (zero rows preserved) —

@@ -23,8 +23,7 @@ impl Tape {
     /// `Y = D̃^{-1/2}(A + I)D̃^{-1/2}` with `D̃ = diag(rowsum(A + I))`. The
     /// forward value *is* [`mcond_sparse::sym_normalize_dense`]'s.
     ///
-    /// Used to train through the learned synthetic adjacency `A'` and, in
-    /// the inductive loss, through blocks containing `aM`.
+    /// Used to train through the learned synthetic adjacency `A'`.
     ///
     /// # Panics
     /// Panics when the input is not square.
@@ -36,24 +35,31 @@ impl Tape {
         self.push(value, Op::SymNormalize(a.0), rg, Some(cache))
     }
 
-    /// Builds the `n² x 2d` pair-concat matrix whose row `i·n + j` is
-    /// `[x_i, x_j]` — input of MLP_Φ in Eq. (6).
+    /// Builds the `n² x h` matrix whose row `i·n + j` is `p_i + q_j`. With
+    /// `p = X·W1[..d]` and `q = X·W1[d..]` this is `[x_i; x_j]·W1` for every
+    /// ordered pair — the first layer of MLP_Φ in Eq. (6) — without the
+    /// `n² x 2d` pair matrix.
     ///
     /// Quadratic in `n`; intended for the small synthetic node set
     /// (`n = N' ≪ N`).
-    pub fn pair_concat(&mut self, a: Var) -> Var {
-        let x = self.value(a);
-        let (n, d) = x.shape();
-        let mut value = DMat::zeros(n * n, 2 * d);
+    ///
+    /// # Panics
+    /// Panics when `p` and `q` differ in shape.
+    pub fn pair_sum(&mut self, p: Var, q: Var) -> Var {
+        let (pv, qv) = (self.value(p), self.value(q));
+        assert_eq!(pv.shape(), qv.shape(), "pair_sum: shape mismatch");
+        let (n, h) = pv.shape();
+        let mut value = DMat::zeros(n * n, h);
         for i in 0..n {
             for j in 0..n {
                 let row = value.row_mut(i * n + j);
-                row[..d].copy_from_slice(x.row(i));
-                row[d..].copy_from_slice(x.row(j));
+                for ((dst, a), b) in row.iter_mut().zip(pv.row(i)).zip(qv.row(j)) {
+                    *dst = a + b;
+                }
             }
         }
-        let rg = self.rg(a.0);
-        self.push(value, Op::PairConcat(a.0), rg, None)
+        let rg = self.rg(p.0) || self.rg(q.0);
+        self.push(value, Op::PairSum(p.0, q.0), rg, None)
     }
 
     /// Reshapes an `n² x 1` pair score vector into the symmetric `n x n`

@@ -54,9 +54,13 @@ impl Tape {
     /// Scalar L2,1 norm `Σ_i ‖X_i‖₂` (rows' L2 norms summed) — Eq. (10) /
     /// Eq. (12) without their `1/N` factors (compose with [`Tape::scale`]).
     pub fn l21(&mut self, a: Var) -> Var {
-        let value = DMat::from_vec(1, 1, vec![self.value(a).l21_norm()]);
+        let x = self.value(a);
+        // The per-row norms are the backward rule's denominators; keep them.
+        let norms: Vec<f32> =
+            (0..x.rows()).map(|i| x.row(i).iter().map(|v| v * v).sum::<f32>().sqrt()).collect();
+        let value = DMat::from_vec(1, 1, vec![norms.iter().sum()]);
         let rg = self.rg(a.0);
-        self.push(value, Op::L21(a.0), rg, None)
+        self.push(value, Op::L21(a.0), rg, Some(DMat::from_vec(norms.len(), 1, norms)))
     }
 
     /// Column-wise cosine distance `Σ_j (1 - cos(A_:j, B_:j))` — the per-layer

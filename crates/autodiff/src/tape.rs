@@ -42,21 +42,23 @@ pub(crate) enum Op {
     Transpose(usize),
     /// `[A; B]` (rows of A on top).
     VStack(usize, usize),
-    /// `[A, B]` (columns of A on the left).
-    HStack(usize, usize),
     /// Rows `lo..hi` of `A`.
     SliceRows(usize, usize, usize),
     /// Row gather by index list (duplicates allowed).
     SelectRows(usize, Arc<Vec<usize>>),
     /// `A + 1·bias`: adds a `1 x d` bias row to every row of `A`.
     AddRowBroadcast(usize, usize),
+    /// `diag(v) · A` for an `n x 1` column `v`.
+    ScaleRows(usize, usize),
+    /// Element-wise `x^{-1/2}`, zero where `x <= 0`.
+    InvSqrt(usize),
     /// `Y_ij = X_ij / Σ_k X_ik` (zero rows preserved).
     DivRowSum(usize),
     /// Differentiable `D̃^{-1/2}(A + I)D̃^{-1/2}` on a dense square input.
     SymNormalize(usize),
-    /// For `X : n x d`, builds the `n² x 2d` matrix whose row `i·n + j` is
-    /// `[x_i, x_j]` — the MLP_Φ input of Eq. (6).
-    PairConcat(usize),
+    /// For `P, Q : n x h`, builds the `n² x h` matrix whose row `i·n + j` is
+    /// `P_i + Q_j` — the first MLP_Φ layer of Eq. (6) over every pair.
+    PairSum(usize, usize),
     /// For `Z : n² x 1`, builds the `n x n` matrix `(Z_{i·n+j} + Z_{j·n+i})/2`
     /// — the symmetrisation of Eq. (6).
     PairMeanSym(usize),

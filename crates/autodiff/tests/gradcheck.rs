@@ -86,8 +86,7 @@ fn structural_ops() {
         let b = t.constant(other.clone());
         let v = t.vstack(a, b); // 5 x 4
         let tr = t.transpose(v); // 4 x 5
-        let h = t.hstack(tr, tr); // 4 x 10
-        let s = t.slice_rows(h, 1, 4); // 3 x 10
+        let s = t.slice_rows(tr, 1, 4); // 3 x 5
         let sel = t.select_rows(s, Arc::new(vec![0, 2, 2, 1]));
         let l = t.l21(sel);
         (a, l)
@@ -130,16 +129,68 @@ fn sym_normalize() {
 }
 
 #[test]
-fn pair_concat_and_mean_sym() {
-    let w0 = small(6, 1, 14);
-    assert_gradients_match(&small(4, 3, 15), 1e-2, 3e-2, |t, p| {
-        let x = t.param(p);
-        let pc = t.pair_concat(x); // 16 x 6
+fn scale_rows_both_sides() {
+    let scales = MatRng::seed_from(31).uniform(4, 1, 0.5, 2.0);
+    assert_gradients_match(&small(4, 3, 32), 1e-2, 2e-2, |t, p| {
+        let a = t.param(p);
+        let v = t.constant(scales.clone());
+        let y = t.scale_rows(a, v);
+        let l = t.l21(y);
+        (a, l)
+    });
+    let a0 = small(4, 3, 33);
+    assert_gradients_match(&scales, 1e-2, 2e-2, |t, p| {
+        let a = t.constant(a0.clone());
+        let v = t.param(p);
+        let y = t.scale_rows(a, v);
+        let l = t.l21(y);
+        (v, l)
+    });
+}
+
+#[test]
+fn inv_sqrt_on_positive_degrees() {
+    // Degrees of a graph with self-loops are >= 1; stay clear of the clamp.
+    let base = MatRng::seed_from(34).uniform(5, 1, 1.0, 4.0);
+    let x0 = small(5, 3, 35);
+    assert_gradients_match(&base, 1e-3, 3e-2, |t, p| {
+        let d = t.param(p);
+        let r = t.inv_sqrt(d);
+        let x = t.constant(x0.clone());
+        let y = t.scale_rows(x, r);
+        let l = t.l21(y);
+        (d, l)
+    });
+}
+
+#[test]
+fn pair_sum_and_mean_sym() {
+    // Eq. (6) as the adjacency generator records it: p_i + q_j per pair.
+    let w0 = small(5, 1, 14);
+    let q0 = small(4, 5, 36);
+    assert_gradients_match(&small(4, 5, 15), 1e-2, 3e-2, |t, p| {
+        let pv = t.param(p);
+        let qv = t.constant(q0.clone());
+        let ps = t.pair_sum(pv, qv); // 16 x 5
         let w = t.constant(w0.clone());
-        let z = t.matmul(pc, w); // 16 x 1
+        let z = t.matmul(ps, w); // 16 x 1
         let sym = t.pair_mean_sym(z); // 4 x 4
         let sig = t.sigmoid(sym);
         let l = t.l21(sig);
+        (pv, l)
+    });
+    // Both operands at once: x feeds p and q, as X' does.
+    let w1 = small(6, 5, 37);
+    assert_gradients_match(&small(4, 3, 38), 1e-2, 3e-2, |t, p| {
+        let x = t.param(p);
+        let w = t.constant(w1.clone());
+        let w_i = t.slice_rows(w, 0, 3);
+        let w_j = t.slice_rows(w, 3, 6);
+        let pv = t.matmul(x, w_i);
+        let qv = t.matmul(x, w_j);
+        let ps = t.pair_sum(pv, qv);
+        let act = t.sigmoid(ps);
+        let l = t.l21(act);
         (x, l)
     });
 }

@@ -158,6 +158,44 @@ fn multi_parameter_backward_gives_gradients_to_each() {
 }
 
 #[test]
+fn l21_value_and_gradient_are_the_uncached_expressions_bitwise() {
+    // The op keeps its per-row norms for backward; value and gradient must
+    // stay what recomputing them gives: Σ_i ‖x_i‖ and seed·x_ij/‖x_i‖.
+    let x0 = DMat::from_rows(&[&[0.3, -1.2, 0.7], &[0.0, 0.0, 0.0], &[-0.9, 0.8, 1.5]]);
+    let mut tape = Tape::new();
+    let x = tape.param(x0.clone());
+    let norm = tape.l21(x);
+    let l = tape.scale(norm, 0.37);
+    assert_eq!(tape.scalar(norm).to_bits(), x0.l21_norm().to_bits());
+    let grads = tape.backward(l);
+    let g = grads.get(x).unwrap();
+    for i in 0..x0.rows() {
+        let row_norm = x0.row(i).iter().map(|v| v * v).sum::<f32>().sqrt();
+        for (j, v) in x0.row(i).iter().enumerate() {
+            let expected = if row_norm > 1e-12 { 0.37 * v / row_norm } else { 0.0 };
+            assert_eq!(g.get(i, j).to_bits(), expected.to_bits(), "entry ({i}, {j})");
+        }
+    }
+}
+
+#[test]
+fn inv_sqrt_clamps_non_positive_degrees_to_zero_with_zero_gradient() {
+    // The same rule as `sym_normalize`: such a node neither sends nor
+    // receives messages, and no NaN/Inf reaches the loss or the gradient.
+    let mut tape = Tape::new();
+    let d = tape.param(DMat::from_rows(&[&[4.0], &[0.0], &[-1.0]]));
+    let r = tape.inv_sqrt(d);
+    assert_eq!(tape.value(r), &DMat::from_rows(&[&[0.5], &[0.0], &[0.0]]));
+    let x = tape.constant(DMat::filled(3, 2, 1.0));
+    let y = tape.scale_rows(x, r);
+    let l = tape.l21(y);
+    let grads = tape.backward(l);
+    let g = grads.get(d).unwrap();
+    assert!(g.get(0, 0) < 0.0);
+    assert_eq!((g.get(1, 0), g.get(2, 0)), (0.0, 0.0));
+}
+
+#[test]
 fn shared_leaves_match_by_value_leaves_bitwise_and_are_left_untouched() {
     // loss = ‖P·Cᵀ + P⊙C‖₂,₁ with P a parameter and C a constant.
     fn loss_and_grad(p: impl Into<Arc<DMat>>, c: impl Into<Arc<DMat>>) -> (u32, Vec<u32>) {

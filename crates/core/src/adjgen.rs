@@ -44,8 +44,14 @@ impl AdjacencyGenerator {
     /// `xs` and parameter vars `ps` — the full Eq. (6) with zeroed diagonal.
     /// Values lie in `(0, 1)` off the diagonal.
     pub fn adjacency(&self, tape: &mut Tape, ps: &[Var; 4], xs: Var) -> Var {
-        let pairs = tape.pair_concat(xs); // N'^2 x 2d
-        let h = tape.matmul(pairs, ps[0]);
+        // The first layer is linear in its two halves:
+        // [x_i; x_j]·W1 = x_i·W1[..d] + x_j·W1[d..].
+        let d = tape.value(xs).cols();
+        let w1_i = tape.slice_rows(ps[0], 0, d);
+        let w1_j = tape.slice_rows(ps[0], d, 2 * d);
+        let p = tape.matmul(xs, w1_i);
+        let q = tape.matmul(xs, w1_j);
+        let h = tape.pair_sum(p, q); // N'^2 x h
         let h = tape.add_row_broadcast(h, ps[1]);
         let h = tape.relu(h);
         let z = tape.matmul(h, ps[2]);
@@ -98,22 +104,57 @@ impl AdjacencyGenerator {
 mod tests {
     use super::*;
 
+    /// Eq. (6) with the `N'² x 2d` pair matrix written out.
+    fn pair_matrix_reference(g: &AdjacencyGenerator, xs: &DMat) -> DMat {
+        let (n, d) = xs.shape();
+        let mut pairs = DMat::zeros(n * n, 2 * d);
+        for i in 0..n {
+            for j in 0..n {
+                let row = pairs.row_mut(i * n + j);
+                row[..d].copy_from_slice(xs.row(i));
+                row[d..].copy_from_slice(xs.row(j));
+            }
+        }
+        let h = pairs.matmul(&g.w1).add_row_broadcast(g.b1.row(0)).relu();
+        let z = h.matmul(&g.w2).add_row_broadcast(g.b2.row(0));
+        let mut a = DMat::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                if i != j {
+                    let s = 0.5 * (z.get(i * n + j, 0) + z.get(j * n + i, 0));
+                    a.set(i, j, mcond_linalg::sigmoid_scalar(s));
+                }
+            }
+        }
+        a
+    }
+
     #[test]
-    fn adjacency_is_symmetric_bounded_and_hollow() {
+    fn adjacency_matches_the_pair_matrix_and_is_symmetric_bounded_and_hollow() {
+        // The ruler's shapes: N' = 39 synthetic nodes of reddit-small.
+        let (n, d, hidden) = (39, 96, 64);
         let mut rng = MatRng::seed_from(9);
-        let generator = AdjacencyGenerator::init(5, 8, &mut rng);
-        let xs = rng.normal(6, 5, 0.0, 1.0);
+        let mut generator = AdjacencyGenerator::init(d, hidden, &mut rng);
+        // Initialised biases are zero; move them so they are exercised.
+        generator.b1 = rng.normal(1, hidden, 0.0, 0.1);
+        generator.b2 = rng.normal(1, 1, 0.0, 0.1);
+        let xs = rng.normal(n, d, 0.0, 1.0);
         let a = generator.adjacency_detached(&xs);
-        assert_eq!(a.shape(), (6, 6));
-        for i in 0..6 {
+        assert_eq!(a.shape(), (n, n));
+        let reference = pair_matrix_reference(&generator, &xs);
+        for i in 0..n {
             assert_eq!(a.get(i, i), 0.0, "diagonal must be zeroed");
-            for j in 0..6 {
+            for j in 0..n {
                 let v = a.get(i, j);
-                assert!((0.0..1.0).contains(&v), "A'[{i}][{j}] = {v} out of (0,1)");
                 assert!(
-                    mcond_linalg::approx_eq(v, a.get(j, i), 1e-6),
-                    "asymmetric at ({i},{j})"
+                    (v - reference.get(i, j)).abs() <= 1e-5,
+                    "A'[{i}][{j}] = {v}, pair matrix gives {}",
+                    reference.get(i, j)
                 );
+                if i != j {
+                    assert!(v > 0.0 && v < 1.0, "A'[{i}][{j}] = {v} out of (0,1)");
+                }
+                assert_eq!(v, a.get(j, i), "asymmetric at ({i},{j})");
             }
         }
     }

@@ -6,10 +6,12 @@ use crate::coreset::class_budgets;
 use crate::mapping::Mapping;
 use crate::relay::Relay;
 use crate::sampling::sample_edge_batch;
-use mcond_autodiff::{Adam, Tape};
+use mcond_autodiff::{Adam, Tape, Var};
 use mcond_graph::{Graph, InductiveDataset};
 use mcond_linalg::{DMat, MatRng};
-use mcond_sparse::{renormalize_rows, sparsify_dense, sym_normalize, sym_normalize_dense, Csr};
+use mcond_sparse::{
+    renormalize_rows, sparsify_dense, sym_normalize, sym_normalize_dense, Coo, Csr,
+};
 use std::sync::Arc;
 
 /// Hyper-parameters of MCond (defaults follow §IV-A where stated).
@@ -48,8 +50,9 @@ pub struct McondConfig {
     pub delta: f32,
     /// Edge samples per structure-loss batch (half positive/half negative).
     pub structure_batch: usize,
-    /// Cap on support (validation) nodes used by the inductive loss per
-    /// step; the dense block of Eq. (11) is `(N' + n)²`.
+    /// Cap on support (validation) nodes `n` used by the inductive loss per
+    /// step; one Eq. (11) hop costs `O(n·N'·d)` plus the support nodes' own
+    /// edges.
     pub support_cap: usize,
     /// Row mini-batch size for the transductive loss (`0` = all rows).
     /// Eq. (10) is a sum over original-node rows, so sampling rows is plain
@@ -162,14 +165,114 @@ impl Condensed {
 /// Loop-invariant operands of the inductive loss (Eq. 11–12): the support
 /// batch's pieces in the form every mapping-step tape registers them.
 struct Support {
-    len: usize,
-    features: DMat,
     /// `a`: support → original-node edges.
     incremental: Arc<Csr>,
-    /// Support ↔ support edges, densified for the Eq. (11) block.
-    interconnect: Arc<DMat>,
+    side: SupportSide,
     /// Support embeddings `Â^L X` on the *original* graph (θ-independent).
     target: Arc<DMat>,
+}
+
+/// The support side of Eq. (11)'s extended graph, constant for the run.
+struct SupportSide {
+    /// `X_sup`.
+    features: Arc<DMat>,
+    /// `ã + I`: support ↔ support edges with their self-loops, sparse.
+    adj_loop: Arc<Csr>,
+    /// `rowsum(ã + I)` (`n x 1`).
+    deg: Arc<DMat>,
+}
+
+impl SupportSide {
+    fn new(features: DMat, interconnect: &Csr) -> Self {
+        let n = interconnect.rows();
+        let mut adj_loop = Coo::with_capacity(n, n, interconnect.nnz() + n);
+        for (i, j, v) in interconnect.iter() {
+            adj_loop.push(i, j, v);
+        }
+        for i in 0..n {
+            adj_loop.push(i, i, 1.0);
+        }
+        let adj_loop = adj_loop.to_csr();
+        let deg = column(adj_loop.row_weighted_degrees());
+        Self { features: Arc::new(features), adj_loop: Arc::new(adj_loop), deg: Arc::new(deg) }
+    }
+}
+
+/// The synthetic side of Eq. (11)'s extended graph, constant within an
+/// outer loop's mapping phase.
+struct SyntheticSide {
+    /// `X'`.
+    features: Arc<DMat>,
+    /// `A' + I` (the deployed, µ-thresholded `A'`).
+    adj_loop: Arc<DMat>,
+    /// `rowsum(A' + I)` (`N' x 1`).
+    deg: Arc<DMat>,
+}
+
+impl SyntheticSide {
+    fn new(features: DMat, adj: &DMat) -> Self {
+        let adj_loop = adj.add(&DMat::eye(adj.rows()));
+        let deg = column(adj_loop.row_sums());
+        Self { features: Arc::new(features), adj_loop: Arc::new(adj_loop), deg: Arc::new(deg) }
+    }
+}
+
+fn column(values: Vec<f32>) -> DMat {
+    DMat::from_vec(values.len(), 1, values)
+}
+
+/// Support rows of `Â_ext^L [X'; X_sup]` for Eq. (11)'s extended graph
+/// `A_ext = [[A', Sᵀ], [S, ã]]`, `S = a·M̂` (`n x N'`, the only block that
+/// carries gradient), normalised as in Eq. (1) — computed block by block
+/// instead of assembling `A_ext`. With `d_top = rowsum(A'+I) + colsum(S)` and
+/// `d_bot = rowsum(ã+I) + rowsum(S)`, one hop is
+///
+/// ```text
+/// Z_top ← D_top^{-½} [(A'+I)·Y_top + Sᵀ·Y_bot]
+/// Z_bot ← D_bot^{-½} [ S·Y_top + (ã+I)·Y_bot ]      Y = D^{-½} Z
+/// ```
+///
+/// and the last hop needs its bottom half only: the decomposition the serve
+/// path runs (`Propagator::spmm_split` / `spmm_bottom`), here on the tape.
+/// `ã` stays sparse and nothing `(N'+n) x (N'+n)` exists.
+fn extended_support_rows(
+    tape: &mut Tape,
+    s: Var,
+    syn: &SyntheticSide,
+    sup: &SupportSide,
+    hops: usize,
+) -> Var {
+    let s_t = tape.transpose(s);
+    let (n, n_syn) = tape.value(s).shape();
+    let ones_syn = tape.constant(DMat::filled(n_syn, 1, 1.0));
+    let ones_sup = tape.constant(DMat::filled(n, 1, 1.0));
+    let inv_sqrt_degree = |tape: &mut Tape, fixed: &Arc<DMat>, s_side: Var, ones: Var| {
+        let fixed = tape.constant(Arc::clone(fixed));
+        let moving = tape.matmul(s_side, ones);
+        let deg = tape.add(fixed, moving);
+        tape.inv_sqrt(deg)
+    };
+    let r_top = inv_sqrt_degree(tape, &syn.deg, s_t, ones_sup);
+    let r_bot = inv_sqrt_degree(tape, &sup.deg, s, ones_syn);
+
+    let adj_loop = tape.constant(Arc::clone(&syn.adj_loop));
+    let mut z_top = tape.constant(Arc::clone(&syn.features));
+    let mut z_bot = tape.constant(Arc::clone(&sup.features));
+    for hop in 0..hops {
+        let y_top = tape.scale_rows(z_top, r_top);
+        let y_bot = tape.scale_rows(z_bot, r_bot);
+        if hop + 1 < hops {
+            let from_top = tape.matmul(adj_loop, y_top);
+            let from_bot = tape.matmul(s_t, y_bot);
+            let raw = tape.add(from_top, from_bot);
+            z_top = tape.scale_rows(raw, r_top);
+        }
+        let from_top = tape.matmul(s, y_top);
+        let from_bot = tape.spmm(Arc::clone(&sup.adj_loop), y_bot);
+        let raw = tape.add(from_top, from_bot);
+        z_bot = tape.scale_rows(raw, r_bot);
+    }
+    z_bot
 }
 
 /// `L` propagation steps from `x`: `Â^L X` for `step = |z| Â·z`.
@@ -238,11 +341,9 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
             sym_normalize(&original.adj.block_extend(&sup.incremental, &sup.interconnect));
         let z = propagate(cfg.hops, original.features.vstack(&sup.features), |z| ext_hat.spmm(z));
         Support {
-            len: sup.len(),
             target: Arc::new(z.slice_rows(n, n + sup.len())),
-            interconnect: Arc::new(sup.interconnect.to_dense()),
+            side: SupportSide::new(sup.features, &sup.interconnect),
             incremental: Arc::new(sup.incremental),
-            features: sup.features,
         }
     });
 
@@ -267,6 +368,7 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
 
         // ---- Update synthetic graph (lines 6–11). -------------------------
         // `M` only moves in the mapping phase below.
+        let relay_span = mcond_obs::span("condense.relay");
         let m_norm = cfg.use_structure_loss.then(|| mapping.normalized_detached());
         for t in 0..cfg.relay_steps {
             let mut tape = Tape::new();
@@ -344,12 +446,14 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                 mcond_obs::point("condense.relay_step", &fields);
             }
         }
+        drop(relay_span);
 
         // ---- Update mapping matrix (lines 12–15). --------------------------
         // Embeddings are the relay's propagated features (see the structure
         // loss above): H = Â^L X on the original graph, H' = Â'^L X' on the
         // synthetic graph, and the support rows of the extended propagation.
         if cfg.train_mapping {
+            let _mapping_span = mcond_obs::span("condense.mapping");
             // The mapping must be trained against the graph that will be
             // *deployed*: the µ-sparsified A' (Eq. 14). Using the dense
             // pre-threshold A' here changes the degrees — and hence the
@@ -360,8 +464,9 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
             );
             let ahat_syn = sym_normalize_dense(&adj_syn_det);
             let h_syn = Arc::new(propagate(cfg.hops, x_syn.clone(), |z| ahat_syn.matmul(z)));
-            let inductive =
-                support.as_ref().map(|sup| (sup, Arc::new(x_syn.vstack(&sup.features))));
+            let inductive = support
+                .as_ref()
+                .map(|sup| (sup, SyntheticSide::new(x_syn.clone(), &adj_syn_det)));
 
             for step in 0..cfg.mapping_steps {
                 let mut tape = Tape::new();
@@ -388,26 +493,16 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                 let l_tra = tape.scale(l21, 1.0 / rows_used as f32);
                 history.transductive_loss.push(tape.scalar(l_tra));
 
-                let l_m = if let Some((sup, x_ext)) = &inductive {
+                let l_m = if let Some((sup, syn)) = &inductive {
                     // L_ind (Eq. 11–12): connect support nodes to S
                     // through aM̂ and compare embeddings.
                     let am = tape.spmm(Arc::clone(&sup.incremental), m_hat);
-                    let a_syn_c = tape.constant(Arc::clone(&adj_syn_det));
-                    let am_t = tape.transpose(am);
-                    let top = tape.hstack(a_syn_c, am_t);
-                    let corner = tape.constant(Arc::clone(&sup.interconnect));
-                    let bottom = tape.hstack(am, corner);
-                    let block = tape.vstack(top, bottom);
-                    let block_hat = tape.sym_normalize(block);
-                    let mut z_ext = tape.constant(Arc::clone(x_ext));
-                    for _ in 0..cfg.hops {
-                        z_ext = tape.matmul(block_hat, z_ext);
-                    }
-                    let h_sup_syn = tape.slice_rows(z_ext, n_syn, n_syn + sup.len);
+                    let h_sup_syn =
+                        extended_support_rows(&mut tape, am, syn, &sup.side, cfg.hops);
                     let target = tape.constant(Arc::clone(&sup.target));
                     let diff_sup = tape.sub(target, h_sup_syn);
                     let l21_sup = tape.l21(diff_sup);
-                    let l_ind = tape.scale(l21_sup, 1.0 / sup.len as f32);
+                    let l_ind = tape.scale(l21_sup, 1.0 / sup.target.rows() as f32);
                     history.inductive_loss.push(tape.scalar(l_ind));
                     let weighted = tape.scale(l_ind, cfg.beta);
                     tape.add(l_tra, weighted)
@@ -483,6 +578,94 @@ mod tests {
             support_cap: 24,
             ..McondConfig::default()
         }
+    }
+
+    /// Random operands of Eq. (11)'s extended graph: hollow symmetric `A'`
+    /// thresholded like the deployed one, a non-negative `S` standing in for
+    /// `a·M̂`, and a sparse symmetric `ã`.
+    fn extended_operands(n_syn: usize, n: usize, d: usize, seed: u64) -> (DMat, DMat, Csr, DMat, DMat) {
+        let mut rng = MatRng::seed_from(seed);
+        let u = rng.uniform(n_syn, n_syn, 0.0, 1.0);
+        let mut adj = u.add(&u.transpose()).scale(0.5).map(|v| if v >= 0.5 { v } else { 0.0 });
+        for i in 0..n_syn {
+            adj.set(i, i, 0.0);
+        }
+        let s = rng.uniform(n, n_syn, -0.3, 0.2).relu();
+        let mut inter = Coo::new(n, n);
+        for _ in 0..n {
+            let (i, j) = (rng.index(n), rng.index(n));
+            if i != j {
+                inter.push_sym(i, j, 1.0);
+            }
+        }
+        let inter = inter.to_csr().map_values(|_| 1.0);
+        (adj, s, inter, rng.normal(n_syn, d, 0.0, 1.0), rng.normal(n, d, 0.0, 1.0))
+    }
+
+    fn max_abs_diff(a: &DMat, b: &DMat) -> f32 {
+        assert_eq!(a.shape(), b.shape());
+        a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
+    }
+
+    #[test]
+    fn block_form_support_rows_match_the_materialised_block_and_the_serve_path() {
+        // The ruler's shapes: reddit-small at r = 1.5 %, 300 support nodes.
+        let (n_syn, n, d, hops) = (39, 300, 96, 2);
+        let (adj, s, inter, x_syn, x_sup) = extended_operands(n_syn, n, d, 41);
+
+        let mut tape = Tape::new();
+        let s_var = tape.param(s.clone());
+        let syn = SyntheticSide::new(x_syn.clone(), &adj);
+        let sup = SupportSide::new(x_sup.clone(), &inter);
+        let rows = extended_support_rows(&mut tape, s_var, &syn, &sup, hops);
+        let block_form = tape.value(rows);
+
+        // (a) What the parent commit recorded on the tape: the assembled
+        // (N'+n)² block, normalised and multiplied `hops` times.
+        let block = adj.hstack(&s.transpose()).vstack(&s.hstack(&inter.to_dense()));
+        let block_hat = sym_normalize_dense(&block);
+        let z = propagate(hops, x_syn.vstack(&x_sup), |z| block_hat.matmul(z));
+        let materialised = z.slice_rows(n_syn, n_syn + n);
+        let diff = max_abs_diff(block_form, &materialised);
+        assert!(diff <= 1e-5, "block form vs materialised block: max |Δ| = {diff}");
+
+        // (b) The serve path's decomposition of the same operator.
+        let (base, inc) = (Csr::from_dense(&adj), Csr::from_dense(&s));
+        let ext = mcond_gnn::Propagator::extended_sym(&base, &inc, &inter);
+        let (top, bottom) = ext.spmm_split(&x_syn, &x_sup);
+        let served = ext.spmm_bottom(&top, &bottom);
+        let diff = max_abs_diff(block_form, &served);
+        assert!(diff <= 1e-5, "block form vs spmm_split/spmm_bottom: max |Δ| = {diff}");
+    }
+
+    #[test]
+    fn block_form_inductive_loss_gradient_matches_finite_differences() {
+        // L_ind of Eq. (12) w.r.t. raw M, through Eq. (15), a·M̂ and the
+        // block-form propagation.
+        let (n_orig, n_syn, n, d, hops) = (6, 3, 4, 3, 2);
+        let (adj, _, inter, x_syn, x_sup) = extended_operands(n_syn, n, d, 42);
+        let mut rng = MatRng::seed_from(43);
+        let mut a = Coo::new(n, n_orig);
+        for i in 0..n {
+            a.push(i, rng.index(n_orig), 1.0);
+            a.push(i, rng.index(n_orig), 1.0);
+        }
+        let a = Arc::new(a.to_csr());
+        let target = rng.normal(n, d, 0.0, 1.0);
+        let syn = SyntheticSide::new(x_syn, &adj);
+        let sup = SupportSide::new(x_sup, &inter);
+        let raw0 = rng.uniform(n_orig, n_syn, -1.0, 1.0);
+        mcond_autodiff::check::assert_gradients_match(&raw0, 1e-2, 4e-2, |tape, p| {
+            let mapping = Mapping { raw: p, epsilon: 1e-5 };
+            let raw = mapping.tape_param(tape);
+            let m_hat = mapping.normalized(tape, raw);
+            let am = tape.spmm(Arc::clone(&a), m_hat);
+            let rows = extended_support_rows(tape, am, &syn, &sup, hops);
+            let tgt = tape.constant(target.clone());
+            let diff = tape.sub(tgt, rows);
+            let l = tape.l21(diff);
+            (raw, l)
+        });
     }
 
     #[test]

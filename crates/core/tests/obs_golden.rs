@@ -84,6 +84,17 @@ fn condense_train_serve_emits_well_formed_jsonl() {
         .unwrap();
     assert!(n_syn >= 1.0);
 
+    // The two phases of Algorithm 1 are spans of their own, once per outer
+    // loop and inside it.
+    for phase in ["condense.relay", "condense.mapping"] {
+        let spans = find("span", phase);
+        assert_eq!(spans.len(), cfg.outer_loops, "{phase}");
+        for sp in spans {
+            let path = get(sp, "path").and_then(Json::as_str).unwrap();
+            assert_eq!(path, format!("condense/condense.outer/{phase}"));
+        }
+    }
+
     // Per-step losses: K x T relay steps with finite l_gra, and mapping
     // steps with l_tra/l_map.
     let relay_points = find("point", "condense.relay_step");
