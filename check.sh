@@ -16,6 +16,11 @@ for op in $(grep -hoE 'pub fn [a-z0-9_]+' crates/autodiff/src/ops_*.rs | cut -d'
     fi
 done
 if [ "$unchecked" -ne 0 ]; then exit 1; fi
+# The wire codec builds no document tree: above its test module
+# crates/serve/src/codec.rs may not mention `Json` at all, doc comments
+# included (the tree codec lives on as a test-side reference under
+# crates/serve/tests/). Prints the offending line and fails.
+if sed '/^#\[cfg(test)\]/,$d' crates/serve/src/codec.rs | grep -n 'Json'; then exit 1; fi
 cargo fmt --all --check 2>/dev/null || echo "note: rustfmt not enforced (formatting is hand-maintained)"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace
@@ -53,6 +58,10 @@ cargo run --release --example serving
 # deadline-budget contracts. Also: 50 reloads through the front end leave
 # no retired epoch reachable (Weak handles, no RSS heuristic).
 cargo test --release -p mcond-serve --test reload_chaos --test drain_deadline
+# The protocol corpus (20 000-deep JSON bodies included: stack frames are
+# smaller in release, the cap must hold there too) and the streaming codec
+# against its tree reference, at release speed.
+cargo test --release -p mcond-serve --test protocol --test codec_fuzz
 # Live-graph equivalence: N incremental promotions must be bitwise
 # identical to a from-scratch rebuild (adjacency, mapping, degrees, and
 # both Exact and patched-FrozenBase serving) at 1 and 4 threads, and a

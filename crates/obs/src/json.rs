@@ -1,11 +1,16 @@
-//! A minimal JSON value with writer and parser.
+//! A minimal JSON value with writer and parser, and the pull reader the
+//! parser is built on.
 //!
 //! The workspace builds in a hermetic environment with no registry access,
 //! so machine-readable output (JSONL event logs, bench result dumps) runs on
 //! this module instead of `serde`/`serde_json`. It covers exactly what the
 //! observability layer and the bench harness need: building values, compact
 //! and pretty serialisation with full string escaping, and a strict parser
-//! so tests can round-trip every emitted line.
+//! so tests can round-trip every emitted line. Documents that arrive from
+//! outside the process are read with the same grammar through [`Reader`],
+//! which [`Json::parse`] is one client of: it bounds nesting
+//! ([`MAX_DEPTH`]), and a caller that knows its schema can take values off
+//! it without a [`Json`] tree in between.
 
 use std::fmt::Write as _;
 
@@ -145,13 +150,9 @@ impl Json {
     /// # Errors
     /// Returns a message with the byte offset of the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
+        let mut r = Reader::new(text);
+        let value = r.value()?;
+        r.end()?;
         Ok(value)
     }
 }
@@ -187,7 +188,11 @@ fn write_seq(
     out.push(close);
 }
 
-fn write_number(out: &mut String, v: f64) {
+/// Appends `v` the way every document of this workspace spells a number:
+/// non-finite as `null`, `-0.0` explicitly, integral values below 1e15
+/// without a decimal point, anything else as the shortest decimal that
+/// parses back to the same `f64`.
+pub fn write_number(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
     } else if v == 0.0 && v.is_sign_negative() {
@@ -256,25 +261,70 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Deepest array/object nesting the [`Reader`] follows. Everything that
+/// walks a document — [`Json::parse`], [`Reader::skip_value`], a
+/// schema-driven decoder — recurses once per level, so the cap is what
+/// keeps a body of 20 000 `[` characters an error instead of a stack
+/// overflow (which aborts the process, not just the thread).
+pub const MAX_DEPTH: usize = 128;
+
+/// A pull reader over one JSON document: the workspace's only JSON
+/// lexer. [`Json::parse`] builds a tree with it; a decoder that knows its
+/// schema (the `mcond-serve` wire codec) reads values straight into its
+/// own buffers and never builds one.
+///
+/// Arrays and objects are walked with [`Reader::begin`] / [`Reader::next`]:
+///
+/// ```
+/// use mcond_obs::json::Reader;
+/// let mut r = Reader::new(" [1, 2.5 ,3] ");
+/// let mut sum = 0.0;
+/// let mut more = r.begin(b'[')?;
+/// while more {
+///     sum += r.number()?;
+///     more = r.next(b']')?;
+/// }
+/// r.end()?;
+/// assert_eq!(sum, 6.5);
+/// # Ok::<(), String>(())
+/// ```
+///
+/// Every error is a message carrying the byte offset of the defect.
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
+impl<'a> Reader<'a> {
+    /// A reader at the first non-whitespace byte of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        let mut r = Reader { text, pos: 0, depth: 0 };
+        r.ws();
+        r
+    }
+
+    /// Skips whitespace.
+    pub fn ws(&mut self) {
+        let bytes = self.text.as_bytes();
+        while self.pos < bytes.len() && matches!(bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
             self.pos += 1;
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The next byte, unconsumed. A value starts with `{`, `[`, `"`, `-`,
+    /// a digit, or the first letter of `true` / `false` / `null`.
+    #[must_use]
+    pub fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    /// Consumes the byte `b`.
+    ///
+    /// # Errors
+    /// When the next byte is anything else.
+    pub fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -283,29 +333,68 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Enters an array (`open` = `b'['`) or object (`b'{'`). `true` when
+    /// an element follows, `false` when it closed at once (the closer is
+    /// consumed).
+    ///
+    /// # Errors
+    /// When the next byte is not `open`, or the nesting passes
+    /// [`MAX_DEPTH`].
+    pub fn begin(&mut self, open: u8) -> Result<bool, String> {
+        self.expect(open)?;
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos - 1));
+        }
+        self.depth += 1;
+        self.ws();
+        if self.peek() == Some(open + 2) {
+            // ASCII: ']' is '[' + 2 and '}' is '{' + 2.
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// After an element: consumes `,` (`true`, the reader is at the next
+    /// element) or `close` (`false`, the container is done).
+    ///
+    /// # Errors
+    /// When neither follows.
+    pub fn next(&mut self, close: u8) -> Result<bool, String> {
+        self.ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
+            Some(b',') => {
+                self.pos += 1;
+                self.ws();
+                Ok(true)
+            }
+            Some(c) if c == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ => Err(format!("expected ',' or {:?} at byte {}", close as char, self.pos)),
         }
     }
 
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
+    /// An object key and its `:`; the reader is left at the value.
+    ///
+    /// # Errors
+    /// On a malformed key string or a missing `:`.
+    pub fn key(&mut self) -> Result<String, String> {
+        let key = self.string()?;
+        self.ws();
+        self.expect(b':')?;
+        self.ws();
+        Ok(key)
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// A number: the longest run of `0-9 - + . e E`, parsed as `f64`.
+    ///
+    /// # Errors
+    /// When the run is not a number `f64::from_str` accepts.
+    pub fn number(&mut self) -> Result<f64, String> {
         let start = self.pos;
         while self
             .peek()
@@ -313,14 +402,15 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+        // The run is ASCII, so both ends are character boundaries.
+        self.text[start..self.pos].parse().map_err(|_| format!("bad number at byte {start}"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string, escapes decoded.
+    ///
+    /// # Errors
+    /// On a missing quote, a bad escape, or the end of input.
+    pub fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -346,7 +436,8 @@ impl Parser<'_> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos..self.pos + 4)
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
@@ -365,62 +456,92 @@ impl Parser<'_> {
                     while self.peek().is_some_and(|b| b & 0xc0 == 0x80) {
                         self.pos += 1;
                     }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| format!("invalid utf-8 at byte {start}"))?;
-                    out.push_str(chunk);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
+    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
+            self.pos += text.len();
+            Ok(value)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+    /// Any value, as a tree. Recursion is bounded by [`MAX_DEPTH`].
+    fn value(&mut self) -> Result<Json, String> {
+        match self.peek() {
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                let mut more = self.begin(b'{')?;
+                while more {
+                    let key = self.key()?;
+                    pairs.push((key, self.value()?));
+                    more = self.next(b'}')?;
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                Ok(Json::Obj(pairs))
             }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                let mut more = self.begin(b'[')?;
+                while more {
+                    items.push(self.value()?);
+                    more = self.next(b']')?;
+                }
+                Ok(Json::Arr(items))
+            }
+            _ => self.scalar(),
+        }
+    }
+
+    /// A string, a number, `true`, `false` or `null`.
+    fn scalar(&mut self) -> Result<Json, String> {
+        match self.peek() {
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number().map(Json::Num),
+            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
+        }
+    }
+
+    /// Consumes one value of any type, checking its syntax and keeping
+    /// nothing of it.
+    ///
+    /// # Errors
+    /// On any syntax error inside the value, nesting past [`MAX_DEPTH`]
+    /// included.
+    pub fn skip_value(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(open @ (b'{' | b'[')) => {
+                let mut more = self.begin(open)?;
+                while more {
+                    if open == b'{' {
+                        self.key()?;
+                    }
+                    self.skip_value()?;
+                    more = self.next(open + 2)?;
+                }
+                Ok(())
+            }
+            _ => self.scalar().map(drop),
+        }
+    }
+
+    /// The document is over: only whitespace may remain.
+    ///
+    /// # Errors
+    /// On trailing data.
+    pub fn end(&mut self) -> Result<(), String> {
+        self.ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing data at byte {}", self.pos))
         }
     }
 }
@@ -503,5 +624,58 @@ mod tests {
         let arr = j.get("a").and_then(Json::as_arr).unwrap();
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[1].get("b"), Some(&Json::Null));
+    }
+
+    /// Regression: the parser recursed once per `[` with no bound, so a
+    /// 20 KB body overflowed a 2 MB thread stack — which aborts the whole
+    /// process. Run on a spawned thread with the default stack, like the
+    /// connection handlers that hit it.
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        std::thread::spawn(|| {
+            for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+                let err = Json::parse(&deep).unwrap_err();
+                assert!(err.contains("nesting deeper than"), "{err}");
+                assert!(Reader::new(&deep).skip_value().is_err());
+            }
+        })
+        .join()
+        .expect("no overflow, no panic");
+        // The cap itself parses, one level more does not.
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        // Depth is nesting, not a count of containers seen.
+        assert!(Json::parse(&format!("[{}]", vec!["[{}]"; 1000].join(","))).is_ok());
+    }
+
+    #[test]
+    fn reader_pulls_a_document_without_building_it() {
+        let doc = r#" { "xs" : [1, -2.5e0 , 3] , "skip": {"deep": [null, "]"]}, "n": 7 } "#;
+        let mut r = Reader::new(doc);
+        let (mut xs, mut n) = (Vec::new(), 0.0);
+        let mut more = r.begin(b'{').unwrap();
+        while more {
+            match r.key().unwrap().as_str() {
+                "xs" => {
+                    let mut more = r.begin(b'[').unwrap();
+                    while more {
+                        xs.push(r.number().unwrap());
+                        more = r.next(b']').unwrap();
+                    }
+                }
+                "n" => n = r.number().unwrap(),
+                _ => r.skip_value().unwrap(),
+            }
+            more = r.next(b'}').unwrap();
+        }
+        r.end().unwrap();
+        assert_eq!((xs, n), (vec![1.0, -2.5, 3.0], 7.0));
+
+        assert!(!Reader::new("[ ]").begin(b'[').unwrap());
+        assert!(Reader::new("{}").begin(b'[').is_err());
+        assert!(Reader::new("[1 2]").skip_value().is_err());
+        assert!(Reader::new("{\"a\":1,}").skip_value().is_err());
+        assert!(Reader::new("1 2").end().is_err());
     }
 }

@@ -123,6 +123,13 @@
 //! * `serve.http.batches` / `serve.http.coalesced` — fan-outs executed
 //!   and requests merged into them (their ratio is the effective
 //!   coalescing factor; 1.0 means every request rode alone);
+//! * `serve.http.stage.decode` — histogram (µs), one sample per
+//!   `/v1/serve` body that was UTF-8: the wire codec turning it into a
+//!   `NodeBatch` or a typed refusal (recorded by the connection handler);
+//! * `serve.http.stage.encode` — histogram (µs), one sample per `200`:
+//!   the logits written out as the reply body. With the two below these
+//!   are four of the socket-to-socket stages; reading the request off the
+//!   socket, parsing its head and writing the reply have none yet;
 //! * `serve.http.stage.queue_wait` — histogram (µs), one sample per
 //!   job: enqueue to dispatch, any linger included — the number the
 //!   queue-wait EWMA is fed;

@@ -64,6 +64,12 @@ pub fn protocol_corpus(
         limits.max_body_bytes + 1
     );
     let stall = read_timeout + Duration::from_millis(300);
+    let post = |path: &str, body: &str| {
+        ChaosWrite::Bytes(
+            format!("POST {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}", body.len())
+                .into_bytes(),
+        )
+    };
     // Allocation-bomb shape: a tiny, syntactically valid
     // request declaring 9e15 sparse rows. The codec must answer 400
     // without sizing anything from the declaration (an attempted
@@ -72,11 +78,6 @@ pub fn protocol_corpus(
     let alloc_bomb_body = format!(
         "{{\"feature_dim\": {feature_dim}, \"features\": [], \"incremental\": \
          {{\"rows\": 9000000000000000, \"cols\": {inc_cols}, \"entries\": []}}}}"
-    );
-    let alloc_bomb = format!(
-        "POST /v1/serve HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}",
-        alloc_bomb_body.len(),
-        alloc_bomb_body
     );
     // A valid empty batch, dribbled across four writes: headers split
     // mid-name, body split mid-object. Robust framing must reassemble it
@@ -96,6 +97,18 @@ pub fn protocol_corpus(
         split_body.len(),
         split_body
     );
+    // 20 000 unclosed `[`: a parser that recurses once per bracket
+    // overflows the connection thread's 2 MB stack on this, and a stack
+    // overflow is not a panic — it aborts the process. As the whole body,
+    // under a key the batch schema does not know (the decoder's
+    // skip-a-value path), and as a reload request.
+    let brackets = "[".repeat(20_000);
+    let deep_body = post("/v1/serve", &brackets);
+    let deep_under_unknown_key = post(
+        "/v1/serve",
+        &format!("{}, \"annotations\": {brackets}}}", &split_body[..split_body.len() - 1]),
+    );
+    let deep_reload = post("/v1/admin/reload", &format!("{{\"path\": {brackets}}}"));
     let half = split_body.len() / 2;
     let split_writes = vec![
         req("POST /v1/serve HTTP"),
@@ -155,7 +168,7 @@ pub fn protocol_corpus(
         },
         ProtocolCase {
             name: "huge_declared_sparse_rows",
-            writes: vec![ChaosWrite::Bytes(alloc_bomb.into_bytes())],
+            writes: vec![post("/v1/serve", &alloc_bomb_body)],
             expect: Expect::Statuses(&[400]),
         },
         ProtocolCase {
@@ -213,6 +226,21 @@ pub fn protocol_corpus(
             writes: vec![req(
                 "POST /v1/serve HTTP/1.1\r\ncontent-length: 17\r\n\r\n{\"features\": 42}\n",
             )],
+            expect: Expect::Statuses(&[400]),
+        },
+        ProtocolCase {
+            name: "deeply_nested_body",
+            writes: vec![deep_body],
+            expect: Expect::Statuses(&[400]),
+        },
+        ProtocolCase {
+            name: "deeply_nested_under_unknown_key",
+            writes: vec![deep_under_unknown_key],
+            expect: Expect::Statuses(&[400]),
+        },
+        ProtocolCase {
+            name: "deeply_nested_reload_body",
+            writes: vec![deep_reload],
             expect: Expect::Statuses(&[400]),
         },
         ProtocolCase {

@@ -1,10 +1,17 @@
 //! JSON wire codec for [`NodeBatch`] requests and logits responses.
 //!
-//! Runs on the in-repo [`mcond_obs::Json`] value (hermeticity rule — no
-//! serde). The decoder is *total*: any byte string either decodes to a
-//! structurally well-formed batch or returns a typed [`CodecError`], never
-//! a panic — the seeded fuzz suite (`codec_fuzz` test) drives random,
-//! truncated, and bit-mutated payloads through it to prove that. The
+//! Both directions work on text and buffers only (hermeticity rule — no
+//! serde, and no document tree either): the decoders pull values off a
+//! [`mcond_obs::json::Reader`] straight into the `Vec`s a `DMat` / `Coo`
+//! is built from, the encoders push numbers into one pre-sized `String`
+//! with [`mcond_obs::json::write_number`]. The decoder is *total*: any
+//! byte string either decodes to a structurally well-formed batch or
+//! returns a typed [`CodecError`], never a panic — the seeded fuzz suite
+//! (`codec_fuzz` test) drives random, truncated, and bit-mutated payloads
+//! through it to prove that, and holds it to the tree-building decoder it
+//! replaced (kept as a test-side reference). Nesting is followed
+//! [`mcond_obs::json::MAX_DEPTH`] levels deep and is a
+//! [`CodecError::Parse`] beyond that, under unknown keys included. The
 //! decoder also refuses to let client-declared shapes drive allocations
 //! (see the shape-bounds paragraph below); within those bounds it accepts
 //! any self-consistent shape and lets [`NodeBatch::validate_against`]
@@ -29,7 +36,10 @@
 //! (`incremental.cols` — the base-graph width — is required).
 //! `feature_dim` is required only when `features` is empty (the empty
 //! batch still has a feature width to validate); `labels` and the whole
-//! `interconnect` object are optional. Numbers must be finite: JSON has no
+//! `interconnect` object are optional. Keys may come in any order; of a
+//! repeated key the first occurrence counts, and later ones — like keys
+//! the schema does not know — are checked for syntax only. Numbers must be
+//! finite: JSON has no
 //! `NaN`/`Infinity`, a non-finite f32 on the encode side serialises as
 //! `null`, and the decoder rejects both `null` and any finite f64 whose
 //! f32 cast overflows to infinity — the wire cannot smuggle a non-finite
@@ -42,19 +52,42 @@
 //! decode time, not after a multi-petabyte allocation attempt), and
 //! `cols` is capped at [`MAX_WIRE_COLS`] — the CSR representation stores
 //! column indices as `u32`, so wider matrices are unrepresentable
-//! anyway. Within those bounds, *semantic* validation against the
+//! anyway. While the document is being read, nothing is sized from a
+//! declaration at all: the feature, entry and label vectors grow with the
+//! values actually present (so with the body, which the HTTP layer
+//! caps), and the `rows`/`cols` checks run before the first matrix is
+//! built. Within those bounds, *semantic* validation against the
 //! serving base (incremental width, feature dimension, label count) is
 //! still deliberately deferred to [`NodeBatch::validate_against`], so
 //! wire requests fail exactly like library requests.
 //!
+//! # Which error a defective body gets
+//!
+//! One pass over the text reports **the first defect in document order**:
+//! a syntax error, a value of the wrong type (its own syntax is checked
+//! first, so a malformed value is always [`CodecError::Parse`]), a bad
+//! index, a non-finite number, a sparse entry that is not a triple, a
+//! feature row narrower or wider than the first. Checks that need a
+//! second field cannot run until the document has ended — keys come in
+//! any order — and run then, in this order: `features` missing;
+//! `feature_dim` missing for an empty batch, or different from the row
+//! width; `incremental` missing; then per sparse matrix (`incremental`,
+//! `interconnect`) `rows` ≠ node count, `incremental.cols` missing, `cols`
+//! above the cap, an entry outside `rows × cols`. So a body with two
+//! defects may answer with the semantic one although a syntax error
+//! follows it (the tree decoder this replaced parsed everything first and
+//! always reported the syntax error); a body with one defect gets the
+//! error it always got, and every one of them is a `400`.
+//!
 //! Round-trip fidelity is **bitwise** for finite values: `f32 → f64`
 //! widening is exact, the writer emits shortest-round-trip decimal (and
-//! `-0.0` explicitly), so `decode(encode(b))` reproduces every payload bit
-//! the serving layer can observe.
+//! `-0.0` explicitly), the reader parses each number as `f64` and narrows
+//! it, so `decode(encode(b))` reproduces every payload bit the serving
+//! layer can observe.
 
 use mcond_graph::NodeBatch;
 use mcond_linalg::DMat;
-use mcond_obs::Json;
+use mcond_obs::json::{write_number, Reader};
 use mcond_sparse::{Coo, Csr};
 use std::fmt;
 
@@ -63,15 +96,6 @@ use std::fmt;
 /// rejected with [`CodecError::ColsTooLarge`] before anything is built
 /// from it.
 pub const MAX_WIRE_COLS: usize = u32::MAX as usize;
-
-/// Clamp on `Vec::with_capacity` sizing hints derived from
-/// client/server-declared shapes (features `n × dim`, logits
-/// `rows × cols`). Per-element validation still bounds the vectors'
-/// *real* growth by the payload's actual contents; the clamp only stops
-/// a lying declaration from forcing a huge up-front allocation (Rust
-/// aborts the process when an allocation fails, so an unclamped hint is
-/// a single-request denial of service).
-const PREALLOC_CLAMP: usize = 1 << 20;
 
 /// Why a wire payload failed to decode. Every variant maps to HTTP `400`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -182,256 +206,389 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Serialises a batch to the wire object.
-#[must_use]
-pub fn batch_to_json(batch: &NodeBatch) -> Json {
-    Json::obj()
-        .with("feature_dim", batch.features.cols())
-        .with(
-            "features",
-            Json::Arr(
-                (0..batch.features.rows())
-                    .map(|i| {
-                        Json::Arr(
-                            batch.features.row(i).iter().map(|&v| Json::from(v)).collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-        )
-        .with("incremental", csr_to_json(&batch.incremental))
-        .with("interconnect", csr_to_json(&batch.interconnect))
-        .with("labels", Json::Arr(batch.labels.iter().map(|&l| Json::from(l)).collect()))
+/// A [`Reader`] syntax error is a [`CodecError::Parse`].
+impl From<String> for CodecError {
+    fn from(msg: String) -> Self {
+        CodecError::Parse(msg)
+    }
 }
+
+/// Output bytes reserved per dense value: a widened `f32` prints up to 17
+/// significant digits plus sign, point and comma.
+const DENSE_VALUE_BYTES: usize = 22;
 
 /// Serialises a batch to a compact JSON string.
 #[must_use]
 pub fn encode_batch(batch: &NodeBatch) -> String {
-    batch_to_json(batch).dump()
+    let nnz = batch.incremental.nnz() + batch.interconnect.nnz();
+    let mut out = String::with_capacity(
+        256 + DENSE_VALUE_BYTES * (batch.features.len() + nnz) + 8 * batch.labels.len(),
+    );
+    out.push_str("{\"feature_dim\":");
+    write_index(&mut out, batch.features.cols());
+    out.push_str(",\"features\":");
+    write_rows(&mut out, &batch.features);
+    out.push_str(",\"incremental\":");
+    write_sparse(&mut out, &batch.incremental);
+    out.push_str(",\"interconnect\":");
+    write_sparse(&mut out, &batch.interconnect);
+    out.push_str(",\"labels\":");
+    write_list(&mut out, &batch.labels, |out, &l| write_index(out, l));
+    out.push('}');
+    out
 }
 
-/// Decodes the wire object back into a batch.
+/// Decodes a JSON text body into a batch, in one pass over the text.
 ///
 /// # Errors
-/// A typed [`CodecError`] for any structural defect; see the module docs
-/// for the division of labour with `NodeBatch::validate_against`.
-pub fn batch_from_json(json: &Json) -> Result<NodeBatch, CodecError> {
-    let Json::Obj(_) = json else {
-        return Err(CodecError::Type { field: "<root>", expected: "an object" });
-    };
-    let rows = json
-        .get("features")
-        .ok_or(CodecError::Missing("features"))?
-        .as_arr()
-        .ok_or(CodecError::Type { field: "features", expected: "an array of rows" })?;
-    let n = rows.len();
-    let dim = match json.get("feature_dim") {
-        Some(v) => Some(parse_index(v, "feature_dim")?),
-        None => None,
-    };
-    let first_width = match rows.first() {
-        Some(row) => row
-            .as_arr()
-            .ok_or(CodecError::Type { field: "features", expected: "an array of rows" })?
-            .len(),
-        None => dim.ok_or(CodecError::Missing("feature_dim"))?,
-    };
-    if let Some(d) = dim {
-        if n > 0 && d != first_width {
-            return Err(CodecError::Ragged { row: 0, got: first_width, expected: d });
+/// A typed [`CodecError`] for any syntactic or structural defect; see the
+/// module docs for which one a body with several gets, and for the
+/// division of labour with `NodeBatch::validate_against`.
+pub fn decode_batch(text: &str) -> Result<NodeBatch, CodecError> {
+    let mut r = Reader::new(text);
+    let (mut dim, mut features, mut labels) = (None, None, None);
+    let (mut incremental, mut interconnect) = (None, None);
+    let not_an_object = CodecError::Type { field: "<root>", expected: "an object" };
+    let mut more = enter(&mut r, b'{', not_an_object)?;
+    while more {
+        let key = r.key()?;
+        match key.as_str() {
+            "feature_dim" if dim.is_none() => dim = Some(index(&mut r, "feature_dim")?),
+            "features" if features.is_none() => {
+                features = Some(Dense::read(&mut r, "features")?);
+            }
+            "incremental" if incremental.is_none() => {
+                incremental = Some(Sparse::read(&mut r, "incremental")?);
+            }
+            "interconnect" if interconnect.is_none() => {
+                interconnect = Some(Sparse::read(&mut r, "interconnect")?);
+            }
+            "labels" if labels.is_none() => {
+                let not_labels =
+                    CodecError::Type { field: "labels", expected: "an array of integers" };
+                let mut items = Vec::new();
+                let mut more = enter(&mut r, b'[', not_labels)?;
+                while more {
+                    items.push(index(&mut r, "labels")?);
+                    more = r.next(b']')?;
+                }
+                labels = Some(items);
+            }
+            // Unknown, or a repeat of a key already taken: syntax only.
+            _ => r.skip_value()?,
         }
+        more = r.next(b'}')?;
     }
-    let mut data = Vec::with_capacity(n.saturating_mul(first_width).min(PREALLOC_CLAMP));
-    for (i, row) in rows.iter().enumerate() {
-        let row = row
-            .as_arr()
-            .ok_or(CodecError::Type { field: "features", expected: "an array of rows" })?;
-        if row.len() != first_width {
-            return Err(CodecError::Ragged { row: i, got: row.len(), expected: first_width });
-        }
-        for v in row {
-            data.push(parse_f32(v, "features")?);
-        }
-    }
-    let features = DMat::from_vec(n, first_width, data);
+    r.end()?;
 
-    let inc_json =
-        json.get("incremental").ok_or(CodecError::Missing("incremental"))?;
-    let incremental = csr_from_json(inc_json, "incremental", n, None)?;
-    let interconnect = match json.get("interconnect") {
-        Some(j) => csr_from_json(j, "interconnect", n, Some(n))?,
+    // Every field is in; the checks that need two of them (module docs).
+    let Dense { data, rows: n, width } = features.ok_or(CodecError::Missing("features"))?;
+    let width = match (width, dim) {
+        (Some(got), Some(expected)) if got != expected => {
+            return Err(CodecError::Ragged { row: 0, got, expected });
+        }
+        (Some(width), _) | (None, Some(width)) => width,
+        (None, None) => return Err(CodecError::Missing("feature_dim")),
+    };
+    let incremental = incremental
+        .ok_or(CodecError::Missing("incremental"))?
+        .into_csr("incremental", n, None)?;
+    let interconnect = match interconnect {
+        Some(parts) => parts.into_csr("interconnect", n, Some(n))?,
         None => Csr::empty(n, n),
     };
-    let labels = match json.get("labels") {
-        Some(Json::Arr(items)) => {
-            let mut labels = Vec::with_capacity(items.len());
-            for item in items {
-                labels.push(parse_index(item, "labels")?);
-            }
-            labels
-        }
-        Some(_) => {
-            return Err(CodecError::Type { field: "labels", expected: "an array of integers" })
-        }
-        None => vec![0; n],
-    };
-    Ok(NodeBatch { features, incremental, interconnect, labels })
-}
-
-/// Parses and decodes a JSON text body.
-///
-/// # Errors
-/// [`CodecError::Parse`] on syntax errors, otherwise as
-/// [`batch_from_json`].
-pub fn decode_batch(text: &str) -> Result<NodeBatch, CodecError> {
-    let json = Json::parse(text).map_err(CodecError::Parse)?;
-    batch_from_json(&json)
+    Ok(NodeBatch {
+        features: DMat::from_vec(n, width, data),
+        incremental,
+        interconnect,
+        labels: labels.unwrap_or_else(|| vec![0; n]),
+    })
 }
 
 /// Serialises a logits response: the request's trace id and the `n x C`
 /// logit matrix, row per node.
 #[must_use]
 pub fn encode_logits(trace: u64, logits: &DMat) -> String {
-    Json::obj()
-        .with("trace", trace)
-        .with("rows", logits.rows())
-        .with("cols", logits.cols())
-        .with(
-            "logits",
-            Json::Arr(
-                (0..logits.rows())
-                    .map(|i| Json::Arr(logits.row(i).iter().map(|&v| Json::from(v)).collect()))
-                    .collect(),
-            ),
-        )
-        .dump()
+    let mut out = String::with_capacity(64 + DENSE_VALUE_BYTES * logits.len());
+    out.push_str("{\"trace\":");
+    #[allow(clippy::cast_precision_loss)]
+    write_number(&mut out, trace as f64);
+    out.push_str(",\"rows\":");
+    write_index(&mut out, logits.rows());
+    out.push_str(",\"cols\":");
+    write_index(&mut out, logits.cols());
+    out.push_str(",\"logits\":");
+    write_rows(&mut out, logits);
+    out.push('}');
+    out
 }
 
 /// Decodes a logits response back into `(trace, logits)`.
 ///
 /// # Errors
-/// A typed [`CodecError`] on any structural defect.
+/// A typed [`CodecError`] on any syntactic or structural defect.
 pub fn decode_logits(text: &str) -> Result<(u64, DMat), CodecError> {
-    let json = Json::parse(text).map_err(CodecError::Parse)?;
-    let trace = parse_index(json.get("trace").ok_or(CodecError::Missing("trace"))?, "trace")?;
-    let rows = parse_index(json.get("rows").ok_or(CodecError::Missing("rows"))?, "rows")?;
-    let cols = parse_index(json.get("cols").ok_or(CodecError::Missing("cols"))?, "cols")?;
-    let body = json
-        .get("logits")
-        .ok_or(CodecError::Missing("logits"))?
-        .as_arr()
-        .ok_or(CodecError::Type { field: "logits", expected: "an array of rows" })?;
-    if body.len() != rows {
+    let mut r = Reader::new(text);
+    let (mut trace, mut rows, mut cols, mut body) = (None, None, None, None);
+    let wrong_cols = || CodecError::Type { field: "logits", expected: "exactly `cols` columns" };
+    let mut more = enter(&mut r, b'{', CodecError::Missing("trace"))?;
+    while more {
+        let key = r.key()?;
+        match key.as_str() {
+            "trace" if trace.is_none() => trace = Some(index(&mut r, "trace")?),
+            "rows" if rows.is_none() => rows = Some(index(&mut r, "rows")?),
+            "cols" if cols.is_none() => cols = Some(index(&mut r, "cols")?),
+            "logits" if body.is_none() => {
+                // Rows of different widths cannot all be `cols` wide.
+                body = Some(Dense::read(&mut r, "logits").map_err(|e| match e {
+                    CodecError::Ragged { .. } => wrong_cols(),
+                    other => other,
+                })?);
+            }
+            _ => r.skip_value()?,
+        }
+        more = r.next(b'}')?;
+    }
+    r.end()?;
+    let trace = trace.ok_or(CodecError::Missing("trace"))?;
+    let rows = rows.ok_or(CodecError::Missing("rows"))?;
+    let cols = cols.ok_or(CodecError::Missing("cols"))?;
+    let body = body.ok_or(CodecError::Missing("logits"))?;
+    if body.rows != rows {
         return Err(CodecError::Type { field: "logits", expected: "exactly `rows` rows" });
     }
-    let mut data = Vec::with_capacity(rows.saturating_mul(cols).min(PREALLOC_CLAMP));
-    for row in body {
-        let row = row
-            .as_arr()
-            .ok_or(CodecError::Type { field: "logits", expected: "an array of rows" })?;
-        if row.len() != cols {
-            return Err(CodecError::Type { field: "logits", expected: "exactly `cols` columns" });
-        }
-        for v in row {
-            data.push(parse_f32(v, "logits")?);
-        }
+    if body.width.is_some_and(|w| w != cols) {
+        return Err(wrong_cols());
     }
-    Ok((trace as u64, DMat::from_vec(rows, cols, data)))
+    Ok((trace as u64, DMat::from_vec(rows, cols, body.data)))
 }
 
-fn csr_to_json(m: &Csr) -> Json {
-    Json::obj().with("rows", m.rows()).with("cols", m.cols()).with(
-        "entries",
-        Json::Arr(
-            m.iter()
-                .map(|(i, j, v)| Json::Arr(vec![Json::from(i), Json::from(j), Json::from(v)]))
-                .collect(),
-        ),
-    )
+fn write_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (k, x) in items.into_iter().enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
 }
 
-/// Decodes a sparse object. `default_rows` is the batch's node count —
-/// an explicit `rows` must *equal* it (module docs: CSR conversion
-/// allocates `rows + 1` slots, so a lying declaration is rejected before
-/// anything is sized from it); `default_cols` is `Some(n)` for the
-/// interconnect (square by default) and `None` for the incremental
-/// matrix, whose `cols` — the base-graph width — the client must
-/// declare, bounded by [`MAX_WIRE_COLS`].
-fn csr_from_json(
-    json: &Json,
-    field: &'static str,
-    default_rows: usize,
-    default_cols: Option<usize>,
-) -> Result<Csr, CodecError> {
-    let Json::Obj(_) = json else {
-        return Err(CodecError::Type { field, expected: "an object with an entries array" });
-    };
-    let rows = match json.get("rows") {
-        Some(v) => parse_index(v, field)?,
-        None => default_rows,
-    };
-    if rows != default_rows {
-        return Err(CodecError::RowCountMismatch { field, got: rows, expected: default_rows });
+fn write_index(out: &mut String, v: usize) {
+    #[allow(clippy::cast_precision_loss)]
+    write_number(out, v as f64);
+}
+
+fn write_rows(out: &mut String, m: &DMat) {
+    write_list(out, 0..m.rows(), |out, i| {
+        write_list(out, m.row(i), |out, &v| write_number(out, f64::from(v)));
+    });
+}
+
+fn write_sparse(out: &mut String, m: &Csr) {
+    out.push_str("{\"rows\":");
+    write_index(out, m.rows());
+    out.push_str(",\"cols\":");
+    write_index(out, m.cols());
+    out.push_str(",\"entries\":");
+    write_list(out, m.iter(), |out, (i, j, v)| {
+        out.push('[');
+        write_index(out, i);
+        out.push(',');
+        write_index(out, j);
+        out.push(',');
+        write_number(out, f64::from(v));
+        out.push(']');
+    });
+    out.push('}');
+}
+
+/// Enters the array or object the schema needs at the reader's position
+/// (see [`Reader::begin`]); any other value there is `wrong`.
+fn enter(r: &mut Reader, open: u8, wrong: CodecError) -> Result<bool, CodecError> {
+    if r.peek() == Some(open) {
+        Ok(r.begin(open)?)
+    } else {
+        Err(wrong_type(r, wrong))
     }
-    let cols = match (json.get("cols"), default_cols) {
-        (Some(v), _) => parse_index(v, field)?,
-        (None, Some(d)) => d,
-        (None, None) => return Err(CodecError::Missing("incremental.cols")),
-    };
-    if cols > MAX_WIRE_COLS {
-        return Err(CodecError::ColsTooLarge { field, got: cols, max: MAX_WIRE_COLS });
+}
+
+/// The error for a value the schema cannot use: `wrong` if the value is
+/// at least well-formed JSON, its syntax error otherwise.
+fn wrong_type(r: &mut Reader, wrong: CodecError) -> CodecError {
+    match r.skip_value() {
+        Ok(()) => wrong,
+        Err(msg) => CodecError::Parse(msg),
     }
-    let entries = match json.get("entries") {
-        Some(j) => j
-            .as_arr()
-            .ok_or(CodecError::Type { field, expected: "an entries array" })?,
-        None => &[],
-    };
-    let mut coo = Coo::with_capacity(rows, cols, entries.len());
-    for (index, entry) in entries.iter().enumerate() {
-        let triple = entry.as_arr().ok_or(CodecError::EntryShape { field, index })?;
-        let [i, j, v] = triple else {
-            return Err(CodecError::EntryShape { field, index });
-        };
-        let i = parse_index(i, field)?;
-        let j = parse_index(j, field)?;
-        let v = parse_f32(v, field)?;
-        if i >= rows || j >= cols {
-            return Err(CodecError::EntryOutOfRange { field, row: i, col: j, rows, cols });
-        }
-        coo.push(i, j, v);
-    }
-    Ok(coo.to_csr())
+}
+
+fn at_number(r: &Reader) -> bool {
+    matches!(r.peek(), Some(b'-' | b'0'..=b'9'))
 }
 
 /// A finite f32, rejecting `null` (the writer's spelling of NaN/Inf),
 /// anything non-numeric, and finite f64s whose f32 cast overflows to
 /// infinity (e.g. `1e39`) — the *narrowed* value is what must be finite.
-fn parse_f32(json: &Json, field: &'static str) -> Result<f32, CodecError> {
-    match json {
-        Json::Num(v) if v.is_finite() => {
-            #[allow(clippy::cast_possible_truncation)]
-            let f = *v as f32;
-            if f.is_finite() {
-                Ok(f)
-            } else {
-                Err(CodecError::Type { field, expected: "a finite number" })
-            }
-        }
-        _ => Err(CodecError::Type { field, expected: "a finite number" }),
+fn finite_f32(r: &mut Reader, field: &'static str) -> Result<f32, CodecError> {
+    let not_finite = CodecError::Type { field, expected: "a finite number" };
+    if !at_number(r) {
+        return Err(wrong_type(r, not_finite));
+    }
+    #[allow(clippy::cast_possible_truncation)]
+    let v = r.number()? as f32;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(not_finite)
     }
 }
 
 /// A non-negative integer index that fits `usize` exactly.
-fn parse_index(json: &Json, field: &'static str) -> Result<usize, CodecError> {
-    match json {
-        Json::Num(v)
-            if v.is_finite() && *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53) =>
-        {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Ok(*v as usize)
+fn index(r: &mut Reader, field: &'static str) -> Result<usize, CodecError> {
+    let bad = CodecError::BadIndex { field };
+    if !at_number(r) {
+        return Err(wrong_type(r, bad));
+    }
+    let v = r.number()?;
+    if v >= 0.0 && v.fract() == 0.0 && v <= 2f64.powi(53) {
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        Ok(v as usize)
+    } else {
+        Err(bad)
+    }
+}
+
+/// A dense `[[v, ...], ...]` value as it came off the wire: the values
+/// row-major, how many rows, and how wide they all are (`None` without
+/// rows).
+struct Dense {
+    data: Vec<f32>,
+    rows: usize,
+    width: Option<usize>,
+}
+
+impl Dense {
+    /// Reads the rows straight into one buffer; a row whose width differs
+    /// from the first row's is [`CodecError::Ragged`] as it closes.
+    fn read(r: &mut Reader, field: &'static str) -> Result<Dense, CodecError> {
+        let not_rows = || CodecError::Type { field, expected: "an array of rows" };
+        let mut dense = Dense { data: Vec::new(), rows: 0, width: None };
+        let mut more = enter(r, b'[', not_rows())?;
+        while more {
+            let start = dense.data.len();
+            let mut more_values = enter(r, b'[', not_rows())?;
+            while more_values {
+                dense.data.push(finite_f32(r, field)?);
+                more_values = r.next(b']')?;
+            }
+            let got = dense.data.len() - start;
+            match dense.width {
+                None => dense.width = Some(got),
+                Some(expected) if got != expected => {
+                    return Err(CodecError::Ragged { row: dense.rows, got, expected });
+                }
+                Some(_) => {}
+            }
+            dense.rows += 1;
+            more = r.next(b']')?;
         }
-        _ => Err(CodecError::BadIndex { field }),
+        Ok(dense)
+    }
+}
+
+/// A sparse `{rows?, cols?, entries?}` object as it came off the wire.
+/// Nothing in it has been compared with anything yet: the node count the
+/// shape must agree with may come later in the document.
+struct Sparse {
+    rows: Option<usize>,
+    cols: Option<usize>,
+    entries: Vec<(usize, usize, f32)>,
+}
+
+impl Sparse {
+    fn read(r: &mut Reader, field: &'static str) -> Result<Sparse, CodecError> {
+        let (mut rows, mut cols, mut entries) = (None, None, None);
+        let not_sparse = CodecError::Type { field, expected: "an object with an entries array" };
+        let mut more = enter(r, b'{', not_sparse)?;
+        while more {
+            let key = r.key()?;
+            match key.as_str() {
+                "rows" if rows.is_none() => rows = Some(index(r, field)?),
+                "cols" if cols.is_none() => cols = Some(index(r, field)?),
+                "entries" if entries.is_none() => entries = Some(Self::read_entries(r, field)?),
+                _ => r.skip_value()?,
+            }
+            more = r.next(b'}')?;
+        }
+        Ok(Sparse { rows, cols, entries: entries.unwrap_or_default() })
+    }
+
+    fn read_entries(
+        r: &mut Reader,
+        field: &'static str,
+    ) -> Result<Vec<(usize, usize, f32)>, CodecError> {
+        let mut entries = Vec::new();
+        let mut more = enter(r, b'[', CodecError::Type { field, expected: "an entries array" })?;
+        while more {
+            // Exactly `[row, col, value]`: too few, too many, not an array.
+            let shape = || CodecError::EntryShape { field, index: entries.len() };
+            if !enter(r, b'[', shape())? {
+                return Err(shape());
+            }
+            let i = index(r, field)?;
+            if !r.next(b']')? {
+                return Err(shape());
+            }
+            let j = index(r, field)?;
+            if !r.next(b']')? {
+                return Err(shape());
+            }
+            let v = finite_f32(r, field)?;
+            if r.next(b']')? {
+                return Err(shape());
+            }
+            entries.push((i, j, v));
+            more = r.next(b']')?;
+        }
+        Ok(entries)
+    }
+
+    /// Checks the declared shape against the batch's node count `n` —
+    /// an explicit `rows` must *equal* it (module docs: CSR conversion
+    /// allocates `rows + 1` slots, so a lying declaration is rejected
+    /// before anything is sized from it) — and builds the matrix.
+    /// `default_cols` is `Some(n)` for the interconnect (square by
+    /// default) and `None` for the incremental matrix, whose `cols` — the
+    /// base-graph width — the client must declare, bounded by
+    /// [`MAX_WIRE_COLS`].
+    fn into_csr(
+        self,
+        field: &'static str,
+        n: usize,
+        default_cols: Option<usize>,
+    ) -> Result<Csr, CodecError> {
+        let rows = self.rows.unwrap_or(n);
+        if rows != n {
+            return Err(CodecError::RowCountMismatch { field, got: rows, expected: n });
+        }
+        let Some(cols) = self.cols.or(default_cols) else {
+            return Err(CodecError::Missing("incremental.cols"));
+        };
+        if cols > MAX_WIRE_COLS {
+            return Err(CodecError::ColsTooLarge { field, got: cols, max: MAX_WIRE_COLS });
+        }
+        let mut coo = Coo::with_capacity(rows, cols, self.entries.len());
+        for (i, j, v) in self.entries {
+            if i >= rows || j >= cols {
+                return Err(CodecError::EntryOutOfRange { field, row: i, col: j, rows, cols });
+            }
+            coo.push(i, j, v);
+        }
+        Ok(coo.to_csr())
     }
 }
 
@@ -634,6 +791,21 @@ mod tests {
             .unwrap_err(),
             CodecError::Type { field: "logits", expected: "exactly `cols` columns" }
         );
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_parse_error_wherever_it_sits() {
+        // 20 000 levels used to overflow the handler thread's stack and
+        // abort the process; a key outside the schema is no way around
+        // the cap, and neither is a logits body.
+        let deep = "[".repeat(20_000);
+        let under_unknown_key = format!(
+            r#"{{"features": [[1.0]], "incremental": {{"cols": 2}}, "annotations": {deep}}}"#
+        );
+        for body in [&deep, &under_unknown_key] {
+            assert!(matches!(decode_batch(body), Err(CodecError::Parse(_))));
+            assert!(matches!(decode_logits(body), Err(CodecError::Parse(_))));
+        }
     }
 
     #[test]

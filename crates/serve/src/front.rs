@@ -750,7 +750,10 @@ fn serve_endpoint(
         let body = error_body("codec", &CodecError::Utf8.to_string());
         return Routed::plain(write_response(400, &[epoch_hdr(current)], body.as_bytes(), close));
     };
-    let batch = match codec::decode_batch(text) {
+    let decoding = Instant::now();
+    let decoded = codec::decode_batch(text);
+    mcond_obs::histogram_record("serve.http.stage.decode", decoding.elapsed().as_secs_f64() * 1e6);
+    let batch = match decoded {
         Ok(b) => b,
         Err(e) => {
             mcond_obs::counter_add("serve.http.bad_requests", 1);
@@ -814,7 +817,12 @@ fn serve_endpoint(
     }
     let bytes = match reply_rx.recv_timeout(cfg.reply_timeout) {
         Ok((Ok(logits), trace, epoch)) => {
+            let encoding = Instant::now();
             let body = codec::encode_logits(trace, &logits);
+            mcond_obs::histogram_record(
+                "serve.http.stage.encode",
+                encoding.elapsed().as_secs_f64() * 1e6,
+            );
             write_response(
                 200,
                 &[("x-mcond-trace", trace.to_string()), epoch_hdr(epoch)],
