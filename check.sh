@@ -63,9 +63,10 @@ cargo test --release -p mcond-serve --test reload_chaos --test drain_deadline
 # against its tree reference, at release speed.
 cargo test --release -p mcond-serve --test protocol --test codec_fuzz
 # Live-graph equivalence: N incremental promotions must be bitwise
-# identical to a from-scratch rebuild (adjacency, mapping, degrees, and
-# both Exact and patched-FrozenBase serving) at 1 and 4 threads, and a
-# refresh replay must reproduce the live state exactly.
+# identical to a from-scratch rebuild (adjacency, mapping, degrees), the
+# live base's server must answer like a fresh one over the grown base in
+# both Exact and FrozenBase mode, at 1 and 4 threads, and a refresh
+# replay must reproduce the live state exactly.
 cargo test --release -p mcond-core --test delta_equivalence
 # Offline trace tooling smoke: fold the robust_serving JSONL trace into a
 # call-tree profile (fails if the log is missing or span-free).

@@ -186,13 +186,11 @@ impl Checkpoint {
     /// [`InductiveServer::from_checkpoint`], with nothing left to outlive.
     #[must_use]
     pub fn into_server(self) -> InductiveServer<'static> {
-        let version = self.lineage.map_or(0, |l| l.version);
         InductiveServer::new(
             Cow::Owned(self.synthetic),
             Some(Cow::Owned(self.mapping)),
             Cow::Owned(self.model),
         )
-        .with_base_version(version)
     }
 }
 
@@ -214,13 +212,9 @@ impl Condensed {
 impl<'a> InductiveServer<'a> {
     /// Boots a serving endpoint from a restored checkpoint — the synthetic
     /// graph, mapping and weights only; the original graph is never needed.
-    /// A lineage-stamped checkpoint (one emitted by a live, promoted base)
-    /// also stamps the server's base version, so a frozen cache built
-    /// afterwards is in sync.
     #[must_use]
     pub fn from_checkpoint(ckpt: &'a Checkpoint) -> Self {
         Self::on_synthetic(&ckpt.synthetic, &ckpt.mapping, &ckpt.model)
-            .with_base_version(ckpt.lineage.map_or(0, |l| l.version))
     }
 }
 
@@ -280,10 +274,6 @@ mod tests {
         let stamped = tiny_bundle().with_lineage(lineage);
         let restored = Checkpoint::from_bytes(stamped.to_writer().to_bytes()).unwrap();
         assert_eq!(restored.lineage, Some(lineage));
-        // The restored server inherits the lineage's base version, borrowed
-        // or owned.
-        assert_eq!(InductiveServer::from_checkpoint(&restored).base_version(), 4);
-        assert_eq!(restored.into_server().base_version(), 4);
     }
 
     #[test]

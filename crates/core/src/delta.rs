@@ -13,9 +13,7 @@
 //!    through `M` (Eq. 11, `aM`) and renormalised row-stochastic, then
 //!    appended both as new rows of `M` and as a block extension of the
 //!    base adjacency/features. [`BaseDegrees`] are updated incrementally
-//!    (O(delta nnz), not O(base nnz)), and a frozen-base cache is either
-//!    **patched** in place (when the delta's receptive field is small,
-//!    see [`FrozenBase::try_patch`]) or rebuilt.
+//!    (O(delta nnz), not O(base nnz)).
 //! 2. **Refresh** ([`LiveBase::refresh`]): a cheap re-run of only the
 //!    mapping/sparsification stage (Eq. 12–15, via
 //!    [`Condensed::resparsify`]) against the stored dense matrices,
@@ -23,14 +21,14 @@
 //!    serve-ready [`Checkpoint`] stamped with a [`DeltaLineage`] — ready
 //!    to hot-swap through `EpochServer` without dropping requests.
 //!
-//! Every mutation is versioned; a server answering from a cache that
-//! trails the base refuses with `ServeError::StaleCache` instead of
-//! serving silently wrong logits. See `DESIGN.md` §4l.
+//! A server over the live base ([`LiveBase::server`]) borrows it, so no
+//! promotion can land while one exists: a frozen-base cache that server
+//! builds always describes the base it serves. See `DESIGN.md` §4l.
 
 use crate::checkpoint::Checkpoint;
 use crate::condense::Condensed;
 use crate::server::InductiveServer;
-use mcond_gnn::{BaseDegrees, FrozenBase, GnnModel};
+use mcond_gnn::{BaseDegrees, GnnModel};
 use mcond_graph::{BatchError, Graph, NodeBatch};
 use mcond_sparse::{renormalize_rows, spmm_sparse, Csr};
 use mcond_store::StoreError;
@@ -117,19 +115,6 @@ impl From<BatchError> for DeltaError {
     }
 }
 
-/// What happened to the frozen-base cache during a promotion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// No cache is attached to this base.
-    None,
-    /// The delta's hop-closure was small: the cache was patched in place
-    /// (`serve.cache.patch.patched`).
-    Patched,
-    /// The closure exceeded the patch budget: the cache was rebuilt from
-    /// scratch (`serve.cache.patch.rebuilt`).
-    Rebuilt,
-}
-
 /// Receipt for one [`LiveBase::promote`] call.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PromotionReport {
@@ -140,13 +125,11 @@ pub struct PromotionReport {
     pub edges: usize,
     /// The base version after this promotion.
     pub version: u64,
-    /// How the frozen-base cache was kept in sync.
-    pub cache: CacheOutcome,
 }
 
 /// Provenance of a live (promoted) base, persisted as the optional
-/// `"delta"` checkpoint section so a reloaded server knows what version
-/// it is serving and how the base got there.
+/// `"delta"` checkpoint section so a reloaded bundle records what version
+/// of the base it holds and how the base got there.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct DeltaLineage {
     /// Base version (promotion count since the last full rebuild of this
@@ -165,8 +148,7 @@ pub struct DeltaLineage {
 
 /// A serving base that grows: the condensed graph (or an original graph)
 /// plus everything needed to fold served nodes in incrementally —
-/// degrees, versioning, the promotion log for refresh replay, and an
-/// optional frozen-base cache kept in sync by patch-or-rebuild.
+/// degrees, versioning, and the promotion log for refresh replay.
 pub struct LiveBase {
     base: Graph,
     mapping: Option<Csr>,
@@ -175,8 +157,6 @@ pub struct LiveBase {
     promotions: u64,
     promoted_nodes: u64,
     log: Vec<GraphDelta>,
-    frozen: Option<(GnnModel, FrozenBase)>,
-    patch_fraction: f32,
 }
 
 impl LiveBase {
@@ -201,8 +181,6 @@ impl LiveBase {
             promotions: 0,
             promoted_nodes: 0,
             log: Vec::new(),
-            frozen: None,
-            patch_fraction: 0.25,
         }
     }
 
@@ -219,29 +197,7 @@ impl LiveBase {
             promotions: 0,
             promoted_nodes: 0,
             log: Vec::new(),
-            frozen: None,
-            patch_fraction: 0.25,
         }
-    }
-
-    /// Attaches (and builds) a frozen-base cache for `model`; every
-    /// promotion afterwards keeps it in sync by patch-or-rebuild.
-    #[must_use]
-    pub fn with_frozen_cache(mut self, model: &GnnModel) -> Self {
-        let frozen =
-            FrozenBase::new(model, &self.base.adj, &self.base.features).with_version(self.version);
-        mcond_obs::counter_add("serve.cache.builds", 1);
-        self.frozen = Some((model.clone(), frozen));
-        self
-    }
-
-    /// Sets the patch budget as a fraction of the base node count
-    /// (default 0.25): a promotion whose hop-closure touches more rows
-    /// than this triggers a full cache rebuild instead of a patch.
-    #[must_use]
-    pub fn with_patch_fraction(mut self, fraction: f32) -> Self {
-        self.patch_fraction = fraction.clamp(0.0, 1.0);
-        self
     }
 
     /// The current (grown) base graph.
@@ -266,12 +222,6 @@ impl LiveBase {
     #[must_use]
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// The in-sync frozen-base cache, when one is attached.
-    #[must_use]
-    pub fn frozen(&self) -> Option<&FrozenBase> {
-        self.frozen.as_ref().map(|(_, f)| f)
     }
 
     /// Promotions applied so far.
@@ -304,9 +254,7 @@ impl LiveBase {
     /// adjacency/features/labels have grown by `delta.nodes()` rows, the
     /// mapping (when present) gained the renormalised attachment rows,
     /// the degree sums were extended incrementally (bitwise identical to
-    /// a from-scratch [`BaseDegrees::of`]), the version was bumped, and
-    /// an attached frozen cache was patched or rebuilt to the new
-    /// version.
+    /// a from-scratch [`BaseDegrees::of`]), and the version was bumped.
     ///
     /// # Errors
     /// [`DeltaError`] when the delta is structurally invalid or carries
@@ -324,7 +272,6 @@ impl LiveBase {
             });
         }
         let n = delta.nodes();
-        let n_old = self.base.num_nodes();
 
         // Attachment rows in the base's index space: raw edges on an
         // original base; aM (Eq. 11), renormalised row-stochastic like
@@ -340,14 +287,6 @@ impl LiveBase {
         };
         let inter = &delta.batch.interconnect;
         let edges = attach.nnz() + inter.nnz();
-
-        // Old rows that gain mirror edges — the seed set for cache
-        // patching, in ascending order.
-        let mut hit = vec![false; n_old];
-        for (_, j, _) in attach.iter() {
-            hit[j] = true;
-        }
-        let touched: Vec<usize> = (0..n_old).filter(|&j| hit[j]).collect();
 
         self.degrees.extend_for_promotion(&attach, inter);
         let adj = self.base.adj.block_extend(&attach, inter);
@@ -366,64 +305,30 @@ impl LiveBase {
         self.promoted_nodes += n as u64;
         self.log.push(delta.clone());
 
-        let cache = if let Some((model, frozen)) = self.frozen.take() {
-            #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
-            let max_rows =
-                (f64::from(self.patch_fraction) * self.base.num_nodes() as f64).ceil() as usize;
-            let next = frozen.try_patch(
-                &model,
-                &self.base.adj,
-                &self.base.features,
-                &self.degrees,
-                &touched,
-                max_rows,
-                self.version,
-            );
-            let outcome = match next {
-                Some(patched) => {
-                    mcond_obs::counter_add("serve.cache.patch.patched", 1);
-                    self.frozen = Some((model, patched));
-                    CacheOutcome::Patched
-                }
-                None => {
-                    mcond_obs::counter_add("serve.cache.patch.rebuilt", 1);
-                    let rebuilt = FrozenBase::new(&model, &self.base.adj, &self.base.features)
-                        .with_version(self.version);
-                    self.frozen = Some((model, rebuilt));
-                    CacheOutcome::Rebuilt
-                }
-            };
-            #[allow(clippy::cast_precision_loss)]
-            if let Some((_, f)) = &self.frozen {
-                mcond_obs::gauge_set("serve.cache.bytes", f.bytes() as f64);
-            }
-            outcome
-        } else {
-            CacheOutcome::None
-        };
-
         mcond_obs::counter_add("delta.promotions", 1);
         mcond_obs::counter_add("delta.promoted_nodes", n as u64);
         mcond_obs::counter_add("delta.edges", edges as u64);
-        Ok(PromotionReport { nodes: n, edges, version: self.version, cache })
+        Ok(PromotionReport { nodes: n, edges, version: self.version })
     }
 
-    /// Boots a serving endpoint on this base's *current* state: version
-    /// stamped, the incrementally maintained degree sums and (when one is
-    /// attached) the frozen cache handed over as-is, neither recomputed.
+    /// Boots a serving endpoint on this base's *current* state, handing
+    /// it the incrementally maintained degree sums as they are.
+    ///
+    /// The server borrows the base, so the base cannot be promoted while
+    /// the server lives — which is why a frozen-base cache the server
+    /// builds ([`InductiveServer::with_serve_mode`]) can never go stale:
+    ///
+    /// ```compile_fail,E0502
+    /// # use mcond_core::{GraphDelta, LiveBase, ServeMode};
+    /// # fn demo(live: &mut LiveBase, model: &mcond_gnn::GnnModel, delta: &GraphDelta) {
+    /// let server = live.server(model).with_serve_mode(ServeMode::FrozenBase);
+    /// live.promote(delta).unwrap(); // error: `*live` is borrowed by `server`
+    /// drop(server);
+    /// # }
+    /// ```
     #[must_use]
     pub fn server<'a>(&'a self, model: &'a GnnModel) -> InductiveServer<'a> {
-        let mut server = InductiveServer::with_degrees(
-            &self.base,
-            &self.degrees,
-            self.mapping.as_ref(),
-            model,
-        )
-        .with_base_version(self.version);
-        if let Some((_, frozen)) = &self.frozen {
-            server = server.with_frozen_cache(frozen.clone());
-        }
-        server
+        InductiveServer::with_degrees(&self.base, &self.degrees, self.mapping.as_ref(), model)
     }
 
     /// Bundles the current (grown) base into a serve-ready
@@ -449,7 +354,7 @@ impl LiveBase {
     /// with new thresholds, replays this base's promotion log onto the
     /// fresh synthetic base, and emits the lineage-stamped checkpoint —
     /// all without re-running condensation. The returned [`LiveBase`]
-    /// carries the same log, cache policy, and (freshly rebuilt) cache.
+    /// carries the same log.
     ///
     /// # Errors
     /// [`StoreError::ShapeMismatch`] when `model` does not fit the
@@ -474,11 +379,7 @@ impl LiveBase {
             condensed.synthetic.labels.clone(),
             condensed.synthetic.num_classes,
         );
-        let mut live =
-            LiveBase::synthetic(synthetic, mapping).with_patch_fraction(self.patch_fraction);
-        if let Some((m, _)) = &self.frozen {
-            live = live.with_frozen_cache(m);
-        }
+        let mut live = LiveBase::synthetic(synthetic, mapping);
         for d in &self.log {
             live.promote(d).expect("replayed delta was valid when first promoted");
         }
@@ -534,7 +435,6 @@ mod tests {
         let report = live.promote(&delta).unwrap();
         assert_eq!(report.nodes, 2);
         assert_eq!(report.version, 1);
-        assert_eq!(report.cache, CacheOutcome::None);
 
         // Base grew by two nodes; the mapping gained two rows *and* two
         // columns (promoted nodes are addressable base nodes).
@@ -589,28 +489,6 @@ mod tests {
 
         assert_eq!(live.base().num_nodes(), before_nodes);
         assert_eq!(live.version(), 0);
-    }
-
-    #[test]
-    fn promotion_keeps_the_frozen_cache_in_sync() {
-        let data = toy();
-        let (syn, map) = syn_base();
-        let model = GnnModel::new(GnnKind::Gcn, 3, 4, 2, 1);
-        // patch_fraction 1.0: the closure can never exceed the budget.
-        let mut live =
-            LiveBase::synthetic(syn.clone(), map.clone()).with_frozen_cache(&model).with_patch_fraction(1.0);
-        let report = live.promote(&GraphDelta::from_batch(&data.batch(&[4], false))).unwrap();
-        assert_eq!(report.cache, CacheOutcome::Patched);
-        let frozen = live.frozen().unwrap();
-        assert_eq!(frozen.base_version(), 1);
-        assert_eq!(frozen.n_base(), 3);
-
-        // patch_fraction 0: every promotion exceeds the budget.
-        let mut live =
-            LiveBase::synthetic(syn, map).with_frozen_cache(&model).with_patch_fraction(0.0);
-        let report = live.promote(&GraphDelta::from_batch(&data.batch(&[4], false))).unwrap();
-        assert_eq!(report.cache, CacheOutcome::Rebuilt);
-        assert_eq!(live.frozen().unwrap().base_version(), 1);
     }
 
     #[test]

@@ -72,17 +72,6 @@ pub enum ServeError {
         /// What the runtime was doing when it gave the request up.
         reason: &'static str,
     },
-    /// The server's frozen-base cache was built against an older version
-    /// of a live base graph than the one now being served (a delta
-    /// promotion mutated the base without patching or rebuilding the
-    /// cache). Answering from the stale cache would return silently wrong
-    /// logits, so the request is refused until the cache is refreshed.
-    StaleCache {
-        /// Version the cache was frozen at.
-        cache_version: u64,
-        /// Version of the live base graph.
-        base_version: u64,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -116,11 +105,6 @@ impl fmt::Display for ServeError {
             ServeError::Aborted { reason } => {
                 write!(f, "request abandoned by the serving runtime: {reason}")
             }
-            ServeError::StaleCache { cache_version, base_version } => write!(
-                f,
-                "frozen-base cache at version {cache_version} trails the live \
-                 base at version {base_version}; refusing to serve stale logits"
-            ),
         }
     }
 }

@@ -192,17 +192,13 @@ pub struct InductiveServer<'a> {
     base: Base<'a>,
     mapping: Option<Cow<'a, Csr>>,
     model: Cow<'a, GnnModel>,
-    /// Per-layer base activations; present iff the server runs in
-    /// [`ServeMode::FrozenBase`].
+    /// Per-layer activations of `base`, built from it and nothing else;
+    /// present iff the server runs in [`ServeMode::FrozenBase`].
     frozen: Option<FrozenBase>,
     fallback: FallbackPolicy,
     coverage_threshold: f32,
     max_batch: usize,
     original: Option<Base<'a>>,
-    /// Version of the base graph this server was built against (0 for a
-    /// static base). A frozen-base cache whose stamp trails this refuses
-    /// to serve ([`ServeError::StaleCache`]).
-    base_version: u64,
     stats: Mutex<ServeStats>,
 }
 
@@ -258,7 +254,6 @@ impl<'a> InductiveServer<'a> {
             coverage_threshold: 0.0,
             max_batch: DEFAULT_MAX_BATCH,
             original: None,
-            base_version: 0,
             stats: Mutex::new(ServeStats::default()),
         }
     }
@@ -289,66 +284,18 @@ impl<'a> InductiveServer<'a> {
 
     /// Selects the forward pass answering requests (default
     /// [`ServeMode::Exact`]). Switching to [`ServeMode::FrozenBase`] runs
-    /// the base-only forward pass once, right here, and caches every
-    /// propagation site's base activations (`serve.cache.builds` counter,
+    /// the base-only forward pass once, right here, over the base this
+    /// server holds, and caches every propagation site's base activations
+    /// (`serve.cache.builds` counter; the size is this server's
     /// `serve.cache.bytes` gauge); [`ServeMode::Exact`] drops the cache.
     #[must_use]
     pub fn with_serve_mode(mut self, mode: ServeMode) -> Self {
         self.frozen = (mode == ServeMode::FrozenBase).then(|| {
-            // Stamped with the *current* base version: call
-            // `with_base_version` first when booting a live (promoted)
-            // base so the fresh cache is in sync.
             let graph = &self.base.graph;
-            let frozen = FrozenBase::new(&self.model, &graph.adj, &graph.features)
-                .with_version(self.base_version);
+            let frozen = FrozenBase::new(&self.model, &graph.adj, &graph.features);
             mcond_obs::counter_add("serve.cache.builds", 1);
-            #[allow(clippy::cast_precision_loss)]
-            mcond_obs::gauge_set("serve.cache.bytes", frozen.bytes() as f64);
             frozen
         });
-        self
-    }
-
-    /// Stamps the server with the live base's version (see
-    /// `core::delta::LiveBase`). Requests answered from a frozen-base
-    /// cache are checked against this stamp: a cache built (or last
-    /// patched) at an older version is refused with
-    /// [`ServeError::StaleCache`] instead of serving silently wrong
-    /// logits. Defaults to `0` — matching what
-    /// [`with_serve_mode`](InductiveServer::with_serve_mode) and
-    /// [`mcond_gnn::FrozenBase::new`] stamp, so static bases never trip
-    /// the check.
-    #[must_use]
-    pub fn with_base_version(mut self, version: u64) -> Self {
-        self.base_version = version;
-        self
-    }
-
-    /// The base version this server serves (see
-    /// [`with_base_version`](InductiveServer::with_base_version)).
-    #[must_use]
-    pub fn base_version(&self) -> u64 {
-        self.base_version
-    }
-
-    /// Installs an externally built (or incrementally patched) frozen-base
-    /// cache and switches to [`ServeMode::FrozenBase`]. Unlike
-    /// [`with_serve_mode`](InductiveServer::with_serve_mode) this does not
-    /// recompute the base forward pass — a live base that just patched its
-    /// cache hands it over as-is, version stamp included.
-    ///
-    /// # Panics
-    /// Panics when the cache does not cover this server's base node count.
-    #[must_use]
-    pub fn with_frozen_cache(mut self, frozen: FrozenBase) -> Self {
-        assert_eq!(
-            frozen.n_base(),
-            self.base_nodes(),
-            "with_frozen_cache: cache covers a different base node count"
-        );
-        #[allow(clippy::cast_precision_loss)]
-        mcond_obs::gauge_set("serve.cache.bytes", frozen.bytes() as f64);
-        self.frozen = Some(frozen);
         self
     }
 
@@ -584,16 +531,6 @@ impl<'a> InductiveServer<'a> {
         let propagate_stage = mcond_obs::span_timed("propagate", "serve.stage.propagate");
         let out = match &self.frozen {
             Some(frozen) if !use_original => {
-                if frozen.base_version() != self.base_version {
-                    // A delta promotion mutated the base without patching
-                    // or rebuilding the cache: its activations describe a
-                    // graph that no longer exists. Refuse rather than
-                    // answer with silently wrong logits.
-                    return Err(ServeError::StaleCache {
-                        cache_version: frozen.base_version(),
-                        base_version: self.base_version,
-                    });
-                }
                 cache_hit = true;
                 self.model.predict_frozen(frozen, inc, inter, &batch.features)
             }
@@ -741,7 +678,8 @@ impl<'a> InductiveServer<'a> {
     /// Freezes this server's request statistics (latency, attachment
     /// fanout `‖aM̂‖₀`, batch sizes, per-node mapping coverage, the
     /// rejected/fallback/panic tallies and cache hits) into a snapshot for
-    /// reports.
+    /// reports, with the size of its frozen-base cache, when it holds one,
+    /// as the `serve.cache.bytes` gauge.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
@@ -754,7 +692,11 @@ impl<'a> InductiveServer<'a> {
                 ("serve.panic".to_owned(), stats.panics),
                 ("serve.cache.hits".to_owned(), stats.cache_hits),
             ],
-            gauges: Vec::new(),
+            gauges: self
+                .frozen
+                .iter()
+                .map(|f| ("serve.cache.bytes".to_owned(), f.bytes() as f64))
+                .collect(),
             histograms: vec![
                 ("serve.latency_us".to_owned(), stats.latency_us.summary()),
                 ("serve.fanout".to_owned(), stats.fanout.summary()),
@@ -1125,37 +1067,26 @@ mod tests {
         assert_eq!(pruned.as_slice(), isolated.as_slice());
     }
 
-    /// A frozen cache whose version stamp trails the live base is refused
-    /// with a typed error — stale-cache serving must be impossible.
+    /// `serve.cache.bytes` is this server's own cache: present with its
+    /// size on a frozen-base server, absent on an exact one in the same
+    /// process, and gone once the cache is dropped.
     #[test]
-    fn stale_frozen_cache_is_refused_not_served() {
-        let (data, syn, mapping, model) = fallback_fixture();
-        let batch = data.batch(&[4, 5], true);
-
-        // Version in sync (both 0 by default): the cache answers.
-        let fresh = InductiveServer::on_synthetic(&syn, &mapping, &model)
+    fn cache_bytes_gauge_is_per_server() {
+        let (_, syn, mapping, model) = fallback_fixture();
+        let gauge = |server: &InductiveServer<'_>| {
+            let snap = server.metrics_snapshot();
+            snap.gauges.iter().find(|(k, _)| k == "serve.cache.bytes").map(|&(_, v)| v)
+        };
+        let frozen = InductiveServer::on_synthetic(&syn, &mapping, &model)
             .with_serve_mode(ServeMode::FrozenBase);
-        assert!(fresh.try_serve(&batch).is_ok(), "in-sync cache serves");
-
-        // The base moved on (a delta promotion bumped its version) but the
-        // cache kept its old stamp: typed refusal, not wrong logits.
-        let stale = InductiveServer::on_synthetic(&syn, &mapping, &model)
-            .with_serve_mode(ServeMode::FrozenBase)
-            .with_base_version(3);
-        match stale.try_serve(&batch) {
-            Err(ServeError::StaleCache { cache_version: 0, base_version: 3 }) => {}
-            other => panic!("expected StaleCache, got {other:?}"),
-        }
-
-        // Re-stamping the cache (what a patch does) restores service, and
-        // the exact modes never consult the stamp.
-        let frozen = mcond_gnn::FrozenBase::new(&model, &syn.adj, &syn.features).with_version(3);
-        let patched = InductiveServer::on_synthetic(&syn, &mapping, &model)
-            .with_base_version(3)
-            .with_frozen_cache(frozen);
-        assert!(patched.try_serve(&batch).is_ok(), "re-stamped cache serves");
-        let exact = InductiveServer::on_synthetic(&syn, &mapping, &model).with_base_version(3);
-        assert!(exact.try_serve(&batch).is_ok(), "exact path ignores the stamp");
+        let exact = InductiveServer::on_synthetic(&syn, &mapping, &model);
+        let bytes = FrozenBase::new(&model, &syn.adj, &syn.features).bytes();
+        assert!(bytes > 0);
+        #[allow(clippy::cast_precision_loss)]
+        let expected = bytes as f64;
+        assert_eq!(gauge(&frozen), Some(expected));
+        assert_eq!(gauge(&exact), None);
+        assert_eq!(gauge(&frozen.with_serve_mode(ServeMode::Exact)), None);
     }
 
     /// A batch built against a narrower (pre-promotion) base is served —

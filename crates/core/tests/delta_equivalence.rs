@@ -5,9 +5,9 @@
 //! from-scratch rebuild) produces — bitwise, for the adjacency, the grown
 //! mapping `M`, the features, and the incrementally maintained
 //! [`BaseDegrees`] — and the logits served off the grown base are bitwise
-//! identical between the incremental path and the rebuilt path, in both
-//! [`ServeMode::Exact`] and the patched [`ServeMode::FrozenBase`] cache,
-//! at 1 and 4 threads.
+//! identical between the live base's server and a from-scratch one, in
+//! both [`ServeMode::Exact`] and [`ServeMode::FrozenBase`], at 1 and 4
+//! threads.
 
 use mcond_core::{GraphDelta, InductiveServer, LiveBase, ServeMode};
 use mcond_gnn::{BaseDegrees, GnnKind, GnnModel};
@@ -169,52 +169,34 @@ fn check_state_equivalence() {
     let handed = incremental.server(&model).try_serve(&probe()).unwrap();
     let recomputed =
         InductiveServer::on_synthetic(incremental.base(), incremental.mapping().unwrap(), &model)
-            .with_base_version(incremental.version())
             .try_serve(&probe())
             .unwrap();
     assert!(handed.bit_eq(&recomputed), "handed-over degrees changed the served logits");
 }
 
-/// Serving off the grown base: incremental (patched-cache) path vs. a
-/// from-scratch server, Exact and FrozenBase modes, every architecture.
+/// Serving off the grown base after three promotions: the live base's
+/// server vs. a from-scratch server over the same grown artifacts, in
+/// both modes, every architecture. The live server's frozen cache is
+/// built from the base it borrows, so it is the cache a fresh server
+/// builds.
 fn check_serving_equivalence() {
-    let ds = deltas();
     let batch = probe();
     for kind in GnnKind::ALL {
         let model = GnnModel::new(kind, 3, 4, 2, 2);
         let (syn, map) = base();
-        // patch_fraction 1.0: promotions always take the patch path, so
-        // the cache this base serves from was never rebuilt from scratch.
-        let mut live =
-            LiveBase::synthetic(syn, map).with_frozen_cache(&model).with_patch_fraction(1.0);
-        for d in &ds {
-            assert_eq!(
-                live.promote(d).unwrap().cache,
-                mcond_core::CacheOutcome::Patched,
-                "{}: promotion must patch, not rebuild",
-                kind.name()
-            );
+        let mut live = LiveBase::synthetic(syn, map);
+        for d in &deltas() {
+            live.promote(d).unwrap();
         }
-        let grown = live.base().clone();
-        let mapping = live.mapping().unwrap().clone();
-
-        // Exact mode: live server vs. from-scratch server.
-        let live_exact = live.server(&model).with_serve_mode(ServeMode::Exact);
-        let fresh_exact = InductiveServer::on_synthetic(&grown, &mapping, &model)
-            .with_serve_mode(ServeMode::Exact);
-        let a = live_exact.try_serve(&batch).unwrap();
-        let b = fresh_exact.try_serve(&batch).unwrap();
-        assert!(a.bit_eq(&b), "{}: exact logits diverged", kind.name());
-
-        // FrozenBase mode: the thrice-patched cache vs. a cache rebuilt
-        // from scratch over the grown base.
-        let live_frozen = live.server(&model);
-        let fresh_frozen = InductiveServer::on_synthetic(&grown, &mapping, &model)
-            .with_base_version(live.version())
-            .with_serve_mode(ServeMode::FrozenBase);
-        let a = live_frozen.try_serve(&batch).unwrap();
-        let b = fresh_frozen.try_serve(&batch).unwrap();
-        assert!(a.bit_eq(&b), "{}: frozen logits diverged", kind.name());
+        let (grown, mapping) = (live.base().clone(), live.mapping().unwrap().clone());
+        for mode in [ServeMode::Exact, ServeMode::FrozenBase] {
+            let a = live.server(&model).with_serve_mode(mode).try_serve(&batch).unwrap();
+            let b = InductiveServer::on_synthetic(&grown, &mapping, &model)
+                .with_serve_mode(mode)
+                .try_serve(&batch)
+                .unwrap();
+            assert!(a.bit_eq(&b), "{} {mode:?}: logits diverged", kind.name());
+        }
     }
 }
 
@@ -282,12 +264,11 @@ fn refresh_replay_reproduces_the_live_state() {
     assert_eq!(lineage.version, live.version());
     assert_eq!(lineage.base_nodes as usize, live.base().num_nodes());
 
-    // The checkpoint round-trips through bytes and boots a version-stamped
-    // server that answers original-width probes.
+    // The checkpoint round-trips through bytes and boots a server that
+    // answers original-width probes.
     let restored = mcond_core::Checkpoint::from_bytes(ckpt.to_writer().to_bytes()).unwrap();
     assert_eq!(restored.lineage, Some(lineage));
     let server = InductiveServer::from_checkpoint(&restored);
-    assert_eq!(server.base_version(), live.version());
     let mut inc = Coo::new(1, 3);
     inc.push(0, 1, 1.0);
     let narrow = NodeBatch {

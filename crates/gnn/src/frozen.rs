@@ -5,7 +5,7 @@
 //! base activations feed the new rows at every layer. [`FrozenBase`]
 //! attaches one way instead: new rows read the base, the base never reads
 //! them. Nothing here knows an architecture:
-//! building, serving and patching are three evaluators of `GnnModel::run`
+//! building and serving are two evaluators of `GnnModel::run`
 //! (see `model.rs`), and a *site* is a `prop` the program issues.
 //!
 //! **Build** runs the program once over the base graph alone (base-only
@@ -41,59 +41,28 @@
 //! (0.72–0.94). The calibration test in `mcond-core` pins the edge-free
 //! case and a 6-node fixture, nothing more. The exact split path stays
 //! the default — this cache is opt-in.
-//!
-//! **Patch** runs the program on the closure rows of a base mutation:
-//! each `prop` scatters its operand's rows into the old site and
-//! multiplies the closure rows of the mutated base operator by the full
-//! *unscaled* operand. That is the one use of an unscaled operand, so a
-//! site keeps one only where that multiply needs it (`Site::raw`).
 
 use crate::model::{input, into_dmat, made, Evaluator, Kernel, Mat, Rows};
 use crate::model::{GnnKind, GnnModel, GraphOps};
 use crate::propagator::BaseDegrees;
 use mcond_linalg::DMat;
-use mcond_sparse::{Coo, Csr};
-use std::borrow::Cow;
-
-/// One propagation site of the frozen program, in forward order.
-#[derive(Clone)]
-#[cfg_attr(test, derive(PartialEq))]
-struct Site {
-    /// The base-side operand serving multiplies `inc` by: pre-scaled by
-    /// the frozen base scale at a symmetric site, as is at a mean site.
-    operand: DMat,
-    /// The operand unscaled, kept only where [`FrozenBase::try_patch`]
-    /// multiplies by it and has no other copy: at a symmetric site that
-    /// is not the last — unless it is the feature matrix, which the
-    /// patch is handed again (`None` there means exactly that).
-    raw: Option<DMat>,
-}
+use mcond_sparse::Csr;
 
 /// Per-layer base activations frozen under base-only normalisation.
 ///
 /// Built once per `(model, base graph)` pair via [`FrozenBase::new`];
 /// served via [`GnnModel::predict_frozen`]. Immutable and `Sync` — one
 /// cache can serve concurrent requests.
-///
-/// The cache is stamped with the **base version** it was built from
-/// ([`FrozenBase::base_version`], [`FrozenBase::with_version`]): a live
-/// base graph that admits delta promotions bumps its version on every
-/// mutation, and the serving layer refuses to answer from a cache whose
-/// stamp trails the base (`ServeError::StaleCache` in `mcond-core`)
-/// instead of emitting silently wrong logits. When a promotion's
-/// receptive field is small, [`FrozenBase::try_patch`] recomputes only
-/// the affected rows — bitwise identical to a full rebuild — and
-/// re-stamps the cache.
 #[derive(Clone)]
-#[cfg_attr(test, derive(PartialEq))]
 pub struct FrozenBase {
     kind: GnnKind,
     hops: usize,
     n_base: usize,
     in_dim: usize,
-    sites: Vec<Site>,
-    /// Version of the base graph the cache reflects (0 for a static base).
-    base_version: u64,
+    /// One per propagation site, in forward order: the base-side operand
+    /// serving multiplies `inc` by — pre-scaled by the frozen base scale
+    /// at a symmetric site, as is at a mean site.
+    sites: Vec<DMat>,
 }
 
 /// Frozen symmetric scale `1/sqrt(1 + base row mass)` — identical to what
@@ -113,20 +82,16 @@ fn no_rows(like: &DMat) -> Mat<'static> {
 struct Build<'a> {
     ops: &'a GraphOps<'a>,
     sb: &'a [f32],
-    sites: Vec<Site>,
+    sites: Vec<DMat>,
 }
 
 impl<'a> Evaluator for Build<'a> {
     type V = Mat<'a>;
     fn prop(&mut self, kernel: Kernel, v: &Mat<'a>, rows: Rows) -> Mat<'a> {
-        let operand = match kernel {
+        self.sites.push(match kernel {
             Kernel::Sym => v.scale_rows(self.sb),
             Kernel::Mean => DMat::clone(v),
-        };
-        // Only the feature matrix is ever borrowed (see `Site::raw`).
-        let patch_multiplies =
-            kernel == Kernel::Sym && rows == Rows::All && matches!(**v, Cow::Owned(_));
-        self.sites.push(Site { operand, raw: patch_multiplies.then(|| DMat::clone(v)) });
+        });
         match rows {
             Rows::All => made(self.ops.kernel(kernel).spmm(v)),
             Rows::Output => no_rows(v),
@@ -160,23 +125,7 @@ impl FrozenBase {
             n_base: base_adj.rows(),
             in_dim: base_x.cols(),
             sites: build.sites,
-            base_version: 0,
         }
-    }
-
-    /// Stamps the cache with the base version it reflects; the serving
-    /// layer compares this against the live base's version before
-    /// answering from the cache.
-    #[must_use]
-    pub fn with_version(mut self, version: u64) -> Self {
-        self.base_version = version;
-        self
-    }
-
-    /// The base version this cache was built (or last patched) against.
-    #[must_use]
-    pub fn base_version(&self) -> u64 {
-        self.base_version
     }
 
     /// Architecture the cache was frozen for.
@@ -191,221 +140,12 @@ impl FrozenBase {
         self.sites.len()
     }
 
-    /// Number of base nodes the cache covers.
-    #[must_use]
-    pub fn n_base(&self) -> usize {
-        self.n_base
-    }
-
-    /// Payload size of the cached activations (site operands and the
-    /// unscaled copies the patch path keeps), in bytes.
+    /// Payload size of the cached activations (one operand per site), in
+    /// bytes.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        self.sites
-            .iter()
-            .flat_map(|s| std::iter::once(&s.operand).chain(&s.raw))
-            .map(|m| m.rows() * m.cols() * core::mem::size_of::<f32>())
-            .sum()
+        self.sites.iter().map(|m| m.rows() * m.cols() * core::mem::size_of::<f32>()).sum()
     }
-
-    /// Incrementally re-freezes the cache after the base graph grew:
-    /// `new_adj`/`new_x` are the mutated base (old nodes keep their ids;
-    /// appended nodes take the highest ids), `deg` its degree sums, and
-    /// `touched` the **old** rows that gained edges in the mutation
-    /// (appended rows are included automatically). Only rows inside the
-    /// hop-closure of the mutation are recomputed; every recomputed value
-    /// is **bitwise identical** to a from-scratch
-    /// [`FrozenBase::new`] over the mutated base (the kernels' row
-    /// independence contract). The returned cache is stamped with
-    /// `new_version`.
-    ///
-    /// Returns `None` when the closure exceeds `max_rows` — the signal
-    /// that a full rebuild is cheaper than the patch.
-    ///
-    /// # Panics
-    /// Panics when `model` does not match the architecture/depth this
-    /// cache was frozen for, when the new base shrank or its shapes are
-    /// inconsistent, or when `touched`/`deg` disagree with `new_adj`.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_patch(
-        &self,
-        model: &GnnModel,
-        new_adj: &Csr,
-        new_x: &DMat,
-        deg: &BaseDegrees,
-        touched: &[usize],
-        max_rows: usize,
-        new_version: u64,
-    ) -> Option<FrozenBase> {
-        assert_eq!(self.kind, model.kind(), "try_patch: architecture mismatch");
-        assert_eq!(self.hops, model.hops, "try_patch: propagation depth mismatch");
-        assert_eq!(new_adj.rows(), new_adj.cols(), "try_patch: base must be square");
-        assert_eq!(new_x.rows(), new_adj.rows(), "try_patch: feature rows mismatch");
-        assert_eq!(new_x.cols(), self.in_dim, "try_patch: feature width mismatch");
-        assert_eq!(deg.sym.len(), new_adj.rows(), "try_patch: degree length mismatch");
-        let n_old = self.n_base;
-        let n_new = new_adj.rows();
-        assert!(n_new >= n_old, "try_patch: base shrank ({n_old} -> {n_new})");
-
-        // Hop-closure of the mutation: seeds are the appended rows plus
-        // every old row whose degree (and therefore sym scale) changed;
-        // each propagation between the first site and the last widens the
-        // affected set by one hop.
-        let mut in_set = vec![false; n_new];
-        let mut rows: Vec<usize> = Vec::new();
-        for s in touched.iter().copied().chain(n_old..n_new) {
-            assert!(s < n_new, "try_patch: touched row {s} out of bounds");
-            if !in_set[s] {
-                in_set[s] = true;
-                rows.push(s);
-            }
-        }
-        let mut frontier = rows.clone();
-        for _ in 1..self.sites.len() {
-            if rows.len() > max_rows {
-                return None;
-            }
-            let mut next = Vec::new();
-            for &r in &frontier {
-                for &c in new_adj.row_cols(r) {
-                    let c = c as usize;
-                    if !in_set[c] {
-                        in_set[c] = true;
-                        next.push(c);
-                        rows.push(c);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        if rows.len() > max_rows {
-            return None;
-        }
-        rows.sort_unstable();
-
-        // Frozen symmetric scale of the mutated base, full vector plus the
-        // closure-row gather — same expression as the from-scratch build.
-        let sb_full = frozen_sym_scale(deg);
-        let mut patch = Patch {
-            old: &self.sites,
-            new_adj,
-            new_x,
-            sb_rows: rows.iter().map(|&r| sb_full[r]).collect(),
-            sb_full,
-            rows: &rows,
-            local: [None, None],
-            sites: Vec::with_capacity(self.sites.len()),
-        };
-        model.run(&mut patch, model.params(), made(new_x.select_rows(&rows)));
-        Some(FrozenBase {
-            kind: self.kind,
-            hops: self.hops,
-            n_base: n_new,
-            in_dim: self.in_dim,
-            sites: patch.sites,
-            base_version: new_version,
-        })
-    }
-}
-
-/// [`FrozenBase::try_patch`]: the program over the closure rows only;
-/// each `prop`'s product is the next value's closure rows.
-struct Patch<'a> {
-    old: &'a [Site],
-    new_adj: &'a Csr,
-    new_x: &'a DMat,
-    sb_full: Vec<f32>,
-    sb_rows: Vec<f32>,
-    rows: &'a [usize],
-    /// Closure rows of the base operators, by `Kernel`, built on first use.
-    local: [Option<Csr>; 2],
-    sites: Vec<Site>,
-}
-
-impl<'a> Evaluator for Patch<'a> {
-    type V = Mat<'a>;
-    fn prop(&mut self, kernel: Kernel, v: &Mat<'a>, rows: Rows) -> Mat<'a> {
-        let old = &self.old[self.sites.len()];
-        let widen = |old: &DMat, patch: &DMat| widen_scatter(old, self.new_x.rows(), self.rows, patch);
-        let operand = match kernel {
-            Kernel::Sym => widen(&old.operand, &v.scale_rows(&self.sb_rows)),
-            Kernel::Mean => widen(&old.operand, v),
-        };
-        let raw = old.raw.as_ref().map(|r| widen(r, v));
-        let out = match rows {
-            Rows::Output => no_rows(v),
-            Rows::All => {
-                let local = self.local[kernel as usize].get_or_insert_with(|| match kernel {
-                    Kernel::Sym => local_sym_rows(self.new_adj, &self.sb_full, self.rows),
-                    Kernel::Mean => local_mean_rows(self.new_adj, self.rows),
-                });
-                let unscaled = match kernel {
-                    Kernel::Sym => raw.as_ref().unwrap_or(self.new_x),
-                    Kernel::Mean => &operand,
-                };
-                made(local.spmm(unscaled))
-            }
-        };
-        self.sites.push(Site { operand, raw });
-        out
-    }
-    fn output_rows(&mut self, v: &Mat<'a>) -> Mat<'a> {
-        no_rows(v)
-    }
-}
-
-/// The closure rows of the symmetrically normalised base operator
-/// `D̃^{-1/2}(A + I)D̃^{-1/2}`, as a `|rows| x N` CSR. Entry construction
-/// mirrors `sym_normalize` exactly (adjacency entries first, diagonal
-/// last, same multiply association) so each local row is bitwise
-/// identical to the corresponding row of the full operator.
-fn local_sym_rows(adj: &Csr, isr: &[f32], rows: &[usize]) -> Csr {
-    let nnz: usize = rows.iter().map(|&r| adj.row_cols(r).len()).sum();
-    let mut coo = Coo::with_capacity(rows.len(), adj.cols(), nnz + rows.len());
-    for (li, &r) in rows.iter().enumerate() {
-        for (&j, &v) in adj.row_cols(r).iter().zip(adj.row_vals(r)) {
-            coo.push(li, j as usize, v * isr[r] * isr[j as usize]);
-        }
-    }
-    for (li, &r) in rows.iter().enumerate() {
-        coo.push(li, r, isr[r] * isr[r]);
-    }
-    coo.to_csr()
-}
-
-/// The closure rows of the mean (row-stochastic) base operator `D^{-1}A`,
-/// mirroring `GraphOps::from_adj` (rows with non-positive mass stay
-/// empty, same divide per entry).
-fn local_mean_rows(adj: &Csr, rows: &[usize]) -> Csr {
-    let nnz: usize = rows.iter().map(|&r| adj.row_cols(r).len()).sum();
-    let mut coo = Coo::with_capacity(rows.len(), adj.cols(), nnz);
-    for (li, &r) in rows.iter().enumerate() {
-        let d: f32 = adj.row_vals(r).iter().sum();
-        if d > 0.0 {
-            for (&j, &v) in adj.row_cols(r).iter().zip(adj.row_vals(r)) {
-                coo.push(li, j as usize, v / d);
-            }
-        }
-    }
-    coo.to_csr()
-}
-
-/// Widens `old` to `n_rows` rows (appended rows zero-filled) and
-/// overwrites row `rows[k]` with `patch` row `k`.
-fn widen_scatter(old: &DMat, n_rows: usize, rows: &[usize], patch: &DMat) -> DMat {
-    debug_assert_eq!(patch.rows(), rows.len());
-    let mut out = DMat::zeros(n_rows, old.cols());
-    for i in 0..old.rows() {
-        out.row_mut(i).copy_from_slice(old.row(i));
-    }
-    for (k, &r) in rows.iter().enumerate() {
-        out.row_mut(r).copy_from_slice(patch.row(k));
-    }
-    out
 }
 
 /// The request's own degree scales: symmetric `1/sqrt(1 + inc mass +
@@ -432,7 +172,7 @@ fn request_scales(inc: &Csr, inter: &Csr) -> (Vec<f32>, Vec<f32>) {
 /// [`GnnModel::predict_frozen`]: the program over the new rows only,
 /// each `prop` answered from the next cached site.
 struct Serve<'a> {
-    sites: std::slice::Iter<'a, Site>,
+    sites: std::slice::Iter<'a, DMat>,
     inc: &'a Csr,
     inter: &'a Csr,
     sn: Vec<f32>,
@@ -442,7 +182,7 @@ struct Serve<'a> {
 impl<'a> Evaluator for Serve<'a> {
     type V = Mat<'a>;
     fn prop(&mut self, kernel: Kernel, v: &Mat<'a>, _: Rows) -> Mat<'a> {
-        let cached = &self.sites.next().expect("prop: cache frozen with fewer sites").operand;
+        let cached = self.sites.next().expect("prop: cache frozen with fewer sites");
         let mut out = self.inc.spmm(cached);
         match kernel {
             // s_n ∘ (inc·cached + inter·(s_n ∘ v) + s_n ∘ v)
@@ -577,33 +317,17 @@ mod tests {
         }
     }
 
-    /// One operand per site, plus an unscaled copy only where a patch
-    /// multiplies by it: none at the last site, none where the operand is
-    /// the feature matrix (5 nodes, 4 features, hidden 6, 3 classes).
+    /// One operand per site (5 nodes, 4 features, hidden 6, 3 classes,
+    /// two hops).
     #[test]
     fn cache_keeps_no_operand_nothing_reads() {
         let (base, base_x) = fixture();
         let f32s = |kind| FrozenBase::new(&GnnModel::new(kind, 4, 6, 3, 21), &base, &base_x).bytes() / 4;
         assert_eq!(f32s(GnnKind::Sgc), 5 * (4 + 4));
-        assert_eq!(f32s(GnnKind::Gcn), 5 * (6 + 6 + 3));
+        assert_eq!(f32s(GnnKind::Gcn), 5 * (6 + 3));
         assert_eq!(f32s(GnnKind::Sage), 5 * (4 + 6));
-        assert_eq!(f32s(GnnKind::Appnp), 5 * (3 + 3 + 3));
+        assert_eq!(f32s(GnnKind::Appnp), 5 * (3 + 3));
         assert_eq!(f32s(GnnKind::Cheby), 5 * (4 + 6));
-    }
-
-    /// A closure larger than the row budget refuses to patch (the caller
-    /// falls back to a full rebuild).
-    #[test]
-    fn oversized_closure_declines_to_patch() {
-        let (base, base_x) = fixture();
-        let mut b = Coo::new(1, 5);
-        b.push(0, 0, 1.0);
-        let new_adj = base.block_extend(&b.to_csr(), &Csr::empty(1, 1));
-        let new_x = base_x.vstack(&MatRng::seed_from(18).normal(1, 4, 0.0, 1.0));
-        let deg = BaseDegrees::of(&new_adj);
-        let model = GnnModel::new(GnnKind::Gcn, 4, 6, 3, 24);
-        let frozen = FrozenBase::new(&model, &base, &base_x);
-        assert!(frozen.try_patch(&model, &new_adj, &new_x, &deg, &[0], 1, 1).is_none());
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! [`GnnModel::run`] states every forward pass as seven ops over an
 //! abstract value ([`Interp`]); it is the only place that says what a
-//! layer *is*. Six evaluators supply what a value is and what `prop`
+//! layer *is*. Five evaluators supply what a value is and what `prop`
 //! means, and run that one program: tape ([`GnnModel::forward`]), dense
 //! ([`GnnModel::predict`]) and split ([`GnnModel::predict_split`]) here,
-//! the cache's build, serve and patch in `frozen.rs`. `contract.rs` holds
+//! the cache's build and serve in `frozen.rs`. `contract.rs` holds
 //! each to a hand-written reference, bitwise.
 //!
 //! The program marks an architecture's last propagation [`Rows::Output`]:

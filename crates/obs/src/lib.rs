@@ -59,15 +59,16 @@
 //!   `with_serve_mode(ServeMode::FrozenBase)` call);
 //! * `serve.cache.hits` — requests answered from the frozen-base cache
 //!   (degraded requests fall through to the exact path and do not count);
-//! * `serve.cache.bytes` — gauge: resident size of the frozen-base cache
-//!   when it was last built or patched: one operand per propagation site,
-//!   plus an unscaled copy at each symmetric site the patch path has to
-//!   multiply by (none at the last site, none where the operand is the
-//!   feature matrix).
+//! * `serve.cache.build_us` — histogram: wall µs per frozen-base cache
+//!   build (the `frozen_base.build` span). A cache is built from the base
+//!   its server holds and never updated, so this is the whole cost of
+//!   keeping one current: a grown base gets a new server and a new build;
+//! * `serve.cache.bytes` — gauge, per-server snapshot only: size of that
+//!   server's frozen-base cache, one operand per propagation site; absent
+//!   when the server holds none.
 //!
 //! The live-graph ingestion path (`mcond-core`'s `LiveBase`) reports its
-//! promotion and refresh activity under the `delta.*` prefix, and how it
-//! kept the frozen-base cache coherent under `serve.cache.patch.*`:
+//! promotion and refresh activity under the `delta.*` prefix:
 //!
 //! * `delta.promotions` — promotion calls that grew the base;
 //! * `delta.promoted_nodes` — nodes promoted into the base (a promotion
@@ -76,11 +77,7 @@
 //!   promotions;
 //! * `delta.refreshes` — incremental refreshes (Eq. 12–15 re-run + log
 //!   replay);
-//! * `delta.refresh.ms` — histogram: wall milliseconds per refresh;
-//! * `serve.cache.patch.patched` — promotions whose frozen-base cache was
-//!   patched in place (receptive-field closure fit the patch budget);
-//! * `serve.cache.patch.rebuilt` — promotions that fell back to a full
-//!   cache rebuild (closure exceeded the patch budget).
+//! * `delta.refresh.ms` — histogram: wall milliseconds per refresh.
 //!
 //! The serving stage timers decompose every request's latency into the
 //! paper's Eq. 11 pipeline, one histogram per stage (µs), recorded by

@@ -898,7 +898,6 @@ fn method_not_allowed(allow: &str, close: bool) -> Vec<u8> {
 /// | `Panicked` | 500 |
 /// | `DeadlineExceeded` | 503 |
 /// | `Aborted` | 503 |
-/// | `StaleCache` | 503 |
 #[must_use]
 pub fn serve_error_status(e: &ServeError) -> (u16, &'static str) {
     match e {
@@ -910,9 +909,6 @@ pub fn serve_error_status(e: &ServeError) -> (u16, &'static str) {
         ServeError::Panicked { .. } => (500, "panicked"),
         ServeError::DeadlineExceeded { .. } => (503, "deadline_exceeded"),
         ServeError::Aborted { .. } => (503, "aborted"),
-        // Retryable: the operator is expected to patch/rebuild the cache
-        // (or hot-swap a refreshed checkpoint) shortly.
-        ServeError::StaleCache { .. } => (503, "stale_cache"),
     }
 }
 
@@ -950,11 +946,6 @@ pub(crate) mod tests {
                 "deadline_exceeded",
             ),
             (ServeError::Aborted { reason: "watchdog" }, 503, "aborted"),
-            (
-                ServeError::StaleCache { cache_version: 1, base_version: 2 },
-                503,
-                "stale_cache",
-            ),
         ];
         for (e, status, kind) in cases {
             assert_eq!(serve_error_status(&e), (status, kind), "{e}");

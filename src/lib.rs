@@ -56,6 +56,12 @@
 
 #![forbid(unsafe_code)]
 
+/// The README's `rust` snippets, compiled as doctests so they cannot
+/// outlive the API they show.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use mcond_autodiff as autodiff;
 pub use mcond_core as core;
 pub use mcond_gnn as gnn;
@@ -72,9 +78,9 @@ pub use mcond_store as store;
 pub mod prelude {
     pub use mcond_autodiff::{Adam, Tape, Var};
     pub use mcond_core::{
-        condense, coreset, vng, CacheOutcome, Checkpoint, Condensed, CoresetMethod, DeltaError,
-        DeltaLineage, FallbackPolicy, GraphDelta, InductiveServer, LiveBase, McondConfig,
-        PromotionReport, ServeError, ServeMode,
+        condense, coreset, vng, Checkpoint, Condensed, CoresetMethod, DeltaError, DeltaLineage,
+        FallbackPolicy, GraphDelta, InductiveServer, LiveBase, McondConfig, PromotionReport,
+        ServeError, ServeMode,
     };
     pub use mcond_gnn::{
         accuracy, extended_storage_bytes, train, FrozenBase, GnnKind, GnnModel, GraphOps,
