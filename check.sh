@@ -37,6 +37,12 @@ cargo check --release --offline --manifest-path benchmark/Cargo.toml
 # every wire response verified bitwise against try_serve (exits 1 on any
 # wrong logit). Under 10 s; writes only under git-ignored benchmark/out/.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload online_syn --seed 0 --smoke
+# online_syn's 1-node batches carry no interconnect; the 100-node graph
+# batches do, and they reach both sides of spmm_sparse's sweep-or-track
+# rule (the 39-wide a·M on the condensed graph, the 2600-wide identity
+# mapping on the original). Same lifecycle and bitwise check, ~5 s together.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload batch_syn --seed 0 --smoke
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload batch_orig --seed 0 --smoke
 # Checkpoint round-trip smoke: condense → save → restore → serve, bitwise
 # verified inside the example (also exercises a corrupted-file rejection).
 cargo run --release --example checkpointing

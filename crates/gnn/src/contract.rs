@@ -8,10 +8,11 @@
 //! | evaluator                    | must equal                              |
 //! |------------------------------|-----------------------------------------|
 //! | dense (`predict`)            | the reference, bitwise                  |
-//! | split (`predict_split`)      | bottom rows of the stacked dense, bitwise |
+//! | split (`predict_split`)      | bottom rows of the stacked dense, bitwise; builds only the operators it reads |
 //! | tape (`forward`)             | dense on the materialised graph, bitwise |
 //! | frozen-build + frozen-serve (`FrozenBase::new`, `predict_frozen`) | split, on a batch with no edges |
 
+use crate::model::Kernel::{Mean, Sym};
 use crate::{BaseDegrees, FrozenBase, GnnKind, GnnModel, GraphOps};
 use mcond_autodiff::Tape;
 use mcond_linalg::{DMat, MatRng};
@@ -20,26 +21,27 @@ use mcond_sparse::{Coo, Csr};
 /// Whole-graph logits, one arm per architecture (paper §IV-A, Table IV).
 fn reference_predict(model: &GnnModel, ops: &GraphOps, x: &DMat) -> DMat {
     let p = model.params();
+    let (sym, mean) = (ops.kernel(Sym), ops.kernel(Mean));
     match model.kind() {
         GnnKind::Sgc => {
             let mut h = x.clone();
             for _ in 0..model.hops {
-                h = ops.sym.spmm(&h);
+                h = sym.spmm(&h);
             }
             h.matmul(&p[0]).add_row_broadcast(p[1].row(0))
         }
         GnnKind::Gcn => {
-            let h = ops.sym.spmm(&x.matmul(&p[0])).add_row_broadcast(p[1].row(0)).relu();
-            ops.sym.spmm(&h.matmul(&p[2])).add_row_broadcast(p[3].row(0))
+            let h = sym.spmm(&x.matmul(&p[0])).add_row_broadcast(p[1].row(0)).relu();
+            sym.spmm(&h.matmul(&p[2])).add_row_broadcast(p[3].row(0))
         }
         GnnKind::Sage => {
             let h = x
                 .matmul(&p[0])
-                .add(&ops.mean.spmm(x).matmul(&p[1]))
+                .add(&mean.spmm(x).matmul(&p[1]))
                 .add_row_broadcast(p[2].row(0))
                 .relu();
             h.matmul(&p[3])
-                .add(&ops.mean.spmm(&h).matmul(&p[4]))
+                .add(&mean.spmm(&h).matmul(&p[4]))
                 .add_row_broadcast(p[5].row(0))
         }
         GnnKind::Appnp => {
@@ -48,18 +50,18 @@ fn reference_predict(model: &GnnModel, ops: &GraphOps, x: &DMat) -> DMat {
             let teleport = h0.scale(model.alpha);
             let mut z = h0;
             for _ in 0..model.hops {
-                z = ops.sym.spmm(&z).scale(1.0 - model.alpha).add(&teleport);
+                z = sym.spmm(&z).scale(1.0 - model.alpha).add(&teleport);
             }
             z
         }
         GnnKind::Cheby => {
-            let t1x = ops.sym.spmm(x).scale(-1.0);
+            let t1x = sym.spmm(x).scale(-1.0);
             let h = x
                 .matmul(&p[0])
                 .add(&t1x.matmul(&p[1]))
                 .add_row_broadcast(p[2].row(0))
                 .relu();
-            let t1h = ops.sym.spmm(&h).scale(-1.0);
+            let t1h = sym.spmm(&h).scale(-1.0);
             h.matmul(&p[3])
                 .add(&t1h.matmul(&p[4]))
                 .add_row_broadcast(p[5].row(0))
@@ -120,6 +122,12 @@ fn every_evaluator_agrees_with_the_reference_forward() {
             let mut model = GnnModel::new(kind, 4, 6, 3, 5);
             model.hops = hops;
             let frozen = FrozenBase::new(&model, &base, &x_base);
+            // (sym, mean): what the architecture propagates with, if at all.
+            let reads = match kind {
+                GnnKind::Sage => (false, true),
+                GnnKind::Sgc | GnnKind::Appnp if hops == 0 => (false, false),
+                _ => (true, false),
+            };
             for (case, inc, inter) in &batches() {
                 let extended = GraphOps::extended_with(&base, inc, inter, &deg);
                 let grown = base.block_extend(inc, inter);
@@ -137,8 +145,11 @@ fn every_evaluator_agrees_with_the_reference_forward() {
                             "dense (materialised) {tag}"
                         );
 
-                        // split == bottom rows of the stacked dense.
-                        let split = model.predict_split(&extended, &x_base, &x_new);
+                        // split == bottom rows of the stacked dense, and
+                        // builds only the operators the program reads.
+                        let split_ops = GraphOps::extended_with(&base, inc, inter, &deg);
+                        let split = model.predict_split(&split_ops, &x_base, &x_new);
+                        assert_eq!(split_ops.built(), reads, "operators built {tag}");
                         assert_eq!(
                             split.as_slice(),
                             dense.slice_rows(N_BASE, N_BASE + N_NEW).as_slice(),

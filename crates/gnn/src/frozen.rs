@@ -79,13 +79,13 @@ fn no_rows(like: &DMat) -> Mat<'static> {
 
 /// [`FrozenBase::new`]: the program over the base graph alone, every
 /// `prop` leaving its operand behind as a site.
-struct Build<'a> {
-    ops: &'a GraphOps<'a>,
+struct Build<'a, 'o> {
+    ops: &'a GraphOps<'o>,
     sb: &'a [f32],
     sites: Vec<DMat>,
 }
 
-impl<'a> Evaluator for Build<'a> {
+impl<'a> Evaluator for Build<'a, '_> {
     type V = Mat<'a>;
     fn prop(&mut self, kernel: Kernel, v: &Mat<'a>, rows: Rows) -> Mat<'a> {
         self.sites.push(match kernel {
@@ -153,20 +153,18 @@ impl FrozenBase {
 /// identical to what the exact extended operator computes for its new
 /// rows.
 fn request_scales(inc: &Csr, inter: &Csr) -> (Vec<f32>, Vec<f32>) {
-    let n = inc.rows();
-    let mut sym = vec![1.0f32; n];
-    let mut mean = vec![0.0f32; n];
-    for (bi, _, v) in inc.iter() {
-        sym[bi] += v;
-        mean[bi] += v;
-    }
-    for (bi, _, v) in inter.iter() {
-        sym[bi] += v;
-        mean[bi] += v;
-    }
-    let sn = sym.iter().map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 }).collect();
-    let rn = mean.iter().map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 }).collect();
-    (sn, rn)
+    (0..inc.rows())
+        .map(|i| {
+            let (mut sym, mut mean) = (1.0f32, 0.0f32);
+            for &v in inc.row_vals(i).iter().chain(inter.row_vals(i)) {
+                sym += v;
+                mean += v;
+            }
+            let sn = if sym > 0.0 { 1.0 / sym.sqrt() } else { 0.0 };
+            let rn = if mean > 0.0 { 1.0 / mean } else { 0.0 };
+            (sn, rn)
+        })
+        .unzip()
 }
 
 /// [`GnnModel::predict_frozen`]: the program over the new rows only,

@@ -22,7 +22,7 @@ use mcond_linalg::{DMat, MatRng};
 use mcond_sparse::{sym_normalize, Csr};
 use std::borrow::Cow;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Architecture selector (paper §IV-A and Table IV).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,18 +91,33 @@ impl GnnKind {
     }
 }
 
-/// Precomputed propagation operators for one graph.
+/// Propagation operators for one graph.
 ///
 /// `sym` is the GCN kernel `D̃^{-1/2}(A + I)D̃^{-1/2}`; `mean` the row-
 /// stochastic `D^{-1}A` used by the SAGE mean aggregator. Either operator
 /// may be a materialised matrix or a lazily extended block operator (see
 /// [`Propagator`]); [`GnnModel::predict`] works with both, while training
 /// requires materialised operators.
+///
+/// Materialised operators are built up front. Extended ones are built
+/// the first time the layer program reads them, so a request pays only
+/// for the kernel its architecture propagates with.
 pub struct GraphOps<'a> {
+    /// The extended graph's blocks, for the operators not built yet;
+    /// `None` when both were materialised at construction.
+    blocks: Option<Blocks<'a>>,
     /// Symmetric-normalised adjacency with self-loops.
-    pub sym: Propagator<'a>,
+    sym: OnceLock<Propagator<'a>>,
     /// Row-normalised adjacency (no self-loops).
-    pub mean: Propagator<'a>,
+    mean: OnceLock<Propagator<'a>>,
+}
+
+/// `[[base, incᵀ], [inc, inter]]` and the base's degree sums.
+struct Blocks<'a> {
+    base: &'a Csr,
+    inc: &'a Csr,
+    inter: &'a Csr,
+    deg: Cow<'a, BaseDegrees>,
 }
 
 impl GraphOps<'static> {
@@ -123,22 +138,23 @@ impl GraphOps<'static> {
             }
             coo.to_csr()
         };
-        Self { sym: Propagator::Matrix(sym), mean: Propagator::Matrix(Arc::new(dense_free)) }
+        Self {
+            blocks: None,
+            sym: OnceLock::from(Propagator::Matrix(sym)),
+            mean: OnceLock::from(Propagator::Matrix(Arc::new(dense_free))),
+        }
     }
 }
 
 impl<'a> GraphOps<'a> {
-    /// Builds both operators for the extended graph `[[base, incᵀ], [inc,
-    /// inter]]` **without materialising it** — per-batch inductive serving
-    /// then costs O(nnz(inc) + nnz(inter) + n) instead of copying the base
-    /// graph (see `mcond-core`'s `InductiveServer`). The blocks are
-    /// borrowed, not cloned: a request's `inc`/`inter` are used in place.
+    /// The operators of the extended graph `[[base, incᵀ], [inc, inter]]`,
+    /// **never materialised** — per-batch inductive serving then costs
+    /// O(nnz(inc) + nnz(inter) + n) instead of copying the base graph (see
+    /// `mcond-core`'s `InductiveServer`). The blocks are borrowed, not
+    /// cloned: a request's `inc`/`inter` are used in place.
     #[must_use]
     pub fn extended(base: &'a Csr, inc: &'a Csr, inter: &'a Csr) -> Self {
-        Self {
-            sym: Propagator::extended_sym(base, inc, inter),
-            mean: Propagator::extended_mean(base, inc, inter),
-        }
+        Self::on_blocks(base, inc, inter, Cow::Owned(BaseDegrees::of(base)))
     }
 
     /// [`extended`](Self::extended) with the base graph's degree sums
@@ -149,19 +165,35 @@ impl<'a> GraphOps<'a> {
         base: &'a Csr,
         inc: &'a Csr,
         inter: &'a Csr,
-        deg: &BaseDegrees,
+        deg: &'a BaseDegrees,
     ) -> Self {
+        Self::on_blocks(base, inc, inter, Cow::Borrowed(deg))
+    }
+
+    fn on_blocks(base: &'a Csr, inc: &'a Csr, inter: &'a Csr, deg: Cow<'a, BaseDegrees>) -> Self {
         Self {
-            sym: Propagator::extended_sym_with(base, inc, inter, deg),
-            mean: Propagator::extended_mean_with(base, inc, inter, deg),
+            blocks: Some(Blocks { base, inc, inter, deg }),
+            sym: OnceLock::new(),
+            mean: OnceLock::new(),
         }
     }
 
+    /// The operator behind `kernel`, built on first read.
     pub(crate) fn kernel(&self, kernel: Kernel) -> &Propagator<'a> {
-        match kernel {
-            Kernel::Sym => &self.sym,
-            Kernel::Mean => &self.mean,
-        }
+        let (cell, build): (_, fn(_, _, _, &BaseDegrees) -> _) = match kernel {
+            Kernel::Sym => (&self.sym, Propagator::extended_sym_with),
+            Kernel::Mean => (&self.mean, Propagator::extended_mean_with),
+        };
+        cell.get_or_init(|| {
+            let b = self.blocks.as_ref().expect("materialised operators are built up front");
+            build(b.base, b.inc, b.inter, &b.deg)
+        })
+    }
+
+    /// Which operators have been built, `(sym, mean)`.
+    #[cfg(test)]
+    pub(crate) fn built(&self) -> (bool, bool) {
+        (self.sym.get().is_some(), self.mean.get().is_some())
     }
 }
 
@@ -512,11 +544,11 @@ impl<V: Mats, T: Evaluator<V = V>> Interp for T {
 }
 
 /// Whole-graph inference: one matrix, every row kept.
-struct Dense<'a> {
-    ops: &'a GraphOps<'a>,
+struct Dense<'a, 'o> {
+    ops: &'a GraphOps<'o>,
 }
 
-impl<'a> Evaluator for Dense<'a> {
+impl<'a> Evaluator for Dense<'a, '_> {
     type V = Mat<'a>;
     fn prop(&mut self, kernel: Kernel, v: &Mat<'a>, _: Rows) -> Mat<'a> {
         made(self.ops.kernel(kernel).spmm(v))
@@ -546,11 +578,11 @@ impl Mats for Halves<'_> {
 
 /// Serving on the extended graph: the `n` new rows are the output rows,
 /// so a [`Rows::Output`] product is [`Propagator::spmm_bottom`].
-struct Split<'a> {
-    ops: &'a GraphOps<'a>,
+struct Split<'a, 'o> {
+    ops: &'a GraphOps<'o>,
 }
 
-impl<'a> Evaluator for Split<'a> {
+impl<'a> Evaluator for Split<'a, '_> {
     type V = Halves<'a>;
     fn prop(&mut self, kernel: Kernel, v: &Halves<'a>, rows: Rows) -> Halves<'a> {
         let op = self.ops.kernel(kernel);
@@ -607,7 +639,7 @@ mod tests {
     fn graph_ops_mean_rows_are_stochastic() {
         let adj = ring(4);
         let ops = GraphOps::from_adj(&adj);
-        let mean = ops.mean.csr();
+        let mean = ops.kernel(Kernel::Mean).csr();
         for i in 0..4 {
             let s: f32 = mean.row_vals(i).iter().sum();
             assert!((s - 1.0).abs() < 1e-5);

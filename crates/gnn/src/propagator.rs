@@ -315,20 +315,13 @@ impl<'a> Propagator<'a> {
         inter: &'a Csr,
         deg: &BaseDegrees,
     ) -> Self {
-        let (n_base, n_new) = check_blocks(base, inc, inter);
-        assert_eq!(deg.sym.len(), n_base, "extended_sym_with: degree length mismatch");
+        check_blocks(base, inc, inter);
+        assert_eq!(deg.sym.len(), base.rows(), "extended_sym_with: degree length mismatch");
         // Degrees of Ã_ext (self-loop included): base sums are shared, the
         // request only folds in its incremental/interconnect mass — in the
         // same order the from-scratch accumulation would.
         let mut deg_base = deg.sym.clone();
-        let mut deg_new = vec![1.0f32; n_new];
-        for (bi, bj, v) in inc.iter() {
-            deg_new[bi] += v; // row of the bottom-left block
-            deg_base[bj] += v; // mirrored into the top-right block
-        }
-        for (bi, _, v) in inter.iter() {
-            deg_new[bi] += v;
-        }
+        let deg_new = fold_request_mass(inc, inter, &mut deg_base, 1.0);
         let inv_sqrt = |d: &f32| if *d > 0.0 { 1.0 / d.sqrt() } else { 0.0 };
         Propagator::Extended(Box::new(Extension {
             base,
@@ -362,17 +355,10 @@ impl<'a> Propagator<'a> {
         inter: &'a Csr,
         deg: &BaseDegrees,
     ) -> Self {
-        let (n_base, n_new) = check_blocks(base, inc, inter);
-        assert_eq!(deg.mean.len(), n_base, "extended_mean_with: degree length mismatch");
+        check_blocks(base, inc, inter);
+        assert_eq!(deg.mean.len(), base.rows(), "extended_mean_with: degree length mismatch");
         let mut deg_base = deg.mean.clone();
-        let mut deg_new = vec![0.0f32; n_new];
-        for (bi, bj, v) in inc.iter() {
-            deg_new[bi] += v;
-            deg_base[bj] += v;
-        }
-        for (bi, _, v) in inter.iter() {
-            deg_new[bi] += v;
-        }
+        let deg_new = fold_request_mass(inc, inter, &mut deg_base, 0.0);
         let inv = |d: &f32| if *d > 0.0 { 1.0 / d } else { 0.0 };
         Propagator::Extended(Box::new(Extension {
             base,
@@ -385,12 +371,33 @@ impl<'a> Propagator<'a> {
     }
 }
 
-fn check_blocks(base: &Csr, inc: &Csr, inter: &Csr) -> (usize, usize) {
+/// Folds a request's edge mass into degree sums: every `inc` entry into
+/// its new row and, mirrored, into the base row it names; every `inter`
+/// entry into its new row. Returns the new rows' sums, each starting at
+/// `self_mass`. Walks rows in order, a row's `inc` entries before its
+/// `inter` entries, so every sum adds its terms in the order a
+/// from-scratch pass over the extended matrix would.
+fn fold_request_mass(inc: &Csr, inter: &Csr, deg_base: &mut [f32], self_mass: f32) -> Vec<f32> {
+    (0..inc.rows())
+        .map(|i| {
+            let mut d = self_mass;
+            for (&j, &v) in inc.row_cols(i).iter().zip(inc.row_vals(i)) {
+                d += v; // row of the bottom-left block
+                deg_base[j as usize] += v; // mirrored into the top-right block
+            }
+            for &v in inter.row_vals(i) {
+                d += v;
+            }
+            d
+        })
+        .collect()
+}
+
+fn check_blocks(base: &Csr, inc: &Csr, inter: &Csr) {
     assert_eq!(base.rows(), base.cols(), "extended: base must be square");
     assert_eq!(inc.cols(), base.rows(), "extended: inc columns must index the base");
     assert_eq!(inter.rows(), inc.rows(), "extended: inter rows");
     assert_eq!(inter.cols(), inc.rows(), "extended: inter must be square");
-    (base.rows(), inc.rows())
 }
 
 fn check_split_input(e: &Extension<'_>, x_base: &DMat, x_new: &DMat) {

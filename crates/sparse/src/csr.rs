@@ -70,6 +70,7 @@ fn count_spmm(nnz: usize, d: usize) {
 
 /// Minimum `nnz · d` work before an SpMM fans out to the pool; small
 /// products stay on the serial path where dispatch overhead would dominate.
+/// DESIGN §4d has the row that keeps it at `2¹⁶` rather than `2¹⁸`.
 const PAR_MIN_WORK: usize = 1 << 16;
 
 /// Scalar reference row-gather: the `MCOND_SIMD=0` baseline the lane tiers
@@ -676,14 +677,18 @@ impl Csr {
 
 /// Sparse × sparse product specialised for `a · M` (tall-thin result): the
 /// left factor's rows are short and the result has few columns, so each
-/// output row is accumulated densely.
+/// output row is accumulated densely and written straight into the CSR
+/// arrays, in ascending column order, keeping only non-zero sums.
 ///
-/// The accumulator is only reset at the columns a row actually touched
-/// (tracked via a `seen` mask), and structurally empty rows are skipped
-/// outright — the conversion costs `O(Σ_i fanout_i)`, not `O(n·N')`, so a
-/// near-empty batch no longer pays for the accumulator width. Touched
-/// columns are emitted in ascending order, exactly like the full
-/// accumulator sweep did, so the output is bitwise unchanged.
+/// A row whose fanout (`Σ_k nnz(M_k)` over its entries `k`) reaches the
+/// result width is **swept**: it accumulates with no bookkeeping, then
+/// the whole width is scanned once — the width is at most the fanout, so
+/// this is the cheap side. A narrower row (a few entries of a wide `M`,
+/// such as the identity mapping over an original graph) **tracks** the
+/// columns it touched, sorts them and resets only those, so it never pays
+/// for the width. Either way the conversion costs `O(Σ_i fanout_i)`, and
+/// each output element is accumulated in the same order (ascending `k`,
+/// then `M_k`'s entries), so the two sides are bitwise interchangeable.
 ///
 /// `a` may be narrower than `m` has rows (a batch assembled before the
 /// mapping grew): its columns address a prefix of `m`'s rows.
@@ -693,37 +698,61 @@ impl Csr {
 #[must_use]
 pub fn spmm_sparse(a: &Csr, m: &Csr) -> Csr {
     assert!(a.cols() <= m.rows(), "spmm_sparse: left columns must index the right factor's rows");
-    let mut coo = Coo::new(a.rows(), m.cols());
-    let mut acc = vec![0f32; m.cols()];
-    let mut seen = vec![false; m.cols()];
+    let width = m.cols();
+    let mut indptr = Vec::with_capacity(a.rows() + 1);
+    indptr.push(0u64);
+    let mut cols: Vec<u32> = Vec::new();
+    let mut vals: Vec<f32> = Vec::new();
+    let mut acc = vec![0f32; width];
+    let mut seen = vec![false; width];
     let mut touched: Vec<u32> = Vec::new();
     for i in 0..a.rows() {
-        if a.row_cols(i).is_empty() {
-            continue;
-        }
-        touched.clear();
-        for (&k, &av) in a.row_cols(i).iter().zip(a.row_vals(i)) {
-            let k = k as usize;
-            for (&c, &mv) in m.row_cols(k).iter().zip(m.row_vals(k)) {
-                let cu = c as usize;
-                if !seen[cu] {
-                    seen[cu] = true;
-                    touched.push(c);
+        let (ks, avs) = (a.row_cols(i), a.row_vals(i));
+        let fanout: u64 = ks
+            .iter()
+            .map(|&k| m.indptr[k as usize + 1] - m.indptr[k as usize])
+            .sum();
+        if fanout >= width as u64 {
+            // Sweep: accumulate blind, then scan the whole width.
+            for (&k, &av) in ks.iter().zip(avs) {
+                for (&c, &mv) in m.row_cols(k as usize).iter().zip(m.row_vals(k as usize)) {
+                    acc[c as usize] += av * mv;
                 }
-                acc[cu] += av * mv;
+            }
+            for (c, v) in acc.iter_mut().enumerate() {
+                if *v != 0.0 {
+                    cols.push(c as u32);
+                    vals.push(*v);
+                }
+                *v = 0.0;
+            }
+        } else {
+            // Track: remember the columns touched, emit and reset only those.
+            touched.clear();
+            for (&k, &av) in ks.iter().zip(avs) {
+                for (&c, &mv) in m.row_cols(k as usize).iter().zip(m.row_vals(k as usize)) {
+                    let cu = c as usize;
+                    if !seen[cu] {
+                        seen[cu] = true;
+                        touched.push(c);
+                    }
+                    acc[cu] += av * mv;
+                }
+            }
+            touched.sort_unstable();
+            for &c in &touched {
+                let cu = c as usize;
+                if acc[cu] != 0.0 {
+                    cols.push(c);
+                    vals.push(acc[cu]);
+                }
+                acc[cu] = 0.0;
+                seen[cu] = false;
             }
         }
-        touched.sort_unstable();
-        for &c in &touched {
-            let cu = c as usize;
-            if acc[cu] != 0.0 {
-                coo.push(i, cu, acc[cu]);
-            }
-            acc[cu] = 0.0;
-            seen[cu] = false;
-        }
+        indptr.push(cols.len() as u64);
     }
-    coo.to_csr()
+    Csr::from_raw(a.rows(), width, indptr, cols, vals)
 }
 
 #[cfg(test)]
