@@ -77,8 +77,26 @@ cargo test --release -p mcond-core --test delta_equivalence
 # Offline trace tooling smoke: fold the robust_serving JSONL trace into a
 # call-tree profile (fails if the log is missing or span-free).
 cargo run --release -p mcond-bench --bin trace-report -- target/robust_serving_trace.jsonl
+# Reproduction driver smoke: every view on pubmed with one seed (~11 s on
+# 2 vCPUs).
+# Fails if any view's .txt or .json is missing or empty, and unless an
+# unknown view name is a usage error (exit 2).
+rm -rf target/repro-smoke
+cargo run --release -p mcond-bench --bin repro -- --datasets pubmed --repeats 1 \
+    --out target/repro-smoke > /dev/null
+views=$(target/release/repro --help 2>&1 | sed -n 's/^views (default: all): //p')
+if [ -z "$views" ]; then echo "repro --help lists no views"; exit 1; fi
+for view in $views; do
+    for ext in txt json; do
+        if [ ! -s "target/repro-smoke/$view.$ext" ]; then
+            echo "repro smoke: $view.$ext missing or empty"; exit 1
+        fi
+    done
+done
+code=0; target/release/repro no_such_view 2>/dev/null || code=$?
+if [ "$code" -ne 2 ]; then echo "repro: an unknown view exited $code, not 2"; exit 1; fi
 # A committed results file that is empty is an experiment that died while
-# its output was being written (run_experiments.sh renames on success only).
+# its output was being written (`repro --out` renames on success only).
 empty=$(find results -type f -empty)
 if [ -n "$empty" ]; then echo "empty results file(s): $empty"; exit 1; fi
 echo "all checks passed"

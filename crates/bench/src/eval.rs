@@ -9,34 +9,6 @@ use mcond_linalg::DMat;
 use mcond_sparse::sym_normalize;
 use std::time::Instant;
 
-/// The paper's four deployment settings (§IV-A).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EvalSetting {
-    /// Train and infer on the original graph ("Whole").
-    OriginalToOriginal,
-    /// Train on the original graph, infer on the synthetic one (MCond_OS,
-    /// coresets, VNG).
-    OriginalToSynthetic,
-    /// Train on the synthetic graph, infer on the original (GCond,
-    /// MCond_SO).
-    SyntheticToOriginal,
-    /// Train and infer on the synthetic graph (MCond_SS).
-    SyntheticToSynthetic,
-}
-
-impl EvalSetting {
-    /// Table II column label.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            EvalSetting::OriginalToOriginal => "O->O",
-            EvalSetting::OriginalToSynthetic => "O->S",
-            EvalSetting::SyntheticToOriginal => "S->O",
-            EvalSetting::SyntheticToSynthetic => "S->S",
-        }
-    }
-}
-
 /// One evaluated cell: accuracy plus the Fig. 3/4 cost quantities.
 #[derive(Clone, Copy, Debug)]
 pub struct EvalResult {

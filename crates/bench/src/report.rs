@@ -1,6 +1,8 @@
 //! Table rendering and machine-readable result dumps.
 
 use mcond_obs::{Json, MetricsSnapshot};
+use std::fmt;
+use std::path::Path;
 
 /// One result row: free-form key columns plus named numeric metrics.
 #[derive(Clone, Debug)]
@@ -62,13 +64,20 @@ pub struct TableReport {
     /// Pipeline metrics (kernel counters, serve latency histograms, …)
     /// folded into the JSON dump when non-empty.
     pub metrics: MetricsSnapshot,
+    /// Free text printed above the table (not in the JSON dump).
+    pub notes: String,
 }
 
 impl TableReport {
     /// An empty report.
     #[must_use]
     pub fn new(title: &str) -> Self {
-        Self { title: title.to_owned(), rows: Vec::new(), metrics: MetricsSnapshot::default() }
+        Self {
+            title: title.to_owned(),
+            rows: Vec::new(),
+            metrics: MetricsSnapshot::default(),
+            notes: String::new(),
+        }
     }
 
     /// Appends a row.
@@ -95,56 +104,65 @@ impl TableReport {
         json
     }
 
-    /// Writes the report as pretty-printed JSON to `path`.
+    /// Writes the rendered report to `dir/{stem}.txt` and its JSON to
+    /// `dir/{stem}.json`, each under its final name only once it is
+    /// complete.
     ///
     /// # Errors
     /// Propagates I/O errors.
-    pub fn dump_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json().pretty())
+    pub fn write(&self, dir: &Path, stem: &str) -> std::io::Result<()> {
+        for (ext, body) in [("txt", self.to_string()), ("json", self.to_json().pretty())] {
+            let tmp = dir.join(format!("{stem}.{ext}.tmp"));
+            std::fs::write(&tmp, body)?;
+            std::fs::rename(&tmp, dir.join(format!("{stem}.{ext}")))?;
+        }
+        Ok(())
     }
 }
 
-/// Renders a report as an aligned text table to stdout.
-pub fn print_table(report: &TableReport) {
-    println!("\n=== {} ===", report.title);
-    let Some(first) = report.rows.first() else {
-        println!("(no rows)");
-        return;
-    };
-    let headers: Vec<String> = first
-        .keys
-        .iter()
-        .map(|(k, _)| k.clone())
-        .chain(first.metrics.iter().map(|(k, _)| k.clone()))
-        .collect();
-    let mut cells: Vec<Vec<String>> = vec![headers];
-    for row in &report.rows {
-        cells.push(
-            row.keys
-                .iter()
-                .map(|(_, v)| v.clone())
-                .chain(row.metrics.iter().map(|(_, v)| format_metric(*v)))
-                .collect(),
-        );
-    }
-    let cols = cells[0].len();
-    if cols == 0 {
-        println!("(no columns)");
-        return;
-    }
-    let widths: Vec<usize> = (0..cols)
-        .map(|c| cells.iter().map(|r| r.get(c).map_or(0, String::len)).max().unwrap_or(0))
-        .collect();
-    for (i, row) in cells.iter().enumerate() {
-        let line: Vec<String> = row
+/// The notes, then the rows as an aligned text table.
+impl fmt::Display for TableReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.notes)?;
+        writeln!(f, "\n=== {} ===", self.title)?;
+        let Some(first) = self.rows.first() else {
+            return writeln!(f, "(no rows)");
+        };
+        let headers: Vec<String> = first
+            .keys
             .iter()
-            .zip(&widths)
-            .map(|(cell, w)| format!("{cell:>w$}", w = *w))
+            .map(|(k, _)| k.clone())
+            .chain(first.metrics.iter().map(|(k, _)| k.clone()))
             .collect();
-        println!("{}", line.join("  "));
-        if i == 0 {
-            println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
+        let mut cells: Vec<Vec<String>> = vec![headers];
+        for row in &self.rows {
+            cells.push(
+                row.keys
+                    .iter()
+                    .map(|(_, v)| v.clone())
+                    .chain(row.metrics.iter().map(|(_, v)| format_metric(*v)))
+                    .collect(),
+            );
         }
+        let cols = cells[0].len();
+        if cols == 0 {
+            return writeln!(f, "(no columns)");
+        }
+        let widths: Vec<usize> = (0..cols)
+            .map(|c| cells.iter().map(|r| r.get(c).map_or(0, String::len)).max().unwrap_or(0))
+            .collect();
+        for (i, row) in cells.iter().enumerate() {
+            let line: Vec<String> = row
+                .iter()
+                .zip(&widths)
+                .map(|(cell, w)| format!("{cell:>w$}", w = *w))
+                .collect();
+            writeln!(f, "{}", line.join("  "))?;
+            if i == 0 {
+                writeln!(f, "{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)))?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -179,12 +197,15 @@ mod tests {
     #[test]
     fn json_dump_round_trips() {
         let mut report = TableReport::new("test");
+        report.notes += "a note\n";
         report.push(Row::new().key("k", "v").metric("m", 1.5));
-        let path = std::env::temp_dir().join("mcond_report_test.json");
-        report.dump_json(path.to_str().unwrap()).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
+        let dir = std::env::temp_dir().join(format!("mcond_report_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        report.write(&dir, "view").unwrap();
+        let text = std::fs::read_to_string(dir.join("view.json")).unwrap();
         assert!(text.contains("\"title\": \"test\""));
         assert!(text.contains("1.5"));
+        assert!(!text.contains("a note"), "notes stay out of the JSON");
         // The dump is parseable JSON with the same structure.
         let parsed = Json::parse(&text).unwrap();
         assert_eq!(parsed.get("title").and_then(Json::as_str), Some("test"));
@@ -193,7 +214,15 @@ mod tests {
             rows[0].get("metrics").and_then(|m| m.get("m")).and_then(Json::as_f64),
             Some(1.5)
         );
-        std::fs::remove_file(&path).ok();
+        // The text file is the rendered report, notes first; no `.tmp` is left.
+        let txt = std::fs::read_to_string(dir.join("view.txt")).unwrap();
+        assert_eq!(txt, report.to_string());
+        assert!(txt.starts_with("a note\n\n=== test ===\n"));
+        let mut names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        names.sort();
+        assert_eq!(names, ["view.json", "view.txt"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -222,11 +251,11 @@ mod tests {
     #[test]
     fn print_table_survives_empty_rows_and_columns() {
         // No rows at all.
-        print_table(&TableReport::new("empty"));
+        assert_eq!(TableReport::new("empty").to_string(), "\n=== empty ===\n(no rows)\n");
         // A row with zero columns used to underflow the separator width.
         let mut report = TableReport::new("zero-cols");
         report.push(Row::new());
-        print_table(&report);
+        assert!(report.to_string().ends_with("(no columns)\n"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/bin/bash
 # Regenerates every table and figure of the paper at the given scale.
-# Stops at the first experiment that fails; a result file appears under its
-# final name only once the binary that writes it has exited 0.
+# `repro` writes a view's result files under their final names only once
+# the whole run has completed; a failed run leaves the old ones in place.
 set -euo pipefail
 SCALE="${1:-small}"
 REPEATS="${2:-3}"
@@ -17,15 +17,5 @@ if [ -z "${SKIP_CHECKPOINT:-}" ]; then
   cargo run --release --example checkpointing | tee "$OUT/checkpointing.txt.tmp"
   mv "$OUT/checkpointing.txt.tmp" "$OUT/checkpointing.txt"
 fi
-for exp in table1_datasets table2_accuracy fig3_cost_graph_batch fig4_cost_node_batch \
-           table3_propagation table4_architectures table5_ablation \
-           fig5_mapping_vis fig6_sparsification fig7_sensitivity \
-           ablation_serve_mode \
-           calibrate_datasets; do
-  echo "=== running $exp (scale=$SCALE) ==="
-  "${BIN_DIR:-target/release}/$exp" \
-    --scale "$SCALE" --repeats "$REPEATS" --json "$OUT/$exp.json.tmp" \
-    | tee "$OUT/$exp.txt.tmp"
-  mv "$OUT/$exp.json.tmp" "$OUT/$exp.json"
-  mv "$OUT/$exp.txt.tmp" "$OUT/$exp.txt"
-done
+echo "=== running repro (scale=$SCALE) ==="
+"${BIN_DIR:-target/release}/repro" --scale "$SCALE" --repeats "$REPEATS" --out "$OUT"
