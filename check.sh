@@ -47,13 +47,13 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --
 # verified inside the example (also exercises a corrupted-file rejection).
 cargo run --release --example checkpointing
 # Chaos sweep: every corrupted batch gets a typed ServeError on both
-# serving modes at 1 and 4 threads; valid siblings stay bitwise identical.
+# attachment targets at 1 and 4 threads; valid siblings stay bitwise identical.
 # Also asserts the self-profile stage coverage (>= 90% of the serve span)
 # and the trace-stamped panic flight dump, and leaves a JSONL trace behind
 # for the trace-report smoke below.
 MCOND_LOG=target/robust_serving_trace.jsonl cargo run --release --example robust_serving
 # Headline speedup demo: Whole vs MCond through InductiveServer::try_serve,
-# plus the frozen-base cache.
+# plus the FrozenBase predictor fed the server's attachment rows.
 cargo run --release --example inference_acceleration
 # Network serving smoke: checkpoint boot → HTTP front end on localhost →
 # wire round trip asserted bitwise identical to the library call.
@@ -70,8 +70,9 @@ cargo test --release -p mcond-serve --test reload_chaos --test drain_deadline
 cargo test --release -p mcond-serve --test protocol --test codec_fuzz
 # Live-graph equivalence: N incremental promotions must be bitwise
 # identical to a from-scratch rebuild (adjacency, mapping, degrees), the
-# live base's server must answer like a fresh one over the grown base in
-# both Exact and FrozenBase mode, at 1 and 4 threads, and a refresh
+# live base's server must answer like a fresh one over the grown base (and
+# the FrozenBase predictor built on it like one built on a copy), at 1 and
+# 4 threads, and a refresh
 # replay must reproduce the live state exactly.
 cargo test --release -p mcond-core --test delta_equivalence
 # Offline trace tooling smoke: fold the robust_serving JSONL trace into a

@@ -1,32 +1,34 @@
-//! Views that are not in the paper: the serve-mode ablation and the
-//! dataset-difficulty calibration.
+//! Views that are not in the paper: the frozen-base predictor ablation
+//! and the dataset-difficulty calibration.
 
 use super::at_ratio;
 use crate::eval::evaluate_inductive;
 use crate::jobs::{default_batch_size, Jobs};
 use crate::report::{Row, TableReport};
-use mcond_core::{InductiveServer, ServeMode};
-use mcond_gnn::{train, GnnKind, GnnModel, GraphOps, TrainConfig};
+use mcond_core::InductiveServer;
+use mcond_gnn::{train, FrozenBase, GnnKind, GnnModel, GraphOps, TrainConfig};
 use mcond_graph::NodeBatch;
 use mcond_linalg::DMat;
 use std::time::Instant;
 
-/// Serves every batch; returns the logits and the mean microseconds per
-/// batch.
-fn serve_all(server: &InductiveServer<'_>, batches: &[NodeBatch]) -> (Vec<DMat>, f64) {
+/// Answers every batch with `predict`; returns the logits and the mean
+/// microseconds per batch.
+fn time_all(batches: &[NodeBatch], predict: impl Fn(&NodeBatch) -> DMat) -> (Vec<DMat>, f64) {
     let start = Instant::now();
-    let logits: Vec<DMat> =
-        batches.iter().map(|b| server.try_serve(b).expect("test batch serves")).collect();
+    let logits: Vec<DMat> = batches.iter().map(predict).collect();
     (logits, start.elapsed().as_secs_f64() * 1e6 / batches.len() as f64)
 }
 
-/// What `ServeMode::FrozenBase` answers, against `ServeMode::Exact`, on
-/// the paper's two attachment targets (DESIGN.md §4g):
+/// What the one-way [`FrozenBase`] predictor answers, against the exact
+/// path `InductiveServer::try_serve` runs, on the paper's two attachment
+/// targets (DESIGN.md §4g):
 ///
 /// * synthetic — the condensed graph `S` through the mapping `M` (Eq. 11),
 /// * original — the training graph `T` (Eq. 3),
 ///
 /// for one-node requests and for graph batches, with a GCN trained on `S`.
+/// The cache is built once per target from the base graph, and fed each
+/// batch's attachment rows (`InductiveServer::attachment`).
 /// Per seed × target × request shape × mode: test `accuracy`, argmax
 /// `agreement_with_exact`, `max_abs_logit_dev` from the exact logits, and
 /// mean `us_per_batch`. The exact rows are their own reference (agreement
@@ -44,20 +46,20 @@ pub fn ablation_serve_mode(jobs: &Jobs, name: &str, report: &mut TableReport) {
             ("original", &ds.original, None),
         ];
         for (target, base, mapping) in targets {
-            let server = |mode| {
-                match mapping {
-                    Some(m) => InductiveServer::on_synthetic(base, m, &model),
-                    None => InductiveServer::on_original(base, &model),
-                }
-                .with_serve_mode(mode)
+            let server = match mapping {
+                Some(m) => InductiveServer::on_synthetic(base, m, &model),
+                None => InductiveServer::on_original(base, &model),
             };
-            let (exact_server, frozen_server) =
-                (server(ServeMode::Exact), server(ServeMode::FrozenBase));
+            let cache = FrozenBase::new(&model, &base.adj, &base.features);
             for (shape, size) in [("1-node", 1), ("graph batch", batch_size)] {
                 let batches = ds.data.test_batches(size, true);
                 let nodes: usize = batches.iter().map(NodeBatch::len).sum();
-                let (exact, exact_us) = serve_all(&exact_server, &batches);
-                let (frozen, frozen_us) = serve_all(&frozen_server, &batches);
+                let (exact, exact_us) =
+                    time_all(&batches, |b| server.try_serve(b).expect("test batch serves"));
+                let (frozen, frozen_us) = time_all(&batches, |b| {
+                    let attach = server.attachment(b);
+                    model.predict_frozen(&cache, &attach, &b.interconnect, &b.features)
+                });
                 for (mode, logits, us) in
                     [("exact", &exact, exact_us), ("frozen", &frozen, frozen_us)]
                 {

@@ -10,7 +10,7 @@
 //! columns, mismatched row counts, truncated label vectors.
 //!
 //! The contract, enforced by the `chaos_sweep` integration test and the
-//! `robust_serving` example on **both** serving modes (Eq. 3 original and
+//! `robust_serving` example on **both** attachment targets (Eq. 3 original and
 //! Eq. 11 synthetic): every corrupted batch is answered with a typed
 //! [`ServeError`](crate::ServeError) — never a panic, never a non-finite
 //! logit — and in a mixed fan-out
@@ -159,10 +159,10 @@ mod tests {
     #[test]
     fn every_case_fails_validation() {
         let donor = donor();
-        assert_eq!(donor.validate_against(4, 2), Ok(()));
+        assert_eq!(donor.validate_against_prefix(4, 2), Ok(()));
         for case in corrupted_batches(&donor) {
             assert!(
-                case.batch.validate_against(4, 2).is_err(),
+                case.batch.validate_against_prefix(4, 2).is_err(),
                 "chaos case {} passed validation",
                 case.name
             );
@@ -192,7 +192,7 @@ mod tests {
             .find(|c| c.name == "inc-width-plus-one")
             .unwrap();
         assert_eq!(
-            case.batch.validate_against(4, 2),
+            case.batch.validate_against_prefix(4, 2),
             Err(BatchError::IncrementalWidth { got: 5, expected: 4 })
         );
     }

@@ -22,8 +22,8 @@
 //!    to hot-swap through `EpochServer` without dropping requests.
 //!
 //! A server over the live base ([`LiveBase::server`]) borrows it, so no
-//! promotion can land while one exists: a frozen-base cache that server
-//! builds always describes the base it serves. See `DESIGN.md` §4l.
+//! promotion can land while one exists: the degree sums it shares with
+//! that server always describe the base it serves. See `DESIGN.md` §4l.
 
 use crate::checkpoint::Checkpoint;
 use crate::condense::Condensed;
@@ -315,13 +315,13 @@ impl LiveBase {
     /// it the incrementally maintained degree sums as they are.
     ///
     /// The server borrows the base, so the base cannot be promoted while
-    /// the server lives — which is why a frozen-base cache the server
-    /// builds ([`InductiveServer::with_serve_mode`]) can never go stale:
+    /// the server lives — which is why the degree sums it was handed can
+    /// never go stale:
     ///
     /// ```compile_fail,E0502
-    /// # use mcond_core::{GraphDelta, LiveBase, ServeMode};
+    /// # use mcond_core::{GraphDelta, LiveBase};
     /// # fn demo(live: &mut LiveBase, model: &mcond_gnn::GnnModel, delta: &GraphDelta) {
-    /// let server = live.server(model).with_serve_mode(ServeMode::FrozenBase);
+    /// let server = live.server(model);
     /// live.promote(delta).unwrap(); // error: `*live` is borrowed by `server`
     /// drop(server);
     /// # }

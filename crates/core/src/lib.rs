@@ -57,5 +57,5 @@ pub use mapping::{class_correlation_of, Mapping};
 pub use relay::Relay;
 pub use sampling::sample_edge_batch;
 pub use serve_error::ServeError;
-pub use server::{FallbackPolicy, InductiveServer, ServeMode, DEFAULT_MAX_BATCH};
+pub use server::{InductiveServer, DEFAULT_MAX_BATCH};
 pub use vng::vng;

@@ -13,10 +13,12 @@ use std::fmt;
 /// Why a serve request was not answered with logits.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServeError {
-    /// The request failed [`NodeBatch::validate_against`]
-    /// (`mcond_graph::NodeBatch::validate_against`): a dimension mismatch
-    /// against the base/mapping, an inconsistent shape, or non-finite
-    /// input values.
+    /// The request failed
+    /// `mcond_graph::NodeBatch::validate_against_prefix`, the one check
+    /// every server runs: an inconsistent shape, an incremental block
+    /// wider than the base's index space (a narrower one addresses a
+    /// prefix of it and is valid), a feature dimension mismatch, or
+    /// non-finite input values.
     InvalidBatch(BatchError),
     /// The batch exceeds the server's configured size cap
     /// ([`InductiveServer::with_max_batch`](crate::InductiveServer::with_max_batch)).
@@ -25,23 +27,6 @@ pub enum ServeError {
         len: usize,
         /// The configured cap.
         max: usize,
-    },
-    /// Under [`FallbackPolicy::Reject`](crate::FallbackPolicy::Reject): an
-    /// inductive node's attachment row (`a` or `aM`) is empty or its
-    /// mapping coverage fell below the configured threshold.
-    NoAttachment {
-        /// Batch-local index of the first offending node.
-        node: usize,
-        /// Its mapping coverage (fraction of incremental mass surviving
-        /// the sparsified `M`; 0 for an empty row).
-        coverage: f32,
-    },
-    /// [`FallbackPolicy::OriginalGraph`](crate::FallbackPolicy::OriginalGraph)
-    /// was triggered but no original graph was attached via
-    /// [`InductiveServer::with_original_graph`](crate::InductiveServer::with_original_graph).
-    FallbackUnavailable {
-        /// Batch-local index of the first node needing the fallback.
-        node: usize,
     },
     /// The forward pass produced a non-finite logit (degenerate model
     /// weights, e.g. after a diverged training run): the response is
@@ -81,16 +66,6 @@ impl fmt::Display for ServeError {
             ServeError::BatchTooLarge { len, max } => {
                 write!(f, "batch of {len} nodes exceeds the server cap of {max}")
             }
-            ServeError::NoAttachment { node, coverage } => write!(
-                f,
-                "node {node} has no usable attachment (mapping coverage \
-                 {coverage:.3}) and the fallback policy is Reject"
-            ),
-            ServeError::FallbackUnavailable { node } => write!(
-                f,
-                "node {node} needs the original-graph fallback but no original \
-                 graph is attached to this server"
-            ),
             ServeError::NonFiniteLogits => {
                 write!(f, "forward pass produced non-finite logits; response withheld")
             }

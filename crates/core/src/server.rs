@@ -8,8 +8,8 @@
 //! [`Propagator`](mcond_gnn::Propagator), so a request computes only the
 //! incremental degree updates and streams the propagation through the
 //! shared base CSR — `O(nnz(a) + nnz(ã) + forward pass)` per batch, never
-//! `O(‖A‖₀)`. Every caller — library users, the HTTP front end, the
-//! paper-figure binaries — goes through it.
+//! `O(‖A‖₀)`. Every caller — library users, the CLI, the HTTP front end,
+//! the `repro` views — goes through it, and it answers one way.
 //!
 //! # Ownership
 //!
@@ -21,11 +21,11 @@
 //! owned bundle in and yields an `InductiveServer<'static>` that a
 //! long-lived slot (see `epoch`) can own outright.
 //!
-//! # Forward passes
+//! # Forward pass
 //!
-//! The default [`ServeMode::Exact`] runs the **split-operator** forward
-//! pass ([`GnnModel::predict_split`]): base features and the batch's
-//! features are fed as a `(x_base, x_new)` pair that is never vstacked,
+//! A request runs the **split-operator** forward pass
+//! ([`GnnModel::predict_split`]): base features and the batch's features
+//! are fed as a `(x_base, x_new)` pair that is never vstacked,
 //! the batch's `inc`/`inter` blocks are borrowed in place (no clones), the
 //! base graph's degree sums are shared across requests
 //! ([`mcond_gnn::BaseDegrees`], computed once at construction), and the
@@ -34,38 +34,36 @@
 //! every layer over all `N' + n` rows and slicing the bottom block, at any
 //! thread count (pinned by `mcond-gnn`'s split-vs-stacked test).
 //!
-//! [`ServeMode::FrozenBase`] additionally caches per-layer base
-//! activations under base-only normalisation
-//! ([`mcond_gnn::FrozenBase`]) and serves a request in
-//! `O(L·(nnz(aM̂) + n·d))` — opt-in, and on a connected batch a
-//! *different predictor*, not an estimate of the exact one (see
-//! [`ServeMode::FrozenBase`]); the default stays exact.
+//! [`mcond_gnn::FrozenBase`] — base activations cached under base-only
+//! normalisation, one-way attachment — is a second predictor, not a
+//! serving option: the `ablation_serve_mode` view builds one from the
+//! base and feeds it [`attachment`](InductiveServer::attachment) directly.
 //!
 //! # Fault tolerance
 //!
 //! Requests are untrusted. [`try_serve`](InductiveServer::try_serve)
 //! sizes every batch against the batch cap, validates it against the
 //! serving base (dimensions, shapes, finiteness — see
-//! `NodeBatch::validate_against`) and returns a typed [`ServeError`]
+//! `NodeBatch::validate_against_prefix`) and returns a typed [`ServeError`]
 //! instead of panicking;
 //! [`try_serve_many`](InductiveServer::try_serve_many) additionally
 //! isolates each request behind `catch_unwind`, so an internal panic in one
 //! request surfaces as [`ServeError::Panicked`] while its siblings
-//! complete. A per-node [`FallbackPolicy`] governs inductive nodes whose
-//! attachment row is empty or whose mapping coverage falls below a
-//! threshold. The `chaos` module sweeps systematically corrupted batches
-//! through both serving modes to prove the taxonomy is total.
+//! complete. A node whose attachment row is empty (no neighbour survives
+//! the sparsified mapping) is served from its self-loop and counted under
+//! `serve.fallback`. The `chaos` module sweeps systematically corrupted
+//! batches through both targets to prove the taxonomy is total.
 //!
 //! # Tracing
 //!
 //! Every request gets a process-unique trace id (`try_serve` via
 //! `mcond_obs::ensure_trace`, `try_serve_many` one per slot) stamped on all
 //! of its span/point records, and the serve path is decomposed into stage
-//! spans — `validate`, `attach`, `fallback` (when it fires), `propagate`,
-//! `head` — each feeding a `serve.stage.*` histogram even when no event
-//! sink is attached. When the flight recorder (`mcond_obs::flight`) is on,
-//! a panicking request in [`try_serve_many`](InductiveServer::try_serve_many)
-//! dumps the worker's recent event ring, trace-stamped, before reporting
+//! spans — `validate`, `attach`, `propagate`, `head` — each feeding a
+//! `serve.stage.*` histogram even when no event sink is attached. When
+//! the flight recorder (`mcond_obs::flight`) is on, a panicking request in
+//! [`try_serve_many`](InductiveServer::try_serve_many) dumps the worker's
+//! recent event ring, trace-stamped, before reporting
 //! [`ServeError::Panicked`].
 //!
 //! # Concurrency
@@ -79,11 +77,11 @@
 //! sequential [`try_serve`](InductiveServer::try_serve) loop.
 
 use crate::serve_error::{panic_context, ServeError};
-use mcond_gnn::{BaseDegrees, FrozenBase, GnnModel, GraphOps};
+use mcond_gnn::{BaseDegrees, GnnModel, GraphOps};
 use mcond_graph::{Graph, NodeBatch};
 use mcond_linalg::DMat;
 use mcond_obs::{Histogram, MetricsSnapshot};
-use mcond_sparse::{spmm_sparse, Coo, Csr};
+use mcond_sparse::{spmm_sparse, Csr};
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
@@ -93,78 +91,12 @@ use std::time::Instant;
 /// to reject a length field gone wild before it allocates.
 pub const DEFAULT_MAX_BATCH: usize = 1 << 20;
 
-/// Which forward pass answers requests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Split-operator forward pass (the default): zero per-request
-    /// base-side copies, final layer computes only the `n` inductive rows.
-    #[default]
-    Exact,
-    /// Frozen-base cache: per-layer base activations are cached under
-    /// base-only normalisation at
-    /// [`with_serve_mode`](InductiveServer::with_serve_mode) time and a
-    /// request costs `O(L·(nnz + n·d))`. **Not `Exact`, approximately** —
-    /// the cache ignores the batch's back-edges into the base graph, which
-    /// is exact for batches with no incremental edges and otherwise a
-    /// different predictor, more accurate than `Exact` on some datasets
-    /// and less on others (`mcond_gnn::frozen` has the measured agreement,
-    /// deviation and speed-up; `results/ablation_serve_mode.txt` the
-    /// table). Requests degraded to the original graph by
-    /// [`FallbackPolicy::OriginalGraph`] are answered by the exact split
-    /// path — the fallback already trades latency for accuracy.
-    FrozenBase,
-}
-
-/// What to do with an inductive node whose attachment row (`a` row for
-/// Eq. 3 serving, `aM` row for Eq. 11) is empty, or whose mapping coverage
-/// (fraction of incremental mass surviving the sparsified `M`) falls below
-/// the server's threshold.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FallbackPolicy {
-    /// Fail the whole request with [`ServeError::NoAttachment`] — the
-    /// caller decides what degraded service means.
-    Reject,
-    /// Serve the node from its own features only: its attachment row is
-    /// dropped, so propagation sees just the self-loop (plus any batch
-    /// interconnections). The default — with a zero threshold this is
-    /// numerically identical to the pre-fallback behaviour, because only
-    /// already-empty rows qualify.
-    #[default]
-    SelfLoopOnly,
-    /// Degrade the batch from Eq. 11 to Eq. 3: re-attach it to the
-    /// original graph provided via
-    /// [`with_original_graph`](InductiveServer::with_original_graph).
-    /// GCondenser-style quality gaps in the condensed graph then cost
-    /// latency, not accuracy. Requires the original graph; errors with
-    /// [`ServeError::FallbackUnavailable`] otherwise. On an
-    /// original-graph server this is already the serving mode, so it
-    /// behaves like [`FallbackPolicy::SelfLoopOnly`] without dropping rows.
-    OriginalGraph,
-}
-
-/// A graph requests attach to — the serving base, or the Eq. 3 target a
-/// synthetic server degrades to — with its degree sums computed once and
-/// shared by every request's extension.
-struct Base<'a> {
-    graph: Cow<'a, Graph>,
-    deg: Cow<'a, BaseDegrees>,
-}
-
-impl<'a> Base<'a> {
-    fn new(graph: Cow<'a, Graph>) -> Self {
-        let deg = Cow::Owned(BaseDegrees::of(&graph.adj));
-        Self { graph, deg }
-    }
-}
-
 /// What one answered request contributes to the serving statistics.
 struct RequestTally {
     /// Attachment fanout `‖aM̂‖₀` (or `‖a‖₀` on Eq. 3 serving).
     fanout: usize,
-    /// Nodes the fallback policy handled in this request.
+    /// Nodes served from their self-loop: empty attachment row.
     fallback_nodes: u64,
-    /// Whether the frozen-base cache answered the request.
-    cache_hit: bool,
 }
 
 /// Per-instance serving statistics; kept on the server (not the global
@@ -176,8 +108,6 @@ struct ServeStats {
     rejected: u64,
     fallback: u64,
     panics: u64,
-    /// Requests answered from the frozen-base cache.
-    cache_hits: u64,
     latency_us: Histogram,
     fanout: Histogram,
     batch_size: Histogram,
@@ -189,16 +119,13 @@ struct ServeStats {
 /// parts are owned or borrowed (see the module docs): `'a` is the lifetime
 /// of whatever it borrows, `'static` when it owns everything.
 pub struct InductiveServer<'a> {
-    base: Base<'a>,
+    graph: Cow<'a, Graph>,
+    /// Degree sums of `graph`, computed once and shared by every
+    /// request's extension.
+    deg: Cow<'a, BaseDegrees>,
     mapping: Option<Cow<'a, Csr>>,
     model: Cow<'a, GnnModel>,
-    /// Per-layer activations of `base`, built from it and nothing else;
-    /// present iff the server runs in [`ServeMode::FrozenBase`].
-    frozen: Option<FrozenBase>,
-    fallback: FallbackPolicy,
-    coverage_threshold: f32,
     max_batch: usize,
-    original: Option<Base<'a>>,
     stats: Mutex<ServeStats>,
 }
 
@@ -213,7 +140,8 @@ impl<'a> InductiveServer<'a> {
         mapping: Option<Cow<'a, Csr>>,
         model: Cow<'a, GnnModel>,
     ) -> Self {
-        Self::on_base(Base::new(graph), mapping, model)
+        let deg = Cow::Owned(BaseDegrees::of(&graph.adj));
+        Self::on_base(graph, deg, mapping, model)
     }
 
     /// [`new`](Self::new) for a caller that already keeps the graph's
@@ -233,27 +161,33 @@ impl<'a> InductiveServer<'a> {
             graph.num_nodes(),
             "InductiveServer: degree sums must cover the base nodes"
         );
-        let base = Base { graph: Cow::Borrowed(graph), deg: Cow::Borrowed(degrees) };
-        Self::on_base(base, mapping.map(Cow::Borrowed), Cow::Borrowed(model))
+        Self::on_base(
+            Cow::Borrowed(graph),
+            Cow::Borrowed(degrees),
+            mapping.map(Cow::Borrowed),
+            Cow::Borrowed(model),
+        )
     }
 
-    fn on_base(base: Base<'a>, mapping: Option<Cow<'a, Csr>>, model: Cow<'a, GnnModel>) -> Self {
+    fn on_base(
+        graph: Cow<'a, Graph>,
+        deg: Cow<'a, BaseDegrees>,
+        mapping: Option<Cow<'a, Csr>>,
+        model: Cow<'a, GnnModel>,
+    ) -> Self {
         if let Some(m) = &mapping {
             assert_eq!(
                 m.cols(),
-                base.graph.num_nodes(),
+                graph.num_nodes(),
                 "InductiveServer: mapping columns must index the synthetic nodes"
             );
         }
         Self {
-            base,
+            graph,
+            deg,
             mapping,
             model,
-            frozen: None,
-            fallback: FallbackPolicy::default(),
-            coverage_threshold: 0.0,
             max_batch: DEFAULT_MAX_BATCH,
-            original: None,
             stats: Mutex::new(ServeStats::default()),
         }
     }
@@ -274,42 +208,6 @@ impl<'a> InductiveServer<'a> {
         Self::new(Cow::Borrowed(graph), Some(Cow::Borrowed(mapping)), Cow::Borrowed(model))
     }
 
-    /// Sets the per-node [`FallbackPolicy`] (default
-    /// [`FallbackPolicy::SelfLoopOnly`]).
-    #[must_use]
-    pub fn with_fallback(mut self, policy: FallbackPolicy) -> Self {
-        self.fallback = policy;
-        self
-    }
-
-    /// Selects the forward pass answering requests (default
-    /// [`ServeMode::Exact`]). Switching to [`ServeMode::FrozenBase`] runs
-    /// the base-only forward pass once, right here, over the base this
-    /// server holds, and caches every propagation site's base activations
-    /// (`serve.cache.builds` counter; the size is this server's
-    /// `serve.cache.bytes` gauge); [`ServeMode::Exact`] drops the cache.
-    #[must_use]
-    pub fn with_serve_mode(mut self, mode: ServeMode) -> Self {
-        self.frozen = (mode == ServeMode::FrozenBase).then(|| {
-            let graph = &self.base.graph;
-            let frozen = FrozenBase::new(&self.model, &graph.adj, &graph.features);
-            mcond_obs::counter_add("serve.cache.builds", 1);
-            frozen
-        });
-        self
-    }
-
-    /// Sets the mapping-coverage threshold below which a node triggers the
-    /// fallback policy (default `0.0`: only empty attachment rows
-    /// trigger). Coverage is the fraction of a node's incremental mass that
-    /// survives the sparsified mapping, in `[0, 1]` for a row-stochastic
-    /// `M`.
-    #[must_use]
-    pub fn with_coverage_threshold(mut self, threshold: f32) -> Self {
-        self.coverage_threshold = threshold.max(0.0);
-        self
-    }
-
     /// Caps the number of nodes a single request may carry (default
     /// [`DEFAULT_MAX_BATCH`]); larger batches are rejected with
     /// [`ServeError::BatchTooLarge`].
@@ -319,41 +217,20 @@ impl<'a> InductiveServer<'a> {
         self
     }
 
-    /// Attaches the original graph as the Eq. 3 degradation target for
-    /// [`FallbackPolicy::OriginalGraph`].
-    ///
-    /// # Panics
-    /// Panics when the graph does not match the batch indexing this server
-    /// expects (mapping rows / base nodes) or the base feature dimension.
-    #[must_use]
-    pub fn with_original_graph(mut self, graph: &'a Graph) -> Self {
-        assert_eq!(
-            graph.num_nodes(),
-            self.expected_incremental_cols(),
-            "with_original_graph: node count must match the batch indexing"
-        );
-        assert_eq!(
-            graph.feature_dim(),
-            self.feature_dim(),
-            "with_original_graph: feature dimension must match the base"
-        );
-        self.original = Some(Base::new(Cow::Borrowed(graph)));
-        self
-    }
-
     /// The base graph requests attach to (`T` for Eq. 3 serving, `S` for
     /// Eq. 11).
     #[must_use]
     pub fn base_graph(&self) -> &Graph {
-        &self.base.graph
+        &self.graph
     }
 
     /// The batch's attachment rows in the base's index space — its
     /// incremental adjacency `a` on an Eq. 3 server, `aM` through the
-    /// mapping on an Eq. 11 server — before any fallback policy touches
-    /// them. [`try_serve`](InductiveServer::try_serve) attaches with
-    /// exactly this; cost experiments size the extended graph by it, and
-    /// label/error propagation build that graph from it.
+    /// mapping on an Eq. 11 server.
+    /// [`try_serve`](InductiveServer::try_serve) attaches with exactly
+    /// this; cost experiments size the extended graph by it, label/error
+    /// propagation build that graph from it, and a
+    /// [`mcond_gnn::FrozenBase`] predictor is fed it.
     ///
     /// # Panics
     /// Panics when the batch is wider than
@@ -371,7 +248,7 @@ impl<'a> InductiveServer<'a> {
     /// Number of base nodes.
     #[must_use]
     pub fn base_nodes(&self) -> usize {
-        self.base.graph.num_nodes()
+        self.graph.num_nodes()
     }
 
     /// The incremental-adjacency width every request must have: training
@@ -385,7 +262,7 @@ impl<'a> InductiveServer<'a> {
     /// Feature dimension every request's rows must have.
     #[must_use]
     pub fn feature_dim(&self) -> usize {
-        self.base.graph.feature_dim()
+        self.graph.feature_dim()
     }
 
     /// Logits (`n x C`) for one batch, with every failure mode reported as
@@ -395,10 +272,11 @@ impl<'a> InductiveServer<'a> {
     /// against the serving base (dimensions, interconnect shape,
     /// finiteness);
     /// an empty batch short-circuits to a `0 x C` response without
-    /// touching the kernels. Per-node attachment coverage is measured and
-    /// the [`FallbackPolicy`] applied before the forward pass, and the
-    /// response is withheld ([`ServeError::NonFiniteLogits`]) if the model
-    /// produces a non-finite value.
+    /// touching the kernels. Per-node attachment coverage is measured
+    /// before the forward pass (a node with an empty attachment row is
+    /// served from its self-loop), and the response is withheld
+    /// ([`ServeError::NonFiniteLogits`]) if the model produces a non-finite
+    /// value.
     ///
     /// # Errors
     /// See [`ServeError`] for the full taxonomy.
@@ -418,7 +296,6 @@ impl<'a> InductiveServer<'a> {
     fn serve_validated(&self, batch: &NodeBatch) -> Result<DMat, ServeError> {
         let serve_span = mcond_obs::span_with("serve", vec![("batch", batch.len().into())]);
         let start = Instant::now();
-        let inc_cols = self.expected_incremental_cols();
         {
             let _stage = mcond_obs::span_timed("validate", "serve.stage.validate");
             // The O(1) cap goes first: it exists to turn an oversized
@@ -431,7 +308,7 @@ impl<'a> InductiveServer<'a> {
             // older, narrower base (before a delta promotion grew the
             // index space) stays valid — appended ids never change the
             // meaning of existing ones.
-            batch.validate_against_prefix(inc_cols, self.feature_dim())?;
+            batch.validate_against_prefix(self.expected_incremental_cols(), self.feature_dim())?;
         }
         if batch.is_empty() {
             // Fast path: no degree updates, no forward pass — just the
@@ -439,15 +316,15 @@ impl<'a> InductiveServer<'a> {
             self.record_request(
                 batch,
                 &[],
-                RequestTally { fanout: 0, fallback_nodes: 0, cache_hit: false },
+                RequestTally { fanout: 0, fallback_nodes: 0 },
                 start,
             );
             return Ok(DMat::zeros(0, self.model.out_dim()));
         }
 
         // Attachment rows and per-node mapping coverage. The batch's own
-        // incremental rows are borrowed — only the mapping conversion (and
-        // a firing `clear_rows` fallback) materialises a new matrix.
+        // incremental rows are borrowed — only the mapping conversion
+        // materialises a new matrix.
         let attach_stage = mcond_obs::span_timed("attach", "serve.stage.attach");
         let inc = self.attachment(batch);
         let coverage: Vec<f32> = match self.mapping {
@@ -457,17 +334,16 @@ impl<'a> InductiveServer<'a> {
             Some(_) => {
                 // Coverage is the fraction of the node's *absolute*
                 // incremental mass surviving the mapping, clamped to
-                // [0, 1]: signed sums would zero out (and spuriously
-                // reject) nodes whose edge weights cancel, and could
-                // report > 1 into the coverage histogram.
+                // [0, 1]: signed sums would zero out nodes whose edge
+                // weights cancel, and could report > 1 into the coverage
+                // histogram.
                 (0..batch.len())
                     .map(|i| {
                         let raw: f32 = batch.incremental.row_vals(i).iter().map(|v| v.abs()).sum();
                         if raw > 0.0 {
                             let kept: f32 = inc.row_vals(i).iter().map(|v| v.abs()).sum();
                             // + 0.0 normalises the -0.0 that `Sum`'s float
-                            // identity yields for an empty `aM` row, so
-                            // errors report "0.000", not "-0.000".
+                            // identity yields for an empty `aM` row.
                             (kept / raw).clamp(0.0, 1.0) + 0.0
                         } else {
                             0.0
@@ -476,72 +352,21 @@ impl<'a> InductiveServer<'a> {
                     .collect()
             }
         };
-        let uncovered: Vec<usize> = (0..batch.len())
-            .filter(|&i| inc.row_cols(i).is_empty() || coverage[i] < self.coverage_threshold)
-            .collect();
+        // A node with an empty row keeps only its self-loop (plus any
+        // batch interconnections) in the extended graph.
+        let fallback_nodes =
+            (0..batch.len()).filter(|&i| inc.row_cols(i).is_empty()).count() as u64;
+        if fallback_nodes > 0 {
+            mcond_obs::counter_add("serve.fallback", fallback_nodes);
+        }
         drop(attach_stage);
 
-        let mut inc = inc;
-        let mut fallback_nodes = 0u64;
-        let mut use_original = false;
-        if !uncovered.is_empty() {
-            let _stage = mcond_obs::span_timed("fallback", "serve.stage.fallback");
-            match self.fallback {
-                FallbackPolicy::Reject => {
-                    let node = uncovered[0];
-                    return Err(ServeError::NoAttachment { node, coverage: coverage[node] });
-                }
-                FallbackPolicy::SelfLoopOnly => {
-                    fallback_nodes = uncovered.len() as u64;
-                    if uncovered.iter().any(|&i| !inc.row_cols(i).is_empty()) {
-                        inc = Cow::Owned(clear_rows(&inc, &uncovered));
-                    }
-                }
-                FallbackPolicy::OriginalGraph => {
-                    fallback_nodes = uncovered.len() as u64;
-                    if self.mapping.is_some() {
-                        if self.original.is_none() {
-                            return Err(ServeError::FallbackUnavailable { node: uncovered[0] });
-                        }
-                        use_original = true;
-                    }
-                    // Eq. 3 serving is already on the original graph:
-                    // nothing to degrade to, serve the rows as they are.
-                }
-            }
-            if fallback_nodes > 0 {
-                mcond_obs::counter_add("serve.fallback", fallback_nodes);
-            }
-        }
-
-        // Forward pass on the chosen base (synthetic, or the Eq. 3 target
-        // when the whole batch degraded to the original graph). All blocks
-        // are borrowed into the extension — nothing is cloned.
-        let (base, inc): (&Base<'_>, Cow<'_, Csr>) = if use_original {
-            // Eq. 3 attaches by the raw incremental rows, widened to the
-            // original graph's index space.
-            (self.original.as_ref().expect("checked above"), widened(&batch.incremental, inc_cols))
-        } else {
-            (&self.base, inc)
-        };
-        let inc = inc.as_ref();
-        let inter = &batch.interconnect;
+        // Forward pass. All blocks are borrowed into the extension —
+        // nothing is cloned.
         let fanout = inc.nnz();
-        let mut cache_hit = false;
         let propagate_stage = mcond_obs::span_timed("propagate", "serve.stage.propagate");
-        let out = match &self.frozen {
-            Some(frozen) if !use_original => {
-                cache_hit = true;
-                self.model.predict_frozen(frozen, inc, inter, &batch.features)
-            }
-            // Exact mode — or a frozen-base server degraded to the
-            // original graph: the cache covers the primary base only.
-            _ => {
-                let graph = &base.graph;
-                let ops = GraphOps::extended_with(&graph.adj, inc, inter, &base.deg);
-                self.model.predict_split(&ops, &graph.features, &batch.features)
-            }
-        };
+        let ops = GraphOps::extended_with(&self.graph.adj, &inc, &batch.interconnect, &self.deg);
+        let out = self.model.predict_split(&ops, &self.graph.features, &batch.features);
         drop(propagate_stage);
         {
             let _stage = mcond_obs::span_timed("head", "serve.stage.head");
@@ -557,15 +382,7 @@ impl<'a> InductiveServer<'a> {
         // `start`.
         drop(serve_span);
 
-        if cache_hit {
-            mcond_obs::counter_add("serve.cache.hits", 1);
-        }
-        self.record_request(
-            batch,
-            &coverage,
-            RequestTally { fanout, fallback_nodes, cache_hit },
-            start,
-        );
+        self.record_request(batch, &coverage, RequestTally { fanout, fallback_nodes }, start);
         Ok(out)
     }
 
@@ -583,7 +400,6 @@ impl<'a> InductiveServer<'a> {
             let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
             stats.requests += 1;
             stats.fallback += tally.fallback_nodes;
-            stats.cache_hits += u64::from(tally.cache_hit);
             #[allow(clippy::cast_precision_loss)]
             {
                 stats.latency_us.record(latency_us as f64);
@@ -677,9 +493,7 @@ impl<'a> InductiveServer<'a> {
 
     /// Freezes this server's request statistics (latency, attachment
     /// fanout `‖aM̂‖₀`, batch sizes, per-node mapping coverage, the
-    /// rejected/fallback/panic tallies and cache hits) into a snapshot for
-    /// reports, with the size of its frozen-base cache, when it holds one,
-    /// as the `serve.cache.bytes` gauge.
+    /// rejected/fallback/panic tallies) into a snapshot for reports.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
@@ -690,13 +504,8 @@ impl<'a> InductiveServer<'a> {
                 ("serve.rejected".to_owned(), stats.rejected),
                 ("serve.fallback".to_owned(), stats.fallback),
                 ("serve.panic".to_owned(), stats.panics),
-                ("serve.cache.hits".to_owned(), stats.cache_hits),
             ],
-            gauges: self
-                .frozen
-                .iter()
-                .map(|f| ("serve.cache.bytes".to_owned(), f.bytes() as f64))
-                .collect(),
+            gauges: Vec::new(),
             histograms: vec![
                 ("serve.latency_us".to_owned(), stats.latency_us.summary()),
                 ("serve.fanout".to_owned(), stats.fanout.summary()),
@@ -719,22 +528,6 @@ fn widened(m: &Csr, cols: usize) -> Cow<'_, Csr> {
     }
 }
 
-/// A copy of `m` with the given rows structurally emptied — the
-/// `SelfLoopOnly` fallback's attachment pruning.
-fn clear_rows(m: &Csr, rows: &[usize]) -> Csr {
-    let mut drop = vec![false; m.rows()];
-    for &i in rows {
-        drop[i] = true;
-    }
-    let mut coo = Coo::with_capacity(m.rows(), m.cols(), m.nnz());
-    for (i, j, v) in m.iter() {
-        if !drop[i] {
-            coo.push(i, j, v);
-        }
-    }
-    coo.to_csr()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,6 +535,7 @@ mod tests {
     use mcond_gnn::GnnKind;
     use mcond_graph::{load_dataset, Scale};
     use mcond_linalg::approx_eq;
+    use mcond_sparse::Coo;
 
     /// Reference forward the lazy path is held to (within tolerance — the
     /// normalisation is summed in a different order): materialise the whole
@@ -783,7 +577,7 @@ mod tests {
         (data, condensed, model)
     }
 
-    /// 6-node toy for fallback-policy tests: train {0,1,2} triangle; val
+    /// 6-node toy for the self-loop fallback: train {0,1,2} triangle; val
     /// {3}; test {4,5}. Synthetic graph with 2 nodes; the mapping covers
     /// train nodes {0,1} only — train node 2's row is empty, as after
     /// extreme Eq. 14 pruning — so test node 5 (connected only to train 2)
@@ -930,7 +724,7 @@ mod tests {
         ));
     }
 
-    /// Empty batches short-circuit to `0 x C` on both serving modes — no
+    /// Empty batches short-circuit to `0 x C` on both targets — no
     /// degree updates, no forward pass — and still count as requests.
     #[test]
     fn empty_batch_fast_path_returns_zero_by_c() {
@@ -976,117 +770,20 @@ mod tests {
     }
 
     /// Node 5's `aM` row is empty (its only training neighbour has a fully
-    /// pruned mapping row), so each policy takes its branch.
+    /// pruned mapping row): it is served from its self-loop, with finite
+    /// logits, and counted once under `serve.fallback`.
     #[test]
-    fn fallback_policies_cover_the_empty_attachment_row() {
+    fn empty_attachment_row_is_served_from_its_self_loop() {
         let (data, syn, mapping, model) = fallback_fixture();
         let batch = data.batch(&[5], true);
-
-        // Reject: typed error naming the node.
-        let reject = InductiveServer::on_synthetic(&syn, &mapping, &model)
-            .with_fallback(FallbackPolicy::Reject);
-        match reject.try_serve(&batch) {
-            Err(ServeError::NoAttachment { node: 0, coverage }) => {
-                assert!(approx_eq(coverage, 0.0, 1e-6));
-            }
-            other => panic!("expected NoAttachment, got {other:?}"),
-        }
-
-        // SelfLoopOnly (default): serves finite logits, counts the node.
-        let self_loop = InductiveServer::on_synthetic(&syn, &mapping, &model);
-        let out = self_loop.try_serve(&batch).expect("self-loop fallback serves");
+        let server = InductiveServer::on_synthetic(&syn, &mapping, &model);
+        let out = server.try_serve(&batch).expect("self-loop fallback serves");
         assert_eq!(out.shape(), (1, 2));
         assert!(out.all_finite());
-        assert!(self_loop
+        assert!(server
             .metrics_snapshot()
             .counters
             .contains(&("serve.fallback".to_owned(), 1)));
-
-        // OriginalGraph without a target: typed error, not a panic.
-        let unarmed = InductiveServer::on_synthetic(&syn, &mapping, &model)
-            .with_fallback(FallbackPolicy::OriginalGraph);
-        assert_eq!(
-            unarmed.try_serve(&batch),
-            Err(ServeError::FallbackUnavailable { node: 0 })
-        );
-
-        // OriginalGraph with the original attached: bitwise-identical to
-        // serving the same batch on an original-graph server (Eq. 3).
-        let original = data.original_graph();
-        let armed = InductiveServer::on_synthetic(&syn, &mapping, &model)
-            .with_fallback(FallbackPolicy::OriginalGraph)
-            .with_original_graph(&original);
-        let degraded = armed.try_serve(&batch).expect("degraded serve succeeds");
-        let reference =
-            InductiveServer::on_original(&original, &model).try_serve(&batch).unwrap();
-        assert_eq!(degraded.as_slice(), reference.as_slice());
-        assert!(armed
-            .metrics_snapshot()
-            .counters
-            .contains(&("serve.fallback".to_owned(), 1)));
-    }
-
-    /// A coverage threshold above what the mapping preserves forces the
-    /// fallback even for non-empty `aM` rows; `SelfLoopOnly` then prunes
-    /// the weak attachment instead of serving it.
-    #[test]
-    fn coverage_threshold_triggers_fallback_on_weak_rows() {
-        let (data, syn, mapping, model) = fallback_fixture();
-        // Node 4 attaches to train node 1, whose mapping mass is 0.5: the
-        // aM row is non-empty with coverage 0.5.
-        let batch = data.batch(&[4], false);
-
-        let lenient = InductiveServer::on_synthetic(&syn, &mapping, &model)
-            .with_fallback(FallbackPolicy::Reject)
-            .with_coverage_threshold(0.4);
-        assert!(lenient.try_serve(&batch).is_ok(), "coverage 0.5 passes a 0.4 bar");
-
-        let strict = InductiveServer::on_synthetic(&syn, &mapping, &model)
-            .with_fallback(FallbackPolicy::Reject)
-            .with_coverage_threshold(0.9);
-        match strict.try_serve(&batch) {
-            Err(ServeError::NoAttachment { node: 0, coverage }) => {
-                assert!(approx_eq(coverage, 0.5, 1e-5), "coverage {coverage}");
-            }
-            other => panic!("expected NoAttachment, got {other:?}"),
-        }
-
-        // SelfLoopOnly under the same bar prunes the attachment: the node
-        // serves as if it had no synthetic neighbours at all.
-        let pruned = InductiveServer::on_synthetic(&syn, &mapping, &model)
-            .with_coverage_threshold(0.9)
-            .try_serve(&batch)
-            .expect("self-loop fallback serves");
-        let isolated = {
-            let mut b = batch.clone();
-            b.incremental = Csr::empty(1, 3);
-            InductiveServer::on_synthetic(&syn, &mapping, &model)
-                .try_serve(&b)
-                .expect("isolated serve")
-        };
-        assert_eq!(pruned.as_slice(), isolated.as_slice());
-    }
-
-    /// `serve.cache.bytes` is this server's own cache: present with its
-    /// size on a frozen-base server, absent on an exact one in the same
-    /// process, and gone once the cache is dropped.
-    #[test]
-    fn cache_bytes_gauge_is_per_server() {
-        let (_, syn, mapping, model) = fallback_fixture();
-        let gauge = |server: &InductiveServer<'_>| {
-            let snap = server.metrics_snapshot();
-            snap.gauges.iter().find(|(k, _)| k == "serve.cache.bytes").map(|&(_, v)| v)
-        };
-        let frozen = InductiveServer::on_synthetic(&syn, &mapping, &model)
-            .with_serve_mode(ServeMode::FrozenBase);
-        let exact = InductiveServer::on_synthetic(&syn, &mapping, &model);
-        let bytes = FrozenBase::new(&model, &syn.adj, &syn.features).bytes();
-        assert!(bytes > 0);
-        #[allow(clippy::cast_precision_loss)]
-        let expected = bytes as f64;
-        assert_eq!(gauge(&frozen), Some(expected));
-        assert_eq!(gauge(&exact), None);
-        assert_eq!(gauge(&frozen.with_serve_mode(ServeMode::Exact)), None);
     }
 
     /// A batch built against a narrower (pre-promotion) base is served —

@@ -1,14 +1,14 @@
 //! Chaos sweep over the serving boundary (DESIGN.md §4f).
 //!
 //! Sweeps every corrupted batch from `mcond_core::chaos` through **both**
-//! serving modes (Eq. 3 original-graph and Eq. 11 synthetic) and asserts
+//! attachment targets (Eq. 3 original-graph and Eq. 11 synthetic) and asserts
 //! the fault-tolerance contract: every corruption is answered with a typed
 //! [`ServeError`] — never a panic, never a non-finite logit — and in a
 //! mixed fan-out the corrupted siblings leave valid batches' results
 //! bitwise identical at any thread count.
 
 use mcond_core::chaos::corrupted_batches;
-use mcond_core::{FallbackPolicy, InductiveServer, ServeError};
+use mcond_core::{InductiveServer, ServeError};
 use mcond_gnn::{GnnKind, GnnModel};
 use mcond_graph::{Graph, InductiveDataset, NodeBatch};
 use mcond_linalg::{DMat, MatRng};
@@ -43,7 +43,7 @@ fn model() -> GnnModel {
     GnnModel::new(GnnKind::Gcn, 3, 4, 2, 1)
 }
 
-/// Every chaos case gets a typed error on both serving modes; the valid
+/// Every chaos case gets a typed error on both targets; the valid
 /// donor keeps serving finite logits before and after the sweep.
 #[test]
 fn every_corruption_yields_a_typed_error_on_both_modes() {
@@ -178,11 +178,11 @@ fn internal_panics_are_isolated_per_request() {
     assert_eq!(again.rows(), 0);
 }
 
-/// The fallback policy sweep also holds under fan-out: `Reject` turns an
-/// uncovered node into a typed error, `SelfLoopOnly` serves it, and both
-/// agree across thread counts.
+/// The self-loop fallback also holds under fan-out: a node with an empty
+/// attachment row is served, counted once, and its logits agree with a
+/// sequential loop at 1 and 4 threads.
 #[test]
-fn fallback_policies_hold_under_fanout() {
+fn self_loop_fallback_holds_under_fanout() {
     let (data, syn, _) = fixture();
     // A mapping with train node 2 fully pruned: batch node 5 (attached
     // only to train 2) has an empty aM row.
@@ -193,16 +193,18 @@ fn fallback_policies_hold_under_fanout() {
     let model = model();
     let batches = vec![data.batch(&[5], false), data.batch(&[4], false)];
 
-    let reject = InductiveServer::on_synthetic(&syn, &pruned, &model)
-        .with_fallback(FallbackPolicy::Reject);
-    let results = reject.try_serve_many(&batches);
-    assert!(matches!(results[0], Err(ServeError::NoAttachment { node: 0, .. })));
-    assert!(results[1].is_ok(), "covered sibling completes");
-
-    let lenient = InductiveServer::on_synthetic(&syn, &pruned, &model);
-    let served = mcond_par::with_thread_limit(4, || lenient.try_serve_many(&batches));
-    for (i, r) in served.iter().enumerate() {
-        let logits = r.as_ref().unwrap_or_else(|e| panic!("slot {i}: {e}"));
-        assert!(logits.all_finite());
+    let sequential = InductiveServer::on_synthetic(&syn, &pruned, &model);
+    let expected: Vec<DMat> =
+        batches.iter().map(|b| sequential.try_serve(b).unwrap()).collect();
+    for threads in [1, 4] {
+        let server = InductiveServer::on_synthetic(&syn, &pruned, &model);
+        let served = mcond_par::with_thread_limit(threads, || server.try_serve_many(&batches));
+        for (i, (r, want)) in served.iter().zip(&expected).enumerate() {
+            let logits = r.as_ref().unwrap_or_else(|e| panic!("t{threads} slot {i}: {e}"));
+            assert!(logits.all_finite());
+            assert_eq!(logits.as_slice(), want.as_slice(), "t{threads} slot {i} drifted");
+        }
+        let counters = server.metrics_snapshot().counters;
+        assert!(counters.contains(&("serve.fallback".to_owned(), 1)), "t{threads}");
     }
 }

@@ -5,12 +5,12 @@
 //! from-scratch rebuild) produces — bitwise, for the adjacency, the grown
 //! mapping `M`, the features, and the incrementally maintained
 //! [`BaseDegrees`] — and the logits served off the grown base are bitwise
-//! identical between the live base's server and a from-scratch one, in
-//! both [`ServeMode::Exact`] and [`ServeMode::FrozenBase`], at 1 and 4
-//! threads.
+//! identical between the live base's server and a from-scratch one — and
+//! so are the one-way [`FrozenBase`] predictor's, cache built on the
+//! live base against one built on a copy of it — at 1 and 4 threads.
 
-use mcond_core::{GraphDelta, InductiveServer, LiveBase, ServeMode};
-use mcond_gnn::{BaseDegrees, GnnKind, GnnModel};
+use mcond_core::{GraphDelta, InductiveServer, LiveBase};
+use mcond_gnn::{BaseDegrees, FrozenBase, GnnKind, GnnModel};
 use mcond_graph::{Graph, NodeBatch};
 use mcond_linalg::{DMat, MatRng};
 use mcond_par::with_thread_limit;
@@ -175,10 +175,9 @@ fn check_state_equivalence() {
 }
 
 /// Serving off the grown base after three promotions: the live base's
-/// server vs. a from-scratch server over the same grown artifacts, in
-/// both modes, every architecture. The live server's frozen cache is
-/// built from the base it borrows, so it is the cache a fresh server
-/// builds.
+/// server vs. a from-scratch server over the same grown artifacts, every
+/// architecture; and `predict_frozen` with a cache built on the live
+/// base vs. one built on the copy.
 fn check_serving_equivalence() {
     let batch = probe();
     for kind in GnnKind::ALL {
@@ -189,14 +188,20 @@ fn check_serving_equivalence() {
             live.promote(d).unwrap();
         }
         let (grown, mapping) = (live.base().clone(), live.mapping().unwrap().clone());
-        for mode in [ServeMode::Exact, ServeMode::FrozenBase] {
-            let a = live.server(&model).with_serve_mode(mode).try_serve(&batch).unwrap();
-            let b = InductiveServer::on_synthetic(&grown, &mapping, &model)
-                .with_serve_mode(mode)
-                .try_serve(&batch)
-                .unwrap();
-            assert!(a.bit_eq(&b), "{} {mode:?}: logits diverged", kind.name());
-        }
+        let (live_server, fresh_server) =
+            (live.server(&model), InductiveServer::on_synthetic(&grown, &mapping, &model));
+        let a = live_server.try_serve(&batch).unwrap();
+        let b = fresh_server.try_serve(&batch).unwrap();
+        assert!(a.bit_eq(&b), "{}: exact logits diverged", kind.name());
+
+        let frozen = |base: &Graph, server: &InductiveServer<'_>| {
+            let cache = FrozenBase::new(&model, &base.adj, &base.features);
+            let attach = server.attachment(&batch);
+            model.predict_frozen(&cache, &attach, &batch.interconnect, &batch.features)
+        };
+        let a = frozen(live.base(), &live_server);
+        let b = frozen(&grown, &fresh_server);
+        assert!(a.bit_eq(&b), "{}: frozen logits diverged", kind.name());
     }
 }
 

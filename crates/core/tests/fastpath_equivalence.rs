@@ -4,15 +4,15 @@
 //! The sweep asserts the tentpole contract: the logits
 //! [`InductiveServer::try_serve`] returns are **bitwise identical** to the
 //! vstack-and-slice reference forward — written out below from public
-//! `mcond-gnn`/`mcond-sparse` API, attach and fallback included — for
-//! every architecture, at 1 and 4 threads, under every fallback policy.
-//! The chaos catalogue passes through the fast path with the same
-//! typed-error taxonomy, and the opt-in [`ServeMode::FrozenBase`] cache is
+//! `mcond-gnn`/`mcond-sparse` API, attach and the empty-row self-loop
+//! included — for every architecture, at 1 and 4 threads, on both
+//! targets. The chaos catalogue passes through the fast path with the same
+//! typed-error taxonomy, and the one-way [`FrozenBase`] predictor is
 //! calibrated against the exact path.
 
 use mcond_core::chaos::corrupted_batches;
-use mcond_core::{FallbackPolicy, InductiveServer, ServeError, ServeMode};
-use mcond_gnn::{GnnKind, GnnModel, GraphOps};
+use mcond_core::{InductiveServer, ServeError};
+use mcond_gnn::{FrozenBase, GnnKind, GnnModel, GraphOps};
 use mcond_graph::{Graph, InductiveDataset, NodeBatch};
 use mcond_linalg::{DMat, MatRng};
 use mcond_sparse::{spmm_sparse, Coo, Csr};
@@ -44,7 +44,7 @@ fn fixture() -> (InductiveDataset, Graph, Csr) {
 }
 
 /// A mapping with train node 2 fully pruned: batch node 5 (attached only
-/// to train 2) gets an empty `aM` row, exercising the fallback branches.
+/// to train 2) gets an empty `aM` row, exercising the self-loop fallback.
 fn pruned_mapping() -> Csr {
     let mut map = Coo::new(3, 2);
     map.push(0, 0, 0.5);
@@ -56,41 +56,21 @@ fn counter(server: &InductiveServer<'_>, name: &str) -> u64 {
     server.metrics_snapshot().counters.iter().find(|(k, _)| k == name).map_or(0, |(_, v)| *v)
 }
 
-/// The reference answer: attach (`a`, or `aM` through `mapping`), apply
-/// the fallback policy to nodes left without an attachment row, then
-/// vstack base and batch features, run every layer over all `N + n` rows
-/// of the lazily extended graph and slice the batch's rows off the bottom.
-fn reference(
-    model: &GnnModel,
-    base: &Graph,
-    mapping: Option<&Csr>,
-    original: &Graph,
-    policy: FallbackPolicy,
-    batch: &NodeBatch,
-) -> Result<DMat, ServeError> {
+/// The reference answer: attach (`a`, or `aM` through `mapping`; a node
+/// left without an attachment row keeps only its self-loop), vstack base
+/// and batch features, run every layer over all `N + n` rows of the lazily
+/// extended graph and slice the batch's rows off the bottom.
+fn reference(model: &GnnModel, base: &Graph, mapping: Option<&Csr>, batch: &NodeBatch) -> DMat {
     let attach =
         mapping.map_or_else(|| batch.incremental.clone(), |m| spmm_sparse(&batch.incremental, m));
-    let uncovered = (0..batch.len()).find(|&i| attach.row_cols(i).is_empty());
-    let (base, attach) = match (uncovered, policy) {
-        (Some(node), FallbackPolicy::Reject) => {
-            return Err(ServeError::NoAttachment { node, coverage: 0.0 })
-        }
-        // Degrade the whole batch to Eq. 3 (a no-op when already there).
-        (Some(_), FallbackPolicy::OriginalGraph) if mapping.is_some() => {
-            (original, batch.incremental.clone())
-        }
-        // Fully covered, or `SelfLoopOnly` over an already-empty row.
-        _ => (base, attach),
-    };
     let ops = GraphOps::extended(&base.adj, &attach, &batch.interconnect);
     let logits = model.predict(&ops, &base.features.vstack(&batch.features));
-    Ok(logits.slice_rows(base.num_nodes(), logits.rows()))
+    logits.slice_rows(base.num_nodes(), logits.rows())
 }
 
-/// The tentpole sweep: every architecture × thread count × fallback
-/// policy × attachment target, over a mapping that leaves one node
-/// without an attachment row — the server and the reference must agree
-/// bitwise on every Ok result and on every typed error.
+/// The tentpole sweep: every architecture × thread count × attachment
+/// target, over a mapping that leaves one node without an attachment row
+/// — the server and the reference must agree bitwise.
 #[test]
 fn exact_path_is_bitwise_identical_to_the_stacked_reference_everywhere() {
     let (data, syn, _) = fixture();
@@ -98,54 +78,29 @@ fn exact_path_is_bitwise_identical_to_the_stacked_reference_everywhere() {
     let original = data.original_graph();
     let batches =
         [data.batch(&[4, 5], true), data.batch(&[4], false), data.batch(&[5], true)];
-    let policies =
-        [FallbackPolicy::Reject, FallbackPolicy::SelfLoopOnly, FallbackPolicy::OriginalGraph];
 
     for kind in GnnKind::ALL {
         let model = GnnModel::new(kind, 3, 4, 2, 1);
         for threads in [1usize, 4] {
             mcond_par::with_thread_limit(threads, || {
-                for policy in policies {
-                    // Synthetic (Eq. 11) serving, fallback armed with the
-                    // original graph so `OriginalGraph` can degrade.
-                    let exact = InductiveServer::on_synthetic(&syn, &mapping, &model)
-                        .with_fallback(policy)
-                        .with_original_graph(&original);
+                let targets = [
+                    ("synthetic", &syn, Some(&mapping)),
+                    ("original", &original, None),
+                ];
+                for (target, base, mapping) in targets {
+                    let server = match mapping {
+                        Some(m) => InductiveServer::on_synthetic(base, m, &model),
+                        None => InductiveServer::on_original(base, &model),
+                    };
                     for (bi, batch) in batches.iter().enumerate() {
-                        let a = exact.try_serve(batch);
-                        let b =
-                            reference(&model, &syn, Some(&mapping), &original, policy, batch);
-                        match (&a, &b) {
-                            (Ok(x), Ok(y)) => assert_eq!(
-                                x.as_slice(),
-                                y.as_slice(),
-                                "{} t{threads} {policy:?} batch {bi}: logits drifted",
-                                kind.name()
-                            ),
-                            (Err(x), Err(y)) => assert_eq!(x, y),
-                            _ => panic!(
-                                "{} t{threads} {policy:?} batch {bi}: Ok/Err disagreement",
-                                kind.name()
-                            ),
-                        }
-                    }
-
-                    // Original-graph (Eq. 3) serving.
-                    let exact = InductiveServer::on_original(&original, &model)
-                        .with_fallback(policy);
-                    for (bi, batch) in batches.iter().enumerate() {
-                        let a = exact.try_serve(batch);
-                        let b = reference(&model, &original, None, &original, policy, batch);
-                        match (&a, &b) {
-                            (Ok(x), Ok(y)) => assert_eq!(
-                                x.as_slice(),
-                                y.as_slice(),
-                                "{} t{threads} {policy:?} original batch {bi}",
-                                kind.name()
-                            ),
-                            (Err(x), Err(y)) => assert_eq!(x, y),
-                            _ => panic!("{} t{threads} {policy:?}: disagreement", kind.name()),
-                        }
+                        let got = server.try_serve(batch).expect("every batch serves");
+                        let want = reference(&model, base, mapping, batch);
+                        assert_eq!(
+                            got.as_slice(),
+                            want.as_slice(),
+                            "{} t{threads} {target} batch {bi}: logits drifted",
+                            kind.name()
+                        );
                     }
                 }
             });
@@ -153,9 +108,9 @@ fn exact_path_is_bitwise_identical_to_the_stacked_reference_everywhere() {
     }
 }
 
-/// The chaos catalogue passes through the fast path (and the frozen-base
-/// cache) with the same typed-error taxonomy — no panic escapes, and the
-/// donor keeps serving bitwise-stable finite logits afterwards.
+/// The chaos catalogue passes through the fast path with the same
+/// typed-error taxonomy — no panic escapes, and the donor keeps serving
+/// bitwise-stable finite logits afterwards.
 #[test]
 fn chaos_catalogue_passes_through_the_fast_path() {
     let (data, syn, mapping) = fixture();
@@ -164,35 +119,26 @@ fn chaos_catalogue_passes_through_the_fast_path() {
     let cases = corrupted_batches(&donor);
     assert!(cases.len() >= 10);
 
-    let servers = [
-        ("exact", InductiveServer::on_synthetic(&syn, &mapping, &model)),
-        (
-            "frozen",
-            InductiveServer::on_synthetic(&syn, &mapping, &model)
-                .with_serve_mode(ServeMode::FrozenBase),
-        ),
-    ];
-    for (mode, server) in &servers {
-        let good = server.try_serve(&donor).expect("donor batch is valid");
-        assert!(good.all_finite(), "{mode}: donor logits must be finite");
-        for case in corrupted_batches(&donor) {
-            match server.try_serve(&case.batch) {
-                Err(ServeError::InvalidBatch(_)) => {}
-                Err(other) => panic!("{mode}/{}: unexpected error {other:?}", case.name),
-                Ok(_) => panic!("{mode}/{}: corrupted batch was served", case.name),
-            }
+    let server = InductiveServer::on_synthetic(&syn, &mapping, &model);
+    let good = server.try_serve(&donor).expect("donor batch is valid");
+    assert!(good.all_finite(), "donor logits must be finite");
+    for case in &cases {
+        match server.try_serve(&case.batch) {
+            Err(ServeError::InvalidBatch(_)) => {}
+            Err(other) => panic!("{}: unexpected error {other:?}", case.name),
+            Ok(_) => panic!("{}: corrupted batch was served", case.name),
         }
-        let again = server.try_serve(&donor).expect("server survives the sweep");
-        assert_eq!(again.as_slice(), good.as_slice());
-        assert_eq!(counter(server, "serve.panic"), 0, "{mode}");
-        assert_eq!(counter(server, "serve.rejected"), cases.len() as u64, "{mode}");
     }
+    let again = server.try_serve(&donor).expect("server survives the sweep");
+    assert_eq!(again.as_slice(), good.as_slice());
+    assert_eq!(counter(&server, "serve.panic"), 0);
+    assert_eq!(counter(&server, "serve.rejected"), cases.len() as u64);
 }
 
-/// Calibration of the opt-in frozen-base cache: a batch with no
-/// incremental edges is served exactly; connected batches deviate by a
-/// bounded, finite amount for every architecture, and the cache probes
-/// record the hits.
+/// Calibration of the one-way frozen-base predictor, fed the attachment
+/// rows the server builds: a batch with no incremental edges is answered
+/// exactly, and so is a node served from its self-loop; connected batches
+/// deviate by a bounded, finite amount for every architecture.
 #[test]
 fn frozen_base_calibration_against_the_exact_path() {
     let (data, syn, mapping) = fixture();
@@ -203,26 +149,35 @@ fn frozen_base_calibration_against_the_exact_path() {
         b
     };
 
+    let pruned = pruned_mapping();
+    let self_loop = data.batch(&[5], false);
+
     for kind in GnnKind::ALL {
         let model = GnnModel::new(kind, 3, 4, 2, 1);
         let exact = InductiveServer::on_synthetic(&syn, &mapping, &model);
-        let frozen = InductiveServer::on_synthetic(&syn, &mapping, &model)
-            .with_serve_mode(ServeMode::FrozenBase);
+        let cache = FrozenBase::new(&model, &syn.adj, &syn.features);
+        let frozen = |server: &InductiveServer<'_>, b: &NodeBatch| {
+            model.predict_frozen(&cache, &server.attachment(b), &b.interconnect, &b.features)
+        };
 
-        // Exact on disconnected batches (no base perturbation to ignore).
-        let e = exact.try_serve(&disconnected).expect("exact serves");
-        let f = frozen.try_serve(&disconnected).expect("frozen serves");
-        for (a, b) in e.as_slice().iter().zip(f.as_slice()) {
-            assert!(
-                mcond_linalg::approx_eq(*a, *b, 1e-5),
-                "{}: disconnected batch must serve exactly ({a} vs {b})",
-                kind.name()
-            );
+        // Exact on disconnected batches (no base perturbation to ignore),
+        // and on a node whose `aM` row is empty (its self-loop only).
+        let pruned_server = InductiveServer::on_synthetic(&syn, &pruned, &model);
+        for (server, batch) in [(&exact, &disconnected), (&pruned_server, &self_loop)] {
+            let e = server.try_serve(batch).expect("exact serves");
+            let f = frozen(server, batch);
+            for (a, b) in e.as_slice().iter().zip(f.as_slice()) {
+                assert!(
+                    mcond_linalg::approx_eq(*a, *b, 1e-5),
+                    "{}: an unattached batch must be answered exactly ({a} vs {b})",
+                    kind.name()
+                );
+            }
         }
 
         // Bounded deviation on connected batches.
         let e = exact.try_serve(&connected).expect("exact serves");
-        let f = frozen.try_serve(&connected).expect("frozen serves");
+        let f = frozen(&exact, &connected);
         assert_eq!(e.shape(), f.shape());
         assert!(f.all_finite(), "{}", kind.name());
         let dev = e
@@ -232,15 +187,12 @@ fn frozen_base_calibration_against_the_exact_path() {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
         assert!(dev < 1.0, "{}: frozen-base deviation {dev} out of bounds", kind.name());
-
-        assert_eq!(counter(&frozen, "serve.cache.hits"), 2, "{}", kind.name());
-        assert_eq!(counter(&exact, "serve.cache.hits"), 0, "{}", kind.name());
     }
 }
 
 /// Regression for the coverage-accounting bugfix: negative edge weights
-/// must not zero out coverage (spurious rejection), and coverage must
-/// never exceed 1 even when signed sums would inflate it.
+/// must not zero out coverage, and coverage must never exceed 1 even when
+/// signed sums would inflate it.
 #[test]
 fn coverage_uses_absolute_mass_and_clamps_to_one() {
     let (data, syn, mapping) = fixture();
@@ -249,9 +201,8 @@ fn coverage_uses_absolute_mass_and_clamps_to_one() {
 
     // Node with weights {+0.5 → train 0, -1.0 → train 1}: both map onto
     // synthetic node 0 with mass 0.5, so the aM entry is 0.25 - 0.5 =
-    // -0.25 and the old *signed* sum (-0.5 raw) forced coverage to 0.0 —
-    // a spurious rejection under any positive threshold. Absolute mass
-    // gives |−0.25| / 1.5 = 1/6.
+    // -0.25 and the old *signed* sum (-0.5 raw) forced coverage to 0.0.
+    // Absolute mass gives |−0.25| / 1.5 = 1/6.
     let negative = {
         let mut b = donor.clone();
         let mut inc = Coo::new(1, 3);
@@ -260,15 +211,9 @@ fn coverage_uses_absolute_mass_and_clamps_to_one() {
         b.incremental = inc.to_csr();
         b
     };
-    let strict = InductiveServer::on_synthetic(&syn, &mapping, &model)
-        .with_fallback(FallbackPolicy::Reject)
-        .with_coverage_threshold(0.1);
-    let served = strict.try_serve(&negative);
-    assert!(
-        served.is_ok(),
-        "negative weights must not be spuriously rejected: {served:?}"
-    );
-    let cov = strict
+    let server = InductiveServer::on_synthetic(&syn, &mapping, &model);
+    server.try_serve(&negative).expect("negative weights serve");
+    let cov = server
         .metrics_snapshot()
         .histograms
         .iter()

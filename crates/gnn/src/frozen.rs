@@ -1,4 +1,4 @@
-//! Frozen-base serving cache: `ServeMode::FrozenBase`.
+//! Frozen-base predictor: one-way attachment over cached base activations.
 //!
 //! The exact extended-operator forward pass must re-propagate over all
 //! `N' + n` rows because attaching a batch perturbs base-side degrees and
@@ -39,8 +39,9 @@
 //! (0.40 → 0.33); on the original graph at reddit's density it is close
 //! (agreement ≥ 0.99, |Δlogit| ≤ 2.6), on pubmed's and flickr's it is not
 //! (0.72–0.94). The calibration test in `mcond-core` pins the edge-free
-//! case and a 6-node fixture, nothing more. The exact split path stays
-//! the default — this cache is opt-in.
+//! case and a 6-node fixture, nothing more. `InductiveServer` always
+//! runs the exact split path; this predictor is called directly, fed the
+//! server's `attachment` rows.
 
 use crate::model::{input, into_dmat, made, Evaluator, Kernel, Mat, Rows};
 use crate::model::{GnnKind, GnnModel, GraphOps};
@@ -111,7 +112,7 @@ impl FrozenBase {
     /// rows not matching it).
     #[must_use]
     pub fn new(model: &GnnModel, base_adj: &Csr, base_x: &DMat) -> Self {
-        let mut span = mcond_obs::span_timed("frozen_base.build", "serve.cache.build_us");
+        let mut span = mcond_obs::span_timed("frozen_base.build", "gnn.frozen.build_us");
         span.record("base_nodes", base_adj.rows());
         assert_eq!(base_adj.rows(), base_adj.cols(), "FrozenBase: base must be square");
         assert_eq!(base_x.rows(), base_adj.rows(), "FrozenBase: feature rows mismatch");

@@ -96,9 +96,16 @@ impl std::error::Error for BatchError {}
 
 impl NodeBatch {
     /// Validates the batch against a serving base: `base_cols` is the
-    /// width the incremental adjacency must have (training-node count for
-    /// Eq. 3 attachment, mapping rows for Eq. 11) and `feature_dim` the
-    /// base's feature dimension.
+    /// width of the base's index space (training-node count for Eq. 3
+    /// attachment, mapping rows for Eq. 11) and `feature_dim` the base's
+    /// feature dimension.
+    ///
+    /// The incremental width may be *narrower* than `base_cols`: a live
+    /// base only ever appends nodes — existing ids never change meaning —
+    /// so a batch assembled against an older, smaller base still addresses
+    /// a valid prefix of the grown index space. A *wider* batch fails with
+    /// [`BatchError::IncrementalWidth`]: it indexes nodes this base does
+    /// not have.
     ///
     /// Checks, in order: internal row-count consistency (features and
     /// incremental rows vs. `labels.len()`), the interconnect's `n x n`
@@ -109,35 +116,10 @@ impl NodeBatch {
     ///
     /// # Errors
     /// The first [`BatchError`] detected, in the order above.
-    pub fn validate_against(&self, base_cols: usize, feature_dim: usize) -> Result<(), BatchError> {
-        self.validate_impl(base_cols, feature_dim, false)
-    }
-
-    /// [`validate_against`](NodeBatch::validate_against) for a **live**
-    /// (growable) serving base: the incremental width may be *narrower*
-    /// than `base_cols`. Delta promotions only ever append base nodes —
-    /// existing ids never change meaning — so a batch assembled against an
-    /// older, smaller base still addresses a valid prefix of the grown
-    /// index space. A *wider* batch still fails with
-    /// [`BatchError::IncrementalWidth`]: it indexes nodes this base does
-    /// not have.
-    ///
-    /// # Errors
-    /// The first [`BatchError`] detected, in
-    /// [`validate_against`](NodeBatch::validate_against)'s order.
     pub fn validate_against_prefix(
         &self,
         base_cols: usize,
         feature_dim: usize,
-    ) -> Result<(), BatchError> {
-        self.validate_impl(base_cols, feature_dim, true)
-    }
-
-    fn validate_impl(
-        &self,
-        base_cols: usize,
-        feature_dim: usize,
-        allow_prefix: bool,
     ) -> Result<(), BatchError> {
         let n = self.labels.len();
         if self.features.rows() != n {
@@ -161,12 +143,7 @@ impl NodeBatch {
                 expected: n,
             });
         }
-        let width_ok = if allow_prefix {
-            self.incremental.cols() <= base_cols
-        } else {
-            self.incremental.cols() == base_cols
-        };
-        if !width_ok {
+        if self.incremental.cols() > base_cols {
             return Err(BatchError::IncrementalWidth {
                 got: self.incremental.cols(),
                 expected: base_cols,
@@ -214,7 +191,7 @@ mod tests {
 
     #[test]
     fn valid_batch_passes() {
-        assert_eq!(valid().validate_against(3, 2), Ok(()));
+        assert_eq!(valid().validate_against_prefix(3, 2), Ok(()));
     }
 
     #[test]
@@ -225,7 +202,7 @@ mod tests {
             interconnect: Csr::empty(0, 0),
             labels: Vec::new(),
         };
-        assert_eq!(b.validate_against(3, 2), Ok(()));
+        assert_eq!(b.validate_against_prefix(3, 2), Ok(()));
     }
 
     #[test]
@@ -233,7 +210,7 @@ mod tests {
         let mut b = valid();
         b.labels.pop();
         assert_eq!(
-            b.validate_against(3, 2),
+            b.validate_against_prefix(3, 2),
             Err(BatchError::RowCountMismatch { component: "features", rows: 2, expected: 1 })
         );
     }
@@ -243,7 +220,7 @@ mod tests {
         let mut b = valid();
         b.features = b.features.slice_rows(0, 1);
         assert_eq!(
-            b.validate_against(3, 2),
+            b.validate_against_prefix(3, 2),
             Err(BatchError::RowCountMismatch { component: "features", rows: 1, expected: 2 })
         );
     }
@@ -255,16 +232,16 @@ mod tests {
         inter.push(0, 4, 1.0); // column 4 indexes no batch node
         b.interconnect = inter.to_csr();
         assert_eq!(
-            b.validate_against(3, 2),
+            b.validate_against_prefix(3, 2),
             Err(BatchError::InterconnectShape { rows: 2, cols: 5, expected: 2 })
         );
     }
 
     #[test]
-    fn wrong_incremental_width_names_the_base_mismatch() {
-        let b = valid();
-        let err = b.validate_against(7, 2).unwrap_err();
-        assert_eq!(err, BatchError::IncrementalWidth { got: 3, expected: 7 });
+    fn wider_incremental_width_names_the_base_mismatch() {
+        let b = valid(); // incremental is 2x3
+        let err = b.validate_against_prefix(2, 2).unwrap_err();
+        assert_eq!(err, BatchError::IncrementalWidth { got: 3, expected: 2 });
         assert!(err.to_string().contains("different base graph"));
     }
 
@@ -273,13 +250,12 @@ mod tests {
         let b = valid(); // incremental is 2x3
         // Against a base that has since grown to 7 nodes: prefix-valid.
         assert_eq!(b.validate_against_prefix(7, 2), Ok(()));
-        // Exact width still passes, and the strict form still rejects.
+        // Exact width passes too.
         assert_eq!(b.validate_against_prefix(3, 2), Ok(()));
-        assert!(b.validate_against(7, 2).is_err());
         // Wider than the base: indexes nodes that do not exist.
         assert_eq!(
-            b.validate_against_prefix(2, 2),
-            Err(BatchError::IncrementalWidth { got: 3, expected: 2 })
+            b.validate_against_prefix(0, 2),
+            Err(BatchError::IncrementalWidth { got: 3, expected: 0 })
         );
     }
 
@@ -287,7 +263,7 @@ mod tests {
     fn feature_dim_mismatch_is_rejected() {
         let b = valid();
         assert_eq!(
-            b.validate_against(3, 5),
+            b.validate_against_prefix(3, 5),
             Err(BatchError::FeatureDim { got: 2, expected: 5 })
         );
     }
@@ -298,21 +274,21 @@ mod tests {
             let mut b = valid();
             b.features.set(1, 0, bad);
             assert_eq!(
-                b.validate_against(3, 2),
+                b.validate_against_prefix(3, 2),
                 Err(BatchError::NonFinite { component: "features" }),
             );
 
             let mut b = valid();
             b.incremental = b.incremental.map_values(|_| bad);
             assert_eq!(
-                b.validate_against(3, 2),
+                b.validate_against_prefix(3, 2),
                 Err(BatchError::NonFinite { component: "incremental" }),
             );
 
             let mut b = valid();
             b.interconnect = b.interconnect.map_values(|_| bad);
             assert_eq!(
-                b.validate_against(3, 2),
+                b.validate_against_prefix(3, 2),
                 Err(BatchError::NonFinite { component: "interconnect" }),
             );
         }

@@ -49,23 +49,14 @@
 //!
 //! * `serve.requests` — answered requests (per-server snapshot only);
 //! * `serve.rejected` — requests refused with a typed `ServeError`
-//!   (validation failure, batch cap, `Reject` fallback, non-finite
-//!   logits);
-//! * `serve.fallback` — *nodes* (not requests) whose empty or
-//!   under-covered attachment row triggered the server's fallback policy;
+//!   (validation failure, batch cap, non-finite logits);
+//! * `serve.fallback` — *nodes* (not requests) whose attachment row was
+//!   empty, served from their self-loop;
 //! * `serve.panic` — requests whose internal panic was caught at the
-//!   `try_serve_many` request boundary;
-//! * `serve.cache.builds` — frozen-base caches built (one per
-//!   `with_serve_mode(ServeMode::FrozenBase)` call);
-//! * `serve.cache.hits` — requests answered from the frozen-base cache
-//!   (degraded requests fall through to the exact path and do not count);
-//! * `serve.cache.build_us` — histogram: wall µs per frozen-base cache
-//!   build (the `frozen_base.build` span). A cache is built from the base
-//!   its server holds and never updated, so this is the whole cost of
-//!   keeping one current: a grown base gets a new server and a new build;
-//! * `serve.cache.bytes` — gauge, per-server snapshot only: size of that
-//!   server's frozen-base cache, one operand per propagation site; absent
-//!   when the server holds none.
+//!   `try_serve_many` request boundary.
+//!
+//! `mcond-gnn`'s `FrozenBase` predictor records `gnn.frozen.build_us`, a
+//! histogram of wall µs per cache build (the `frozen_base.build` span).
 //!
 //! The live-graph ingestion path (`mcond-core`'s `LiveBase`) reports its
 //! promotion and refresh activity under the `delta.*` prefix:
@@ -84,10 +75,8 @@
 //! `span_timed` under the `serve` span:
 //!
 //! * `serve.stage.validate` — structural batch validation + batch cap;
-//! * `serve.stage.attach` — incremental attachment build and coverage
-//!   check (Eq. 10's `aM` row assembly);
-//! * `serve.stage.fallback` — fallback-policy handling of under-covered
-//!   nodes (absent when every node is covered);
+//! * `serve.stage.attach` — incremental attachment build, coverage and
+//!   the empty-row count (Eq. 10's `aM` row assembly);
 //! * `serve.stage.propagate` — operator assembly + GNN forward
 //!   (Eq. 11's propagation over the extended graph);
 //! * `serve.stage.head` — output finalisation (finiteness audit).
@@ -116,7 +105,7 @@
 //! * `serve.http.protocol_errors` — connections dropped for HTTP
 //!   framing violations (each also answers its typed 4xx/5xx);
 //! * `serve.http.timeouts` — mid-frame read stalls answered `408` plus
-//!   queue replies that missed `reply_timeout` (`504`);
+//!   queue replies that missed the front end's `REPLY_TIMEOUT` (`504`);
 //! * `serve.http.batches` / `serve.http.coalesced` — fan-outs executed
 //!   and requests merged into them (their ratio is the effective
 //!   coalescing factor; 1.0 means every request rode alone);
@@ -137,7 +126,7 @@
 //!   after a fan-out that carried more than one job; never above
 //!   `coalesce_window`;
 //! * `serve.http.conns` / `serve.http.conns_rejected` — connections
-//!   accepted / refused at the `max_connections` bound;
+//!   accepted / refused at the front end's `MAX_CONNECTIONS` bound;
 //! * `serve.http.queue_depth`, `serve.http.queue_wait_ewma_us` —
 //!   gauges: jobs waiting in the batching queue and the smoothed
 //!   queue-wait backpressure signal;

@@ -14,9 +14,10 @@
 //! [`CodecError::Parse`] beyond that, under unknown keys included. The
 //! decoder also refuses to let client-declared shapes drive allocations
 //! (see the shape-bounds paragraph below); within those bounds it accepts
-//! any self-consistent shape and lets [`NodeBatch::validate_against`]
-//! produce its usual typed `ServeError`, so wire requests fail exactly
-//! like library requests.
+//! any self-consistent shape and lets
+//! [`NodeBatch::validate_against_prefix`] — the one check every server
+//! runs — produce its usual typed `ServeError`, so wire requests fail
+//! exactly like library requests.
 //!
 //! # Request format (`POST /v1/serve`)
 //!
@@ -47,7 +48,7 @@
 //!
 //! Declared shapes are resource-bounded before anything is allocated
 //! from them: a sparse `rows` must equal the batch's node count (a
-//! mismatch could only fail `validate_against` later, but CSR conversion
+//! mismatch could only fail batch validation later, but CSR conversion
 //! allocates `rows + 1` slots *first*, so a lying declaration must die at
 //! decode time, not after a multi-petabyte allocation attempt), and
 //! `cols` is capped at [`MAX_WIRE_COLS`] — the CSR representation stores
@@ -58,8 +59,9 @@
 //! caps), and the `rows`/`cols` checks run before the first matrix is
 //! built. Within those bounds, *semantic* validation against the
 //! serving base (incremental width, feature dimension, label count) is
-//! still deliberately deferred to [`NodeBatch::validate_against`], so
-//! wire requests fail exactly like library requests.
+//! still deliberately deferred to
+//! [`NodeBatch::validate_against_prefix`], so wire requests fail exactly
+//! like library requests.
 //!
 //! # Which error a defective body gets
 //!
@@ -243,7 +245,7 @@ pub fn encode_batch(batch: &NodeBatch) -> String {
 /// # Errors
 /// A typed [`CodecError`] for any syntactic or structural defect; see the
 /// module docs for which one a body with several gets, and for the
-/// division of labour with `NodeBatch::validate_against`.
+/// division of labour with `NodeBatch::validate_against_prefix`.
 pub fn decode_batch(text: &str) -> Result<NodeBatch, CodecError> {
     let mut r = Reader::new(text);
     let (mut dim, mut features, mut labels) = (None, None, None);
@@ -696,15 +698,23 @@ mod tests {
     fn wrong_declared_cols_decode_and_fail_batch_validation_later() {
         // Within the resource bounds the codec still accepts semantically
         // wrong widths (interconnect 1x3 for a 1-node batch, incremental
-        // cols 4 against a 5-wide base) — validate_against owns those
-        // rejections, so HTTP requests fail exactly like library calls.
+        // cols 6 against a 5-wide base) — validate_against_prefix owns
+        // those rejections, so HTTP requests fail exactly like library
+        // calls.
         let batch = decode_batch(
             r#"{"features": [[1.0]],
-                "incremental": {"cols": 4, "entries": []},
+                "incremental": {"cols": 6, "entries": []},
                 "interconnect": {"cols": 3, "entries": []}}"#,
         )
         .unwrap();
-        assert!(batch.validate_against(5, 1).is_err());
+        assert!(batch.validate_against_prefix(5, 1).is_err());
+        let wider =
+            decode_batch(r#"{"features": [[1.0]], "incremental": {"cols": 6, "entries": []}}"#)
+                .unwrap();
+        assert_eq!(
+            wider.validate_against_prefix(5, 1),
+            Err(mcond_graph::BatchError::IncrementalWidth { got: 6, expected: 5 })
+        );
     }
 
     #[test]

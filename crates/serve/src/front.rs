@@ -71,6 +71,22 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+/// Most simultaneously open connections; further accepts are answered
+/// `503` and closed.
+const MAX_CONNECTIONS: usize = 128;
+
+/// How long a handler waits for its job's result before answering `504`.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Upper bound (seconds) on the `Retry-After` advertised on `429`
+/// responses; the value itself is derived from the queue-wait EWMA,
+/// rounded up, never below 1.
+const RETRY_AFTER_CAP_SECS: u32 = 30;
+
+/// Longest [`ServeHandle::shutdown`] waits for queued jobs to drain and
+/// their responses to be written before hard-failing leftovers.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
 /// Tuning knobs for one front end. `Default` is sized for tests and small
 /// deployments; every field is plain data, override what you need.
 #[derive(Clone, Debug)]
@@ -95,24 +111,14 @@ pub struct ServeConfig {
     /// Bounded depth of the job queue; requests beyond it are shed with
     /// `429`.
     pub queue_capacity: usize,
-    /// Most simultaneously open connections; further accepts are answered
-    /// `503` and closed.
-    pub max_connections: usize,
     /// Per-connection socket read timeout: a request that stalls
     /// mid-frame (slowloris) is answered `408` and the connection closed;
     /// an *idle* keep-alive connection is closed silently.
     pub read_timeout: Duration,
-    /// How long a handler waits for its job's result before answering
-    /// `504`.
-    pub reply_timeout: Duration,
     /// Queue-wait EWMA (µs) above which new requests are shed even while
     /// the queue has room — early backpressure when `serve.stage.*` work
     /// is the bottleneck rather than arrival bursts.
     pub shed_wait_us: u64,
-    /// Upper bound (seconds) on the `Retry-After` advertised on `429`
-    /// responses; the value itself is derived from the queue-wait EWMA,
-    /// rounded up, never below 1.
-    pub retry_after_cap_secs: u32,
     /// Deadline budget granted to requests that do not send an
     /// `x-mcond-deadline-ms` header; `None` = no default deadline. An
     /// expired job is answered `503` (`deadline_exceeded`) by the batcher
@@ -128,9 +134,6 @@ pub struct ServeConfig {
     pub reload_backoff: Duration,
     /// Ceiling for the reload backoff.
     pub reload_backoff_cap: Duration,
-    /// Longest [`ServeHandle::shutdown`] waits for queued jobs to drain
-    /// and their responses to be written before hard-failing leftovers.
-    pub drain_grace: Duration,
     /// HTTP framing limits (header/body byte caps).
     pub limits: HttpLimits,
     /// When set, the batcher pins its fan-outs to this thread count via
@@ -147,16 +150,12 @@ impl Default for ServeConfig {
             coalesce_window: Duration::from_micros(500),
             max_coalesce: 64,
             queue_capacity: 256,
-            max_connections: 128,
             read_timeout: Duration::from_secs(5),
-            reply_timeout: Duration::from_secs(30),
             shed_wait_us: 500_000,
-            retry_after_cap_secs: 30,
             default_deadline: None,
             watchdog_period: Duration::from_secs(2),
             reload_backoff: Duration::from_millis(250),
             reload_backoff_cap: Duration::from_secs(30),
-            drain_grace: Duration::from_secs(5),
             limits: HttpLimits::default(),
             thread_limit: None,
         }
@@ -382,7 +381,7 @@ impl ServeHandle {
     }
 
     /// Graceful drain: stop accepting, let the batcher answer everything
-    /// already queued, wait (bounded by `drain_grace`) until every
+    /// already queued, wait (bounded by `DRAIN_GRACE`) until every
     /// admitted response has been written, then stop the service threads.
     /// Requests that arrive mid-drain answer `503`; requests queued
     /// before the drain each receive exactly one real response, never a
@@ -405,7 +404,7 @@ impl ServeHandle {
         }
         // The batcher closes the queue once it runs dry; every admitted
         // job decrements `open_replies` when its response hits the wire.
-        let deadline = Instant::now() + self.cfg.drain_grace;
+        let deadline = Instant::now() + DRAIN_GRACE;
         while Instant::now() < deadline
             && !(self.shared.queue.is_closed()
                 && self.shared.open_replies.load(Ordering::Acquire) == 0)
@@ -415,7 +414,7 @@ impl ServeHandle {
         self.shared.stop.store(true, Ordering::Release);
         self.resume();
         // Past the grace window: hard-close and answer leftovers typed
-        // instead of letting their handlers wait out `reply_timeout`.
+        // instead of letting their handlers wait out `REPLY_TIMEOUT`.
         crate::batcher::fail_jobs(
             self.shared.queue.close(),
             self.shared.slot.current_seq(),
@@ -491,7 +490,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, cfg: &ServeConfig) 
             return;
         }
         let Ok(stream) = stream else { continue };
-        if shared.live_conns.load(Ordering::Acquire) >= cfg.max_connections {
+        if shared.live_conns.load(Ordering::Acquire) >= MAX_CONNECTIONS {
             mcond_obs::counter_add("serve.http.conns_rejected", 1);
             let body = error_body("too_many_connections", "connection limit reached");
             let _ = (&stream).write_all(&write_response(503, &[], body.as_bytes(), true));
@@ -782,7 +781,7 @@ fn serve_endpoint(
     // Admission control: shed *before* touching the queue when the server
     // is already over its bounds.
     if shared.overloaded(cfg) {
-        return Routed::plain(shed_response(shared, cfg, close));
+        return Routed::plain(shed_response(shared, close));
     }
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
     let enqueued = Instant::now();
@@ -803,7 +802,7 @@ fn serve_endpoint(
             shared.open_replies.fetch_add(1, Ordering::AcqRel);
         }
         Err(PushRejected::Full) => {
-            return Routed::plain(shed_response(shared, cfg, close));
+            return Routed::plain(shed_response(shared, close));
         }
         Err(PushRejected::Closed) => {
             let body = error_body("shutting_down", "serving worker is gone");
@@ -815,7 +814,7 @@ fn serve_endpoint(
             ));
         }
     }
-    let bytes = match reply_rx.recv_timeout(cfg.reply_timeout) {
+    let bytes = match reply_rx.recv_timeout(REPLY_TIMEOUT) {
         Ok((Ok(logits), trace, epoch)) => {
             let encoding = Instant::now();
             let body = codec::encode_logits(trace, &logits);
@@ -856,19 +855,16 @@ fn serve_endpoint(
 /// The `Retry-After` seconds a shed response advertises: the queue-wait
 /// EWMA rounded **up** to whole seconds — an honest "how long until the
 /// backlog you would join clears" — floored at 1 and capped by
-/// configuration so a pathological EWMA cannot park clients forever.
-pub(crate) fn derived_retry_after_secs(ewma_wait_us: u64, cap_secs: u32) -> u32 {
+/// `RETRY_AFTER_CAP_SECS` so a pathological EWMA cannot park clients
+/// forever.
+pub(crate) fn derived_retry_after_secs(ewma_wait_us: u64) -> u32 {
     let secs = ewma_wait_us.div_ceil(1_000_000).max(1);
-    let cap = cap_secs.max(1);
-    u32::try_from(secs).map_or(cap, |s| s.min(cap))
+    u32::try_from(secs).map_or(RETRY_AFTER_CAP_SECS, |s| s.min(RETRY_AFTER_CAP_SECS))
 }
 
-fn shed_response(shared: &Shared, cfg: &ServeConfig, close: bool) -> Vec<u8> {
+fn shed_response(shared: &Shared, close: bool) -> Vec<u8> {
     mcond_obs::counter_add("serve.http.shed", 1);
-    let retry = derived_retry_after_secs(
-        shared.ewma_wait_us.load(Ordering::Relaxed),
-        cfg.retry_after_cap_secs,
-    );
+    let retry = derived_retry_after_secs(shared.ewma_wait_us.load(Ordering::Relaxed));
     let body = error_body("shed", "server is over capacity; retry after the advertised delay");
     write_response(
         429,
@@ -892,8 +888,6 @@ fn method_not_allowed(allow: &str, close: bool) -> Vec<u8> {
 /// |---|---|
 /// | `InvalidBatch` | 400 |
 /// | `BatchTooLarge` | 413 |
-/// | `NoAttachment` | 422 |
-/// | `FallbackUnavailable` | 503 |
 /// | `NonFiniteLogits` | 500 |
 /// | `Panicked` | 500 |
 /// | `DeadlineExceeded` | 503 |
@@ -903,8 +897,6 @@ pub fn serve_error_status(e: &ServeError) -> (u16, &'static str) {
     match e {
         ServeError::InvalidBatch(_) => (400, "invalid_batch"),
         ServeError::BatchTooLarge { .. } => (413, "batch_too_large"),
-        ServeError::NoAttachment { .. } => (422, "no_attachment"),
-        ServeError::FallbackUnavailable { .. } => (503, "fallback_unavailable"),
         ServeError::NonFiniteLogits => (500, "non_finite_logits"),
         ServeError::Panicked { .. } => (500, "panicked"),
         ServeError::DeadlineExceeded { .. } => (503, "deadline_exceeded"),
@@ -936,8 +928,6 @@ pub(crate) mod tests {
                 "invalid_batch",
             ),
             (ServeError::BatchTooLarge { len: 9, max: 1 }, 413, "batch_too_large"),
-            (ServeError::NoAttachment { node: 0, coverage: 0.0 }, 422, "no_attachment"),
-            (ServeError::FallbackUnavailable { node: 0 }, 503, "fallback_unavailable"),
             (ServeError::NonFiniteLogits, 500, "non_finite_logits"),
             (ServeError::Panicked { context: "boom".into() }, 500, "panicked"),
             (
@@ -956,17 +946,15 @@ pub(crate) mod tests {
     #[test]
     fn retry_after_derives_from_the_ewma_rounded_up_and_capped() {
         // Idle queue: floor of 1 second, never 0.
-        assert_eq!(derived_retry_after_secs(0, 30), 1);
+        assert_eq!(derived_retry_after_secs(0), 1);
         // Sub-second waits still round up to the floor.
-        assert_eq!(derived_retry_after_secs(250_000, 30), 1);
+        assert_eq!(derived_retry_after_secs(250_000), 1);
         // Just over a second rounds *up*, not down.
-        assert_eq!(derived_retry_after_secs(1_000_001, 30), 2);
-        assert_eq!(derived_retry_after_secs(4_500_000, 30), 5);
+        assert_eq!(derived_retry_after_secs(1_000_001), 2);
+        assert_eq!(derived_retry_after_secs(4_500_000), 5);
         // A pathological EWMA is capped.
-        assert_eq!(derived_retry_after_secs(90_000_000, 30), 30);
-        assert_eq!(derived_retry_after_secs(u64::MAX, 30), 30);
-        // A zero cap never advertises zero.
-        assert_eq!(derived_retry_after_secs(0, 0), 1);
+        assert_eq!(derived_retry_after_secs(90_000_000), 30);
+        assert_eq!(derived_retry_after_secs(u64::MAX), 30);
     }
 
     #[test]
@@ -975,16 +963,13 @@ pub(crate) mod tests {
         shared.ewma_wait_us.store(3_000_000, Ordering::Relaxed);
         let cfg = ServeConfig { shed_wait_us: 1_000, ..ServeConfig::default() };
         assert!(shared.overloaded(&cfg), "hot EWMA sheds");
-        assert_eq!(
-            derived_retry_after_secs(shared.ewma_wait_us.load(Ordering::Relaxed), 30),
-            3
-        );
+        assert_eq!(derived_retry_after_secs(shared.ewma_wait_us.load(Ordering::Relaxed)), 3);
         for _ in 0..20 {
             shared.decay_wait();
         }
         assert!(!shared.overloaded(&cfg), "idle decay readmits");
         assert_eq!(
-            derived_retry_after_secs(shared.ewma_wait_us.load(Ordering::Relaxed), 30),
+            derived_retry_after_secs(shared.ewma_wait_us.load(Ordering::Relaxed)),
             1,
             "drained queue advertises the 1-second floor"
         );

@@ -3,8 +3,8 @@
 //! (Paper: up to 121.5x speedup and 55.9x memory reduction on Reddit.)
 //!
 //! Both targets are served through [`InductiveServer::try_serve`] — the
-//! one attach path. The second half adds the opt-in approximate
-//! frozen-base cache ([`ServeMode::FrozenBase`]) on the condensed graph.
+//! one attach path. The second half times the one-way [`FrozenBase`]
+//! predictor on the condensed graph, fed the server's attachment rows.
 //!
 //! ```sh
 //! cargo run --release --example inference_acceleration
@@ -80,15 +80,18 @@ fn main() {
         costs[0].1 as f64 / costs[1].1.max(1) as f64
     );
 
-    // --- Frozen-base cache on the condensed graph -----------------------
-    // Opt-in, and a different predictor on connected batches (see
+    // --- Frozen-base predictor on the condensed graph -------------------
+    // A different predictor on connected batches (see
     // results/ablation_serve_mode.txt): per-layer base activations are
     // cached once, so a request touches only its own rows.
-    let frozen = InductiveServer::on_synthetic(&condensed.synthetic, &condensed.mapping, &model)
-        .with_serve_mode(ServeMode::FrozenBase);
+    let (_, server) = &servers[1];
+    let syn = &condensed.synthetic;
+    let cache = FrozenBase::new(&model, &syn.adj, &syn.features);
     let start = Instant::now();
-    for batch in &batches {
-        frozen.try_serve(batch).expect("test batch serves");
+    for b in &batches {
+        let attach = server.attachment(b);
+        let logits = model.predict_frozen(&cache, &attach, &b.interconnect, &b.features);
+        assert!(logits.all_finite(), "frozen-base logits must be finite");
     }
     println!(
         "FrozenBase (one-way attach) on the condensed graph: {:.2} ms/batch",

@@ -1,12 +1,12 @@
 //! Fault-tolerant serving: typed errors, per-request panic isolation,
-//! fallback policies, and the request-level chaos harness (DESIGN.md §4f),
+//! the self-loop fallback, and the request-level chaos harness (DESIGN.md §4f),
 //! plus the observability layer watching it all (DESIGN.md §4h): the
 //! self-profiler decomposing the serve path into its stage spans, and the
 //! panic flight recorder producing a trace-stamped post-mortem.
 //!
 //! Condenses a small graph, then attacks the resulting [`InductiveServer`]
 //! with every corrupted batch from `mcond::core::chaos` — on **both**
-//! serving modes, at 1 and 4 threads — asserting the robustness contract:
+//! attachment targets, at 1 and 4 threads — asserting the robustness contract:
 //! every corruption is answered with a typed [`ServeError`] (never a
 //! panic, never a non-finite logit), and corrupted siblings in a mixed
 //! fan-out leave valid results bitwise untouched.
@@ -35,7 +35,7 @@ fn main() {
         0,
     );
 
-    // --- chaos sweep: both serving modes, both thread counts -------------
+    // --- chaos sweep: both targets, both thread counts -------------------
     let donor = data.test_batches(50, true).remove(0);
     let catalogue = corrupted_batches(&donor);
     println!("chaos catalogue: {} corruptions of a valid {}-node batch", catalogue.len(), donor.len());
@@ -92,8 +92,7 @@ fn main() {
 
     // --- self-profile: the serve path decomposes into its stages ---------
     // The profiler folds span closes into a call tree; the stage spans
-    // (validate / attach / propagate / head, plus fallback when it fires)
-    // must account for >= 90% of the serve span's wall time — anything
+    // (validate / attach / propagate / head) must account for >= 90% of the serve span's wall time — anything
     // less means untraced work crept into the hot path.
     mcond::obs::profile::start();
     {
@@ -108,7 +107,7 @@ fn main() {
     let profile = mcond::obs::profile::stop();
     print!("{}", profile.table());
     let serve = profile.get("serve").expect("serve span profiled");
-    let stage_self: u64 = ["validate", "attach", "fallback", "propagate", "head"]
+    let stage_self: u64 = ["validate", "attach", "propagate", "head"]
         .iter()
         .filter_map(|s| profile.get(&format!("serve/{s}")))
         .map(|e| e.self_us)
@@ -162,9 +161,10 @@ fn main() {
         println!("  flight recorder: panic dumped {events} events for trace {trace:.0}");
     }
 
-    // --- fallback policies ----------------------------------------------
+    // --- self-loop fallback ---------------------------------------------
     // A brutally sparsified mapping leaves some inductive nodes with an
-    // empty `aM` row; each policy answers them differently.
+    // empty `aM` row; they are served from their own self-loop and
+    // counted under `serve.fallback`.
     let pruned = {
         let mut coo = Coo::new(condensed.mapping.rows(), condensed.mapping.cols());
         for (i, j, v) in condensed.mapping.iter() {
@@ -175,56 +175,22 @@ fn main() {
         coo.to_csr()
     };
     let batch = data.test_batches(200, true).remove(0);
-    let uncovered = {
-        let strict = InductiveServer::on_synthetic(&condensed.synthetic, &pruned, &model)
-            .with_fallback(FallbackPolicy::Reject);
-        match strict.try_serve(&batch) {
-            Err(ServeError::NoAttachment { node, coverage }) => {
-                println!(
-                    "  Reject: refused — node {node} has coverage {coverage:.3} under the pruned mapping"
-                );
-                true
-            }
-            Ok(_) => {
-                println!("  Reject: every node still covered after pruning");
-                false
-            }
-            Err(e) => panic!("unexpected error under Reject: {e}"),
-        }
-    };
-
-    let lenient = InductiveServer::on_synthetic(&condensed.synthetic, &pruned, &model);
-    let served = lenient.try_serve(&batch).expect("SelfLoopOnly always serves");
-    let snap = lenient.metrics_snapshot();
-    let fallback = snap
+    let server = InductiveServer::on_synthetic(&condensed.synthetic, &pruned, &model);
+    let served = server.try_serve(&batch).expect("the self-loop fallback always serves");
+    let fallback = server
+        .metrics_snapshot()
         .counters
         .iter()
         .find(|(k, _)| k == "serve.fallback")
         .map_or(0, |(_, v)| *v);
-    println!(
-        "  SelfLoopOnly: served {} nodes, {} via self-loop fallback",
-        served.rows(),
-        fallback
-    );
+    let attach = server.attachment(&batch);
+    let empty_rows = (0..batch.len()).filter(|&i| attach.row_cols(i).is_empty()).count();
+    assert_eq!(fallback, empty_rows as u64, "every empty attachment row is counted once");
     assert!(served.all_finite());
-
-    let degraded_server = InductiveServer::on_synthetic(&condensed.synthetic, &pruned, &model)
-        .with_fallback(FallbackPolicy::OriginalGraph)
-        .with_original_graph(&original);
-    let degraded = degraded_server.try_serve(&batch).expect("OriginalGraph fallback serves");
-    if uncovered {
-        let eq3 = InductiveServer::on_original(&original, &model)
-            .try_serve(&batch)
-            .expect("Eq. 3 serving succeeds");
-        assert_eq!(
-            degraded.as_slice(),
-            eq3.as_slice(),
-            "degraded batch must match Eq. 3 serving exactly"
-        );
-        println!("  OriginalGraph: degraded batch matches Eq. 3 serving bitwise");
-    } else {
-        println!("  OriginalGraph: no fallback needed, served on the synthetic graph");
-    }
+    println!(
+        "  self-loop fallback: served {} nodes, {fallback} from their self-loop",
+        served.rows()
+    );
 
     println!("robust_serving: all invariants held");
 }

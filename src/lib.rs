@@ -79,8 +79,7 @@ pub mod prelude {
     pub use mcond_autodiff::{Adam, Tape, Var};
     pub use mcond_core::{
         condense, coreset, vng, Checkpoint, Condensed, CoresetMethod, DeltaError, DeltaLineage,
-        FallbackPolicy, GraphDelta, InductiveServer, LiveBase, McondConfig, PromotionReport,
-        ServeError, ServeMode,
+        GraphDelta, InductiveServer, LiveBase, McondConfig, PromotionReport, ServeError,
     };
     pub use mcond_gnn::{
         accuracy, extended_storage_bytes, train, FrozenBase, GnnKind, GnnModel, GraphOps,
