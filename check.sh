@@ -72,8 +72,7 @@ cargo test --release -p mcond-serve --test protocol --test codec_fuzz
 # identical to a from-scratch rebuild (adjacency, mapping, degrees), the
 # live base's server must answer like a fresh one over the grown base (and
 # the FrozenBase predictor built on it like one built on a copy), at 1 and
-# 4 threads, and a refresh
-# replay must reproduce the live state exactly.
+# 4 threads.
 cargo test --release -p mcond-core --test delta_equivalence
 # Offline trace tooling smoke: fold the robust_serving JSONL trace into a
 # call-tree profile (fails if the log is missing or span-free).

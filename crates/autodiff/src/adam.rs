@@ -41,11 +41,6 @@ impl Adam {
         self
     }
 
-    /// Overrides the learning rate (e.g. for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Current learning rate.
     #[must_use]
     pub fn lr(&self) -> f32 {

@@ -11,7 +11,6 @@
 
 use crate::artifact::{self, Artifact};
 use crate::condense::Condensed;
-use crate::delta::DeltaLineage;
 use crate::server::InductiveServer;
 use mcond_gnn::GnnModel;
 use mcond_graph::Graph;
@@ -21,14 +20,11 @@ use std::borrow::Cow;
 use std::path::Path;
 use std::time::Instant;
 
-/// Section names inside the container, beside the `synthetic` and
-/// `mapping` sections a checkpoint shares with an [`Artifact`].
+/// Section name of the weights inside the container, beside the
+/// `synthetic` and `mapping` sections a checkpoint shares with an
+/// [`Artifact`]. The decoder reads these three only: a section it does not
+/// know is skipped (and CRC-checked by [`Checkpoint::load_for_serving`]).
 const SEC_MODEL: &str = "model";
-/// Optional section: delta lineage of a live (promoted) base. Absent on
-/// checkpoints from a plain condensation run; readers treat absence as
-/// "no lineage", so old files stay loadable and old readers skip the
-/// section they do not know.
-const SEC_DELTA: &str = "delta";
 
 /// A complete, serve-ready condensed artifact.
 #[derive(Clone)]
@@ -39,10 +35,6 @@ pub struct Checkpoint {
     pub mapping: Csr,
     /// Trained GNN weights.
     pub model: GnnModel,
-    /// Provenance of a live (promoted) base — `None` for a checkpoint
-    /// straight out of condensation. Persisted as the optional `"delta"`
-    /// section.
-    pub lineage: Option<DeltaLineage>,
 }
 
 impl Checkpoint {
@@ -73,15 +65,7 @@ impl Checkpoint {
                 ),
             });
         }
-        Ok(Self { synthetic, mapping, model, lineage: None })
-    }
-
-    /// Stamps the bundle with a live base's [`DeltaLineage`] (see
-    /// `LiveBase::checkpoint`).
-    #[must_use]
-    pub fn with_lineage(mut self, lineage: DeltaLineage) -> Self {
-        self.lineage = Some(lineage);
-        self
+        Ok(Self { synthetic, mapping, model })
     }
 
     /// Serialises the bundle into an `MCST` image.
@@ -90,15 +74,6 @@ impl Checkpoint {
         let mut w = CheckpointWriter::new();
         artifact::add_sections(&mut w, &self.synthetic, &self.mapping);
         w.add_encoded(SEC_MODEL, |b| codec::encode_model(b, &self.model));
-        if let Some(l) = &self.lineage {
-            w.add_encoded(SEC_DELTA, |b| {
-                b.put_u64(l.version);
-                b.put_u64(l.promotions);
-                b.put_u64(l.promoted_nodes);
-                b.put_u64(l.base_nodes);
-                b.put_u64(l.mapping_rows);
-            });
-        }
         w
     }
 
@@ -160,25 +135,7 @@ impl Checkpoint {
     fn from_reader(reader: &CheckpointReader) -> Result<Self, StoreError> {
         let Artifact { synthetic, mapping } = artifact::read_sections(reader)?;
         let model = reader.decode(SEC_MODEL, codec::decode_model)?;
-        let lineage = reader.decode(SEC_DELTA, |r| {
-            Ok(DeltaLineage {
-                version: r.get_u64()?,
-                promotions: r.get_u64()?,
-                promoted_nodes: r.get_u64()?,
-                base_nodes: r.get_u64()?,
-                mapping_rows: r.get_u64()?,
-            })
-        });
-        let lineage = match lineage {
-            Ok(l) => Some(l),
-            Err(StoreError::MissingSection { .. }) => None,
-            Err(e) => return Err(e),
-        };
-        let ckpt = Self::new(synthetic, mapping, model)?;
-        Ok(match lineage {
-            Some(l) => ckpt.with_lineage(l),
-            None => ckpt,
-        })
+        Self::new(synthetic, mapping, model)
     }
 
     /// Moves the bundle into a server that owns it — what a long-lived
@@ -258,22 +215,32 @@ mod tests {
     }
 
     #[test]
-    fn lineage_section_round_trips_and_is_optional() {
-        let ckpt = tiny_bundle();
-        // No lineage: the section is absent and restores as None.
-        let restored = Checkpoint::from_bytes(ckpt.to_writer().to_bytes()).unwrap();
-        assert_eq!(restored.lineage, None);
+    fn a_legacy_delta_section_is_skipped_and_crc_checked() {
+        // Bundles written by earlier versions may carry a 40-byte `delta`
+        // section (five u64s). The decoder never asks for it, the
+        // up-front CRC sweep accepts it, and the three sections the
+        // decoder does read decode to the same bits.
+        let plain = tiny_bundle();
+        let mut w = plain.to_writer();
+        w.add_encoded("delta", |b| [4, 4, 9, 12, 14].into_iter().for_each(|v| b.put_u64(v)));
+        let image = w.to_bytes();
+        let reader = CheckpointReader::from_bytes(image.clone()).unwrap();
+        assert_eq!(reader.section("delta").unwrap().len(), 40);
+        reader.verify_sections().unwrap();
 
-        let lineage = DeltaLineage {
-            version: 4,
-            promotions: 4,
-            promoted_nodes: 9,
-            base_nodes: 12,
-            mapping_rows: 14,
-        };
-        let stamped = tiny_bundle().with_lineage(lineage);
-        let restored = Checkpoint::from_bytes(stamped.to_writer().to_bytes()).unwrap();
-        assert_eq!(restored.lineage, Some(lineage));
+        let path = std::env::temp_dir().join("mcond_core_checkpoint_delta_section.mcst");
+        std::fs::write(&path, &image).unwrap();
+        let (served, _) = Checkpoint::load_for_serving(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        for restored in [Checkpoint::from_bytes(image).unwrap(), served] {
+            assert!(restored.synthetic.adj.bit_eq(&plain.synthetic.adj));
+            assert!(restored.synthetic.features.bit_eq(&plain.synthetic.features));
+            assert_eq!(restored.synthetic.labels, plain.synthetic.labels);
+            assert!(restored.mapping.bit_eq(&plain.mapping));
+            for (a, b) in restored.model.params().iter().zip(plain.model.params()) {
+                assert!(a.bit_eq(b));
+            }
+        }
     }
 
     #[test]

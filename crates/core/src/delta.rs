@@ -1,37 +1,25 @@
 //! Live-graph delta ingestion: promoting served inductive nodes into the
-//! base.
+//! synthetic base.
 //!
-//! The paper's serving story is static — condense once, then answer
-//! inductive queries against a frozen `S = {A', X', Y'}` forever. Real
-//! graphs keep growing: nodes that arrived as inductive queries become
-//! part of the graph the *next* queries attach to. [`LiveBase`] closes
-//! that loop:
-//!
-//! 1. **Promotion** ([`LiveBase::promote`]): a batch of served nodes
-//!    (features + attachment edges, as a [`GraphDelta`]) is folded into
-//!    the base. On a synthetic base the attachment is first mapped
-//!    through `M` (Eq. 11, `aM`) and renormalised row-stochastic, then
-//!    appended both as new rows of `M` and as a block extension of the
-//!    base adjacency/features. [`BaseDegrees`] are updated incrementally
-//!    (O(delta nnz), not O(base nnz)).
-//! 2. **Refresh** ([`LiveBase::refresh`]): a cheap re-run of only the
-//!    mapping/sparsification stage (Eq. 12–15, via
-//!    [`Condensed::resparsify`]) against the stored dense matrices,
-//!    replaying the promotion log on the fresh base and emitting a
-//!    serve-ready [`Checkpoint`] stamped with a [`DeltaLineage`] — ready
-//!    to hot-swap through `EpochServer` without dropping requests.
+//! The paper answers unseen nodes against a fixed `S = {A', X', Y'}`.
+//! [`LiveBase`] lets the nodes served against it become part of the graph
+//! the *next* queries attach to: [`LiveBase::promote`] folds a batch of
+//! served nodes (features + attachment edges, as a [`GraphDelta`]) into
+//! the base. The attachment is first mapped through `M` (Eq. 11, `aM`)
+//! and renormalised row-stochastic, then appended both as new rows of `M`
+//! and as a block extension of the base adjacency/features.
+//! [`BaseDegrees`] are updated incrementally (O(delta nnz), not O(base
+//! nnz)). The grown base is checkpointed like any condensed one:
+//! `Checkpoint::new(live.base().clone(), live.mapping().clone(), model.clone())`.
 //!
 //! A server over the live base ([`LiveBase::server`]) borrows it, so no
 //! promotion can land while one exists: the degree sums it shares with
 //! that server always describe the base it serves. See `DESIGN.md` §4l.
 
-use crate::checkpoint::Checkpoint;
-use crate::condense::Condensed;
 use crate::server::InductiveServer;
 use mcond_gnn::{BaseDegrees, GnnModel};
 use mcond_graph::{BatchError, Graph, NodeBatch};
 use mcond_sparse::{renormalize_rows, spmm_sparse, Csr};
-use mcond_store::StoreError;
 use std::fmt;
 
 /// A batch of served inductive nodes queued for promotion into the base:
@@ -41,9 +29,9 @@ use std::fmt;
 #[derive(Clone, Debug)]
 pub struct GraphDelta {
     /// The served batch being promoted. Its `incremental` block may be
-    /// narrower than the current base (assembled before earlier
-    /// promotions landed); promotion widens it, exactly like prefix
-    /// serving does.
+    /// narrower than the current mapping (assembled before earlier
+    /// promotions landed): its columns then address a prefix of the
+    /// mapping's rows, exactly like prefix serving.
     pub batch: NodeBatch,
 }
 
@@ -127,36 +115,14 @@ pub struct PromotionReport {
     pub version: u64,
 }
 
-/// Provenance of a live (promoted) base, persisted as the optional
-/// `"delta"` checkpoint section so a reloaded bundle records what version
-/// of the base it holds and how the base got there.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct DeltaLineage {
-    /// Base version (promotion count since the last full rebuild of this
-    /// lineage's history — monotone per [`LiveBase`]).
-    pub version: u64,
-    /// Promotions applied.
-    pub promotions: u64,
-    /// Total nodes promoted across those promotions.
-    pub promoted_nodes: u64,
-    /// Base node count after the last promotion.
-    pub base_nodes: u64,
-    /// Mapping row count after the last promotion (0 on an original
-    /// base, which carries no mapping).
-    pub mapping_rows: u64,
-}
-
-/// A serving base that grows: the condensed graph (or an original graph)
-/// plus everything needed to fold served nodes in incrementally —
-/// degrees, versioning, and the promotion log for refresh replay.
+/// A serving base that grows: the condensed graph and its mapping plus
+/// the degree sums and version needed to fold served nodes in
+/// incrementally.
 pub struct LiveBase {
     base: Graph,
-    mapping: Option<Csr>,
+    mapping: Csr,
     degrees: BaseDegrees,
     version: u64,
-    promotions: u64,
-    promoted_nodes: u64,
-    log: Vec<GraphDelta>,
 }
 
 impl LiveBase {
@@ -173,31 +139,7 @@ impl LiveBase {
             "LiveBase: mapping columns must index the base nodes"
         );
         let degrees = BaseDegrees::of(&base.adj);
-        Self {
-            base,
-            mapping: Some(mapping),
-            degrees,
-            version: 0,
-            promotions: 0,
-            promoted_nodes: 0,
-            log: Vec::new(),
-        }
-    }
-
-    /// A live base over an original (uncondensed) graph: deltas attach
-    /// directly (Eq. 3), no mapping is maintained.
-    #[must_use]
-    pub fn original(base: Graph) -> Self {
-        let degrees = BaseDegrees::of(&base.adj);
-        Self {
-            base,
-            mapping: None,
-            degrees,
-            version: 0,
-            promotions: 0,
-            promoted_nodes: 0,
-            log: Vec::new(),
-        }
+        Self { base, mapping, degrees, version: 0 }
     }
 
     /// The current (grown) base graph.
@@ -206,10 +148,10 @@ impl LiveBase {
         &self.base
     }
 
-    /// The current (grown) mapping, when this is a synthetic base.
+    /// The current (grown) mapping.
     #[must_use]
-    pub fn mapping(&self) -> Option<&Csr> {
-        self.mapping.as_ref()
+    pub fn mapping(&self) -> &Csr {
+        &self.mapping
     }
 
     /// The incrementally maintained degree sums.
@@ -224,44 +166,24 @@ impl LiveBase {
         self.version
     }
 
-    /// Promotions applied so far.
-    #[must_use]
-    pub fn promotions(&self) -> u64 {
-        self.promotions
-    }
-
-    /// This base's provenance, for checkpoint stamping.
-    #[must_use]
-    pub fn lineage(&self) -> DeltaLineage {
-        DeltaLineage {
-            version: self.version,
-            promotions: self.promotions,
-            promoted_nodes: self.promoted_nodes,
-            base_nodes: self.base.num_nodes() as u64,
-            mapping_rows: self.mapping.as_ref().map_or(0, Csr::rows) as u64,
-        }
-    }
-
     /// Width a delta's incremental block is validated against: the
-    /// mapping's row space (original training nodes + promoted nodes) on
-    /// a synthetic base, the node count on an original base.
+    /// mapping's row space (original training nodes + promoted nodes).
     #[must_use]
     pub fn inc_width(&self) -> usize {
-        self.mapping.as_ref().map_or(self.base.num_nodes(), Csr::rows)
+        self.mapping.rows()
     }
 
     /// Folds a batch of served nodes into the base. On success the base
     /// adjacency/features/labels have grown by `delta.nodes()` rows, the
-    /// mapping (when present) gained the renormalised attachment rows,
-    /// the degree sums were extended incrementally (bitwise identical to
-    /// a from-scratch [`BaseDegrees::of`]), and the version was bumped.
+    /// mapping gained the renormalised attachment rows, the degree sums
+    /// were extended incrementally (bitwise identical to a from-scratch
+    /// [`BaseDegrees::of`]), and the version was bumped.
     ///
     /// # Errors
     /// [`DeltaError`] when the delta is structurally invalid or carries
     /// an out-of-range label; the base is unchanged.
     pub fn promote(&mut self, delta: &GraphDelta) -> Result<PromotionReport, DeltaError> {
-        let width = self.inc_width();
-        delta.batch.validate_against_prefix(width, self.base.feature_dim())?;
+        delta.batch.validate_against_prefix(self.inc_width(), self.base.feature_dim())?;
         if let Some((node, &label)) =
             delta.batch.labels.iter().enumerate().find(|&(_, &y)| y >= self.base.num_classes)
         {
@@ -273,18 +195,10 @@ impl LiveBase {
         }
         let n = delta.nodes();
 
-        // Attachment rows in the base's index space: raw edges on an
-        // original base; aM (Eq. 11), renormalised row-stochastic like
-        // every other row of M (Eq. 15), on a synthetic base.
-        let inc = if delta.batch.incremental.cols() < width {
-            delta.batch.incremental.widen_cols(width)
-        } else {
-            delta.batch.incremental.clone()
-        };
-        let attach = match &self.mapping {
-            Some(m) => renormalize_rows(&spmm_sparse(&inc, m)),
-            None => inc,
-        };
+        // Attachment rows in the base's index space: aM (Eq. 11),
+        // renormalised row-stochastic like every other row of M (Eq. 15).
+        // A prefix-width `a` addresses the first rows of M as it is.
+        let attach = renormalize_rows(&spmm_sparse(&delta.batch.incremental, &self.mapping));
         let inter = &delta.batch.interconnect;
         let edges = attach.nnz() + inter.nnz();
 
@@ -294,16 +208,10 @@ impl LiveBase {
         let mut labels = self.base.labels.clone();
         labels.extend_from_slice(&delta.batch.labels);
         self.base = Graph::new(adj, features, labels, self.base.num_classes);
-        if let Some(m) = self.mapping.take() {
-            let grown_width = m.cols() + n;
-            self.mapping = Some(
-                m.widen_cols(grown_width).append_rows(&attach.widen_cols(grown_width)),
-            );
-        }
+        let grown_width = self.mapping.cols() + n;
+        self.mapping =
+            self.mapping.widen_cols(grown_width).append_rows(&attach.widen_cols(grown_width));
         self.version += 1;
-        self.promotions += 1;
-        self.promoted_nodes += n as u64;
-        self.log.push(delta.clone());
 
         mcond_obs::counter_add("delta.promotions", 1);
         mcond_obs::counter_add("delta.promoted_nodes", n as u64);
@@ -328,65 +236,7 @@ impl LiveBase {
     /// ```
     #[must_use]
     pub fn server<'a>(&'a self, model: &'a GnnModel) -> InductiveServer<'a> {
-        InductiveServer::with_degrees(&self.base, &self.degrees, self.mapping.as_ref(), model)
-    }
-
-    /// Bundles the current (grown) base into a serve-ready
-    /// [`Checkpoint`], lineage-stamped — the artifact a hot-swapping
-    /// server reloads after promotions.
-    ///
-    /// # Errors
-    /// [`StoreError::ShapeMismatch`] when this is an original (unmapped)
-    /// base — only condensed bases are checkpointable — or when `model`
-    /// does not fit the base.
-    pub fn checkpoint(&self, model: &GnnModel) -> Result<Checkpoint, StoreError> {
-        let Some(mapping) = &self.mapping else {
-            return Err(StoreError::ShapeMismatch {
-                reason: "an original (unmapped) live base cannot be checkpointed".to_owned(),
-            });
-        };
-        Ok(Checkpoint::new(self.base.clone(), mapping.clone(), model.clone())?
-            .with_lineage(self.lineage()))
-    }
-
-    /// Incremental refresh (Eq. 12–15 only): re-runs mapping/adjacency
-    /// sparsification against the condensation's stored dense matrices
-    /// with new thresholds, replays this base's promotion log onto the
-    /// fresh synthetic base, and emits the lineage-stamped checkpoint —
-    /// all without re-running condensation. The returned [`LiveBase`]
-    /// carries the same log.
-    ///
-    /// # Errors
-    /// [`StoreError::ShapeMismatch`] when `model` does not fit the
-    /// refreshed graph.
-    ///
-    /// # Panics
-    /// Panics when the replayed log no longer validates — impossible
-    /// unless `condensed` is a different condensation than this base was
-    /// built from (resparsifying never changes shapes).
-    pub fn refresh(
-        &self,
-        condensed: &Condensed,
-        model: &GnnModel,
-        mu: f32,
-        delta: f32,
-    ) -> Result<(LiveBase, Checkpoint), StoreError> {
-        let start = std::time::Instant::now();
-        let (adj, mapping) = condensed.resparsify(mu, delta);
-        let synthetic = Graph::new(
-            adj,
-            condensed.synthetic.features.clone(),
-            condensed.synthetic.labels.clone(),
-            condensed.synthetic.num_classes,
-        );
-        let mut live = LiveBase::synthetic(synthetic, mapping);
-        for d in &self.log {
-            live.promote(d).expect("replayed delta was valid when first promoted");
-        }
-        let ckpt = live.checkpoint(model)?;
-        mcond_obs::counter_add("delta.refreshes", 1);
-        mcond_obs::histogram_record("delta.refresh.ms", start.elapsed().as_secs_f64() * 1e3);
-        Ok((live, ckpt))
+        InductiveServer::with_degrees(&self.base, &self.degrees, &self.mapping, model)
     }
 }
 
@@ -439,7 +289,7 @@ mod tests {
         // Base grew by two nodes; the mapping gained two rows *and* two
         // columns (promoted nodes are addressable base nodes).
         assert_eq!(live.base().num_nodes(), 4);
-        let m = live.mapping().unwrap();
+        let m = live.mapping();
         assert_eq!((m.rows(), m.cols()), (5, 4));
         assert_eq!(live.inc_width(), 5);
         // Appended mapping rows are row-stochastic (Eq. 15 semantics).
@@ -451,17 +301,22 @@ mod tests {
         let fresh = BaseDegrees::of(&live.base().adj);
         assert_eq!(live.degrees().sym, fresh.sym);
         assert_eq!(live.degrees().mean, fresh.mean);
-        // Lineage reflects the growth.
-        assert_eq!(
-            live.lineage(),
-            DeltaLineage {
-                version: 1,
-                promotions: 1,
-                promoted_nodes: 2,
-                base_nodes: 4,
-                mapping_rows: 5,
-            }
-        );
+
+        // A delta assembled before the growth (width 3 < inc_width 5)
+        // lands on the same bits as that delta widened by hand.
+        let narrow = data.batch(&[3], false);
+        assert_eq!(narrow.incremental.cols(), 3);
+        let mut widened = narrow.clone();
+        widened.incremental = widened.incremental.widen_cols(live.inc_width());
+        let (syn, map) = syn_base();
+        let mut by_hand = LiveBase::synthetic(syn, map);
+        by_hand.promote(&delta).unwrap();
+        live.promote(&GraphDelta::new(narrow)).unwrap();
+        by_hand.promote(&GraphDelta::new(widened)).unwrap();
+        assert!(live.base().adj.bit_eq(&by_hand.base().adj));
+        assert!(live.mapping().bit_eq(by_hand.mapping()));
+        assert_eq!(live.degrees().sym, by_hand.degrees().sym);
+        assert_eq!(live.degrees().mean, by_hand.degrees().mean);
     }
 
     #[test]
@@ -504,37 +359,9 @@ mod tests {
         let live_out = live.server(&model).try_serve(&batch).unwrap();
         // ...and matches a from-scratch server over the grown artifacts.
         let base = live.base().clone();
-        let mapping = live.mapping().unwrap().clone();
+        let mapping = live.mapping().clone();
         let fresh = InductiveServer::on_synthetic(&base, &mapping, &model);
         let fresh_out = fresh.try_serve(&batch).unwrap();
         assert!(live_out.bit_eq(&fresh_out));
-    }
-
-    #[test]
-    fn original_base_promotes_raw_edges() {
-        let data = toy();
-        let orig = data.original_graph();
-        let n0 = orig.num_nodes();
-        let mut live = LiveBase::original(orig);
-        let report = live.promote(&GraphDelta::from_batch(&data.batch(&[4, 5], true))).unwrap();
-        assert_eq!(report.nodes, 2);
-        assert!(live.mapping().is_none());
-        assert_eq!(live.base().num_nodes(), n0 + 2);
-        assert_eq!(live.inc_width(), n0 + 2);
-        // Raw attachment: the promoted node keeps its unit edge weight.
-        assert_eq!(live.base().adj.get(n0, 1), 1.0);
-        let fresh = BaseDegrees::of(&live.base().adj);
-        assert_eq!(live.degrees().sym, fresh.sym);
-    }
-
-    #[test]
-    fn original_base_refuses_to_checkpoint() {
-        let data = toy();
-        let live = LiveBase::original(data.original_graph());
-        let model = GnnModel::new(GnnKind::Gcn, 3, 4, 2, 1);
-        assert!(matches!(
-            live.checkpoint(&model),
-            Err(StoreError::ShapeMismatch { .. })
-        ));
     }
 }

@@ -51,7 +51,7 @@ pub use artifact::{load_condensed, save_condensed, Artifact};
 pub use checkpoint::Checkpoint;
 pub use condense::{condense, CondenseHistory, Condensed, McondConfig};
 pub use coreset::{coreset, CoresetMethod, ReducedGraph};
-pub use delta::{DeltaError, DeltaLineage, GraphDelta, LiveBase, PromotionReport};
+pub use delta::{DeltaError, GraphDelta, LiveBase, PromotionReport};
 pub use epoch::{EpochServer, EpochSlot};
 pub use mapping::{class_correlation_of, Mapping};
 pub use relay::Relay;

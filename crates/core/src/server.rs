@@ -144,16 +144,17 @@ impl<'a> InductiveServer<'a> {
         Self::on_base(graph, deg, mapping, model)
     }
 
-    /// [`new`](Self::new) for a caller that already keeps the graph's
-    /// degree sums up to date (`LiveBase`), so they are not recomputed.
-    /// `degrees` must be what `BaseDegrees::of(&graph.adj)` would return.
+    /// A server through `mapping` (Eq. 11) for a caller that already
+    /// keeps the graph's degree sums up to date (`LiveBase`), so they are
+    /// not recomputed. `degrees` must be what `BaseDegrees::of(&graph.adj)`
+    /// would return.
     ///
     /// # Panics
     /// As [`new`](Self::new), and when `degrees` does not cover the graph.
     pub(crate) fn with_degrees(
         graph: &'a Graph,
         degrees: &'a BaseDegrees,
-        mapping: Option<&'a Csr>,
+        mapping: &'a Csr,
         model: &'a GnnModel,
     ) -> Self {
         assert_eq!(
@@ -164,7 +165,7 @@ impl<'a> InductiveServer<'a> {
         Self::on_base(
             Cow::Borrowed(graph),
             Cow::Borrowed(degrees),
-            mapping.map(Cow::Borrowed),
+            Some(Cow::Borrowed(mapping)),
             Cow::Borrowed(model),
         )
     }

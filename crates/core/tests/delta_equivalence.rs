@@ -7,9 +7,11 @@
 //! [`BaseDegrees`] — and the logits served off the grown base are bitwise
 //! identical between the live base's server and a from-scratch one — and
 //! so are the one-way [`FrozenBase`] predictor's, cache built on the
-//! live base against one built on a copy of it — at 1 and 4 threads.
+//! live base against one built on a copy of it — at 1 and 4 threads. A
+//! checkpoint of the grown base boots a server that answers like the
+//! live one.
 
-use mcond_core::{GraphDelta, InductiveServer, LiveBase};
+use mcond_core::{Checkpoint, GraphDelta, InductiveServer, LiveBase};
 use mcond_gnn::{BaseDegrees, FrozenBase, GnnKind, GnnModel};
 use mcond_graph::{Graph, NodeBatch};
 use mcond_linalg::{DMat, MatRng};
@@ -152,7 +154,7 @@ fn check_state_equivalence() {
     );
     assert_eq!(incremental.base().labels, rebuilt.base().labels, "labels diverged");
     assert!(
-        incremental.mapping().unwrap().bit_eq(rebuilt.mapping().unwrap()),
+        incremental.mapping().bit_eq(rebuilt.mapping()),
         "mapping diverged from the combined rebuild"
     );
     assert_degrees_bitwise(incremental.degrees(), rebuilt.degrees(), "vs combined");
@@ -168,7 +170,7 @@ fn check_state_equivalence() {
     let model = GnnModel::new(GnnKind::Gcn, 3, 4, 2, 2);
     let handed = incremental.server(&model).try_serve(&probe()).unwrap();
     let recomputed =
-        InductiveServer::on_synthetic(incremental.base(), incremental.mapping().unwrap(), &model)
+        InductiveServer::on_synthetic(incremental.base(), incremental.mapping(), &model)
             .try_serve(&probe())
             .unwrap();
     assert!(handed.bit_eq(&recomputed), "handed-over degrees changed the served logits");
@@ -187,7 +189,7 @@ fn check_serving_equivalence() {
         for d in &deltas() {
             live.promote(d).unwrap();
         }
-        let (grown, mapping) = (live.base().clone(), live.mapping().unwrap().clone());
+        let (grown, mapping) = (live.base().clone(), live.mapping().clone());
         let (live_server, fresh_server) =
             (live.server(&model), InductiveServer::on_synthetic(&grown, &mapping, &model));
         let a = live_server.try_serve(&batch).unwrap();
@@ -217,14 +219,14 @@ fn incremental_serving_matches_rebuild_at_1_and_4_threads() {
     with_thread_limit(4, check_serving_equivalence);
 }
 
-/// Refresh replays the promotion log onto a freshly resparsified base;
-/// with unchanged thresholds the replay must land on the same state the
-/// live base already holds — bitwise — and the emitted checkpoint must
-/// carry the lineage.
+/// The grown base is checkpointed like any condensed one: a bundle of
+/// `live.base()` and `live.mapping()` round-trips through bytes and boots
+/// a server that answers an original-width probe bitwise like the live
+/// base's own server.
 #[test]
-fn refresh_replay_reproduces_the_live_state() {
-    // A real (tiny) condensation so `refresh` has dense matrices to
-    // resparsify. Keep it minimal: the SBM toy from the chaos sweep.
+fn grown_base_checkpoint_round_trips_and_serves_like_the_live_base() {
+    // A real (tiny) condensation as the starting base: the SBM toy from
+    // the chaos sweep.
     let g = mcond_graph::generate_sbm(&mcond_graph::SbmConfig {
         nodes: 24,
         edges: 60,
@@ -254,26 +256,12 @@ fn refresh_replay_reproduces_the_live_state() {
     live.promote(&delta_dim(2, 6, width, &[(0, 1, 1.0), (1, 3, 1.0)], 21)).unwrap();
     live.promote(&delta_dim(1, 6, width, &[(0, 0, 1.0), (0, 5, 0.5)], 22)).unwrap();
 
-    // Refresh with the *default* thresholds the condensation used: the
-    // resparsified base equals the one `live` started from, so the replay
-    // must reproduce `live`'s grown state exactly.
-    let (refreshed, ckpt) =
-        live.refresh(&condensed, &model, cfg.mu, cfg.delta).expect("refresh");
-    assert!(refreshed.base().adj.bit_eq(&live.base().adj), "replayed adjacency diverged");
-    assert!(refreshed.mapping().unwrap().bit_eq(live.mapping().unwrap()));
-    assert_degrees_bitwise(refreshed.degrees(), live.degrees(), "refresh replay");
+    let ckpt = Checkpoint::new(live.base().clone(), live.mapping().clone(), model.clone())
+        .expect("grown base bundles");
+    let restored = Checkpoint::from_bytes(ckpt.to_writer().to_bytes()).unwrap();
+    assert!(restored.synthetic.adj.bit_eq(&live.base().adj), "adjacency changed in the store");
+    assert!(restored.mapping.bit_eq(live.mapping()), "mapping changed in the store");
 
-    let lineage = ckpt.lineage.expect("refresh stamps lineage");
-    assert_eq!(lineage.promotions, 2);
-    assert_eq!(lineage.promoted_nodes, 3);
-    assert_eq!(lineage.version, live.version());
-    assert_eq!(lineage.base_nodes as usize, live.base().num_nodes());
-
-    // The checkpoint round-trips through bytes and boots a server that
-    // answers original-width probes.
-    let restored = mcond_core::Checkpoint::from_bytes(ckpt.to_writer().to_bytes()).unwrap();
-    assert_eq!(restored.lineage, Some(lineage));
-    let server = InductiveServer::from_checkpoint(&restored);
     let mut inc = Coo::new(1, 3);
     inc.push(0, 1, 1.0);
     let narrow = NodeBatch {
@@ -282,5 +270,7 @@ fn refresh_replay_reproduces_the_live_state() {
         interconnect: Csr::empty(1, 1),
         labels: vec![0],
     };
-    assert!(server.try_serve(&narrow).is_ok(), "narrow probe served after refresh");
+    let booted = InductiveServer::from_checkpoint(&restored).try_serve(&narrow).unwrap();
+    let served = live.server(&model).try_serve(&narrow).unwrap();
+    assert!(booted.bit_eq(&served), "booted server diverged from the live base's");
 }

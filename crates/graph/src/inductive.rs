@@ -126,14 +126,6 @@ impl InductiveDataset {
             .map(|chunk| self.batch(chunk, graph_batch))
             .collect()
     }
-
-    /// The support-node batch (validation nodes), used to train the
-    /// inductive mapping loss — labels are *not* exposed to training code
-    /// paths by convention (the paper uses only features and connectivity).
-    #[must_use]
-    pub fn support_batch(&self, graph_batch: bool) -> NodeBatch {
-        self.batch(&self.val_idx, graph_batch)
-    }
 }
 
 impl NodeBatch {
@@ -217,14 +209,6 @@ mod tests {
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[0].labels, vec![0]);
         assert_eq!(batches[1].labels, vec![1]);
-    }
-
-    #[test]
-    fn support_batch_uses_validation_nodes() {
-        let data = toy();
-        let s = data.support_batch(false);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.incremental.get(0, 0), 1.0); // val node 3 - train node 0
     }
 
     #[test]

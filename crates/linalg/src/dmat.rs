@@ -144,12 +144,6 @@ impl DMat {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element accessor.
     #[inline]
     #[must_use]

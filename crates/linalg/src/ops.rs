@@ -161,37 +161,6 @@ impl DMat {
         out
     }
 
-    /// Normalises each row to unit L1 mass; all-zero rows are left as zeros.
-    #[must_use]
-    pub fn normalize_rows_l1(&self) -> DMat {
-        let mut out = self.clone();
-        for i in 0..out.rows() {
-            let row = out.row_mut(i);
-            let s: f32 = row.iter().map(|v| v.abs()).sum();
-            if s > 0.0 {
-                for v in row {
-                    *v /= s;
-                }
-            }
-        }
-        out
-    }
-
-    /// Normalises each row to unit L2 norm; all-zero rows are left as zeros.
-    #[must_use]
-    pub fn normalize_rows_l2(&self) -> DMat {
-        let mut out = self.clone();
-        for i in 0..out.rows() {
-            let row = out.row_mut(i);
-            let s: f32 = row.iter().map(|v| v * v).sum::<f32>().sqrt();
-            if s > 0.0 {
-                for v in row {
-                    *v /= s;
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Numerically stable scalar logistic sigmoid: never exponentiates a
@@ -271,17 +240,6 @@ mod tests {
         }
         assert!(s.get(0, 2) > s.get(0, 1));
         assert!(approx_eq(s.get(1, 0), 1.0 / 3.0, 1e-5));
-    }
-
-    #[test]
-    fn row_normalisation_handles_zero_rows() {
-        let a = DMat::from_rows(&[&[2., 2.], &[0., 0.]]);
-        let l1 = a.normalize_rows_l1();
-        assert!(approx_eq(l1.get(0, 0), 0.5, 1e-6));
-        assert_eq!(l1.row(1), &[0., 0.]);
-        let l2 = a.normalize_rows_l2();
-        let norm: f32 = l2.row(0).iter().map(|v| v * v).sum();
-        assert!(approx_eq(norm, 1.0, 1e-5));
     }
 
     #[test]

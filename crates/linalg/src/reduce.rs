@@ -37,13 +37,6 @@ impl DMat {
         out
     }
 
-    /// Per-column means.
-    #[must_use]
-    pub fn col_means(&self) -> Vec<f32> {
-        let n = self.rows().max(1) as f32;
-        self.col_sums().into_iter().map(|s| s / n).collect()
-    }
-
     /// Index of the maximum entry in each row (ties resolve to the first).
     #[must_use]
     pub fn argmax_rows(&self) -> Vec<usize> {

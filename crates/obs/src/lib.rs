@@ -59,16 +59,13 @@
 //! histogram of wall µs per cache build (the `frozen_base.build` span).
 //!
 //! The live-graph ingestion path (`mcond-core`'s `LiveBase`) reports its
-//! promotion and refresh activity under the `delta.*` prefix:
+//! promotion activity under the `delta.*` prefix:
 //!
 //! * `delta.promotions` — promotion calls that grew the base;
 //! * `delta.promoted_nodes` — nodes promoted into the base (a promotion
 //!   may carry several);
 //! * `delta.edges` — attachment + interconnect edges absorbed by
-//!   promotions;
-//! * `delta.refreshes` — incremental refreshes (Eq. 12–15 re-run + log
-//!   replay);
-//! * `delta.refresh.ms` — histogram: wall milliseconds per refresh.
+//!   promotions.
 //!
 //! The serving stage timers decompose every request's latency into the
 //! paper's Eq. 11 pipeline, one histogram per stage (µs), recorded by

@@ -6,12 +6,9 @@
 //!
 //! * [`parallel_for_chunks`] — split `0..len` into contiguous chunks and
 //!   run a shared closure over them on the pool;
-//! * [`parallel_for_ranges`] — the same with caller-chosen ranges (e.g.
-//!   nnz-balanced CSR row ranges);
 //! * [`parallel_row_chunks`] / [`parallel_row_ranges`] — hand each task a
 //!   **disjoint `&mut` window** of a row-major output buffer, the pattern
-//!   every kernel in `mcond-linalg`/`mcond-sparse` uses;
-//! * [`join`] — run two independent closures, potentially in parallel.
+//!   every kernel in `mcond-linalg`/`mcond-sparse` uses.
 //!
 //! # Determinism contract
 //!
@@ -61,6 +58,6 @@
 mod pool;
 
 pub use pool::{
-    chunk_ranges, join, max_threads, parallel_for_chunks, parallel_for_ranges,
-    parallel_row_chunks, parallel_row_ranges, parallel_row_ranges_ordered, with_thread_limit,
+    max_threads, parallel_for_chunks, parallel_row_chunks, parallel_row_ranges,
+    parallel_row_ranges_ordered, with_thread_limit,
 };

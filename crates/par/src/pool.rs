@@ -273,7 +273,7 @@ fn run_batch(ranges: Vec<Range<usize>>, participants: usize, body: &(dyn Fn(Rang
 /// aiming for a few chunks per participant. Always returns at least one
 /// range for `len > 0`, in ascending order, tiling `0..len` exactly.
 #[must_use]
-pub fn chunk_ranges(len: usize, min_chunk: usize, participants: usize) -> Vec<Range<usize>> {
+fn chunk_ranges(len: usize, min_chunk: usize, participants: usize) -> Vec<Range<usize>> {
     if len == 0 {
         return Vec::new();
     }
@@ -313,25 +313,6 @@ where
         return;
     }
     run_batch(ranges, threads, &f);
-}
-
-/// Runs `f` over the given ranges (parallel when profitable), e.g.
-/// nnz-balanced CSR row ranges. The serial path executes them in order.
-///
-/// # Panics
-/// Re-raises the first panic observed in any range after all have settled.
-pub fn parallel_for_ranges<F>(ranges: &[Range<usize>], f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let threads = max_threads();
-    if threads <= 1 || ranges.len() <= 1 {
-        for r in ranges {
-            f(r.clone());
-        }
-        return;
-    }
-    run_batch(ranges.to_vec(), threads, &f);
 }
 
 /// Splits the row-major buffer `data` (rows of `row_len` values) into
@@ -469,42 +450,9 @@ fn row_ranges_impl<F>(
     run_batch(idx_ranges, threads, &body);
 }
 
-/// Runs two independent closures, the second potentially on a pool worker,
-/// and returns both results. Falls back to sequential execution when the
-/// pool is serial.
-pub fn join<RA, RB>(fa: impl FnOnce() -> RA + Send, fb: impl FnOnce() -> RB + Send) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-{
-    if max_threads() <= 1 {
-        return (fa(), fb());
-    }
-    let fa = Mutex::new(Some(fa));
-    let fb = Mutex::new(Some(fb));
-    let ra = Mutex::new(None);
-    let rb = Mutex::new(None);
-    let body = |idx_range: Range<usize>| {
-        for idx in idx_range {
-            if idx == 0 {
-                let g = lock(&fa).take().expect("join: first closure claimed twice");
-                *lock(&ra) = Some(g());
-            } else {
-                let g = lock(&fb).take().expect("join: second closure claimed twice");
-                *lock(&rb) = Some(g());
-            }
-        }
-    };
-    run_batch(vec![0..1, 1..2], 2, &body);
-    let ra = lock(&ra).take().expect("join: first result missing");
-    let rb = lock(&rb).take().expect("join: second result missing");
-    (ra, rb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn ordered_row_ranges_match_unordered_at_every_thread_count() {
@@ -575,18 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_ranges_runs_each_range() {
-        let sum = AtomicU64::new(0);
-        let ranges = vec![0..3, 3..7, 7..20];
-        with_thread_limit(3, || {
-            parallel_for_ranges(&ranges, |r| {
-                sum.fetch_add((r.end - r.start) as u64, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 20);
-    }
-
-    #[test]
     fn row_chunks_hand_out_disjoint_windows() {
         let mut data = vec![0.0f32; 97 * 5];
         with_thread_limit(4, || {
@@ -627,15 +563,6 @@ mod tests {
                 assert_eq!(inner.load(Ordering::Relaxed), 50);
             });
         });
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = with_thread_limit(4, || join(|| 2 + 2, || "ok".to_owned()));
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-        let (a, b) = with_thread_limit(1, || join(|| 1, || 2));
-        assert_eq!((a, b), (1, 2));
     }
 
     #[test]

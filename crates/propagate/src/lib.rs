@@ -17,6 +17,4 @@
 
 mod propagation;
 
-pub use propagation::{
-    correct_and_smooth, error_propagation, label_propagation, propagate, PropagationConfig,
-};
+pub use propagation::{error_propagation, label_propagation, propagate, PropagationConfig};

@@ -94,35 +94,6 @@ pub fn error_propagation(
     probs.add(&e.scale(gamma))
 }
 
-/// Full Correct & Smooth (Huang et al. 2021): the "Correct" step of
-/// [`error_propagation`] followed by a "Smooth" step that label-propagates
-/// the corrected scores with the base nodes clamped to their ground truth.
-///
-/// The paper's Table III uses the correct step alone (EP); this is the
-/// natural completion, exposed as an extension.
-///
-/// # Panics
-/// Panics on row/label mismatches.
-#[must_use]
-pub fn correct_and_smooth(
-    adj: &Csr,
-    logits: &DMat,
-    base_labels: &[usize],
-    num_base: usize,
-    gamma: f32,
-    cfg: &PropagationConfig,
-) -> DMat {
-    let corrected = error_propagation(adj, logits, base_labels, num_base, gamma, cfg);
-    // Smooth: clamp base rows to one-hot truth, then propagate.
-    let mut seed = corrected;
-    for (i, &y) in base_labels.iter().enumerate() {
-        let row = seed.row_mut(i);
-        row.fill(0.0);
-        row[y] = 1.0;
-    }
-    propagate(adj, &seed, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,31 +177,6 @@ mod tests {
         let scores =
             label_propagation(&adj, &[0, 1, 0, 1], 4, 2, &PropagationConfig::default());
         assert!(scores.as_slice().iter().all(|v| v.is_finite() && v.abs() <= 2.0));
-    }
-
-    #[test]
-    fn correct_and_smooth_improves_on_biased_logits() {
-        let adj = two_cliques();
-        let logits = DMat::from_vec(8, 2, [1.0, 0.0].repeat(8));
-        let labels_base = vec![0usize, 0, 0, 0, 1, 1];
-        let cfg = PropagationConfig::default();
-        let cs = correct_and_smooth(&adj, &logits, &labels_base, 6, 1.0, &cfg);
-        // The class-1 clique's inductive members must now prefer class 1.
-        for i in 6..8 {
-            assert!(cs.get(i, 1) > cs.get(i, 0), "node {i} not smoothed to class 1");
-        }
-    }
-
-    #[test]
-    fn smooth_step_respects_clamped_seeds() {
-        // With alpha = 0 the smooth step returns the clamped seed exactly.
-        let adj = two_cliques();
-        let logits = DMat::zeros(8, 2);
-        let labels_base = vec![1usize, 0];
-        let cfg = PropagationConfig { alpha: 0.0, iterations: 3 };
-        let cs = correct_and_smooth(&adj, &logits, &labels_base, 2, 0.0, &cfg);
-        assert_eq!(cs.get(0, 1), 1.0);
-        assert_eq!(cs.get(1, 0), 1.0);
     }
 
     #[test]

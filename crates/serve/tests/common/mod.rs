@@ -52,7 +52,6 @@ pub fn toy_slot(model_in_dim: usize) -> Arc<EpochSlot> {
         synthetic,
         mapping: map.to_csr(),
         model: GnnModel::new(GnnKind::Gcn, model_in_dim, 4, 2, 1),
-        lineage: None,
     };
     Arc::new(EpochSlot::new(EpochServer::new(ckpt.into_server(), "toy-fixture")))
 }

@@ -7,9 +7,10 @@
 mod common;
 
 use common::counter;
-use mcond_core::{GraphDelta, InductiveServer, LiveBase};
+use mcond_core::{Checkpoint, GraphDelta, InductiveServer, LiveBase};
 use mcond_graph::NodeBatch;
 use mcond_linalg::MatRng;
+use mcond_obs::Json;
 use mcond_serve::{boot_slot, spawn, Client, PostError, ServeConfig};
 use mcond_sparse::{Coo, Csr};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -145,7 +146,7 @@ fn fifty_reloads_through_the_front_end_free_every_retired_epoch() {
 }
 
 /// The live-graph loop under traffic: 100 cycles of promote-one-node →
-/// lineage-stamped checkpoint → hot swap, while four closed-loop clients
+/// checkpoint of the grown base → hot swap, while four closed-loop clients
 /// hammer `/v1/serve` with an *original-width* probe batch. Zero non-200s
 /// — prefix validation keeps old clients serveable against every grown
 /// epoch — and each successful swap advances exactly one epoch.
@@ -206,9 +207,9 @@ fn interleaved_promotions_and_hot_swaps_serve_only_200s() {
         let report = live.promote(&delta).unwrap_or_else(|e| panic!("promotion {i}: {e}"));
         assert_eq!(report.version, i as u64);
 
-        // Emit the grown, lineage-stamped bundle and hot-swap it in.
-        live.checkpoint(&model)
-            .expect("live checkpoint")
+        // Bundle the grown base and hot-swap it in.
+        Checkpoint::new(live.base().clone(), live.mapping().clone(), model.clone())
+            .expect("grown base bundles")
             .save(&path)
             .expect("save grown checkpoint");
         let resp = admin
@@ -222,12 +223,15 @@ fn interleaved_promotions_and_hot_swaps_serve_only_200s() {
     assert!(total > 0, "closed-loop clients must actually serve traffic");
     assert_eq!(handle.epoch(), 1 + CYCLES as u64, "one epoch per promote/swap cycle");
 
-    // The final epoch serves the fully grown base and reports its lineage.
-    let (ckpt, _) = mcond_core::Checkpoint::load_for_serving(&path).expect("reload final");
-    let lineage = ckpt.lineage.expect("promoted checkpoints carry lineage");
-    assert_eq!(lineage.promotions, CYCLES as u64);
-    assert_eq!(lineage.promoted_nodes, CYCLES as u64);
-    assert_eq!(lineage.base_nodes, (2 + CYCLES) as u64);
+    // The final epoch serves the fully grown base: two synthetic nodes
+    // plus one per promotion.
+    let health = admin.request("GET", "/healthz", b"").expect("healthz");
+    let health = Json::parse(&health.text()).expect("healthz body is JSON");
+    assert_eq!(
+        health.get("base_nodes").and_then(Json::as_f64),
+        Some((2 + CYCLES) as f64),
+        "the final epoch serves the fully grown base"
+    );
 
     handle.shutdown();
     std::fs::remove_file(path).ok();

@@ -78,8 +78,8 @@ pub use mcond_store as store;
 pub mod prelude {
     pub use mcond_autodiff::{Adam, Tape, Var};
     pub use mcond_core::{
-        condense, coreset, vng, Checkpoint, Condensed, CoresetMethod, DeltaError, DeltaLineage,
-        GraphDelta, InductiveServer, LiveBase, McondConfig, PromotionReport, ServeError,
+        condense, coreset, vng, Checkpoint, Condensed, CoresetMethod, DeltaError, GraphDelta,
+        InductiveServer, LiveBase, McondConfig, PromotionReport, ServeError,
     };
     pub use mcond_gnn::{
         accuracy, extended_storage_bytes, train, FrozenBase, GnnKind, GnnModel, GraphOps,
