@@ -21,6 +21,11 @@ if [ "$unchecked" -ne 0 ]; then exit 1; fi
 # included (the tree codec lives on as a test-side reference under
 # crates/serve/tests/). Prints the offending line and fails.
 if sed '/^#\[cfg(test)\]/,$d' crates/serve/src/codec.rs | grep -n 'Json'; then exit 1; fi
+# Spans have one consumer, the event sink: a second consumer must replace
+# the sink, not sit beside it. crates/obs/src/sink.rs declares the
+# activation bits EVENTS and METRICS_FORCED and no other; prints any other.
+if grep -nE 'const +[A-Za-z0-9_]+ *: *u32' crates/obs/src/sink.rs \
+    | grep -vE 'const +(EVENTS|METRICS_FORCED) *:'; then exit 1; fi
 cargo fmt --all --check 2>/dev/null || echo "note: rustfmt not enforced (formatting is hand-maintained)"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace
@@ -48,9 +53,10 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --
 cargo run --release --example checkpointing
 # Chaos sweep: every corrupted batch gets a typed ServeError on both
 # attachment targets at 1 and 4 threads; valid siblings stay bitwise identical.
-# Also asserts the self-profile stage coverage (>= 90% of the serve span)
-# and the trace-stamped panic flight dump, and leaves a JSONL trace behind
-# for the trace-report smoke below.
+# Also asserts the stage coverage of a profile folded from the event log
+# (>= 90% of the serve span) and that a panicking request's serve span is
+# in the log under its trace id, and leaves a JSONL trace behind for the
+# trace-report smoke below.
 MCOND_LOG=target/robust_serving_trace.jsonl cargo run --release --example robust_serving
 # Headline speedup demo: Whole vs MCond through InductiveServer::try_serve,
 # plus the FrozenBase predictor fed the server's attachment rows.

@@ -1,7 +1,7 @@
 //! Offline trace reporter: folds a JSONL event log (written via
-//! `MCOND_LOG=<path>`) into the same call-tree profile the in-process
-//! profiler produces, and prints it as a text table — or, with `--folded`,
-//! as folded-stack lines ready for the common flamegraph tooling.
+//! `MCOND_LOG=<path>`) into a call-tree profile (`Profile::from_jsonl`),
+//! and prints it as a text table — or, with `--folded`, as folded-stack
+//! lines ready for the common flamegraph tooling.
 //!
 //! ```text
 //! MCOND_LOG=events.jsonl cargo run --example robust_serving

@@ -60,11 +60,11 @@
 //! `mcond_obs::ensure_trace`, `try_serve_many` one per slot) stamped on all
 //! of its span/point records, and the serve path is decomposed into stage
 //! spans — `validate`, `attach`, `propagate`, `head` — each feeding a
-//! `serve.stage.*` histogram even when no event sink is attached. When
-//! the flight recorder (`mcond_obs::flight`) is on, a panicking request in
-//! [`try_serve_many`](InductiveServer::try_serve_many) dumps the worker's
-//! recent event ring, trace-stamped, before reporting
-//! [`ServeError::Panicked`].
+//! `serve.stage.*` histogram even when no event sink is attached. A
+//! request that panics in
+//! [`try_serve_many`](InductiveServer::try_serve_many) keeps its id: its
+//! `serve` span closes while unwinding, so the log holds the request's
+//! records up to the panic under that id.
 //!
 //! # Concurrency
 //!
@@ -444,9 +444,9 @@ impl<'a> InductiveServer<'a> {
     /// [`try_serve_many`](InductiveServer::try_serve_many), additionally
     /// returning the per-request trace id alongside each slot. The id is
     /// the one `begin_trace` assigned for that request's span — the same
-    /// value stamped on its log events and flight records — so a network
+    /// value stamped on its log events — so a network
     /// front end can hand it back to the caller (`x-mcond-trace`) for
-    /// end-to-end correlation. When no event consumer is active the trace
+    /// end-to-end correlation. When no event sink is active the trace
     /// layer is inert and every id is `0`.
     #[must_use]
     pub fn try_serve_many_traced(
@@ -460,17 +460,12 @@ impl<'a> InductiveServer<'a> {
         mcond_par::parallel_for_chunks(batches.len(), 1, |range| {
             for i in range {
                 // Per-request trace id, opened *outside* the unwind
-                // boundary so the panic handler (and its flight dump)
-                // still attributes to the request that died.
+                // boundary so a panicking request's slot still carries
+                // the id its log records were stamped with.
                 let trace = mcond_obs::begin_trace();
                 let trace_id = trace.id();
                 let out = catch_unwind(AssertUnwindSafe(|| self.try_serve(&batches[i])))
                     .unwrap_or_else(|payload| {
-                        if mcond_obs::flight::active() {
-                            // Post-mortem: the last events on this thread,
-                            // trace-stamped, as one `flight` record.
-                            let _ = mcond_obs::flight::dump("serve.panic");
-                        }
                         mcond_obs::counter_add("serve.panic", 1);
                         let mut stats =
                             self.stats.lock().unwrap_or_else(PoisonError::into_inner);

@@ -233,11 +233,12 @@ fn traces_and_stage_spans_decompose_serving() {
     }
 }
 
-/// A request that panics past validation leaves a post-mortem: with the
-/// flight recorder on, `try_serve_many` dumps the worker's event ring as a
-/// `flight` record stamped with the panicking request's trace id.
+/// A request that panics past validation can still be traced through the
+/// log: `try_serve_many_traced` hands back the id its records carry, and
+/// its `serve` span both opened and closed (the close is emitted while
+/// unwinding) under that id.
 #[test]
-fn panicking_request_dumps_a_trace_stamped_flight_record() {
+fn panicking_request_is_traced_through_the_log() {
     let cap = testing::capture();
 
     let data = load_dataset("pubmed", Scale::Small, 0).expect("bundled dataset");
@@ -249,34 +250,25 @@ fn panicking_request_dumps_a_trace_stamped_flight_record() {
     let server = InductiveServer::on_original(&original, &bad_model);
     let batches = data.test_batches(10, true);
 
-    mcond_obs::flight::enable(true);
-    let results =
-        mcond_par::with_thread_limit(1, || server.try_serve_many(&batches[..1]));
-    mcond_obs::flight::enable(false);
-    assert!(matches!(results[0], Err(mcond_core::ServeError::Panicked { .. })));
+    let mut results =
+        mcond_par::with_thread_limit(1, || server.try_serve_many_traced(&batches[..1]));
+    let (result, trace) = results.remove(0);
+    assert!(matches!(result, Err(mcond_core::ServeError::Panicked { .. })));
+    assert!(trace > 0, "a panicking request keeps its trace id");
 
+    #[allow(clippy::cast_precision_loss)]
+    let id = trace as f64;
     let lines = cap.parsed_lines();
-    let dumps: Vec<&Json> = lines
-        .iter()
-        .filter(|l| {
-            get(l, "ev").and_then(Json::as_str) == Some("flight")
-                && get(l, "name").and_then(Json::as_str) == Some("serve.panic")
-        })
-        .collect();
-    assert_eq!(dumps.len(), 1, "caught panic must dump the flight ring once");
-    let trace = get(dumps[0], "trace").and_then(Json::as_f64).unwrap_or(0.0);
-    assert!(trace > 0.0, "flight dump must name the request that died");
-
-    // The ring holds the dying request's own events — spans opened on the
-    // way into the forward pass, stamped with the same trace id.
-    let events = get(dumps[0], "events").and_then(Json::as_arr).expect("event payload");
-    assert!(!events.is_empty());
-    assert!(
-        events.iter().any(|e| {
-            e.get("trace").and_then(Json::as_f64) == Some(trace)
-                && e.get("name").and_then(Json::as_str) == Some("serve")
-        }),
-        "ring should show the panicking request entering its serve span"
-    );
-    mcond_obs::flight::clear();
+    let serve_records = |ev: &str| {
+        lines
+            .iter()
+            .filter(|l| {
+                get(l, "ev").and_then(Json::as_str) == Some(ev)
+                    && get(l, "name").and_then(Json::as_str) == Some("serve")
+                    && get(l, "trace").and_then(Json::as_f64) == Some(id)
+            })
+            .count()
+    };
+    assert_eq!(serve_records("span_start"), 1, "trace {trace}: serve span_start missing");
+    assert_eq!(serve_records("span"), 1, "trace {trace}: serve span not closed while unwinding");
 }

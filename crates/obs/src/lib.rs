@@ -25,13 +25,14 @@
 //!   that spawns a thread per connection does not grow); [`snapshot`]
 //!   merges the shards into a [`MetricsSnapshot`] for reports and
 //!   [`emit_snapshot`] writes them to the event log.
-//! * **Profiler** ([`profile::start`], [`profile::stop`]) folds span
-//!   closes into a call-tree [`Profile`] (calls, total/self µs per path)
-//!   with text-table and folded-stack renderings; [`Profile::from_jsonl`]
-//!   does the same offline for any JSONL log.
-//! * **Flight recorder** ([`flight::enable`], [`flight::dump`]) keeps a
-//!   bounded per-thread ring of recent events (allocation-free after
-//!   warm-up) that the serving layer dumps when a request panics.
+//! * **Profiles** ([`Profile::from_jsonl`]) fold the `span` records of a
+//!   JSONL log — an `MCOND_LOG` file or a [`testing::capture`] — into a
+//!   call tree (calls, total/self µs per path) with text-table and
+//!   folded-stack renderings.
+//!
+//! The event sink is the one consumer of spans: a span is on the stack and
+//! timed only while a sink is installed (apart from [`span_timed`]'s
+//! histogram).
 //!
 //! # Sinks
 //!
@@ -148,8 +149,7 @@
 //! * `serve.reload.ms` — histogram: wall time of successful reloads,
 //!   load through swap;
 //! * `serve.watchdog.restarts` — batcher threads respawned after a
-//!   missed heartbeat (panic or stall); the flight recorder dumps a
-//!   `serve.watchdog.stall` report on each;
+//!   missed heartbeat (panic or stall);
 //! * `serve.watchdog.orphans` — in-flight requests answered a typed
 //!   `503` because their batcher generation was retired mid-service.
 //!
@@ -167,10 +167,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod flight;
 pub mod json;
 mod metrics;
-pub mod profile;
+mod profile;
 mod sink;
 mod span;
 mod trace;

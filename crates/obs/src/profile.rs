@@ -1,11 +1,10 @@
-//! In-process self-profiler: folds span close events into a call tree.
+//! Call-tree profiles folded from a JSONL event log.
 //!
-//! [`start`] switches collection on (independent of any sink — the hot
-//! path stays one atomic load per span); [`stop`] switches it off and
-//! returns the folded [`Profile`]: per span path, the call count, total
-//! wall time, and *self* time (total minus the totals of direct children).
-//! The identical folding runs offline over any JSONL event log via
-//! [`Profile::from_jsonl`] — that is what the `trace-report` bin does.
+//! [`Profile::from_jsonl`] folds every `span` record of a log into a
+//! [`Profile`]: per span path, the call count, total wall time, and *self*
+//! time (total minus the totals of direct children). The log is either an
+//! `MCOND_LOG` file (the `trace-report` bin folds one) or an in-memory
+//! [`crate::testing::capture`].
 //!
 //! Rendered two ways: [`Profile::table`] (sorted text table, self-time
 //! descending) and [`Profile::folded`] (semicolon-separated folded-stack
@@ -13,43 +12,6 @@
 
 use crate::json::Json;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-
-/// path → (calls, total µs), accumulated live while profiling is on.
-type Totals = BTreeMap<String, (u64, u64)>;
-
-fn collector() -> MutexGuard<'static, Option<Totals>> {
-    static COLLECTOR: OnceLock<Mutex<Option<Totals>>> = OnceLock::new();
-    COLLECTOR.get_or_init(|| Mutex::new(None)).lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Starts (or restarts, discarding prior data) profile collection:
-/// spans closed anywhere in the process from now on fold into the profile.
-pub fn start() {
-    *collector() = Some(Totals::new());
-    crate::sink::flag_set(crate::sink::PROFILE, true);
-}
-
-/// Stops collection and returns the folded profile.
-#[must_use]
-pub fn stop() -> Profile {
-    crate::sink::flag_set(crate::sink::PROFILE, false);
-    Profile::from_totals(&collector().take().unwrap_or_default())
-}
-
-/// Folds one span close into the live profile; no-op (one atomic load)
-/// unless collection is on.
-pub(crate) fn fold(path: &str, dur_us: u64) {
-    if crate::sink::flags() & crate::sink::PROFILE == 0 {
-        return;
-    }
-    let mut guard = collector();
-    if let Some(map) = guard.as_mut() {
-        let entry = map.entry(path.to_owned()).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 += dur_us;
-    }
-}
 
 /// One folded call-tree node.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,33 +33,13 @@ pub struct Profile {
 }
 
 impl Profile {
-    fn from_totals(map: &Totals) -> Profile {
-        let mut child_totals: BTreeMap<&str, u64> = BTreeMap::new();
-        for (path, (_, total)) in map {
-            if let Some((parent, _)) = path.rsplit_once('/') {
-                *child_totals.entry(parent).or_insert(0) += *total;
-            }
-        }
-        let mut entries: Vec<ProfileEntry> = map
-            .iter()
-            .map(|(path, &(calls, total_us))| ProfileEntry {
-                self_us: total_us
-                    .saturating_sub(child_totals.get(path.as_str()).copied().unwrap_or(0)),
-                path: path.clone(),
-                calls,
-                total_us,
-            })
-            .collect();
-        entries.sort_by(|a, b| b.self_us.cmp(&a.self_us).then_with(|| a.path.cmp(&b.path)));
-        Profile { entries }
-    }
-
-    /// Rebuilds a profile offline from a JSONL event log: every `span`
-    /// record's `path`/`us` pair folds exactly like live collection.
-    /// Non-JSON lines and other record kinds are skipped.
+    /// Folds a JSONL event log: every `span` record's `path`/`us` pair
+    /// adds one call at that path. Non-JSON lines and other record kinds
+    /// are skipped.
     #[must_use]
     pub fn from_jsonl(text: &str) -> Profile {
-        let mut map = Totals::new();
+        // path → (calls, total µs)
+        let mut map: BTreeMap<String, (u64, u64)> = BTreeMap::new();
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() {
@@ -114,7 +56,24 @@ impl Profile {
             entry.0 += 1;
             entry.1 += us;
         }
-        Profile::from_totals(&map)
+        let mut child_totals: BTreeMap<&str, u64> = BTreeMap::new();
+        for (path, (_, total)) in &map {
+            if let Some((parent, _)) = path.rsplit_once('/') {
+                *child_totals.entry(parent).or_insert(0) += *total;
+            }
+        }
+        let mut entries: Vec<ProfileEntry> = map
+            .iter()
+            .map(|(path, &(calls, total_us))| ProfileEntry {
+                self_us: total_us
+                    .saturating_sub(child_totals.get(path.as_str()).copied().unwrap_or(0)),
+                path: path.clone(),
+                calls,
+                total_us,
+            })
+            .collect();
+        entries.sort_by(|a, b| b.self_us.cmp(&a.self_us).then_with(|| a.path.cmp(&b.path)));
+        Profile { entries }
     }
 
     /// Entries sorted by descending self time.

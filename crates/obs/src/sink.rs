@@ -101,7 +101,7 @@ impl From<String> for Field {
 
 /// One trace record, built by the span/point/metrics front-ends.
 pub(crate) struct Record<'a> {
-    /// Event kind: `span_start`, `span`, `point`, `flight`, or `metrics`.
+    /// Event kind: `span_start`, `span`, `point`, or `metrics`.
     pub kind: &'static str,
     /// Event name (e.g. `condense.outer`).
     pub name: &'a str,
@@ -115,7 +115,7 @@ pub(crate) struct Record<'a> {
     pub trace: u64,
     /// Structured fields.
     pub fields: &'a [(&'a str, Field)],
-    /// Extra payload (metrics snapshots, flight dumps).
+    /// Metrics snapshot (`metrics` records only).
     pub payload: Option<Json>,
 }
 
@@ -126,11 +126,10 @@ struct SinkState {
 
 /// Activation bits, all read through one relaxed load of [`ACTIVE`]: every
 /// probe in the workspace stays a single atomic load + branch when the
-/// whole substrate is off.
+/// whole substrate is off. `EVENTS` is the only bit that puts spans on the
+/// stack: the sink is their one consumer.
 pub(crate) const EVENTS: u32 = 1 << 0;
 pub(crate) const METRICS_FORCED: u32 = 1 << 1;
-pub(crate) const PROFILE: u32 = 1 << 2;
-pub(crate) const FLIGHT: u32 = 1 << 3;
 
 static ACTIVE: AtomicU32 = AtomicU32::new(0);
 static INIT_DONE: AtomicBool = AtomicBool::new(false);
@@ -221,16 +220,6 @@ pub fn enabled() -> bool {
     flags() & EVENTS != 0
 }
 
-/// Whether spans must track the thread-local stack and measure time: true
-/// when any consumer of span events is active — the sink, the in-process
-/// profiler ([`crate::profile`]), or the flight recorder
-/// ([`crate::flight`]).
-#[inline]
-#[must_use]
-pub fn span_active() -> bool {
-    flags() & (EVENTS | PROFILE | FLIGHT) != 0
-}
-
 /// Whether metric recording (counters/gauges/histograms) is active: true
 /// when events are on or after [`enable_metrics`].
 #[inline]
@@ -301,9 +290,7 @@ fn jsonl_line(record: &Record<'_>) -> String {
         obj.insert("fields", fields);
     }
     if let Some(payload) = &record.payload {
-        // Flight dumps carry an event array; metrics records a snapshot.
-        let key = if record.kind == "flight" { "events" } else { "metrics" };
-        obj.insert(key, payload.clone());
+        obj.insert("metrics", payload.clone());
     }
     obj.dump()
 }
@@ -337,15 +324,15 @@ fn pretty_line(record: &Record<'_>) -> String {
     line
 }
 
-pub(crate) fn elapsed_us() -> u64 {
+fn elapsed_us() -> u64 {
     u64::try_from(start_instant().elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Test support: capture events in memory and inspect them as parsed JSONL.
 pub mod testing {
     use super::{
-        flag_set, lock_sink, AtomicBool, ACTIVE, EVENTS, INIT_DONE, LogFormat, Mutex, MutexGuard,
-        Ordering, PoisonError, SinkState, Write,
+        enabled, flag_set, lock_sink, AtomicBool, LogFormat, Mutex, MutexGuard, PoisonError,
+        SinkState, Write, EVENTS,
     };
     use crate::json::Json;
     use std::sync::{Arc, OnceLock};
@@ -365,11 +352,12 @@ pub mod testing {
 
     /// Exclusive capture session: installs a JSONL sink writing to memory.
     /// Concurrent captures serialise on a global mutex; dropping the handle
-    /// restores the previous sink state.
+    /// puts back the sink it replaced (an `MCOND_LOG` destination keeps
+    /// receiving records after the capture ends).
     pub struct Capture {
         buf: Arc<Mutex<Vec<u8>>>,
-        was_enabled: bool,
-        _guard: MutexGuard<'static, ()>,
+        prev: Option<SinkState>,
+        _guard: Option<MutexGuard<'static, ()>>,
     }
 
     fn capture_lock() -> &'static Mutex<()> {
@@ -381,14 +369,22 @@ pub mod testing {
     #[must_use]
     pub fn capture() -> Capture {
         let guard = capture_lock().lock().unwrap_or_else(PoisonError::into_inner);
-        // Skip env config entirely: the capture sink takes over.
-        INIT_DONE.store(true, Ordering::Release);
-        let was_enabled = ACTIVE.load(Ordering::Relaxed) & EVENTS != 0;
+        install(Some(guard))
+    }
+
+    /// Swaps the capture sink in; `guard` is `None` only for a capture
+    /// nested inside one that holds the lock.
+    fn install(guard: Option<MutexGuard<'static, ()>>) -> Capture {
+        // Read the environment first, so an `MCOND_LOG` sink exists to be
+        // put back when the capture ends.
+        let _ = enabled();
         let buf = Arc::new(Mutex::new(Vec::new()));
-        *lock_sink() =
-            Some(SinkState { format: LogFormat::Jsonl, writer: Box::new(SharedBuf(Arc::clone(&buf))) });
+        let prev = lock_sink().replace(SinkState {
+            format: LogFormat::Jsonl,
+            writer: Box::new(SharedBuf(Arc::clone(&buf))),
+        });
         flag_set(EVENTS, true);
-        Capture { buf, was_enabled, _guard: guard }
+        Capture { buf, prev, _guard: guard }
     }
 
     impl Capture {
@@ -421,8 +417,9 @@ pub mod testing {
 
     impl Drop for Capture {
         fn drop(&mut self) {
-            flag_set(EVENTS, self.was_enabled);
-            *lock_sink() = None;
+            let prev = self.prev.take();
+            flag_set(EVENTS, prev.is_some());
+            *lock_sink() = prev;
         }
     }
 
@@ -433,4 +430,20 @@ pub mod testing {
         assert_send::<SinkState>();
         assert_send::<AtomicBool>();
     };
+
+    #[cfg(test)]
+    mod tests {
+        use super::{capture, install};
+
+        #[test]
+        fn a_dropped_capture_puts_back_the_sink_it_replaced() {
+            let first = capture();
+            drop(install(None));
+            drop(crate::span("after_nested_capture"));
+            assert!(
+                first.text().contains("\"after_nested_capture\""),
+                "a span opened after the nested capture ended missed the sink it replaced"
+            );
+        }
+    }
 }

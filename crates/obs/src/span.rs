@@ -18,7 +18,7 @@
 //!   submitting request's path, so kernel work on pool workers shows up in
 //!   the owning request's call tree.
 
-use crate::sink::{emit, enabled, metrics_on, span_active, Field, Record};
+use crate::sink::{emit, enabled, metrics_on, Field, Record};
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
@@ -74,7 +74,7 @@ pub(crate) fn capture_prefix() -> Option<Arc<Prefix>> {
 }
 
 /// An active span; closing (dropping) it emits the timing record.
-/// Inert — a single branch — when no event consumer is active.
+/// Inert — a single branch — when no event sink is active.
 pub struct SpanGuard {
     name: &'static str,
     start: Option<Instant>,
@@ -82,7 +82,7 @@ pub struct SpanGuard {
     /// Stack length before this guard pushed; drop truncates back to it.
     depth_at_open: usize,
     /// False for a timing-only guard ([`span_timed`] with metrics on but
-    /// no event consumer): it measures but never touches the stack.
+    /// no event sink): it measures but never touches the stack.
     on_stack: bool,
     /// Histogram fed with the duration on close ([`span_timed`]).
     hist: Option<&'static str>,
@@ -98,7 +98,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// end records).
 #[must_use]
 pub fn span_with(name: &'static str, fields: Vec<(&'static str, Field)>) -> SpanGuard {
-    if !span_active() {
+    if !enabled() {
         return SpanGuard {
             name,
             start: None,
@@ -115,23 +115,19 @@ pub fn span_with(name: &'static str, fields: Vec<(&'static str, Field)>) -> Span
     });
     // Clock the span before emitting its start record: the emission cost
     // then counts against this span's own time, not the parent's self time
-    // (which the profiler derives by subtracting child totals).
+    // (which a `Profile` derives by subtracting child totals).
     let start = Instant::now();
-    if enabled() {
-        let path = current_path();
-        let depth = current_depth() - 1;
-        emit(&Record {
-            kind: "span_start",
-            name,
-            path: Some(&path),
-            dur_us: None,
-            depth,
-            trace: crate::trace::current_trace(),
-            fields: &fields,
-            payload: None,
-        });
-    }
-    crate::flight::span_open(name);
+    let path = current_path();
+    emit(&Record {
+        kind: "span_start",
+        name,
+        path: Some(&path),
+        dur_us: None,
+        depth: current_depth() - 1,
+        trace: crate::trace::current_trace(),
+        fields: &fields,
+        payload: None,
+    });
     SpanGuard { name, start: Some(start), fields, depth_at_open, on_stack: true, hist: None }
 }
 
@@ -142,7 +138,7 @@ pub fn span_with(name: &'static str, fields: Vec<(&'static str, Field)>) -> Span
 /// `serve.stage.*` latencies keep flowing in sink-off production serving.
 #[must_use]
 pub fn span_timed(name: &'static str, hist: &'static str) -> SpanGuard {
-    if span_active() {
+    if enabled() {
         let mut g = span_with(name, Vec::new());
         g.hist = Some(hist);
         g
@@ -188,21 +184,16 @@ impl Drop for SpanGuard {
         // close path — later spans on this thread must see a clean stack.
         STACK.with(|s| s.borrow_mut().truncate(self.depth_at_open + 1));
         let path = current_path();
-        let depth = current_depth() - 1;
-        if enabled() {
-            emit(&Record {
-                kind: "span",
-                name: self.name,
-                path: Some(&path),
-                dur_us: Some(dur_us),
-                depth,
-                trace: crate::trace::current_trace(),
-                fields: &self.fields,
-                payload: None,
-            });
-        }
-        crate::profile::fold(&path, dur_us);
-        crate::flight::span_close(self.name, dur_us);
+        emit(&Record {
+            kind: "span",
+            name: self.name,
+            path: Some(&path),
+            dur_us: Some(dur_us),
+            depth: current_depth() - 1,
+            trace: crate::trace::current_trace(),
+            fields: &self.fields,
+            payload: None,
+        });
         STACK.with(|s| {
             let popped = s.borrow_mut().pop();
             debug_assert_eq!(popped, Some(self.name), "span stack corrupted");

@@ -13,7 +13,7 @@
 //! state on drop, so contexts nest and interleave safely.
 //!
 //! Everything here is inert — id 0, no thread-local writes beyond one read
-//! — when no event consumer (sink, profiler, flight recorder) is active.
+//! — when no event sink is active.
 
 use crate::span::{self, Prefix};
 use std::cell::Cell;
@@ -57,10 +57,10 @@ impl Drop for TraceGuard {
 }
 
 /// Starts a fresh trace scope with a new process-unique id (monotonically
-/// increasing from 1). Inert when no event consumer is active.
+/// increasing from 1). Inert when no event sink is active.
 #[must_use]
 pub fn begin_trace() -> TraceGuard {
-    if !crate::sink::span_active() {
+    if !crate::sink::enabled() {
         return TraceGuard { id: 0, prev: 0, installed: false };
     }
     let id = NEXT_TRACE.fetch_add(1, Ordering::Relaxed);
@@ -94,7 +94,7 @@ pub struct TraceContext {
 /// into pool workers. Empty (one atomic load) when tracing is off.
 #[must_use]
 pub fn capture_context() -> TraceContext {
-    if !crate::sink::span_active() {
+    if !crate::sink::enabled() {
         return TraceContext::default();
     }
     TraceContext { trace: current_trace(), prefix: span::capture_prefix() }

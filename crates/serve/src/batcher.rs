@@ -8,11 +8,11 @@
 //! every loop tick (and while paused); the fan-out itself does not, which
 //! is exactly the property the **watchdog** supervises: a heartbeat older
 //! than `watchdog_period` means the batcher is wedged (or dead of a
-//! panic), so the watchdog dumps the flight recorder, answers the
-//! in-flight orphans with typed `503`s, bumps the batcher generation, and
-//! spawns a replacement. A wedged predecessor that eventually wakes
-//! observes the stale generation and retires without touching the queue —
-//! at most one live consumer, always.
+//! panic), so the watchdog answers the in-flight orphans with typed
+//! `503`s, bumps the batcher generation, and spawns a replacement. A
+//! wedged predecessor that eventually wakes observes the stale generation
+//! and retires without touching the queue — at most one live consumer,
+//! always.
 
 use crate::front::{ServeConfig, Shared};
 use crate::queue::{Job, JobQueue, Pop};
@@ -240,14 +240,11 @@ pub(crate) fn watchdog_loop(shared: &Arc<Shared>, cfg: &ServeConfig) {
             continue;
         }
 
-        // Stalled or dead. Restart sequence: flag (healthz → 503), dump
-        // the flight recorder post-mortem, retire the generation, answer
-        // the orphans, reap-or-abandon the corpse, spawn the replacement.
+        // Stalled or dead. Restart sequence: flag (healthz → 503), retire
+        // the generation, answer the orphans, reap-or-abandon the corpse,
+        // spawn the replacement.
         shared.restarting.store(true, Ordering::Release);
         mcond_obs::counter_add("serve.watchdog.restarts", 1);
-        if mcond_obs::flight::active() {
-            let _ = mcond_obs::flight::dump("serve.watchdog.stall");
-        }
         let next_gen = shared.batcher_gen.fetch_add(1, Ordering::AcqRel) + 1;
         let epoch_seq = shared.slot.current_seq();
         let orphans = {

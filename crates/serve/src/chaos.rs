@@ -160,6 +160,11 @@ pub fn protocol_corpus(
             expect: Expect::Statuses(&[400]),
         },
         ProtocolCase {
+            name: "plus_signed_content_length",
+            writes: vec![req("POST /v1/serve HTTP/1.1\r\ncontent-length: +5\r\n\r\n")],
+            expect: Expect::Statuses(&[400]),
+        },
+        ProtocolCase {
             name: "conflicting_content_lengths",
             writes: vec![req(
                 "POST /v1/serve HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 8\r\n\r\n{}",

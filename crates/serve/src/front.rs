@@ -79,8 +79,7 @@ const MAX_CONNECTIONS: usize = 128;
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Upper bound (seconds) on the `Retry-After` advertised on `429`
-/// responses; the value itself is derived from the queue-wait EWMA,
-/// rounded up, never below 1.
+/// responses (see [`retry_after_secs`]).
 const RETRY_AFTER_CAP_SECS: u32 = 30;
 
 /// Longest [`ServeHandle::shutdown`] waits for queued jobs to drain and
@@ -694,7 +693,7 @@ fn reload_endpoint(req: &Request, shared: &Arc<Shared>, cfg: &ServeConfig, close
             write_response(409, &[], body.as_bytes(), close)
         }
         Err(ReloadError::Backoff { retry_after }) => {
-            let secs = retry_after.as_secs().max(1);
+            let secs = retry_after_secs(retry_after);
             let body = error_body(
                 "reload_backoff",
                 "recent reloads failed; wait out the advertised backoff",
@@ -852,19 +851,20 @@ fn serve_endpoint(
     Routed { bytes, admitted: true }
 }
 
-/// The `Retry-After` seconds a shed response advertises: the queue-wait
-/// EWMA rounded **up** to whole seconds — an honest "how long until the
-/// backlog you would join clears" — floored at 1 and capped by
-/// `RETRY_AFTER_CAP_SECS` so a pathological EWMA cannot park clients
-/// forever.
-pub(crate) fn derived_retry_after_secs(ewma_wait_us: u64) -> u32 {
-    let secs = ewma_wait_us.div_ceil(1_000_000).max(1);
+/// The `Retry-After` seconds a `429` advertises for `wait` (the queue-wait
+/// EWMA when shedding, the rest of the backoff on a reload): rounded **up**
+/// to whole seconds, so a client that waits exactly that long is past the
+/// wait; floored at 1 and capped by `RETRY_AFTER_CAP_SECS` so a
+/// pathological wait cannot park clients forever.
+pub(crate) fn retry_after_secs(wait: Duration) -> u32 {
+    let secs = wait.as_nanos().div_ceil(1_000_000_000).max(1);
     u32::try_from(secs).map_or(RETRY_AFTER_CAP_SECS, |s| s.min(RETRY_AFTER_CAP_SECS))
 }
 
 fn shed_response(shared: &Shared, close: bool) -> Vec<u8> {
     mcond_obs::counter_add("serve.http.shed", 1);
-    let retry = derived_retry_after_secs(shared.ewma_wait_us.load(Ordering::Relaxed));
+    let ewma = Duration::from_micros(shared.ewma_wait_us.load(Ordering::Relaxed));
+    let retry = retry_after_secs(ewma);
     let body = error_body("shed", "server is over capacity; retry after the advertised delay");
     write_response(
         429,
@@ -945,16 +945,17 @@ pub(crate) mod tests {
 
     #[test]
     fn retry_after_derives_from_the_ewma_rounded_up_and_capped() {
+        let secs = |us| retry_after_secs(Duration::from_micros(us));
         // Idle queue: floor of 1 second, never 0.
-        assert_eq!(derived_retry_after_secs(0), 1);
+        assert_eq!(secs(0), 1);
         // Sub-second waits still round up to the floor.
-        assert_eq!(derived_retry_after_secs(250_000), 1);
+        assert_eq!(secs(250_000), 1);
         // Just over a second rounds *up*, not down.
-        assert_eq!(derived_retry_after_secs(1_000_001), 2);
-        assert_eq!(derived_retry_after_secs(4_500_000), 5);
+        assert_eq!(secs(1_000_001), 2);
+        assert_eq!(secs(4_500_000), 5);
         // A pathological EWMA is capped.
-        assert_eq!(derived_retry_after_secs(90_000_000), 30);
-        assert_eq!(derived_retry_after_secs(u64::MAX), 30);
+        assert_eq!(secs(90_000_000), 30);
+        assert_eq!(secs(u64::MAX), 30);
     }
 
     #[test]
@@ -963,16 +964,38 @@ pub(crate) mod tests {
         shared.ewma_wait_us.store(3_000_000, Ordering::Relaxed);
         let cfg = ServeConfig { shed_wait_us: 1_000, ..ServeConfig::default() };
         assert!(shared.overloaded(&cfg), "hot EWMA sheds");
-        assert_eq!(derived_retry_after_secs(shared.ewma_wait_us.load(Ordering::Relaxed)), 3);
+        let advertised =
+            || retry_after_secs(Duration::from_micros(shared.ewma_wait_us.load(Ordering::Relaxed)));
+        assert_eq!(advertised(), 3);
         for _ in 0..20 {
             shared.decay_wait();
         }
         assert!(!shared.overloaded(&cfg), "idle decay readmits");
-        assert_eq!(
-            derived_retry_after_secs(shared.ewma_wait_us.load(Ordering::Relaxed)),
-            1,
-            "drained queue advertises the 1-second floor"
-        );
+        assert_eq!(advertised(), 1, "drained queue advertises the 1-second floor");
+    }
+
+    /// A client that waits out the advertised `Retry-After` of a reload
+    /// backoff must land past it: 1.5 s left is advertised as 2, not 1.
+    #[test]
+    fn reload_backoff_retry_after_rounds_up() {
+        let shared = Arc::new(test_shared());
+        let cfg =
+            ServeConfig { reload_backoff: Duration::from_millis(1500), ..ServeConfig::default() };
+        let corrupt = std::env::temp_dir().join("mcond_front_reload_retry_after.mcst");
+        std::fs::write(&corrupt, b"not a checkpoint").expect("write corrupt bundle");
+        let body = Json::obj().with("path", corrupt.to_str().expect("UTF-8 temp path")).dump();
+        let head =
+            format!("POST /v1/admin/reload HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len());
+        let (mut stream, handler) = conn(&shared, &cfg);
+        assert_eq!(send(&mut stream, &head, body.as_bytes()), 422, "corrupt bundle");
+        stream.write_all(head.as_bytes()).expect("write head");
+        stream.write_all(body.as_bytes()).expect("write body");
+        let resp = read_response(&mut stream).expect("response");
+        assert_eq!(resp.status, 429, "inside the backoff");
+        assert_eq!(resp.header("retry-after"), Some("2"));
+        drop(stream);
+        handler.join().expect("handler returns when the peer hangs up");
+        std::fs::remove_file(&corrupt).ok();
     }
 
     #[test]

@@ -231,6 +231,11 @@ impl RequestParser {
         }
         let body_len = match declared {
             Some(v) => {
+                // RFC 9112: `1*DIGIT`. `usize::from_str` also takes a
+                // leading `+`, which another hop may read differently.
+                if !v.bytes().all(|b| b.is_ascii_digit()) {
+                    return Err(HttpError::BadContentLength);
+                }
                 let len: usize = v.parse().map_err(|_| HttpError::BadContentLength)?;
                 if len > self.limits.max_body_bytes {
                     return Err(HttpError::BodyTooLarge {

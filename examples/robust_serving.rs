@@ -1,8 +1,8 @@
 //! Fault-tolerant serving: typed errors, per-request panic isolation,
 //! the self-loop fallback, and the request-level chaos harness (DESIGN.md §4f),
-//! plus the observability layer watching it all (DESIGN.md §4h): the
-//! self-profiler decomposing the serve path into its stage spans, and the
-//! panic flight recorder producing a trace-stamped post-mortem.
+//! plus the observability layer watching it all (DESIGN.md §4h): a profile
+//! folded from the event log decomposing the serve path into its stage
+//! spans, and a panicking request traced through that log by its id.
 //!
 //! Condenses a small graph, then attacks the resulting [`InductiveServer`]
 //! with every corrupted batch from `mcond::core::chaos` — on **both**
@@ -91,20 +91,20 @@ fn main() {
     println!("  valid logits bitwise identical at 1 and 4 threads");
 
     // --- self-profile: the serve path decomposes into its stages ---------
-    // The profiler folds span closes into a call tree; the stage spans
-    // (validate / attach / propagate / head) must account for >= 90% of the serve span's wall time — anything
-    // less means untraced work crept into the hot path.
-    mcond::obs::profile::start();
-    {
+    // The span records of the log fold into a call tree; the stage spans
+    // (validate / attach / propagate / head) must account for >= 90% of
+    // the serve span's wall time — anything less means untraced work crept
+    // into the hot path.
+    let profile = {
         // Profile against the in-memory sink: with `MCOND_LOG` pointed at a
         // file, per-record write latency would otherwise be charged to the
         // serve span's self time and drown the stages it decomposes into.
-        let _sink = mcond::obs::testing::capture();
+        let sink = mcond::obs::testing::capture();
         for batch in &data.test_batches(50, true) {
             let _ = on_original.try_serve(batch);
         }
-    }
-    let profile = mcond::obs::profile::stop();
+        mcond::obs::Profile::from_jsonl(&sink.text())
+    };
     print!("{}", profile.table());
     let serve = profile.get("serve").expect("serve span profiled");
     let stage_self: u64 = ["validate", "attach", "propagate", "head"]
@@ -123,15 +123,14 @@ fn main() {
         100.0 * stage_self as f64 / serve.total_us.max(1) as f64
     );
 
-    // --- panic flight recorder -------------------------------------------
+    // --- a panicking request, traced through the log ---------------------
     // A model misconfigured for the feature dimension blows up inside the
-    // forward pass, past validation. With the flight recorder on, the
-    // caught panic dumps the last events on the dying request's thread as
-    // one `flight` record stamped with that request's trace id.
+    // forward pass, past validation. The caught panic keeps the request's
+    // trace id, and the log holds its `serve` span, opened and closed
+    // (while unwinding) under that id.
     {
         use mcond::obs::Json;
         let cap = mcond::obs::testing::capture();
-        mcond::obs::flight::enable(true);
         let bad_model = GnnModel::new(
             GnnKind::Gcn,
             data.full.feature_dim() + 1,
@@ -140,25 +139,28 @@ fn main() {
             1,
         );
         let bad = InductiveServer::on_original(&original, &bad_model);
-        let results = mcond::par::with_thread_limit(1, || {
-            bad.try_serve_many(std::slice::from_ref(&donor))
-        });
-        mcond::obs::flight::enable(false);
+        let (result, trace) = mcond::par::with_thread_limit(1, || {
+            bad.try_serve_many_traced(std::slice::from_ref(&donor))
+        })
+        .remove(0);
         assert!(
-            matches!(results[0], Err(ServeError::Panicked { .. })),
+            matches!(result, Err(ServeError::Panicked { .. })),
             "misconfigured model should panic past validation"
         );
-        let dump = cap
+        assert!(trace > 0, "a panicking request keeps its trace id");
+        let records: Vec<Json> = cap
             .parsed_lines()
             .into_iter()
-            .find(|l| l.get("ev").and_then(Json::as_str) == Some("flight"))
-            .expect("caught panic must dump the flight ring");
-        let trace = dump.get("trace").and_then(Json::as_f64).unwrap_or(0.0);
-        let events = dump.get("events").and_then(Json::as_arr).map_or(0, <[Json]>::len);
-        assert!(trace > 0.0, "flight dump must carry the dying request's trace id");
-        assert!(events > 0, "flight dump must carry the pre-panic events");
-        mcond::obs::flight::clear();
-        println!("  flight recorder: panic dumped {events} events for trace {trace:.0}");
+            .filter(|l| l.get("trace").and_then(Json::as_f64) == Some(trace as f64))
+            .collect();
+        for ev in ["span_start", "span"] {
+            assert!(
+                records.iter().any(|l| l.get("ev").and_then(Json::as_str) == Some(ev)
+                    && l.get("name").and_then(Json::as_str) == Some("serve")),
+                "trace {trace}: no serve {ev} record"
+            );
+        }
+        println!("  panic: trace {trace} has {} records in the log", records.len());
     }
 
     // --- self-loop fallback ---------------------------------------------
