@@ -11,10 +11,11 @@
 //! calibrated against the exact path.
 
 use mcond_core::chaos::corrupted_batches;
-use mcond_core::{InductiveServer, ServeError};
+use mcond_core::{Checkpoint, InductiveServer, ServeError};
 use mcond_gnn::{FrozenBase, GnnKind, GnnModel, GraphOps};
 use mcond_graph::{Graph, InductiveDataset, NodeBatch};
 use mcond_linalg::{DMat, MatRng};
+use mcond_obs::HistogramSummary;
 use mcond_sparse::{spmm_sparse, Coo, Csr};
 
 /// 6-node toy split: train {0,1,2} triangle, val {3}, test {4,5}; 3-dim
@@ -56,6 +57,16 @@ fn counter(server: &InductiveServer<'_>, name: &str) -> u64 {
     server.metrics_snapshot().counters.iter().find(|(k, _)| k == name).map_or(0, |(_, v)| *v)
 }
 
+fn histogram(server: &InductiveServer<'_>, name: &str) -> HistogramSummary {
+    server
+        .metrics_snapshot()
+        .histograms
+        .into_iter()
+        .find(|(k, _)| k == name)
+        .unwrap_or_else(|| panic!("missing histogram {name}"))
+        .1
+}
+
 /// The reference answer: attach (`a`, or `aM` through `mapping`; a node
 /// left without an attachment row keeps only its self-loop), vstack base
 /// and batch features, run every layer over all `N + n` rows of the lazily
@@ -70,7 +81,11 @@ fn reference(model: &GnnModel, base: &Graph, mapping: Option<&Csr>, batch: &Node
 
 /// The tentpole sweep: every architecture × thread count × attachment
 /// target, over a mapping that leaves one node without an attachment row
-/// — the server and the reference must agree bitwise.
+/// — the server and the reference must agree bitwise. The original graph
+/// is served twice: through `on_original`, and as the benchmark and the
+/// HTTP front end deploy it, a checkpoint whose mapping is the identity.
+/// Both are held to the reference that attaches `a` directly, and must
+/// book the same fallback, fanout and coverage statistics.
 #[test]
 fn exact_path_is_bitwise_identical_to_the_stacked_reference_everywhere() {
     let (data, syn, _) = fixture();
@@ -81,20 +96,24 @@ fn exact_path_is_bitwise_identical_to_the_stacked_reference_everywhere() {
 
     for kind in GnnKind::ALL {
         let model = GnnModel::new(kind, 3, 4, 2, 1);
+        let targets = [
+            ("synthetic", &syn, Some(&mapping), InductiveServer::on_synthetic(&syn, &mapping, &model)),
+            ("original", &original, None, InductiveServer::on_original(&original, &model)),
+            (
+                "original (identity checkpoint)",
+                &original,
+                None,
+                Checkpoint::new(original.clone(), Csr::eye(original.num_nodes()), model.clone())
+                    .expect("the identity mapping indexes the original graph")
+                    .into_server(),
+            ),
+        ];
         for threads in [1usize, 4] {
             mcond_par::with_thread_limit(threads, || {
-                let targets = [
-                    ("synthetic", &syn, Some(&mapping)),
-                    ("original", &original, None),
-                ];
-                for (target, base, mapping) in targets {
-                    let server = match mapping {
-                        Some(m) => InductiveServer::on_synthetic(base, m, &model),
-                        None => InductiveServer::on_original(base, &model),
-                    };
+                for (target, base, mapping, server) in &targets {
                     for (bi, batch) in batches.iter().enumerate() {
                         let got = server.try_serve(batch).expect("every batch serves");
-                        let want = reference(&model, base, mapping, batch);
+                        let want = reference(&model, base, *mapping, batch);
                         assert_eq!(
                             got.as_slice(),
                             want.as_slice(),
@@ -104,6 +123,21 @@ fn exact_path_is_bitwise_identical_to_the_stacked_reference_everywhere() {
                     }
                 }
             });
+        }
+        let (on_original, deployed) = (&targets[1].3, &targets[2].3);
+        assert_eq!(
+            counter(on_original, "serve.fallback"),
+            counter(deployed, "serve.fallback"),
+            "{}: fallback counts differ between the Eq. 3 servers",
+            kind.name()
+        );
+        for name in ["serve.fanout", "serve.coverage"] {
+            assert_eq!(
+                histogram(on_original, name),
+                histogram(deployed, name),
+                "{}: {name} differs between the Eq. 3 servers",
+                kind.name()
+            );
         }
     }
 }
