@@ -26,6 +26,9 @@ if sed '/^#\[cfg(test)\]/,$d' crates/serve/src/codec.rs | grep -n 'Json'; then e
 # activation bits EVENTS and METRICS_FORCED and no other; prints any other.
 if grep -nE 'const +[A-Za-z0-9_]+ *: *u32' crates/obs/src/sink.rs \
     | grep -vE 'const +(EVENTS|METRICS_FORCED) *:'; then exit 1; fi
+# One attach rule: Eq. 3 is the identity mapping, not a second path.
+if grep -nE "Option<Cow<'a, Csr>>|fn widened|extended_with|extended_(sym|mean)_with" \
+    crates/core/src/server.rs crates/gnn/src/*.rs; then exit 1; fi
 cargo fmt --all --check 2>/dev/null || echo "note: rustfmt not enforced (formatting is hand-maintained)"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace

@@ -136,7 +136,8 @@ struct Propagated {
 }
 
 /// Vanilla / LP / EP accuracy of `model` deployed on `base` — through
-/// `mapping` (Eq. 11) when there is one, directly (Eq. 3) otherwise.
+/// `mapping` (Eq. 11) when there is one, through the identity (Eq. 3)
+/// otherwise.
 fn propagate(
     model: &GnnModel,
     base: &Graph,

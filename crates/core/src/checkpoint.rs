@@ -12,7 +12,7 @@
 use crate::artifact::{self, Artifact};
 use crate::condense::Condensed;
 use crate::server::InductiveServer;
-use mcond_gnn::GnnModel;
+use mcond_gnn::{BaseDegrees, GnnModel};
 use mcond_graph::Graph;
 use mcond_sparse::Csr;
 use mcond_store::{codec, CheckpointReader, CheckpointWriter, StoreError};
@@ -143,9 +143,11 @@ impl Checkpoint {
     /// [`InductiveServer::from_checkpoint`], with nothing left to outlive.
     #[must_use]
     pub fn into_server(self) -> InductiveServer<'static> {
+        let deg = BaseDegrees::of(&self.synthetic.adj);
         InductiveServer::new(
             Cow::Owned(self.synthetic),
-            Some(Cow::Owned(self.mapping)),
+            Cow::Owned(deg),
+            Cow::Owned(self.mapping),
             Cow::Owned(self.model),
         )
     }

@@ -631,7 +631,8 @@ mod tests {
 
         // (b) The serve path's decomposition of the same operator.
         let (base, inc) = (Csr::from_dense(&adj), Csr::from_dense(&s));
-        let ext = mcond_gnn::Propagator::extended_sym(&base, &inc, &inter);
+        let deg = mcond_gnn::BaseDegrees::of(&base);
+        let ext = mcond_gnn::Propagator::extended_sym(&base, &inc, &inter, &deg);
         let (top, bottom) = ext.spmm_split(&x_syn, &x_sup);
         let served = ext.spmm_bottom(&top, &bottom);
         let diff = max_abs_diff(block_form, &served);

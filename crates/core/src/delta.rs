@@ -20,6 +20,7 @@ use crate::server::InductiveServer;
 use mcond_gnn::{BaseDegrees, GnnModel};
 use mcond_graph::{BatchError, Graph, NodeBatch};
 use mcond_sparse::{renormalize_rows, spmm_sparse, Csr};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A batch of served inductive nodes queued for promotion into the base:
@@ -236,7 +237,12 @@ impl LiveBase {
     /// ```
     #[must_use]
     pub fn server<'a>(&'a self, model: &'a GnnModel) -> InductiveServer<'a> {
-        InductiveServer::with_degrees(&self.base, &self.degrees, &self.mapping, model)
+        InductiveServer::new(
+            Cow::Borrowed(&self.base),
+            Cow::Borrowed(&self.degrees),
+            Cow::Borrowed(&self.mapping),
+            Cow::Borrowed(model),
+        )
     }
 }
 

@@ -2,9 +2,10 @@
 //! [`NodeBatch`] into logits.
 //!
 //! [`InductiveServer::try_serve`] attaches a batch of unseen nodes to a
-//! base graph (Eq. 3 on the original graph, Eq. 11 through the mapping on
-//! the condensed one) and runs the forward pass **without materialising
-//! the extended graph**: it uses the lazy extended
+//! base graph through the base's mapping — `aM` on the condensed graph
+//! (Eq. 11), and on the original graph the same rule with `M = I` (Eq. 3)
+//! — and runs the forward pass **without materialising the extended
+//! graph**: it uses the lazy extended
 //! [`Propagator`](mcond_gnn::Propagator), so a request computes only the
 //! incremental degree updates and streams the propagation through the
 //! shared base CSR — `O(nnz(a) + nnz(ã) + forward pass)` per batch, never
@@ -13,10 +14,12 @@
 //!
 //! # Ownership
 //!
-//! The server holds its graph, mapping and model as [`Cow`]s. The
-//! borrowing constructors ([`on_original`](InductiveServer::on_original),
-//! [`on_synthetic`](InductiveServer::on_synthetic),
-//! [`from_checkpoint`](InductiveServer::from_checkpoint)) copy nothing;
+//! The server holds its graph, mapping, degree sums and model as [`Cow`]s.
+//! The borrowing constructors ([`on_synthetic`](InductiveServer::on_synthetic),
+//! [`from_checkpoint`](InductiveServer::from_checkpoint),
+//! `LiveBase::server`) copy nothing;
+//! [`on_original`](InductiveServer::on_original) borrows the graph and
+//! model and owns its identity mapping;
 //! [`Checkpoint::into_server`](crate::Checkpoint::into_server) moves an
 //! owned bundle in and yields an `InductiveServer<'static>` that a
 //! long-lived slot (see `epoch`) can own outright.
@@ -93,7 +96,7 @@ pub const DEFAULT_MAX_BATCH: usize = 1 << 20;
 
 /// What one answered request contributes to the serving statistics.
 struct RequestTally {
-    /// Attachment fanout `‖aM̂‖₀` (or `‖a‖₀` on Eq. 3 serving).
+    /// Attachment fanout `‖aM̂‖₀` (`‖a‖₀` when `M = I`).
     fanout: usize,
     /// Nodes served from their self-loop: empty attachment row.
     fallback_nodes: u64,
@@ -114,75 +117,48 @@ struct ServeStats {
     coverage: Histogram,
 }
 
-/// A reusable inductive-inference endpoint over a fixed base graph
-/// (original `T` per Eq. 3, or synthetic `S` + mapping per Eq. 11). Its
-/// parts are owned or borrowed (see the module docs): `'a` is the lifetime
-/// of whatever it borrows, `'static` when it owns everything.
+/// A reusable inductive-inference endpoint over a fixed base graph and
+/// the mapping requests attach through (synthetic `S` + `M` per Eq. 11,
+/// or original `T` + `I` per Eq. 3). Its parts are owned or borrowed (see
+/// the module docs): `'a` is the lifetime of whatever it borrows,
+/// `'static` when it owns everything.
 pub struct InductiveServer<'a> {
     graph: Cow<'a, Graph>,
     /// Degree sums of `graph`, computed once and shared by every
     /// request's extension.
     deg: Cow<'a, BaseDegrees>,
-    mapping: Option<Cow<'a, Csr>>,
+    /// Rows: the incremental-adjacency width; columns: the base nodes.
+    mapping: Cow<'a, Csr>,
     model: Cow<'a, GnnModel>,
     max_batch: usize,
     stats: Mutex<ServeStats>,
 }
 
 impl<'a> InductiveServer<'a> {
-    /// A server over owned or borrowed parts; `mapping` selects Eq. 11
-    /// (through `M`) over Eq. 3 (direct) attachment.
+    /// The one constructor behind every public one. `deg` must be what
+    /// `BaseDegrees::of(&graph.adj)` returns; a caller that keeps it up to
+    /// date (`LiveBase`) lends it, every other caller computes it here
+    /// once for all requests.
     ///
     /// # Panics
-    /// Panics when the mapping's columns do not index the graph's nodes.
+    /// Panics when the mapping's columns do not index the graph's nodes,
+    /// or `deg` does not cover them.
     pub(crate) fn new(
         graph: Cow<'a, Graph>,
-        mapping: Option<Cow<'a, Csr>>,
+        deg: Cow<'a, BaseDegrees>,
+        mapping: Cow<'a, Csr>,
         model: Cow<'a, GnnModel>,
     ) -> Self {
-        let deg = Cow::Owned(BaseDegrees::of(&graph.adj));
-        Self::on_base(graph, deg, mapping, model)
-    }
-
-    /// A server through `mapping` (Eq. 11) for a caller that already
-    /// keeps the graph's degree sums up to date (`LiveBase`), so they are
-    /// not recomputed. `degrees` must be what `BaseDegrees::of(&graph.adj)`
-    /// would return.
-    ///
-    /// # Panics
-    /// As [`new`](Self::new), and when `degrees` does not cover the graph.
-    pub(crate) fn with_degrees(
-        graph: &'a Graph,
-        degrees: &'a BaseDegrees,
-        mapping: &'a Csr,
-        model: &'a GnnModel,
-    ) -> Self {
         assert_eq!(
-            degrees.sym.len(),
+            deg.sym.len(),
             graph.num_nodes(),
             "InductiveServer: degree sums must cover the base nodes"
         );
-        Self::on_base(
-            Cow::Borrowed(graph),
-            Cow::Borrowed(degrees),
-            Some(Cow::Borrowed(mapping)),
-            Cow::Borrowed(model),
-        )
-    }
-
-    fn on_base(
-        graph: Cow<'a, Graph>,
-        deg: Cow<'a, BaseDegrees>,
-        mapping: Option<Cow<'a, Csr>>,
-        model: Cow<'a, GnnModel>,
-    ) -> Self {
-        if let Some(m) = &mapping {
-            assert_eq!(
-                m.cols(),
-                graph.num_nodes(),
-                "InductiveServer: mapping columns must index the synthetic nodes"
-            );
-        }
+        assert_eq!(
+            mapping.cols(),
+            graph.num_nodes(),
+            "InductiveServer: mapping columns must index the base nodes"
+        );
         Self {
             graph,
             deg,
@@ -193,10 +169,16 @@ impl<'a> InductiveServer<'a> {
         }
     }
 
-    /// Serves inference on the original graph (Eq. 3 attachment).
+    /// Serves inference on the original graph (Eq. 3): attachment through
+    /// the identity mapping, so `aI = a`.
     #[must_use]
     pub fn on_original(graph: &'a Graph, model: &'a GnnModel) -> Self {
-        Self::new(Cow::Borrowed(graph), None, Cow::Borrowed(model))
+        Self::new(
+            Cow::Borrowed(graph),
+            Cow::Owned(BaseDegrees::of(&graph.adj)),
+            Cow::Owned(Csr::eye(graph.num_nodes())),
+            Cow::Borrowed(model),
+        )
     }
 
     /// Serves inference on the synthetic graph through the mapping
@@ -206,7 +188,12 @@ impl<'a> InductiveServer<'a> {
     /// Panics when the mapping's columns do not index the synthetic nodes.
     #[must_use]
     pub fn on_synthetic(graph: &'a Graph, mapping: &'a Csr, model: &'a GnnModel) -> Self {
-        Self::new(Cow::Borrowed(graph), Some(Cow::Borrowed(mapping)), Cow::Borrowed(model))
+        Self::new(
+            Cow::Borrowed(graph),
+            Cow::Owned(BaseDegrees::of(&graph.adj)),
+            Cow::Borrowed(mapping),
+            Cow::Borrowed(model),
+        )
     }
 
     /// Caps the number of nodes a single request may carry (default
@@ -218,16 +205,15 @@ impl<'a> InductiveServer<'a> {
         self
     }
 
-    /// The base graph requests attach to (`T` for Eq. 3 serving, `S` for
-    /// Eq. 11).
+    /// The base graph requests attach to (`S` for Eq. 11 serving, `T` for
+    /// Eq. 3).
     #[must_use]
     pub fn base_graph(&self) -> &Graph {
         &self.graph
     }
 
-    /// The batch's attachment rows in the base's index space — its
-    /// incremental adjacency `a` on an Eq. 3 server, `aM` through the
-    /// mapping on an Eq. 11 server.
+    /// The batch's attachment rows `aM` in the base's index space — its
+    /// incremental adjacency `a` itself, entry for entry, when `M = I`.
     /// [`try_serve`](InductiveServer::try_serve) attaches with exactly
     /// this; cost experiments size the extended graph by it, label/error
     /// propagation build that graph from it, and a
@@ -237,13 +223,10 @@ impl<'a> InductiveServer<'a> {
     /// Panics when the batch is wider than
     /// [`expected_incremental_cols`](InductiveServer::expected_incremental_cols).
     #[must_use]
-    pub fn attachment<'b>(&self, batch: &'b NodeBatch) -> Cow<'b, Csr> {
-        match self.mapping.as_deref() {
-            // The conversion indexes `M`'s rows by column value, so a
-            // prefix-width batch needs no widening first.
-            Some(mapping) => Cow::Owned(spmm_sparse(&batch.incremental, mapping)),
-            None => widened(&batch.incremental, self.base_nodes()),
-        }
+    pub fn attachment(&self, batch: &NodeBatch) -> Csr {
+        // The conversion indexes `M`'s rows by column value, so a
+        // prefix-width batch needs no widening first.
+        spmm_sparse(&batch.incremental, &self.mapping)
     }
 
     /// Number of base nodes.
@@ -252,12 +235,13 @@ impl<'a> InductiveServer<'a> {
         self.graph.num_nodes()
     }
 
-    /// The incremental-adjacency width every request must have: training
-    /// nodes for Eq. 3 serving, mapping rows for Eq. 11. Callers building
-    /// synthetic probe batches (e.g. a reload canary) size them with this.
+    /// The incremental-adjacency width every request must have: the
+    /// mapping's rows (the training-node count when `M = I`). Callers
+    /// building synthetic probe batches (e.g. a reload canary) size them
+    /// with this.
     #[must_use]
     pub fn expected_incremental_cols(&self) -> usize {
-        self.mapping.as_ref().map_or_else(|| self.base_nodes(), |m| m.rows())
+        self.mapping.rows()
     }
 
     /// Feature dimension every request's rows must have.
@@ -323,36 +307,25 @@ impl<'a> InductiveServer<'a> {
             return Ok(DMat::zeros(0, self.model.out_dim()));
         }
 
-        // Attachment rows and per-node mapping coverage. The batch's own
-        // incremental rows are borrowed — only the mapping conversion
-        // materialises a new matrix.
+        // Attachment rows and per-node mapping coverage: the fraction of
+        // the node's *absolute* incremental mass surviving the mapping,
+        // clamped to [0, 1] — signed sums would zero out nodes whose edge
+        // weights cancel, and could report > 1 into the coverage histogram.
         let attach_stage = mcond_obs::span_timed("attach", "serve.stage.attach");
         let inc = self.attachment(batch);
-        let coverage: Vec<f32> = match self.mapping {
-            None => (0..batch.len())
-                .map(|i| if inc.row_cols(i).is_empty() { 0.0 } else { 1.0 })
-                .collect(),
-            Some(_) => {
-                // Coverage is the fraction of the node's *absolute*
-                // incremental mass surviving the mapping, clamped to
-                // [0, 1]: signed sums would zero out nodes whose edge
-                // weights cancel, and could report > 1 into the coverage
-                // histogram.
-                (0..batch.len())
-                    .map(|i| {
-                        let raw: f32 = batch.incremental.row_vals(i).iter().map(|v| v.abs()).sum();
-                        if raw > 0.0 {
-                            let kept: f32 = inc.row_vals(i).iter().map(|v| v.abs()).sum();
-                            // + 0.0 normalises the -0.0 that `Sum`'s float
-                            // identity yields for an empty `aM` row.
-                            (kept / raw).clamp(0.0, 1.0) + 0.0
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
-            }
-        };
+        let coverage: Vec<f32> = (0..batch.len())
+            .map(|i| {
+                let raw: f32 = batch.incremental.row_vals(i).iter().map(|v| v.abs()).sum();
+                if raw > 0.0 {
+                    let kept: f32 = inc.row_vals(i).iter().map(|v| v.abs()).sum();
+                    // + 0.0 normalises the -0.0 that `Sum`'s float
+                    // identity yields for an empty `aM` row.
+                    (kept / raw).clamp(0.0, 1.0) + 0.0
+                } else {
+                    0.0
+                }
+            })
+            .collect();
         // A node with an empty row keeps only its self-loop (plus any
         // batch interconnections) in the extended graph.
         let fallback_nodes =
@@ -366,7 +339,7 @@ impl<'a> InductiveServer<'a> {
         // nothing is cloned.
         let fanout = inc.nnz();
         let propagate_stage = mcond_obs::span_timed("propagate", "serve.stage.propagate");
-        let ops = GraphOps::extended_with(&self.graph.adj, &inc, &batch.interconnect, &self.deg);
+        let ops = GraphOps::extended(&self.graph.adj, &inc, &batch.interconnect, &self.deg);
         let out = self.model.predict_split(&ops, &self.graph.features, &batch.features);
         drop(propagate_stage);
         {
@@ -509,18 +482,6 @@ impl<'a> InductiveServer<'a> {
                 ("serve.coverage".to_owned(), stats.coverage.summary()),
             ],
         }
-    }
-}
-
-/// `m` addressed in a `cols`-wide index space. A prefix-width block
-/// (built before the base grew) is widened — pure metadata, entries
-/// untouched — so every downstream operator sees consistent block shapes;
-/// a full-width one is borrowed as it is.
-fn widened(m: &Csr, cols: usize) -> Cow<'_, Csr> {
-    if m.cols() < cols {
-        Cow::Owned(m.widen_cols(cols))
-    } else {
-        Cow::Borrowed(m)
     }
 }
 

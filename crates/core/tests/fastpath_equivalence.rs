@@ -12,7 +12,7 @@
 
 use mcond_core::chaos::corrupted_batches;
 use mcond_core::{Checkpoint, InductiveServer, ServeError};
-use mcond_gnn::{FrozenBase, GnnKind, GnnModel, GraphOps};
+use mcond_gnn::{BaseDegrees, FrozenBase, GnnKind, GnnModel, GraphOps};
 use mcond_graph::{Graph, InductiveDataset, NodeBatch};
 use mcond_linalg::{DMat, MatRng};
 use mcond_obs::HistogramSummary;
@@ -74,7 +74,8 @@ fn histogram(server: &InductiveServer<'_>, name: &str) -> HistogramSummary {
 fn reference(model: &GnnModel, base: &Graph, mapping: Option<&Csr>, batch: &NodeBatch) -> DMat {
     let attach =
         mapping.map_or_else(|| batch.incremental.clone(), |m| spmm_sparse(&batch.incremental, m));
-    let ops = GraphOps::extended(&base.adj, &attach, &batch.interconnect);
+    let deg = BaseDegrees::of(&base.adj);
+    let ops = GraphOps::extended(&base.adj, &attach, &batch.interconnect, &deg);
     let logits = model.predict(&ops, &base.features.vstack(&batch.features));
     logits.slice_rows(base.num_nodes(), logits.rows())
 }

@@ -129,7 +129,7 @@ fn every_evaluator_agrees_with_the_reference_forward() {
                 _ => (true, false),
             };
             for (case, inc, inter) in &batches() {
-                let extended = GraphOps::extended_with(&base, inc, inter, &deg);
+                let extended = GraphOps::extended(&base, inc, inter, &deg);
                 let grown = base.block_extend(inc, inter);
                 let materialised = GraphOps::from_adj(&grown);
                 for threads in [1usize, 4] {
@@ -147,7 +147,7 @@ fn every_evaluator_agrees_with_the_reference_forward() {
 
                         // split == bottom rows of the stacked dense, and
                         // builds only the operators the program reads.
-                        let split_ops = GraphOps::extended_with(&base, inc, inter, &deg);
+                        let split_ops = GraphOps::extended(&base, inc, inter, &deg);
                         let split = model.predict_split(&split_ops, &x_base, &x_new);
                         assert_eq!(split_ops.built(), reads, "operators built {tag}");
                         assert_eq!(

@@ -255,7 +255,8 @@ mod tests {
         inter: &Csr,
         x_new: &DMat,
     ) -> DMat {
-        let ops = GraphOps::extended(base, inc, inter);
+        let deg = BaseDegrees::of(base);
+        let ops = GraphOps::extended(base, inc, inter, &deg);
         model.predict_split(&ops, base_x, x_new)
     }
 

@@ -117,7 +117,7 @@ struct Blocks<'a> {
     base: &'a Csr,
     inc: &'a Csr,
     inter: &'a Csr,
-    deg: Cow<'a, BaseDegrees>,
+    deg: &'a BaseDegrees,
 }
 
 impl GraphOps<'static> {
@@ -151,26 +151,10 @@ impl<'a> GraphOps<'a> {
     /// **never materialised** — per-batch inductive serving then costs
     /// O(nnz(inc) + nnz(inter) + n) instead of copying the base graph (see
     /// `mcond-core`'s `InductiveServer`). The blocks are borrowed, not
-    /// cloned: a request's `inc`/`inter` are used in place.
+    /// cloned: a request's `inc`/`inter` are used in place, and `deg` is
+    /// the base's [`BaseDegrees::of`], computed once per server.
     #[must_use]
-    pub fn extended(base: &'a Csr, inc: &'a Csr, inter: &'a Csr) -> Self {
-        Self::on_blocks(base, inc, inter, Cow::Owned(BaseDegrees::of(base)))
-    }
-
-    /// [`extended`](Self::extended) with the base graph's degree sums
-    /// supplied by the caller ([`BaseDegrees::of`], computed once per
-    /// server). Bitwise identical to [`extended`](Self::extended).
-    #[must_use]
-    pub fn extended_with(
-        base: &'a Csr,
-        inc: &'a Csr,
-        inter: &'a Csr,
-        deg: &'a BaseDegrees,
-    ) -> Self {
-        Self::on_blocks(base, inc, inter, Cow::Borrowed(deg))
-    }
-
-    fn on_blocks(base: &'a Csr, inc: &'a Csr, inter: &'a Csr, deg: Cow<'a, BaseDegrees>) -> Self {
+    pub fn extended(base: &'a Csr, inc: &'a Csr, inter: &'a Csr, deg: &'a BaseDegrees) -> Self {
         Self {
             blocks: Some(Blocks { base, inc, inter, deg }),
             sym: OnceLock::new(),
@@ -181,12 +165,12 @@ impl<'a> GraphOps<'a> {
     /// The operator behind `kernel`, built on first read.
     pub(crate) fn kernel(&self, kernel: Kernel) -> &Propagator<'a> {
         let (cell, build): (_, fn(_, _, _, &BaseDegrees) -> _) = match kernel {
-            Kernel::Sym => (&self.sym, Propagator::extended_sym_with),
-            Kernel::Mean => (&self.mean, Propagator::extended_mean_with),
+            Kernel::Sym => (&self.sym, Propagator::extended_sym),
+            Kernel::Mean => (&self.mean, Propagator::extended_mean),
         };
         cell.get_or_init(|| {
             let b = self.blocks.as_ref().expect("materialised operators are built up front");
-            build(b.base, b.inc, b.inter, &b.deg)
+            build(b.base, b.inc, b.inter, b.deg)
         })
     }
 

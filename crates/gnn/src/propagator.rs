@@ -48,10 +48,9 @@ use std::sync::Arc;
 /// shared across every request served against that graph.
 ///
 /// `sym` includes the GCN self-loop (`1 + Σ_j w_ij`), `mean` does not
-/// (`Σ_j w_ij`). The accumulation order matches what
-/// [`Propagator::extended_sym`] / [`Propagator::extended_mean`] would
-/// compute from scratch, so operators built via the `_with` constructors
-/// are bitwise identical to the direct ones.
+/// (`Σ_j w_ij`). [`Propagator::extended_sym`] / [`Propagator::extended_mean`]
+/// take them from the caller and fold in only a request's mass, in the
+/// order a from-scratch pass over the extended matrix would add it.
 #[derive(Clone)]
 pub struct BaseDegrees {
     /// `1 + row mass` per base node (symmetric kernel, self-loop included).
@@ -292,31 +291,16 @@ impl<'a> Propagator<'a> {
 
     /// Builds the **symmetric GCN kernel** of the extended graph without
     /// materialising it: `D̃^{-1/2}(Ã_ext)D̃^{-1/2}` with self-loops, where
-    /// the extension is `[[base, incᵀ], [inc, inter]]`.
-    ///
-    /// # Panics
-    /// Panics on inconsistent block shapes.
-    #[must_use]
-    pub fn extended_sym(base: &'a Csr, inc: &'a Csr, inter: &'a Csr) -> Self {
-        Self::extended_sym_with(base, inc, inter, &BaseDegrees::of(base))
-    }
-
-    /// [`extended_sym`](Self::extended_sym) with the base-graph degree
-    /// sums supplied by the caller ([`BaseDegrees::of`], computed once per
-    /// server instead of once per request). Bitwise identical to the
-    /// direct constructor.
+    /// the extension is `[[base, incᵀ], [inc, inter]]`. `deg` is the base
+    /// graph's [`BaseDegrees::of`], computed once per server instead of
+    /// once per request.
     ///
     /// # Panics
     /// Panics on inconsistent block shapes or a `deg` of the wrong length.
     #[must_use]
-    pub fn extended_sym_with(
-        base: &'a Csr,
-        inc: &'a Csr,
-        inter: &'a Csr,
-        deg: &BaseDegrees,
-    ) -> Self {
+    pub fn extended_sym(base: &'a Csr, inc: &'a Csr, inter: &'a Csr, deg: &BaseDegrees) -> Self {
         check_blocks(base, inc, inter);
-        assert_eq!(deg.sym.len(), base.rows(), "extended_sym_with: degree length mismatch");
+        assert_eq!(deg.sym.len(), base.rows(), "extended_sym: degree length mismatch");
         // Degrees of Ã_ext (self-loop included): base sums are shared, the
         // request only folds in its incremental/interconnect mass — in the
         // same order the from-scratch accumulation would.
@@ -334,29 +318,14 @@ impl<'a> Propagator<'a> {
     }
 
     /// Builds the **mean (row-stochastic) kernel** of the extended graph:
-    /// `D^{-1} A_ext`, no self-loops.
-    ///
-    /// # Panics
-    /// Panics on inconsistent block shapes.
-    #[must_use]
-    pub fn extended_mean(base: &'a Csr, inc: &'a Csr, inter: &'a Csr) -> Self {
-        Self::extended_mean_with(base, inc, inter, &BaseDegrees::of(base))
-    }
-
-    /// [`extended_mean`](Self::extended_mean) with shared base-graph
-    /// degree sums; bitwise identical to the direct constructor.
+    /// `D^{-1} A_ext`, no self-loops, over the base's shared `deg`.
     ///
     /// # Panics
     /// Panics on inconsistent block shapes or a `deg` of the wrong length.
     #[must_use]
-    pub fn extended_mean_with(
-        base: &'a Csr,
-        inc: &'a Csr,
-        inter: &'a Csr,
-        deg: &BaseDegrees,
-    ) -> Self {
+    pub fn extended_mean(base: &'a Csr, inc: &'a Csr, inter: &'a Csr, deg: &BaseDegrees) -> Self {
         check_blocks(base, inc, inter);
-        assert_eq!(deg.mean.len(), base.rows(), "extended_mean_with: degree length mismatch");
+        assert_eq!(deg.mean.len(), base.rows(), "extended_mean: degree length mismatch");
         let mut deg_base = deg.mean.clone();
         let deg_new = fold_request_mass(inc, inter, &mut deg_base, 0.0);
         let inv = |d: &f32| if *d > 0.0 { 1.0 / d } else { 0.0 };
@@ -434,7 +403,7 @@ mod tests {
     #[test]
     fn extended_sym_matches_materialised_normalisation() {
         let (base, inc, inter) = blocks();
-        let lazy = Propagator::extended_sym(&base, &inc, &inter);
+        let lazy = Propagator::extended_sym(&base, &inc, &inter, &BaseDegrees::of(&base));
         let dense = sym_normalize(&materialised(&base, &inc, &inter));
         let x = MatRng::seed_from(1).normal(6, 3, 0.0, 1.0);
         let a = lazy.spmm(&x);
@@ -447,7 +416,7 @@ mod tests {
     #[test]
     fn extended_mean_matches_materialised_normalisation() {
         let (base, inc, inter) = blocks();
-        let lazy = Propagator::extended_mean(&base, &inc, &inter);
+        let lazy = Propagator::extended_mean(&base, &inc, &inter, &BaseDegrees::of(&base));
         let dense_raw = materialised(&base, &inc, &inter).to_dense();
         let dense = row_normalize_dense(&dense_raw);
         let x = MatRng::seed_from(2).normal(6, 3, 0.0, 1.0);
@@ -455,25 +424,6 @@ mod tests {
         let b = dense.matmul(&x);
         for (u, v) in a.as_slice().iter().zip(b.as_slice()) {
             assert!(approx_eq(*u, *v, 1e-4), "{u} vs {v}");
-        }
-    }
-
-    #[test]
-    fn shared_base_degrees_are_bitwise_identical_to_direct_build() {
-        let (base, inc, inter) = blocks();
-        let deg = BaseDegrees::of(&base);
-        let x = MatRng::seed_from(7).normal(6, 5, 0.0, 1.0);
-        for (direct, shared) in [
-            (
-                Propagator::extended_sym(&base, &inc, &inter),
-                Propagator::extended_sym_with(&base, &inc, &inter, &deg),
-            ),
-            (
-                Propagator::extended_mean(&base, &inc, &inter),
-                Propagator::extended_mean_with(&base, &inc, &inter, &deg),
-            ),
-        ] {
-            assert_eq!(direct.spmm(&x).as_slice(), shared.spmm(&x).as_slice());
         }
     }
 
@@ -485,11 +435,12 @@ mod tests {
         let x = MatRng::seed_from(9).normal(6, 5, 0.0, 1.0);
         let xb = x.slice_rows(0, 4);
         let xn = x.slice_rows(4, 6);
+        let deg = BaseDegrees::of(&base);
         for threads in [1usize, 4] {
             mcond_par::with_thread_limit(threads, || {
                 for p in [
-                    Propagator::extended_sym(&base, &inc, &inter),
-                    Propagator::extended_mean(&base, &inc, &inter),
+                    Propagator::extended_sym(&base, &inc, &inter, &deg),
+                    Propagator::extended_mean(&base, &inc, &inter, &deg),
                 ] {
                     let full = p.spmm(&x);
                     let (top, bottom) = p.spmm_split(&xb, &xn);
@@ -527,7 +478,7 @@ mod tests {
         let (base, _, _) = blocks();
         let inc = Csr::empty(0, 4);
         let inter = Csr::empty(0, 0);
-        let lazy = Propagator::extended_sym(&base, &inc, &inter);
+        let lazy = Propagator::extended_sym(&base, &inc, &inter, &BaseDegrees::of(&base));
         let direct = sym_normalize(&base);
         let x = MatRng::seed_from(3).normal(4, 2, 0.0, 1.0);
         let a = lazy.spmm(&x);
@@ -560,7 +511,7 @@ mod tests {
     #[should_panic(expected = "cannot be recorded on a tape")]
     fn extended_csr_handle_panics() {
         let (base, inc, inter) = blocks();
-        let lazy = Propagator::extended_sym(&base, &inc, &inter);
+        let lazy = Propagator::extended_sym(&base, &inc, &inter, &BaseDegrees::of(&base));
         let _ = lazy.csr();
     }
 }

@@ -40,7 +40,7 @@ pub enum BatchError {
         expected: usize,
     },
     /// The incremental adjacency's columns do not index the serving base
-    /// (original training nodes for Eq. 3, mapping rows for Eq. 11): the
+    /// (the mapping's rows, the training-node count when `M = I`): the
     /// batch indexes a different base graph.
     IncrementalWidth {
         /// Columns the incremental block actually has.
@@ -96,8 +96,8 @@ impl std::error::Error for BatchError {}
 
 impl NodeBatch {
     /// Validates the batch against a serving base: `base_cols` is the
-    /// width of the base's index space (training-node count for Eq. 3
-    /// attachment, mapping rows for Eq. 11) and `feature_dim` the base's
+    /// width of the base's index space (the mapping's rows, the
+    /// training-node count when `M = I`) and `feature_dim` the base's
     /// feature dimension.
     ///
     /// The incremental width may be *narrower* than `base_cols`: a live

@@ -23,6 +23,9 @@ use std::sync::{Arc, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+/// Most requests merged into one fan-out.
+const MAX_COALESCE: usize = 64;
+
 /// Spawns generation `gen` of the batcher. `None` only when the OS
 /// refuses a thread.
 pub(crate) fn spawn_batcher(
@@ -80,7 +83,7 @@ fn batcher_loop(shared: &Arc<Shared>, cfg: &ServeConfig, gen: u64) {
             &shared.receiving,
             first,
             cfg.coalesce_window,
-            cfg.max_coalesce,
+            MAX_COALESCE,
             coalesced_at,
         );
         let dispatched = Instant::now();

@@ -46,8 +46,8 @@ fn req(s: &str) -> ChaosWrite {
 /// timeout, and expected batch shape — oversized/slowloris cases always
 /// cross the line by a margin instead of assuming defaults, and the one
 /// well-formed (split-body) case targets a batch the server actually
-/// accepts (`inc_cols` incremental columns — training nodes for Eq. 3
-/// serving, mapping rows for Eq. 11 — and `feature_dim` features).
+/// accepts (`inc_cols` incremental columns — the mapping's rows, the
+/// training-node count when `M = I` — and `feature_dim` features).
 #[must_use]
 pub fn protocol_corpus(
     limits: &HttpLimits,
@@ -162,6 +162,24 @@ pub fn protocol_corpus(
         ProtocolCase {
             name: "plus_signed_content_length",
             writes: vec![req("POST /v1/serve HTTP/1.1\r\ncontent-length: +5\r\n\r\n")],
+            expect: Expect::Statuses(&[400]),
+        },
+        // RFC 9112 §5.1: whitespace between a field name and its colon.
+        ProtocolCase {
+            name: "space_before_header_colon",
+            writes: vec![req("GET /healthz HTTP/1.1\r\nContent-Length : 0\r\n\r\n")],
+            expect: Expect::Statuses(&[400]),
+        },
+        // RFC 9112 §5.2: an obs-folded continuation line.
+        ProtocolCase {
+            name: "obs_folded_header",
+            writes: vec![req("GET /healthz HTTP/1.1\r\nX-Pad: a\r\n Content-Length: 0\r\n\r\n")],
+            expect: Expect::Statuses(&[400]),
+        },
+        // RFC 9110 §5.5: a bare LF inside a field value.
+        ProtocolCase {
+            name: "bare_lf_in_header_value",
+            writes: vec![req("GET /healthz HTTP/1.1\r\nX-Pad: a\nContent-Length: 5\r\n\r\n")],
             expect: Expect::Statuses(&[400]),
         },
         ProtocolCase {

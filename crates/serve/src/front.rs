@@ -9,7 +9,7 @@
 //!                        ▼
 //!                  bounded JobQueue (Mutex<VecDeque> + Condvar)
 //!                        │
-//!                  batcher thread: take every queued job (≤ max_coalesce),
+//!                  batcher thread: take every queued job (≤ MAX_COALESCE),
 //!                  linger ≤ coalesce_window only while a handler is still
 //!                  receiving a request or fan-outs are coalescing, expire
 //!                  overdue deadlines, then one `try_serve_many_traced`
@@ -105,8 +105,6 @@ pub struct ServeConfig {
     ///
     /// A lone request never pays it.
     pub coalesce_window: Duration,
-    /// Most requests merged into one fan-out.
-    pub max_coalesce: usize,
     /// Bounded depth of the job queue; requests beyond it are shed with
     /// `429`.
     pub queue_capacity: usize,
@@ -133,8 +131,6 @@ pub struct ServeConfig {
     pub reload_backoff: Duration,
     /// Ceiling for the reload backoff.
     pub reload_backoff_cap: Duration,
-    /// HTTP framing limits (header/body byte caps).
-    pub limits: HttpLimits,
     /// When set, the batcher pins its fan-outs to this thread count via
     /// [`mcond_par::with_thread_limit`] — results are bitwise identical
     /// either way (the pool's contract); tests use it to compare 1- and
@@ -147,7 +143,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:0".to_owned(),
             coalesce_window: Duration::from_micros(500),
-            max_coalesce: 64,
             queue_capacity: 256,
             read_timeout: Duration::from_secs(5),
             shed_wait_us: 500_000,
@@ -155,7 +150,6 @@ impl Default for ServeConfig {
             watchdog_period: Duration::from_secs(2),
             reload_backoff: Duration::from_millis(250),
             reload_backoff_cap: Duration::from_secs(30),
-            limits: HttpLimits::default(),
             thread_limit: None,
         }
     }
@@ -531,7 +525,7 @@ impl Routed {
 fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>, cfg: &ServeConfig) {
     let _ = stream.set_read_timeout(Some(cfg.read_timeout));
     let _ = stream.set_nodelay(true);
-    let mut parser = RequestParser::new(cfg.limits);
+    let mut parser = RequestParser::new(HttpLimits::default());
     let mut buf = [0u8; 16 * 1024];
     // Held while a request is partly read; every `return` below drops it.
     let mut receiving: Option<Receiving> = None;

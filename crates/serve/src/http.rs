@@ -41,7 +41,8 @@ pub enum HttpError {
     BadRequestLine,
     /// The version token is not `HTTP/1.0` or `HTTP/1.1`.
     BadVersion,
-    /// A header line has no `:` separator or an empty name.
+    /// A header line has no `:` separator, a name that is not an RFC 9110
+    /// token, or a CR, LF or NUL in its value.
     BadHeader,
     /// Request line + headers exceed [`HttpLimits::max_header_bytes`].
     HeaderTooLarge,
@@ -209,8 +210,14 @@ impl RequestParser {
                 continue;
             }
             let (name, value) = line.split_once(':').ok_or(HttpError::BadHeader)?;
-            let name = name.trim();
-            if name.is_empty() || name.contains(' ') {
+            // The name is a token as sent — no trimming — so whitespace
+            // before the colon (RFC 9112 §5.1) and an obs-folded line
+            // (§5.2) are refused, as is CR, LF or NUL in a value (RFC
+            // 9110 §5.5): another hop may read any of them differently.
+            if name.is_empty()
+                || !name.bytes().all(is_tchar)
+                || value.bytes().any(|b| matches!(b, b'\r' | b'\n' | 0))
+            {
                 return Err(HttpError::BadHeader);
             }
             headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
@@ -264,6 +271,16 @@ impl RequestParser {
 /// Byte offset of the `\r\n\r\n` head terminator, if present.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
+}
+
+/// RFC 9110 §5.6.2 `tchar`, the bytes a field name may hold.
+fn is_tchar(b: u8) -> bool {
+    b.is_ascii_alphanumeric()
+        || matches!(
+            b,
+            b'!' | b'#' | b'$' | b'%' | b'&' | b'\'' | b'*' | b'+' | b'-' | b'.' | b'^' | b'_'
+                | b'`' | b'|' | b'~'
+        )
 }
 
 fn parse_request_line(line: &str) -> Result<(String, String, bool), HttpError> {

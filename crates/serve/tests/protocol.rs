@@ -6,7 +6,7 @@
 mod common;
 
 use mcond_serve::chaos::{protocol_corpus, ChaosWrite, Expect};
-use mcond_serve::{spawn, Client, ServeConfig, ServeHandle};
+use mcond_serve::{spawn, Client, HttpLimits, ServeConfig, ServeHandle};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
@@ -87,7 +87,7 @@ fn parse_statuses(mut buf: &[u8]) -> Vec<u16> {
 fn corpus_yields_clean_statuses_and_the_server_survives() {
     let handle = spawn_toy();
     let corpus = protocol_corpus(
-        &ServeConfig::default().limits,
+        &HttpLimits::default(),
         READ_TIMEOUT,
         common::INC_COLS,
         common::FEATURE_DIM,
