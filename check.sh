@@ -51,6 +51,9 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --
 # mapping on the original). Same lifecycle and bitwise check, ~5 s together.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload batch_syn --seed 0 --smoke
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload batch_orig --seed 0 --smoke
+# The condense workload: the same lifecycle after condense() on reddit-small,
+# the ruler's training-side smoke (autodiff, GEMM, full-graph spmm/spmm_t).
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload condense --seed 0 --smoke
 # Checkpoint round-trip smoke: condense → save → restore → serve, bitwise
 # verified inside the example (also exercises a corrupted-file rejection).
 cargo run --release --example checkpointing

@@ -8,6 +8,7 @@
 //! matmul adjoints may differ in the last ulps when the FMA tiers regroup
 //! additions — training runs that must be replayed exactly pin the level.
 
+use crate::ops_basic::ROW_PASS_MIN_ROWS;
 use crate::tape::{Op, Tape, Var};
 use mcond_linalg::{sigmoid_scalar, DMat};
 
@@ -87,14 +88,6 @@ impl Tape {
                     add_grad(grads, *b, g.clone());
                 }
             }
-            Op::Sub(a, b) => {
-                if self.rg(*a) {
-                    add_grad(grads, *a, g.clone());
-                }
-                if self.rg(*b) {
-                    add_grad(grads, *b, g.scale(-1.0));
-                }
-            }
             Op::Hadamard(a, b) => {
                 if self.rg(*a) {
                     add_grad(grads, *a, g.hadamard(&self.nodes[*b].value));
@@ -106,11 +99,6 @@ impl Tape {
             Op::ScaleConst(a, c) => {
                 if self.rg(*a) {
                     add_grad(grads, *a, g.scale(*c));
-                }
-            }
-            Op::AddConst(a) => {
-                if self.rg(*a) {
-                    add_grad(grads, *a, g.clone());
                 }
             }
             Op::Relu(a) => {
@@ -188,23 +176,28 @@ impl Tape {
                     add_grad(grads, *a, g.zip_with(&node.value, |gv, y| -0.5 * gv * y * y * y));
                 }
             }
-            Op::DivRowSum(a) => {
+            Op::SigmoidRowNormalize(a) => {
+                // Replays sigmoid → row division → `− ε` → relu per
+                // element: the relu multiplies by 1/0 (keeping -0.0),
+                // `(g − Σ_k g_ik y_ik)/s` with `y = σ/s` and an ascending
+                // sum (zero-sum rows stay zero), then `· σ(1 − σ)`.
                 if self.rg(*a) {
-                    // y_ij = x_ij / s_i  =>  dx_ij = (g_ij - Σ_k g_ik y_ik) / s_i
-                    let sums = node.cache.as_ref().expect("DivRowSum cache");
-                    let y = &node.value;
+                    let cache = node.cache.as_ref().expect("SigmoidRowNormalize cache");
                     let mut ga = DMat::zeros(g.rows(), g.cols());
-                    for i in 0..g.rows() {
-                        let s = sums.get(i, 0);
-                        if s == 0.0 {
-                            continue;
+                    ga.par_fill_rows(ROW_PASS_MIN_ROWS, |i, dst| {
+                        let (sig, s) = cache.row(i).split_at(g.cols());
+                        let s = s[0];
+                        if s != 0.0 {
+                            let masked = g.row(i).iter().zip(node.value.row(i)).map(|(gv, &y)| {
+                                gv * if y > 0.0 { 1.0 } else { 0.0 }
+                            });
+                            let inner: f32 =
+                                masked.clone().zip(sig).map(|(gv, y)| gv * (y / s)).sum();
+                            for ((d, gv), y) in dst.iter_mut().zip(masked).zip(sig) {
+                                *d = (gv - inner) / s * (y * (1.0 - y));
+                            }
                         }
-                        let inner: f32 =
-                            g.row(i).iter().zip(y.row(i)).map(|(gv, yv)| gv * yv).sum();
-                        for (dst, gv) in ga.row_mut(i).iter_mut().zip(g.row(i)) {
-                            *dst = (gv - inner) / s;
-                        }
-                    }
+                    });
                     add_grad(grads, *a, ga);
                 }
             }
@@ -285,21 +278,26 @@ impl Tape {
                     add_grad(grads, *a, ga);
                 }
             }
-            Op::L21(a) => {
-                if self.rg(*a) {
-                    let x = &self.nodes[*a].value;
-                    let norms = node.cache.as_ref().expect("L21 cache");
-                    let seed = g.get(0, 0);
-                    let mut ga = DMat::zeros(x.rows(), x.cols());
-                    for i in 0..x.rows() {
-                        let norm = norms.get(i, 0);
-                        if norm > 1e-12 {
-                            for (dst, v) in ga.row_mut(i).iter_mut().zip(x.row(i)) {
-                                *dst = seed * v / norm;
-                            }
-                        }
+            Op::L21Dist(a, b) => {
+                // `seed·v/‖v‖` for `a` (`v = a_i − b_i`, zero where
+                // `‖v‖ ≤ 1e-12`), times -1 for `b`: the bits a recorded
+                // difference node would pass on, `-0.0` rows included.
+                let norms = node.cache.as_ref().expect("L21Dist cache");
+                let (x, y) = (&self.nodes[*a].value, &self.nodes[*b].value);
+                let seed = g.get(0, 0);
+                for (side, sign) in [(*a, 1.0f32), (*b, -1.0)] {
+                    if !self.rg(side) {
+                        continue;
                     }
-                    add_grad(grads, *a, ga);
+                    let mut out = DMat::zeros(x.rows(), x.cols());
+                    out.par_fill_rows(ROW_PASS_MIN_ROWS, |i, dst| {
+                        let norm = norms.get(i, 0);
+                        let v = x.row(i).iter().zip(y.row(i)).map(|(p, q)| p - q);
+                        for (d, v) in dst.iter_mut().zip(v) {
+                            *d = if norm > 1e-12 { seed * v / norm } else { 0.0 } * sign;
+                        }
+                    });
+                    add_grad(grads, side, out);
                 }
             }
             Op::CosineColDist(a, b) => {

@@ -15,11 +15,14 @@
 //! * a degree scaling whose degrees are on the tape ([`Tape::inv_sqrt`],
 //!   [`Tape::scale_rows`]) — Eq. (11)'s extended graph propagated block by
 //!   block, never assembled,
-//! * row-sum normalisation for the mapping matrix (Eq. 15),
+//! * the mapping matrix's Eq. (15) normalisation as one fused op
+//!   ([`Tape::sigmoid_row_normalize`]; [`sigmoid_row_normalized`] is the
+//!   same kernel off the tape),
 //! * loss heads: softmax cross-entropy, the *softmax error* term used by
 //!   gradient matching (Eq. 4), column-wise cosine distance (Eq. 5),
 //!   link-reconstruction BCE over sampled pairs (Eq. 8), and the L2,1 norm
-//!   (Eq. 10/12).
+//!   (Eq. 10/12), also as a distance [`Tape::l21_dist`] that records no
+//!   difference matrix.
 //!
 //! # Example
 //! ```
@@ -47,3 +50,10 @@ mod tape;
 pub use adam::Adam;
 pub use backward::Gradients;
 pub use tape::{Tape, Var};
+
+/// Eq. (15) off the tape: the value [`Tape::sigmoid_row_normalize`]
+/// records, computed by the same row kernel.
+#[must_use]
+pub fn sigmoid_row_normalized(x: &mcond_linalg::DMat, eps: f32) -> mcond_linalg::DMat {
+    ops_basic::sigmoid_row_normalize_rows(x, eps).0
+}

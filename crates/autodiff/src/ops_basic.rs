@@ -1,7 +1,7 @@
 //! Dense algebra and activation ops.
 
 use crate::tape::{Op, Tape, Var};
-use mcond_linalg::DMat;
+use mcond_linalg::{sigmoid_scalar, DMat};
 use std::sync::Arc;
 
 impl Tape {
@@ -19,13 +19,6 @@ impl Tape {
         self.push(value, Op::Add(a.0, b.0), rg, None)
     }
 
-    /// `a - b`.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).sub(self.value(b));
-        let rg = self.rg(a.0) || self.rg(b.0);
-        self.push(value, Op::Sub(a.0, b.0), rg, None)
-    }
-
     /// `a ⊙ b` (Hadamard).
     pub fn hadamard(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).hadamard(self.value(b));
@@ -38,13 +31,6 @@ impl Tape {
         let value = self.value(a).scale(c);
         let rg = self.rg(a.0);
         self.push(value, Op::ScaleConst(a.0, c), rg, None)
-    }
-
-    /// `a + c` element-wise for a constant `c`.
-    pub fn add_const(&mut self, a: Var, c: f32) -> Var {
-        let value = self.value(a).map(|v| v + c);
-        let rg = self.rg(a.0);
-        self.push(value, Op::AddConst(a.0), rg, None)
     }
 
     /// `max(a, 0)`.
@@ -123,21 +109,40 @@ impl Tape {
         self.push(value, Op::InvSqrt(a.0), rg, None)
     }
 
-    /// Row-sum normalisation `Y_ij = X_ij / Σ_k X_ik` (zero rows preserved) —
-    /// the normalisation core of Eq. (15).
-    pub fn div_row_sum(&mut self, a: Var) -> Var {
-        let x = self.value(a);
-        let sums = DMat::from_vec(x.rows(), 1, x.row_sums());
-        let mut value = x.clone();
-        for i in 0..value.rows() {
-            let s = sums.get(i, 0);
-            if s != 0.0 {
-                for v in value.row_mut(i) {
-                    *v /= s;
-                }
-            }
-        }
+    /// Eq. (15) as one op: `relu(σ(a)_ij / Σ_k σ(a)_ik − eps)`, rows whose
+    /// sigmoid sum is zero left undivided.
+    ///
+    /// Forward and backward are one row-parallel pass each. The value and
+    /// the gradient have the bits of the unfused chain `sigmoid`, row-sum
+    /// division, `− eps`, `relu`: every element goes through the same
+    /// operations in the same order, and each row sum is an ascending sum.
+    pub fn sigmoid_row_normalize(&mut self, a: Var, eps: f32) -> Var {
+        let (value, cache) = sigmoid_row_normalize_rows(self.value(a), eps);
         let rg = self.rg(a.0);
-        self.push(value, Op::DivRowSum(a.0), rg, Some(sums))
+        self.push(value, Op::SigmoidRowNormalize(a.0), rg, Some(cache))
     }
+}
+
+/// Rows per task of the fused row passes: enough exponentials or
+/// multiply-adds per task to amortise a pool dispatch.
+pub(crate) const ROW_PASS_MIN_ROWS: usize = 64;
+
+/// The forward kernel of [`Tape::sigmoid_row_normalize`]: the value and
+/// the backward cache `[σ(x) | rowsum σ(x)]` (`cols + 1` per row).
+pub(crate) fn sigmoid_row_normalize_rows(x: &DMat, eps: f32) -> (DMat, DMat) {
+    let mut value = DMat::zeros(x.rows(), x.cols());
+    let mut cache = DMat::zeros(x.rows(), x.cols() + 1);
+    value.par_fill_rows_zip(&mut cache, ROW_PASS_MIN_ROWS, |i, out, sig| {
+        let (sig, sum) = sig.split_at_mut(out.len());
+        for (s, &v) in sig.iter_mut().zip(x.row(i)) {
+            *s = sigmoid_scalar(v);
+        }
+        let s: f32 = sig.iter().sum();
+        sum[0] = s;
+        for (o, &y) in out.iter_mut().zip(sig.iter()) {
+            let y = if s != 0.0 { y / s } else { y };
+            *o = (y - eps).max(0.0);
+        }
+    });
+    (value, cache)
 }

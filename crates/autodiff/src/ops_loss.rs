@@ -2,6 +2,7 @@
 //! [`Tape::softmax_error`], the analytic gradient-error matrix used by
 //! gradient matching.
 
+use crate::ops_basic::ROW_PASS_MIN_ROWS;
 use crate::tape::{Op, Tape, Var};
 use mcond_linalg::DMat;
 use std::sync::Arc;
@@ -51,16 +52,35 @@ impl Tape {
         self.push(value, Op::SoftmaxError(logits.0, labels), rg, Some(probs))
     }
 
-    /// Scalar L2,1 norm `Σ_i ‖X_i‖₂` (rows' L2 norms summed) — Eq. (10) /
-    /// Eq. (12) without their `1/N` factors (compose with [`Tape::scale`]).
+    /// Scalar L2,1 norm `Σ_i ‖X_i‖₂` (rows' L2 norms summed): the
+    /// [`Tape::l21_dist`] of `a` from a zero matrix, whose `x − 0 = x`
+    /// leaves value and gradient unchanged.
     pub fn l21(&mut self, a: Var) -> Var {
-        let x = self.value(a);
+        let (rows, cols) = self.value(a).shape();
+        let zero = self.constant(DMat::zeros(rows, cols));
+        self.l21_dist(a, zero)
+    }
+
+    /// Scalar `Σ_i ‖A_i − B_i‖₂` — Eq. (10) / Eq. (12) without their `1/N`
+    /// factors (compose with [`Tape::scale`]), and without recording the
+    /// `N x d` difference: value and gradients have the bits of recording
+    /// `A − B` and taking its L2,1 norm. The row norms are one row-parallel
+    /// pass.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn l21_dist(&mut self, a: Var, b: Var) -> Var {
+        let (x, y) = (self.value(a), self.value(b));
+        assert_eq!(x.shape(), y.shape(), "l21_dist: shape mismatch");
         // The per-row norms are the backward rule's denominators; keep them.
-        let norms: Vec<f32> =
-            (0..x.rows()).map(|i| x.row(i).iter().map(|v| v * v).sum::<f32>().sqrt()).collect();
-        let value = DMat::from_vec(1, 1, vec![norms.iter().sum()]);
-        let rg = self.rg(a.0);
-        self.push(value, Op::L21(a.0), rg, Some(DMat::from_vec(norms.len(), 1, norms)))
+        let mut norms = DMat::zeros(x.rows(), 1);
+        norms.par_fill_rows(ROW_PASS_MIN_ROWS, |i, norm| {
+            let diff = x.row(i).iter().zip(y.row(i)).map(|(p, q)| p - q);
+            norm[0] = diff.map(|v| v * v).sum::<f32>().sqrt();
+        });
+        let value = DMat::from_vec(1, 1, vec![norms.as_slice().iter().sum()]);
+        let rg = self.rg(a.0) || self.rg(b.0);
+        self.push(value, Op::L21Dist(a.0, b.0), rg, Some(norms))
     }
 
     /// Column-wise cosine distance `Σ_j (1 - cos(A_:j, B_:j))` — the per-layer

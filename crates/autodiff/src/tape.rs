@@ -26,14 +26,10 @@ pub(crate) enum Op {
     SpMM(Arc<Csr>, usize),
     /// `A + B`.
     Add(usize, usize),
-    /// `A - B`.
-    Sub(usize, usize),
     /// `A ⊙ B`.
     Hadamard(usize, usize),
     /// `c · A`.
     ScaleConst(usize, f32),
-    /// `A + c` (element-wise; the backward rule does not need `c`).
-    AddConst(usize),
     /// `max(A, 0)`.
     Relu(usize),
     /// Logistic sigmoid.
@@ -52,8 +48,10 @@ pub(crate) enum Op {
     ScaleRows(usize, usize),
     /// Element-wise `x^{-1/2}`, zero where `x <= 0`.
     InvSqrt(usize),
-    /// `Y_ij = X_ij / Σ_k X_ik` (zero rows preserved).
-    DivRowSum(usize),
+    /// Eq. (15) as one op: `Y_ij = max(σ(X_ij) / Σ_k σ(X_ik) − ε, 0)`
+    /// (zero-sum rows are not divided). The cache is `[σ(X) | rowsum]`,
+    /// one row per input row; `ε` is not needed by the backward rule.
+    SigmoidRowNormalize(usize),
     /// Differentiable `D̃^{-1/2}(A + I)D̃^{-1/2}` on a dense square input.
     SymNormalize(usize),
     /// For `P, Q : n x h`, builds the `n² x h` matrix whose row `i·n + j` is
@@ -69,8 +67,9 @@ pub(crate) enum Op {
     /// such that the analytic SGC weight gradient is `ZᵀE` (Eq. 4 inner
     /// term).
     SoftmaxError(usize, Arc<Vec<usize>>),
-    /// Scalar L2,1 norm: `Σ_i ‖X_i‖₂` (Eq. 10 / Eq. 12).
-    L21(usize),
+    /// Scalar `Σ_i ‖A_i − B_i‖₂` (Eq. 10 / Eq. 12) with no difference
+    /// node; the cache is the per-row norms.
+    L21Dist(usize, usize),
     /// Scalar `Σ_j (1 - cos(A_:j, B_:j))` over columns (Eq. 5).
     CosineColDist(usize, usize),
     /// Scalar binary cross-entropy over sampled node pairs `(i, j, target)`

@@ -5,6 +5,7 @@
 //! order-1 errors), not chasing ulps.
 
 use mcond_autodiff::check::assert_gradients_match;
+use mcond_autodiff::{Tape, Var};
 use mcond_linalg::{DMat, MatRng};
 use mcond_sparse::Coo;
 use std::sync::Arc;
@@ -56,11 +57,9 @@ fn elementwise_ops() {
         let a = t.param(p);
         let b = t.constant(other.clone());
         let s1 = t.add(a, b);
-        let s2 = t.sub(s1, b);
-        let s3 = t.hadamard(s2, b);
-        let s4 = t.scale(s3, 1.7);
-        let s5 = t.add_const(s4, 0.3);
-        let l = t.l21(s5);
+        let s2 = t.hadamard(s1, b);
+        let s3 = t.scale(s2, 1.7);
+        let l = t.l21(s3);
         (a, l)
     });
 }
@@ -106,13 +105,19 @@ fn add_row_broadcast_bias() {
 }
 
 #[test]
-fn div_row_sum() {
-    // Positive entries so no row sum crosses zero under perturbation.
-    let base = MatRng::seed_from(12).uniform(4, 3, 0.5, 2.0);
+fn sigmoid_row_normalize_with_clamped_entries() {
+    // Eq. (15) with ε = 0.1: row 0 keeps two entries and clamps two (each
+    // ≈ 0.09 below the threshold, far outside the FD step), the other rows
+    // keep all four.
+    let mut base = small(3, 4, 12);
+    base.row_mut(0).copy_from_slice(&[3.0, 2.5, -4.0, -5.0]);
+    let w0 = small(4, 2, 39);
     assert_gradients_match(&base, 1e-3, 3e-2, |t, p| {
         let a = t.param(p);
-        let y = t.div_row_sum(a);
-        let l = t.l21(y);
+        let y = t.sigmoid_row_normalize(a, 0.1);
+        let w = t.constant(w0.clone());
+        let z = t.matmul(y, w);
+        let l = t.l21(z);
         (a, l)
     });
 }
@@ -219,8 +224,7 @@ fn softmax_error_second_order_path() {
         let zt = t.transpose(z);
         let g = t.matmul(zt, e); // analytic SGC weight gradient
         let tgt = t.constant(target.clone());
-        let diff = t.sub(g, tgt);
-        let l = t.l21(diff);
+        let l = t.l21_dist(g, tgt);
         (z, l)
     });
 }
@@ -233,6 +237,131 @@ fn l21_away_from_zero_rows() {
         let l = t.l21(a);
         (a, l)
     });
+}
+
+#[test]
+fn l21_dist_both_sides_with_a_zero_residual_row() {
+    // Row 1 of the operands coincides: its norm is 0 and its gradient is
+    // zero on both sides (the FD quotient of |h| is 0 too).
+    let other = small(3, 4, 40);
+    let mut base = small(3, 4, 41);
+    base.row_mut(1).copy_from_slice(other.row(1));
+    assert_gradients_match(&base, 1e-3, 2e-2, |t, p| {
+        let a = t.param(p);
+        let b = t.constant(other.clone());
+        let l = t.l21_dist(a, b);
+        (a, l)
+    });
+    assert_gradients_match(&base, 1e-3, 2e-2, |t, p| {
+        let a = t.constant(other.clone());
+        let b = t.param(p);
+        let l = t.l21_dist(a, b);
+        (b, l)
+    });
+}
+
+/// The unfused Eq. (15) chain the fused op replaced — `sigmoid`, row-sum
+/// division, `+ (−ε)`, `relu` — on `DMat`s: its value, and the gradient
+/// its four backward rules give for the upstream gradient `g`.
+fn eq15_chain_reference(x: &DMat, eps: f32, g: &DMat) -> (DMat, DMat) {
+    let sig = x.sigmoid();
+    let sums = sig.row_sums();
+    let mut div = sig.clone();
+    for (i, &s) in sums.iter().enumerate() {
+        if s != 0.0 {
+            for v in div.row_mut(i) {
+                *v /= s;
+            }
+        }
+    }
+    let shifted = div.map(|v| v + -eps);
+    let mask = shifted.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+    let g_relu = g.hadamard(&mask);
+    let mut g_div = DMat::zeros(g.rows(), g.cols());
+    for (i, &s) in sums.iter().enumerate() {
+        if s == 0.0 {
+            continue;
+        }
+        let inner: f32 = g_relu.row(i).iter().zip(div.row(i)).map(|(gv, yv)| gv * yv).sum();
+        for (dst, gv) in g_div.row_mut(i).iter_mut().zip(g_relu.row(i)) {
+            *dst = (gv - inner) / s;
+        }
+    }
+    (shifted.relu(), g_div.hadamard(&sig.map(|v| v * (1.0 - v))))
+}
+
+/// `sub` then `l21`, on `DMat`s: the value and both operands' gradients
+/// for the upstream scalar `seed`.
+fn l21_of_difference_reference(a: &DMat, b: &DMat, seed: f32) -> (f32, DMat, DMat) {
+    let diff = a.sub(b);
+    let norms: Vec<f32> =
+        (0..diff.rows()).map(|i| diff.row(i).iter().map(|v| v * v).sum::<f32>().sqrt()).collect();
+    let mut ga = DMat::zeros(diff.rows(), diff.cols());
+    for (i, &norm) in norms.iter().enumerate() {
+        if norm > 1e-12 {
+            for (dst, v) in ga.row_mut(i).iter_mut().zip(diff.row(i)) {
+                *dst = seed * v / norm;
+            }
+        }
+    }
+    let gb = ga.scale(-1.0);
+    (norms.iter().sum(), ga, gb)
+}
+
+#[test]
+fn fused_ops_have_the_bits_of_the_chains_they_replace() {
+    // 300 rows clear the row-pass chunk size, so 4 threads split the work.
+    let mut x = MatRng::seed_from(42).normal(300, 39, 0.0, 3.0);
+    x.row_mut(0).fill(-200.0); // σ underflows: a zero-sum row
+    x.row_mut(1).fill(-0.0);
+    x.row_mut(2).fill(-6.0); // ε clamps all but the first three
+    x.row_mut(2)[..3].copy_from_slice(&[6.0, 5.0, 4.0]);
+    let w0 = MatRng::seed_from(43).normal(39, 8, 0.0, 1.0);
+    let target = MatRng::seed_from(44).normal(300, 8, 0.0, 1.0);
+    let eps = 1e-2;
+    // d/dY of the downstream loss: the same ops on a tape whose leaf is Y.
+    let downstream = |t: &mut Tape, y: Var| {
+        let w = t.constant(w0.clone());
+        let z = t.matmul(y, w);
+        let tgt = t.constant(target.clone());
+        t.l21_dist(tgt, z)
+    };
+    for threads in [1, 4] {
+        mcond_par::with_thread_limit(threads, || {
+            let mut t = Tape::new();
+            let xv = t.param(x.clone());
+            let y = t.sigmoid_row_normalize(xv, eps);
+            let l = downstream(&mut t, y);
+            let gx = t.backward(l).take(xv).expect("gradient reaches x");
+
+            let mut t2 = Tape::new();
+            let y2 = t2.param(t.value(y).clone());
+            let l2 = downstream(&mut t2, y2);
+            let g_up = t2.backward(l2).take(y2).expect("gradient reaches Y");
+            let (value, grad) = eq15_chain_reference(&x, eps, &g_up);
+            assert!(t.value(y).bit_eq(&value), "Eq. 15 value at {threads} thread(s)");
+            assert!(gx.bit_eq(&grad), "Eq. 15 gradient at {threads} thread(s)");
+            assert!(value.row(2)[3..].iter().all(|&v| v == 0.0), "ε must clamp row 2");
+        });
+    }
+
+    let a0 = MatRng::seed_from(45).normal(300, 96, 0.0, 1.0);
+    let mut b0 = MatRng::seed_from(46).normal(300, 96, 0.0, 1.0);
+    b0.row_mut(7).copy_from_slice(a0.row(7)); // a zero residual row
+    let (value, ga_ref, gb_ref) = l21_of_difference_reference(&a0, &b0, 0.7);
+    assert_eq!(gb_ref.get(7, 0).to_bits(), (-0.0f32).to_bits());
+    for threads in [1, 4] {
+        mcond_par::with_thread_limit(threads, || {
+            let mut t = Tape::new();
+            let (a, b) = (t.param(a0.clone()), t.param(b0.clone()));
+            let d = t.l21_dist(a, b);
+            let l = t.scale(d, 0.7);
+            let mut grads = t.backward(l);
+            assert_eq!(t.scalar(d).to_bits(), value.to_bits(), "L2,1 value at {threads} thread(s)");
+            assert!(grads.take(a).expect("gradient reaches a").bit_eq(&ga_ref));
+            assert!(grads.take(b).expect("gradient reaches b").bit_eq(&gb_ref));
+        });
+    }
 }
 
 #[test]

@@ -34,9 +34,10 @@ fn graph(rows: usize, cols: usize, seed: u64) -> Csr {
     coo.to_csr()
 }
 
-/// d(l21 ∘ relu ∘ (S·B)·W)/dB — a composite touching spmm, matmul, and an
-/// activation, with shapes large enough that both the forward products and
-/// the adjoints fan out to the pool.
+/// d/dB of `l21(relu(Y)) + l21_dist(T, eq15(Y))` with `Y = (S·B)·W` — a
+/// composite touching spmm, matmul, an activation and the two fused row
+/// ops, with shapes large enough that both the forward products and the
+/// adjoints fan out to the pool.
 fn composite_grad(s: &Arc<Csr>, b0: &DMat, w0: &DMat) -> DMat {
     let mut t = Tape::new();
     let b = t.param(b0.clone());
@@ -44,7 +45,11 @@ fn composite_grad(s: &Arc<Csr>, b0: &DMat, w0: &DMat) -> DMat {
     let w = t.constant(w0.clone());
     let y2 = t.matmul(y1, w);
     let y3 = t.relu(y2);
-    let l = t.l21(y3);
+    let l_relu = t.l21(y3);
+    let m = t.sigmoid_row_normalize(y2, 1e-2);
+    let target = t.constant(MatRng::seed_from(3).uniform(300, 64, 0.0, 0.05));
+    let l_map = t.l21_dist(target, m);
+    let l = t.add(l_relu, l_map);
     let mut grads = t.backward(l);
     grads.take(b).expect("gradient must reach the parameter")
 }

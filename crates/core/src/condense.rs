@@ -469,6 +469,7 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                 .map(|sup| (sup, SyntheticSide::new(x_syn.clone(), &adj_syn_det)));
 
             for step in 0..cfg.mapping_steps {
+                let forward_span = mcond_obs::span("condense.mapping.forward");
                 let mut tape = Tape::new();
                 let raw = mapping.tape_param(&mut tape);
                 let m_hat = mapping.normalized(&mut tape, raw);
@@ -488,8 +489,7 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                 let h_syn_c = tape.constant(Arc::clone(&h_syn));
                 let h_tilde = tape.matmul(m_rows, h_syn_c);
                 let h_orig_c = tape.constant(h_rows);
-                let diff = tape.sub(h_orig_c, h_tilde);
-                let l21 = tape.l21(diff);
+                let l21 = tape.l21_dist(h_orig_c, h_tilde);
                 let l_tra = tape.scale(l21, 1.0 / rows_used as f32);
                 history.transductive_loss.push(tape.scalar(l_tra));
 
@@ -500,8 +500,7 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                     let h_sup_syn =
                         extended_support_rows(&mut tape, am, syn, &sup.side, cfg.hops);
                     let target = tape.constant(Arc::clone(&sup.target));
-                    let diff_sup = tape.sub(target, h_sup_syn);
-                    let l21_sup = tape.l21(diff_sup);
+                    let l21_sup = tape.l21_dist(target, h_sup_syn);
                     let l_ind = tape.scale(l21_sup, 1.0 / sup.target.rows() as f32);
                     history.inductive_loss.push(tape.scalar(l_ind));
                     let weighted = tape.scale(l_ind, cfg.beta);
@@ -510,6 +509,7 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                     l_tra
                 };
                 history.mapping_loss.push(tape.scalar(l_m));
+                drop(forward_span);
 
                 if mcond_obs::enabled() {
                     let mut fields = vec![
@@ -526,8 +526,11 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                     mcond_obs::point("condense.mapping_step", &fields);
                 }
 
+                let backward_span = mcond_obs::span("condense.mapping.backward");
                 let mut grads = tape.backward(l_m);
+                drop(backward_span);
                 if let Some(g) = grads.take(raw) {
+                    let _adam_span = mcond_obs::span("condense.mapping.adam");
                     map_opt.step(&mut mapping.raw, &g);
                 }
             }
@@ -663,8 +666,7 @@ mod tests {
             let am = tape.spmm(Arc::clone(&a), m_hat);
             let rows = extended_support_rows(tape, am, &syn, &sup, hops);
             let tgt = tape.constant(target.clone());
-            let diff = tape.sub(tgt, rows);
-            let l = tape.l21(diff);
+            let l = tape.l21_dist(tgt, rows);
             (raw, l)
         });
     }

@@ -61,26 +61,13 @@ impl Mapping {
 
     /// Eq. (15) on the tape: `M̂_i = ReLU(σ(M_i) / Σ_j σ(M_ij) - ε)`.
     pub fn normalized(&self, tape: &mut Tape, raw: Var) -> Var {
-        let sig = tape.sigmoid(raw);
-        let div = tape.div_row_sum(sig);
-        let shifted = tape.add_const(div, -self.epsilon);
-        tape.relu(shifted)
+        tape.sigmoid_row_normalize(raw, self.epsilon)
     }
 
-    /// Tape-free evaluation of the normalised mapping.
+    /// Tape-free evaluation of the normalised mapping (the same kernel).
     #[must_use]
     pub fn normalized_detached(&self) -> DMat {
-        let mut m = self.raw.sigmoid();
-        for i in 0..m.rows() {
-            let row = m.row_mut(i);
-            let s: f32 = row.iter().sum();
-            if s != 0.0 {
-                for v in row.iter_mut() {
-                    *v /= s;
-                }
-            }
-        }
-        m.map(|v| (v - self.epsilon).max(0.0))
+        mcond_autodiff::sigmoid_row_normalized(&self.raw, self.epsilon)
     }
 
     /// Class-correlation block structure of this mapping (normalised form)
@@ -135,7 +122,7 @@ pub fn class_correlation_of(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcond_linalg::{approx_eq, MatRng};
+    use mcond_linalg::MatRng;
 
     #[test]
     fn class_init_is_block_structured() {
@@ -179,10 +166,7 @@ mod tests {
         let raw = m.tape_param(&mut tape);
         let norm_var = m.normalized(&mut tape, raw);
         let tape_val = tape.value(norm_var);
-        let detached = m.normalized_detached();
-        for (a, b) in tape_val.as_slice().iter().zip(detached.as_slice()) {
-            assert!(approx_eq(*a, *b, 1e-5), "{a} vs {b}");
-        }
+        assert!(tape_val.bit_eq(&m.normalized_detached()));
     }
 
     #[test]
@@ -197,8 +181,7 @@ mod tests {
         let hs = tape.constant(h_syn);
         let approx = tape.matmul(norm, hs); // Eq. (7): H̃ = M H'
         let tgt = tape.constant(target);
-        let diff = tape.sub(tgt, approx);
-        let loss = tape.l21(diff);
+        let loss = tape.l21_dist(tgt, approx);
         let grads = tape.backward(loss);
         let g = grads.get(raw).expect("no gradient for M");
         assert!(g.frobenius_norm() > 0.0);

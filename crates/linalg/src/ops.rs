@@ -1,6 +1,8 @@
 //! Element-wise arithmetic and row-level operations on [`DMat`].
 
 use crate::DMat;
+use std::ops::Range;
+use std::sync::Mutex;
 
 impl DMat {
     /// `self + other`, element-wise.
@@ -151,6 +153,54 @@ impl DMat {
         }
     }
 
+    /// Writes every row with `f(i, row_i)` in one row-parallel pass of at
+    /// least `min_rows` rows per task. Each row is written by one task with
+    /// the serial arithmetic, so the result does not depend on the thread
+    /// count.
+    pub fn par_fill_rows(&mut self, min_rows: usize, f: impl Fn(usize, &mut [f32]) + Sync) {
+        let cols = self.cols();
+        mcond_par::parallel_row_chunks(self.as_mut_slice(), cols, min_rows, |rows, chunk| {
+            for (i, dst) in rows.zip(chunk.chunks_mut(cols)) {
+                f(i, dst);
+            }
+        });
+    }
+
+    /// [`par_fill_rows`](Self::par_fill_rows) over two matrices with the
+    /// same row count at once: `f(i, self_i, other_i)`.
+    ///
+    /// # Panics
+    /// Panics when the row counts differ or `other` has no columns.
+    pub fn par_fill_rows_zip(
+        &mut self,
+        other: &mut DMat,
+        min_rows: usize,
+        f: impl Fn(usize, &mut [f32], &mut [f32]) + Sync,
+    ) {
+        let (rows, cols, other_cols) = (self.rows(), self.cols(), other.cols());
+        assert!(other.rows() == rows && other_cols > 0, "par_fill_rows_zip: shape mismatch");
+        let per_task = rows.div_ceil(4 * mcond_par::max_threads()).max(min_rows.max(1));
+        let ranges: Vec<Range<usize>> =
+            (0..rows).step_by(per_task).map(|lo| lo..(lo + per_task).min(rows)).collect();
+        // `self`'s rows of each task, claimed by the task handed `other`'s.
+        let mut rest = self.as_mut_slice();
+        let windows: Vec<Mutex<&mut [f32]>> = ranges
+            .iter()
+            .map(|r| {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len() * cols);
+                rest = tail;
+                Mutex::new(head)
+            })
+            .collect();
+        mcond_par::parallel_row_ranges(other.as_mut_slice(), other_cols, &ranges, |r, theirs| {
+            let mut mine = windows[r.start / per_task].lock().expect("one task locks each window");
+            for (ii, i) in r.enumerate() {
+                let row = &mut mine[ii * cols..(ii + 1) * cols];
+                f(i, row, &mut theirs[ii * other_cols..(ii + 1) * other_cols]);
+            }
+        });
+    }
+
     /// Row-wise softmax.
     #[must_use]
     pub fn softmax_rows(&self) -> DMat {
@@ -163,18 +213,16 @@ impl DMat {
 
 }
 
-/// Numerically stable scalar logistic sigmoid: never exponentiates a
-/// positive argument, so it cannot overflow for large `|x|`.
+/// Numerically stable scalar logistic sigmoid: exponentiates only `-|x|`,
+/// so it cannot overflow for large `|x|`. The sign picks the numerator
+/// (`1` or `e^{-|x|}`) instead of a branch around two `exp` calls, so a
+/// row of random signs costs no mispredictions; `exp` sees the argument
+/// the two-branch form gave it, so the result has the same bits.
 #[inline]
 #[must_use]
 pub fn sigmoid_scalar(x: f32) -> f32 {
-    if x >= 0.0 {
-        let e = (-x).exp();
-        1.0 / (1.0 + e)
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
+    let e = (-x.abs()).exp();
+    (if x >= 0.0 { 1.0 } else { e }) / (1.0 + e)
 }
 
 /// In-place max-shifted softmax over a slice.
@@ -228,6 +276,52 @@ mod tests {
         assert!(sigmoid_scalar(-100.0) >= 0.0);
         let s = sigmoid_scalar(3.0) + sigmoid_scalar(-3.0);
         assert!(approx_eq(s, 1.0, 1e-6));
+    }
+
+    #[test]
+    fn sigmoid_matches_the_two_branch_form_bitwise() {
+        fn two_branch(x: f32) -> f32 {
+            if x >= 0.0 {
+                let e = (-x).exp();
+                1.0 / (1.0 + e)
+            } else {
+                let e = x.exp();
+                e / (1.0 + e)
+            }
+        }
+        let mut xs = vec![0.0, -0.0, f32::MIN_POSITIVE, -f32::MIN_POSITIVE, 1e-40, -1e-40];
+        xs.extend([88.7, -88.7, 104.0, -104.0, f32::MAX, f32::MIN, f32::INFINITY, f32::NEG_INFINITY]);
+        let mut rng = crate::MatRng::seed_from(5);
+        xs.extend_from_slice(rng.normal(1, 4096, 0.0, 4.0).as_slice());
+        for x in xs {
+            assert_eq!(sigmoid_scalar(x).to_bits(), two_branch(x).to_bits(), "x = {x:e}");
+        }
+        assert!(sigmoid_scalar(f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn row_passes_match_serial_loops_at_any_thread_count() {
+        let x = crate::MatRng::seed_from(6).normal(300, 5, 0.0, 1.0);
+        let mut want = (DMat::zeros(300, 5), DMat::zeros(300, 1));
+        for i in 0..300 {
+            want.0.row_mut(i).copy_from_slice(&x.row(i).iter().map(|v| v * 2.0).collect::<Vec<_>>());
+            want.1.set(i, 0, x.row(i).iter().sum());
+        }
+        for threads in [1, 4] {
+            let (mut a, mut b, mut c) = (DMat::zeros(300, 5), DMat::zeros(300, 1), DMat::zeros(300, 0));
+            mcond_par::with_thread_limit(threads, || {
+                a.par_fill_rows(16, |i, row| {
+                    for (d, v) in row.iter_mut().zip(x.row(i)) {
+                        *d = v * 2.0;
+                    }
+                });
+                c.par_fill_rows_zip(&mut b, 16, |i, empty, sum| {
+                    assert!(empty.is_empty());
+                    sum[0] = x.row(i).iter().sum();
+                });
+            });
+            assert!(a.bit_eq(&want.0) && b.bit_eq(&want.1), "{threads} thread(s)");
+        }
     }
 
     #[test]
