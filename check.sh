@@ -29,6 +29,19 @@ if grep -nE 'const +[A-Za-z0-9_]+ *: *u32' crates/obs/src/sink.rs \
 # One attach rule: Eq. 3 is the identity mapping, not a second path.
 if grep -nE "Option<Cow<'a, Csr>>|fn widened|extended_with|extended_(sym|mean)_with" \
     crates/core/src/server.rs crates/gnn/src/*.rs; then exit 1; fi
+# One Eq. 11 hop: L_ind's prediction and target run mcond-gnn's extended
+# operator (TapeExtension, Propagator::extended_sym), so condensation keeps
+# no block decomposition, materialised extension or degree scaling of its
+# own. Prints the offending line and fails.
+if grep -nE 'block_extend|fn extended_support_rows|SupportSide|SyntheticSide|inv_sqrt' \
+    crates/core/src/condense.rs; then exit 1; fi
+# The docs name only files that exist: every crates/…/*.rs path in
+# DESIGN.md or README.md is in the tree. Prints each missing path and fails.
+missing=0
+for f in $(grep -ohE 'crates/[A-Za-z0-9_./-]+\.rs' DESIGN.md README.md | sort -u); do
+    if [ ! -f "$f" ]; then echo "DESIGN.md/README.md name a missing file: $f"; missing=1; fi
+done
+if [ "$missing" -ne 0 ]; then exit 1; fi
 cargo fmt --all --check 2>/dev/null || echo "note: rustfmt not enforced (formatting is hand-maintained)"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace

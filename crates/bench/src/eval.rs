@@ -1,12 +1,11 @@
 //! The train-once / infer-per-batch evaluation loop behind every table.
 
+pub use mcond_core::propagated_embeddings;
 use mcond_core::InductiveServer;
 use mcond_gnn::{
     accuracy, extended_storage_bytes, train, GnnKind, GnnModel, GraphOps, TrainConfig,
 };
 use mcond_graph::{Graph, NodeBatch};
-use mcond_linalg::DMat;
-use mcond_sparse::sym_normalize;
 use std::time::Instant;
 
 /// One evaluated cell: accuracy plus the Fig. 3/4 cost quantities.
@@ -40,18 +39,6 @@ pub fn train_on_graph(
     let cfg = TrainConfig { epochs, lr: 0.03, weight_decay: 5e-4, patience: None };
     let _ = train(&mut model, &ops, &graph.features, &graph.labels, &cfg, None);
     model
-}
-
-/// L-hop propagated features `Â^L X` — the embeddings handed to the
-/// Herding / K-Center / VNG baselines.
-#[must_use]
-pub fn propagated_embeddings(graph: &Graph, hops: usize) -> DMat {
-    let ahat = sym_normalize(&graph.adj);
-    let mut z = graph.features.clone();
-    for _ in 0..hops {
-        z = ahat.spmm(&z);
-    }
-    z
 }
 
 /// Evaluates a deployment — a model served on its target by `server` —
@@ -108,6 +95,7 @@ pub fn mean_std(values: &[f64]) -> (f64, f64) {
 mod tests {
     use super::*;
     use mcond_graph::{load_dataset, Scale};
+    use mcond_linalg::DMat;
 
     #[test]
     fn whole_pipeline_beats_chance_on_small_pubmed() {

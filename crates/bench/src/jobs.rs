@@ -241,15 +241,8 @@ mod tests {
             outer_loops,
             relay_steps,
             mapping_steps,
-            hops,
-            adjgen_hidden,
             lambda,
             beta,
-            lr_feat,
-            lr_phi,
-            lr_map,
-            lr_relay,
-            epsilon,
             mu,
             delta,
             structure_batch,
@@ -267,15 +260,8 @@ mod tests {
             McondConfig { outer_loops: outer_loops + 1, ..b() },
             McondConfig { relay_steps: relay_steps + 1, ..b() },
             McondConfig { mapping_steps: mapping_steps + 1, ..b() },
-            McondConfig { hops: hops + 1, ..b() },
-            McondConfig { adjgen_hidden: adjgen_hidden + 1, ..b() },
             McondConfig { lambda: lambda * 2.0, ..b() },
             McondConfig { beta: beta * 2.0, ..b() },
-            McondConfig { lr_feat: lr_feat * 2.0, ..b() },
-            McondConfig { lr_phi: lr_phi * 2.0, ..b() },
-            McondConfig { lr_map: lr_map * 2.0, ..b() },
-            McondConfig { lr_relay: lr_relay * 2.0, ..b() },
-            McondConfig { epsilon: epsilon * 2.0, ..b() },
             McondConfig { mu: mu * 2.0, ..b() },
             McondConfig { delta: delta * 2.0, ..b() },
             McondConfig { structure_batch: structure_batch + 1, ..b() },

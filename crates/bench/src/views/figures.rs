@@ -143,7 +143,7 @@ pub fn fig5(jobs: &Jobs, name: &str, report: &mut TableReport) {
     // --- (a)/(b): trained vs initialised correlation. -----------------------
     let condensed = jobs.condense(&ds, &cfg);
     let init_mapping =
-        Mapping::class_init(&original.labels, &condensed.synthetic.labels, cfg.epsilon);
+        Mapping::class_init(&original.labels, &condensed.synthetic.labels, Mapping::EPSILON);
     let trained_corr = class_correlation_of(
         &condensed.dense_mapping,
         &original.labels,

@@ -4,15 +4,24 @@
 use crate::adjgen::AdjacencyGenerator;
 use crate::coreset::class_budgets;
 use crate::mapping::Mapping;
-use crate::relay::Relay;
+use crate::relay::{propagated_embeddings, Relay};
 use crate::sampling::sample_edge_batch;
-use mcond_autodiff::{Adam, Tape, Var};
-use mcond_graph::{Graph, InductiveDataset};
+use mcond_autodiff::{Adam, Tape};
+use mcond_gnn::{BaseDegrees, Propagator, TapeExtension};
+use mcond_graph::{Graph, InductiveDataset, NodeBatch};
 use mcond_linalg::{DMat, MatRng};
-use mcond_sparse::{
-    renormalize_rows, sparsify_dense, sym_normalize, sym_normalize_dense, Coo, Csr,
-};
+use mcond_sparse::{renormalize_rows, sparsify_dense, sym_normalize_dense, Csr, SparsifyStats};
 use std::sync::Arc;
+
+/// Propagation depth `L` (paper: 2-layer models).
+const HOPS: usize = 2;
+/// Hidden width of the MLP_Φ adjacency generator (Eq. 6).
+const ADJGEN_HIDDEN: usize = 64;
+// Learning rates: `η₁` for `X'`, `η₂` for Φ, `M`'s (paper: 0.1), the relay's.
+const LR_FEAT: f32 = 0.05;
+const LR_PHI: f32 = 0.01;
+const LR_MAP: f32 = 0.1;
+const LR_RELAY: f32 = 0.05;
 
 /// Hyper-parameters of MCond (defaults follow §IV-A where stated).
 #[derive(Clone, Debug)]
@@ -26,24 +35,10 @@ pub struct McondConfig {
     pub relay_steps: usize,
     /// Mapping updates per outer loop.
     pub mapping_steps: usize,
-    /// Propagation depth `L` (paper: 2-layer models).
-    pub hops: usize,
-    /// Hidden width of the MLP_Φ adjacency generator.
-    pub adjgen_hidden: usize,
     /// Structure-loss weight `λ` (Eq. 9).
     pub lambda: f32,
     /// Inductive-loss weight `β` (Eq. 13).
     pub beta: f32,
-    /// Learning rate `η₁` for `X'`.
-    pub lr_feat: f32,
-    /// Learning rate `η₂` for Φ.
-    pub lr_phi: f32,
-    /// Learning rate for `M` (paper: 0.1).
-    pub lr_map: f32,
-    /// Learning rate for the relay GNN.
-    pub lr_relay: f32,
-    /// `ε` of Eq. (15) (paper: 1e-5).
-    pub epsilon: f32,
     /// Sparsification threshold `µ` for `A'` (Eq. 14).
     pub mu: f32,
     /// Sparsification threshold `δ` for `M` (Eq. 14).
@@ -80,15 +75,8 @@ impl Default for McondConfig {
             outer_loops: 4,
             relay_steps: 12,
             mapping_steps: 30,
-            hops: 2,
-            adjgen_hidden: 64,
             lambda: 0.1,
             beta: 100.0,
-            lr_feat: 0.05,
-            lr_phi: 0.01,
-            lr_map: 0.1,
-            lr_relay: 0.05,
-            epsilon: 1e-5,
             mu: 0.5,
             delta: 0.01,
             structure_batch: 256,
@@ -154,130 +142,48 @@ impl Condensed {
     /// (the Fig. 6 experiment varies `δ` without re-condensing).
     #[must_use]
     pub fn resparsify(&self, mu: f32, delta: f32) -> (Csr, Csr) {
-        let (adj, _) = sparsify_dense(&self.dense_adj, mu);
-        let (map, _) = sparsify_dense(&self.dense_mapping, delta);
-        // Thresholding drops probability mass; restore the row-stochastic
-        // semantics of `M` (empty rows — fully pruned nodes — stay empty).
-        (adj, renormalize_rows(&map))
+        let [(adj, _), (map, _)] = sparsify(&self.dense_adj, &self.dense_mapping, mu, delta);
+        (adj, map)
     }
+}
+
+/// Eq. (14): `A'` thresholded at `µ` and `M` at `δ` by `sparsify_dense`'s
+/// rule, each with its accounting. Thresholding drops probability mass, so
+/// the surviving rows of `M` are renormalised (empty rows — fully pruned
+/// nodes — stay empty) and inductive propagation `a M` keeps its
+/// random-walk interpretation.
+fn sparsify(adj: &DMat, mapping: &DMat, mu: f32, delta: f32) -> [(Csr, SparsifyStats); 2] {
+    let adj = sparsify_dense(adj, mu);
+    let (map, map_stats) = sparsify_dense(mapping, delta);
+    [adj, (renormalize_rows(&map), map_stats)]
 }
 
 /// Loop-invariant operands of the inductive loss (Eq. 11–12): the support
-/// batch's pieces in the form every mapping-step tape registers them.
+/// batch's `a` (support → original edges), `ã` and `X_sup` as every
+/// mapping-step tape registers them, and its embeddings on the *original*
+/// graph (θ-independent).
 struct Support {
-    /// `a`: support → original-node edges.
     incremental: Arc<Csr>,
-    side: SupportSide,
-    /// Support embeddings `Â^L X` on the *original* graph (θ-independent).
+    interconnect: Arc<Csr>,
+    features: Arc<DMat>,
     target: Arc<DMat>,
 }
 
-/// The support side of Eq. (11)'s extended graph, constant for the run.
-struct SupportSide {
-    /// `X_sup`.
-    features: Arc<DMat>,
-    /// `ã + I`: support ↔ support edges with their self-loops, sparse.
-    adj_loop: Arc<Csr>,
-    /// `rowsum(ã + I)` (`n x 1`).
-    deg: Arc<DMat>,
-}
-
-impl SupportSide {
-    fn new(features: DMat, interconnect: &Csr) -> Self {
-        let n = interconnect.rows();
-        let mut adj_loop = Coo::with_capacity(n, n, interconnect.nnz() + n);
-        for (i, j, v) in interconnect.iter() {
-            adj_loop.push(i, j, v);
+impl Support {
+    fn new(original: &Graph, batch: NodeBatch) -> Self {
+        // The support rows of Eq. (3)'s `Â_ext^L [X; X_sup]`, evaluated as
+        // the server evaluates it: block by block, `T` never copied.
+        let deg = BaseDegrees::of(&original.adj);
+        let target =
+            Propagator::extended_sym(&original.adj, &batch.incremental, &batch.interconnect, &deg)
+                .spmm_bottom_pow(HOPS, &original.features, &batch.features);
+        Self {
+            incremental: Arc::new(batch.incremental),
+            interconnect: Arc::new(batch.interconnect),
+            features: Arc::new(batch.features),
+            target: Arc::new(target),
         }
-        for i in 0..n {
-            adj_loop.push(i, i, 1.0);
-        }
-        let adj_loop = adj_loop.to_csr();
-        let deg = column(adj_loop.row_weighted_degrees());
-        Self { features: Arc::new(features), adj_loop: Arc::new(adj_loop), deg: Arc::new(deg) }
     }
-}
-
-/// The synthetic side of Eq. (11)'s extended graph, constant within an
-/// outer loop's mapping phase.
-struct SyntheticSide {
-    /// `X'`.
-    features: Arc<DMat>,
-    /// `A' + I` (the deployed, µ-thresholded `A'`).
-    adj_loop: Arc<DMat>,
-    /// `rowsum(A' + I)` (`N' x 1`).
-    deg: Arc<DMat>,
-}
-
-impl SyntheticSide {
-    fn new(features: DMat, adj: &DMat) -> Self {
-        let adj_loop = adj.add(&DMat::eye(adj.rows()));
-        let deg = column(adj_loop.row_sums());
-        Self { features: Arc::new(features), adj_loop: Arc::new(adj_loop), deg: Arc::new(deg) }
-    }
-}
-
-fn column(values: Vec<f32>) -> DMat {
-    DMat::from_vec(values.len(), 1, values)
-}
-
-/// Support rows of `Â_ext^L [X'; X_sup]` for Eq. (11)'s extended graph
-/// `A_ext = [[A', Sᵀ], [S, ã]]`, `S = a·M̂` (`n x N'`, the only block that
-/// carries gradient), normalised as in Eq. (1) — computed block by block
-/// instead of assembling `A_ext`. With `d_top = rowsum(A'+I) + colsum(S)` and
-/// `d_bot = rowsum(ã+I) + rowsum(S)`, one hop is
-///
-/// ```text
-/// Z_top ← D_top^{-½} [(A'+I)·Y_top + Sᵀ·Y_bot]
-/// Z_bot ← D_bot^{-½} [ S·Y_top + (ã+I)·Y_bot ]      Y = D^{-½} Z
-/// ```
-///
-/// and the last hop needs its bottom half only: the decomposition the serve
-/// path runs (`Propagator::spmm_split` / `spmm_bottom`), here on the tape.
-/// `ã` stays sparse and nothing `(N'+n) x (N'+n)` exists.
-fn extended_support_rows(
-    tape: &mut Tape,
-    s: Var,
-    syn: &SyntheticSide,
-    sup: &SupportSide,
-    hops: usize,
-) -> Var {
-    let s_t = tape.transpose(s);
-    let (n, n_syn) = tape.value(s).shape();
-    let ones_syn = tape.constant(DMat::filled(n_syn, 1, 1.0));
-    let ones_sup = tape.constant(DMat::filled(n, 1, 1.0));
-    let inv_sqrt_degree = |tape: &mut Tape, fixed: &Arc<DMat>, s_side: Var, ones: Var| {
-        let fixed = tape.constant(Arc::clone(fixed));
-        let moving = tape.matmul(s_side, ones);
-        let deg = tape.add(fixed, moving);
-        tape.inv_sqrt(deg)
-    };
-    let r_top = inv_sqrt_degree(tape, &syn.deg, s_t, ones_sup);
-    let r_bot = inv_sqrt_degree(tape, &sup.deg, s, ones_syn);
-
-    let adj_loop = tape.constant(Arc::clone(&syn.adj_loop));
-    let mut z_top = tape.constant(Arc::clone(&syn.features));
-    let mut z_bot = tape.constant(Arc::clone(&sup.features));
-    for hop in 0..hops {
-        let y_top = tape.scale_rows(z_top, r_top);
-        let y_bot = tape.scale_rows(z_bot, r_bot);
-        if hop + 1 < hops {
-            let from_top = tape.matmul(adj_loop, y_top);
-            let from_bot = tape.matmul(s_t, y_bot);
-            let raw = tape.add(from_top, from_bot);
-            z_top = tape.scale_rows(raw, r_top);
-        }
-        let from_top = tape.matmul(s, y_top);
-        let from_bot = tape.spmm(Arc::clone(&sup.adj_loop), y_bot);
-        let raw = tape.add(from_top, from_bot);
-        z_bot = tape.scale_rows(raw, r_bot);
-    }
-    z_bot
-}
-
-/// `L` propagation steps from `x`: `Â^L X` for `step = |z| Â·z`.
-fn propagate(hops: usize, x: DMat, step: impl Fn(&DMat) -> DMat) -> DMat {
-    (0..hops).fold(x, |z, _| step(&z))
 }
 
 /// Runs MCond (Algorithm 1) on the dataset's original (training) graph.
@@ -325,8 +231,7 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
     let labels_syn_rc = Arc::new(labels_syn.clone());
 
     // --- Original-graph precomputation. -----------------------------------
-    let ahat = sym_normalize(&original.adj);
-    let z_orig = Arc::new(propagate(cfg.hops, original.features.clone(), |z| ahat.spmm(z)));
+    let z_orig = Arc::new(propagated_embeddings(&original, HOPS));
 
     // --- Support nodes (validation split, capped). -------------------------
     let support_nodes: Vec<usize> = {
@@ -335,36 +240,27 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
         picks.into_iter().map(|p| data.val_idx[p]).collect()
     };
     let use_support = cfg.train_mapping && cfg.use_inductive_loss && !support_nodes.is_empty();
-    let support = use_support.then(|| {
-        let sup = data.batch(&support_nodes, false);
-        let ext_hat =
-            sym_normalize(&original.adj.block_extend(&sup.incremental, &sup.interconnect));
-        let z = propagate(cfg.hops, original.features.vstack(&sup.features), |z| ext_hat.spmm(z));
-        Support {
-            target: Arc::new(z.slice_rows(n, n + sup.len())),
-            side: SupportSide::new(sup.features, &sup.interconnect),
-            incremental: Arc::new(sup.incremental),
-        }
-    });
+    let support =
+        use_support.then(|| Support::new(&original, data.batch(&support_nodes, false)));
 
     // --- Trainable pieces. --------------------------------------------------
-    let mut generator = AdjacencyGenerator::init(d, cfg.adjgen_hidden, &mut rng);
-    let mut gen_opts = generator.optimizers(cfg.lr_phi);
-    let mut feat_opt = Adam::new(cfg.lr_feat, n_syn, d);
+    let mut generator = AdjacencyGenerator::init(d, ADJGEN_HIDDEN, &mut rng);
+    let mut gen_opts = generator.optimizers(LR_PHI);
+    let mut feat_opt = Adam::new(LR_FEAT, n_syn, d);
     let mut mapping = if cfg.class_aware_init {
-        Mapping::class_init(&original.labels, &labels_syn, cfg.epsilon)
+        Mapping::class_init(&original.labels, &labels_syn, Mapping::EPSILON)
     } else {
-        Mapping::random_init(n, n_syn, cfg.epsilon, &mut rng)
+        Mapping::random_init(n, n_syn, Mapping::EPSILON, &mut rng)
     };
-    let mut map_opt = Adam::new(cfg.lr_map, n, n_syn);
+    let mut map_opt = Adam::new(LR_MAP, n, n_syn);
     let mut history = CondenseHistory::default();
 
     // --- Algorithm 1 main loop. ---------------------------------------------
     for outer in 0..cfg.outer_loops {
         let _outer_span = mcond_obs::span_with("condense.outer", vec![("outer", outer.into())]);
-        let mut relay = Relay::init(d, c, cfg.hops, &mut rng);
-        let mut relay_opt_w = Adam::new(cfg.lr_relay, d, c);
-        let mut relay_opt_b = Adam::new(cfg.lr_relay, 1, c);
+        let mut relay = Relay::init(d, c, &mut rng);
+        let mut relay_opt_w = Adam::new(LR_RELAY, d, c);
+        let mut relay_opt_b = Adam::new(LR_RELAY, 1, c);
 
         // ---- Update synthetic graph (lines 6–11). -------------------------
         // `M` only moves in the mapping phase below.
@@ -377,7 +273,7 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
             let adj_syn = generator.adjacency(&mut tape, &phi, xs);
             let ahat_syn = tape.sym_normalize(adj_syn);
             let mut z = xs;
-            for _ in 0..cfg.hops {
+            for _ in 0..HOPS {
                 z = tape.matmul(ahat_syn, z);
             }
 
@@ -438,10 +334,8 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                     ("step", t.into()),
                     ("l_gra", history.grad_loss.last().copied().unwrap_or(f32::NAN).into()),
                 ];
-                if cfg.use_structure_loss {
-                    if let Some(&l_str) = history.structure_loss.last() {
-                        fields.push(("l_str", l_str.into()));
-                    }
+                if let Some(&l_str) = history.structure_loss.last() {
+                    fields.push(("l_str", l_str.into()));
                 }
                 mcond_obs::point("condense.relay_step", &fields);
             }
@@ -458,15 +352,15 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
             // *deployed*: the µ-sparsified A' (Eq. 14). Using the dense
             // pre-threshold A' here changes the degrees — and hence the
             // symmetric normalisation — enough that a mapping tuned on it
-            // misfires at inference time.
-            let adj_syn_det = Arc::new(
-                generator.adjacency_detached(&x_syn).map(|v| if v >= cfg.mu { v } else { 0.0 }),
-            );
-            let ahat_syn = sym_normalize_dense(&adj_syn_det);
-            let h_syn = Arc::new(propagate(cfg.hops, x_syn.clone(), |z| ahat_syn.matmul(z)));
-            let inductive = support
-                .as_ref()
-                .map(|sup| (sup, SyntheticSide::new(x_syn.clone(), &adj_syn_det)));
+            // misfires at inference time. Eq. (14)'s rule is `sparsify`'s.
+            let (adj_syn, _) = sparsify_dense(&generator.adjacency_detached(&x_syn), cfg.mu);
+            let ahat_syn = sym_normalize_dense(&adj_syn.to_dense());
+            let h_syn = Arc::new((0..HOPS).fold(x_syn.clone(), |z, _| ahat_syn.matmul(&z)));
+            // Eq. (11)'s extended graph is the one the server builds: the
+            // sparse A' above, its degrees, and X' on the base rows.
+            let inductive = support.as_ref().map(|sup| {
+                (sup, BaseDegrees::of(&adj_syn), Arc::new(adj_syn), Arc::new(x_syn.clone()))
+            });
 
             for step in 0..cfg.mapping_steps {
                 let forward_span = mcond_obs::span("condense.mapping.forward");
@@ -493,12 +387,16 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                 let l_tra = tape.scale(l21, 1.0 / rows_used as f32);
                 history.transductive_loss.push(tape.scalar(l_tra));
 
-                let l_m = if let Some((sup, syn)) = &inductive {
+                let l_m = if let Some((sup, deg, adj_syn, x_syn_c)) = &inductive {
                     // L_ind (Eq. 11–12): connect support nodes to S
                     // through aM̂ and compare embeddings.
                     let am = tape.spmm(Arc::clone(&sup.incremental), m_hat);
+                    let x_base = tape.constant(Arc::clone(x_syn_c));
+                    let x_new = tape.constant(Arc::clone(&sup.features));
+                    let inter = Arc::clone(&sup.interconnect);
                     let h_sup_syn =
-                        extended_support_rows(&mut tape, am, syn, &sup.side, cfg.hops);
+                        TapeExtension::sym(&mut tape, Arc::clone(adj_syn), am, inter, deg)
+                            .spmm_bottom_pow(HOPS, x_base, x_new);
                     let target = tape.constant(Arc::clone(&sup.target));
                     let l21_sup = tape.l21_dist(target, h_sup_syn);
                     let l_ind = tape.scale(l21_sup, 1.0 / sup.target.rows() as f32);
@@ -518,10 +416,8 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                         ("l_tra", history.transductive_loss.last().copied().unwrap_or(f32::NAN).into()),
                         ("l_map", history.mapping_loss.last().copied().unwrap_or(f32::NAN).into()),
                     ];
-                    if cfg.use_inductive_loss {
-                        if let Some(&l_ind) = history.inductive_loss.last() {
-                            fields.push(("l_ind", l_ind.into()));
-                        }
+                    if let Some(&l_ind) = history.inductive_loss.last() {
+                        fields.push(("l_ind", l_ind.into()));
                     }
                     mcond_obs::point("condense.mapping_step", &fields);
                 }
@@ -540,12 +436,8 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
     // --- Eq. (14) sparsification. -------------------------------------------
     let dense_adj = generator.adjacency_detached(&x_syn);
     let dense_mapping = mapping.normalized_detached();
-    let (adj_sparse, adj_stats) = sparsify_dense(&dense_adj, cfg.mu);
-    let (map_sparse, map_stats) = sparsify_dense(&dense_mapping, cfg.delta);
-    // Eq. (14) drops sub-threshold mass, so surviving rows of `M` no longer
-    // sum to 1; renormalise them (empty rows stay empty) so inductive
-    // propagation `a M` keeps its random-walk interpretation.
-    let map_sparse = renormalize_rows(&map_sparse);
+    let [(adj_sparse, adj_stats), (map_sparse, map_stats)] =
+        sparsify(&dense_adj, &dense_mapping, cfg.mu, cfg.delta);
     mcond_obs::point(
         "condense.sparsify",
         &[
@@ -570,6 +462,7 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
 mod tests {
     use super::*;
     use mcond_graph::{load_dataset, Scale};
+    use mcond_sparse::Coo;
 
     fn quick_cfg() -> McondConfig {
         McondConfig {
@@ -583,72 +476,26 @@ mod tests {
         }
     }
 
-    /// Random operands of Eq. (11)'s extended graph: hollow symmetric `A'`
-    /// thresholded like the deployed one, a non-negative `S` standing in for
-    /// `a·M̂`, and a sparse symmetric `ã`.
-    fn extended_operands(n_syn: usize, n: usize, d: usize, seed: u64) -> (DMat, DMat, Csr, DMat, DMat) {
-        let mut rng = MatRng::seed_from(seed);
-        let u = rng.uniform(n_syn, n_syn, 0.0, 1.0);
-        let mut adj = u.add(&u.transpose()).scale(0.5).map(|v| if v >= 0.5 { v } else { 0.0 });
-        for i in 0..n_syn {
-            adj.set(i, i, 0.0);
-        }
-        let s = rng.uniform(n, n_syn, -0.3, 0.2).relu();
-        let mut inter = Coo::new(n, n);
-        for _ in 0..n {
-            let (i, j) = (rng.index(n), rng.index(n));
-            if i != j {
-                inter.push_sym(i, j, 1.0);
-            }
-        }
-        let inter = inter.to_csr().map_values(|_| 1.0);
-        (adj, s, inter, rng.normal(n_syn, d, 0.0, 1.0), rng.normal(n, d, 0.0, 1.0))
-    }
-
-    fn max_abs_diff(a: &DMat, b: &DMat) -> f32 {
-        assert_eq!(a.shape(), b.shape());
-        a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
-    }
-
-    #[test]
-    fn block_form_support_rows_match_the_materialised_block_and_the_serve_path() {
-        // The ruler's shapes: reddit-small at r = 1.5 %, 300 support nodes.
-        let (n_syn, n, d, hops) = (39, 300, 96, 2);
-        let (adj, s, inter, x_syn, x_sup) = extended_operands(n_syn, n, d, 41);
-
-        let mut tape = Tape::new();
-        let s_var = tape.param(s.clone());
-        let syn = SyntheticSide::new(x_syn.clone(), &adj);
-        let sup = SupportSide::new(x_sup.clone(), &inter);
-        let rows = extended_support_rows(&mut tape, s_var, &syn, &sup, hops);
-        let block_form = tape.value(rows);
-
-        // (a) What the parent commit recorded on the tape: the assembled
-        // (N'+n)² block, normalised and multiplied `hops` times.
-        let block = adj.hstack(&s.transpose()).vstack(&s.hstack(&inter.to_dense()));
-        let block_hat = sym_normalize_dense(&block);
-        let z = propagate(hops, x_syn.vstack(&x_sup), |z| block_hat.matmul(z));
-        let materialised = z.slice_rows(n_syn, n_syn + n);
-        let diff = max_abs_diff(block_form, &materialised);
-        assert!(diff <= 1e-5, "block form vs materialised block: max |Δ| = {diff}");
-
-        // (b) The serve path's decomposition of the same operator.
-        let (base, inc) = (Csr::from_dense(&adj), Csr::from_dense(&s));
-        let deg = mcond_gnn::BaseDegrees::of(&base);
-        let ext = mcond_gnn::Propagator::extended_sym(&base, &inc, &inter, &deg);
-        let (top, bottom) = ext.spmm_split(&x_syn, &x_sup);
-        let served = ext.spmm_bottom(&top, &bottom);
-        let diff = max_abs_diff(block_form, &served);
-        assert!(diff <= 1e-5, "block form vs spmm_split/spmm_bottom: max |Δ| = {diff}");
-    }
-
     #[test]
     fn block_form_inductive_loss_gradient_matches_finite_differences() {
         // L_ind of Eq. (12) w.r.t. raw M, through Eq. (15), a·M̂ and the
-        // block-form propagation.
-        let (n_orig, n_syn, n, d, hops) = (6, 3, 4, 3, 2);
-        let (adj, _, inter, x_syn, x_sup) = extended_operands(n_syn, n, d, 42);
-        let mut rng = MatRng::seed_from(43);
+        // tape instance of the extended operator's hop.
+        let (n_orig, n_syn, n, d) = (6, 3, 4, 3);
+        let mut rng = MatRng::seed_from(42);
+        let u = rng.uniform(n_syn, n_syn, 0.0, 1.0);
+        let mut adj = u.add(&u.transpose()).scale(0.5);
+        for i in 0..n_syn {
+            adj.set(i, i, 0.0);
+        }
+        let (adj, _) = sparsify_dense(&adj, 0.5);
+        let deg = BaseDegrees::of(&adj);
+        let (adj, inter) = (Arc::new(adj), Arc::new(Csr::from_dense(&DMat::from_rows(&[
+            &[0.0, 1.0, 0.0, 0.0],
+            &[1.0, 0.0, 0.0, 1.0],
+            &[0.0, 0.0, 0.0, 0.0],
+            &[0.0, 1.0, 0.0, 0.0],
+        ]))));
+        let (x_syn, x_sup) = (rng.normal(n_syn, d, 0.0, 1.0), rng.normal(n, d, 0.0, 1.0));
         let mut a = Coo::new(n, n_orig);
         for i in 0..n {
             a.push(i, rng.index(n_orig), 1.0);
@@ -656,15 +503,15 @@ mod tests {
         }
         let a = Arc::new(a.to_csr());
         let target = rng.normal(n, d, 0.0, 1.0);
-        let syn = SyntheticSide::new(x_syn, &adj);
-        let sup = SupportSide::new(x_sup, &inter);
         let raw0 = rng.uniform(n_orig, n_syn, -1.0, 1.0);
         mcond_autodiff::check::assert_gradients_match(&raw0, 1e-2, 4e-2, |tape, p| {
-            let mapping = Mapping { raw: p, epsilon: 1e-5 };
+            let mapping = Mapping { raw: p, epsilon: Mapping::EPSILON };
             let raw = mapping.tape_param(tape);
             let m_hat = mapping.normalized(tape, raw);
             let am = tape.spmm(Arc::clone(&a), m_hat);
-            let rows = extended_support_rows(tape, am, &syn, &sup, hops);
+            let (xb, xn) = (tape.constant(x_syn.clone()), tape.constant(x_sup.clone()));
+            let rows = TapeExtension::sym(tape, Arc::clone(&adj), am, Arc::clone(&inter), &deg)
+                .spmm_bottom_pow(HOPS, xb, xn);
             let tgt = tape.constant(target.clone());
             let l = tape.l21_dist(tgt, rows);
             (raw, l)

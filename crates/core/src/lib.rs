@@ -54,7 +54,7 @@ pub use coreset::{coreset, CoresetMethod, ReducedGraph};
 pub use delta::{DeltaError, GraphDelta, LiveBase, PromotionReport};
 pub use epoch::{EpochServer, EpochSlot};
 pub use mapping::{class_correlation_of, Mapping};
-pub use relay::Relay;
+pub use relay::{propagated_embeddings, Relay};
 pub use sampling::sample_edge_batch;
 pub use serve_error::ServeError;
 pub use server::{InductiveServer, DEFAULT_MAX_BATCH};

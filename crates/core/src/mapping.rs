@@ -17,6 +17,9 @@ pub struct Mapping {
 }
 
 impl Mapping {
+    /// `ε` of Eq. (15) (paper: 1e-5) — what `condense` trains with.
+    pub const EPSILON: f32 = 1e-5;
+
     /// Class-aware initialisation (§III-E): a constant positive raw weight
     /// when original node `i` and synthetic node `j` share a class, a
     /// constant negative weight otherwise.

@@ -9,8 +9,18 @@
 //! first-order autodiff (see `mcond-autodiff`'s `softmax_error`).
 
 use mcond_autodiff::{Adam, Tape, Var};
+use mcond_graph::Graph;
 use mcond_linalg::{DMat, MatRng};
+use mcond_sparse::sym_normalize;
 use std::sync::Arc;
+
+/// `Z = Â^L X` on `graph`: the relay's pre-propagated features, and the
+/// embeddings the Herding / K-Center / VNG baselines select on.
+#[must_use]
+pub fn propagated_embeddings(graph: &Graph, hops: usize) -> DMat {
+    let ahat = sym_normalize(&graph.adj);
+    (0..hops).fold(graph.features.clone(), |z, _| ahat.spmm(&z))
+}
 
 /// A relay SGC model: one weight `d x C` and one bias `1 x C`.
 pub struct Relay {
@@ -18,19 +28,13 @@ pub struct Relay {
     pub w: DMat,
     /// Bias row.
     pub b: DMat,
-    /// Propagation depth `L`.
-    pub hops: usize,
 }
 
 impl Relay {
     /// Fresh Glorot-initialised relay (one draw from `P_θ0` of Eq. 4).
     #[must_use]
-    pub fn init(feature_dim: usize, num_classes: usize, hops: usize, rng: &mut MatRng) -> Self {
-        Self {
-            w: rng.glorot(feature_dim, num_classes),
-            b: DMat::zeros(1, num_classes),
-            hops,
-        }
+    pub fn init(feature_dim: usize, num_classes: usize, rng: &mut MatRng) -> Self {
+        Self { w: rng.glorot(feature_dim, num_classes), b: DMat::zeros(1, num_classes) }
     }
 
     /// Embeddings `H = Z W + b` for pre-propagated features `Z` (tape-free).
@@ -109,7 +113,7 @@ mod tests {
 
     fn fixture() -> (Relay, DMat, Vec<usize>) {
         let mut rng = MatRng::seed_from(3);
-        let relay = Relay::init(4, 3, 2, &mut rng);
+        let relay = Relay::init(4, 3, &mut rng);
         let z = rng.normal(6, 4, 0.0, 1.0);
         let labels = vec![0usize, 1, 2, 0, 1, 2];
         (relay, z, labels)

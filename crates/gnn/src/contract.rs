@@ -11,12 +11,19 @@
 //! | split (`predict_split`)      | bottom rows of the stacked dense, bitwise; builds only the operators it reads |
 //! | tape (`forward`)             | dense on the materialised graph, bitwise |
 //! | frozen-build + frozen-serve (`FrozenBase::new`, `predict_frozen`) | split, on a batch with no edges |
+//! | tape hop (`TapeExtension`)  | split hop and materialised block, max \|Δ\| ≤ 1e-5 |
+//!
+//! The last row is one hop of the extended operator rather than a whole
+//! forward: the hop is one generic function with a matrix instance (the
+//! split evaluator's) and a tape instance, whose degrees are summed in a
+//! different grouping — hence a bound instead of bitwise equality.
 
 use crate::model::Kernel::{Mean, Sym};
-use crate::{BaseDegrees, FrozenBase, GnnKind, GnnModel, GraphOps};
+use crate::{BaseDegrees, FrozenBase, GnnKind, GnnModel, GraphOps, Propagator, TapeExtension};
 use mcond_autodiff::Tape;
 use mcond_linalg::{DMat, MatRng};
-use mcond_sparse::{Coo, Csr};
+use mcond_sparse::{sparsify_dense, sym_normalize_dense, Coo, Csr};
+use std::sync::Arc;
 
 /// Whole-graph logits, one arm per architecture (paper §IV-A, Table IV).
 fn reference_predict(model: &GnnModel, ops: &GraphOps, x: &DMat) -> DMat {
@@ -174,5 +181,69 @@ fn every_evaluator_agrees_with_the_reference_forward() {
                 }
             }
         }
+    }
+}
+
+fn max_abs_diff(a: &DMat, b: &DMat) -> f32 {
+    assert_eq!(a.shape(), b.shape());
+    a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
+}
+
+/// The tape row: Eq. (11)'s extended graph at condensation's shapes
+/// (reddit-small at r = 1.5 %, 300 support nodes) — a hollow symmetric `A'`
+/// thresholded like the deployed one, a non-negative `S` standing in for
+/// `a·M̂` (dense on the tape, `Csr::from_dense(S)` for the split hop), and a
+/// sparse symmetric `ã`.
+#[test]
+fn tape_hop_agrees_with_the_split_hop_and_the_materialised_block() {
+    let (n_syn, n, d) = (39, 300, 96);
+    let mut rng = MatRng::seed_from(41);
+    let u = rng.uniform(n_syn, n_syn, 0.0, 1.0);
+    let mut adj = u.add(&u.transpose()).scale(0.5);
+    for i in 0..n_syn {
+        adj.set(i, i, 0.0);
+    }
+    let (base, _) = sparsify_dense(&adj, 0.5);
+    let s = rng.uniform(n, n_syn, -0.3, 0.2).relu();
+    let mut inter = Coo::new(n, n);
+    for _ in 0..n {
+        let (i, j) = (rng.index(n), rng.index(n));
+        if i != j {
+            inter.push_sym(i, j, 1.0);
+        }
+    }
+    let inter = inter.to_csr().map_values(|_| 1.0);
+    let (x_syn, x_sup) = (rng.normal(n_syn, d, 0.0, 1.0), rng.normal(n, d, 0.0, 1.0));
+    let deg = BaseDegrees::of(&base);
+    let inc = Csr::from_dense(&s);
+
+    let block = base.to_dense().hstack(&s.transpose()).vstack(&s.hstack(&inter.to_dense()));
+    let block_hat = sym_normalize_dense(&block);
+    let materialised: Vec<DMat> = (1..=2)
+        .scan(x_syn.vstack(&x_sup), |z, _| {
+            *z = block_hat.matmul(z);
+            Some(z.clone())
+        })
+        .collect();
+    let (base, inter) = (Arc::new(base), Arc::new(inter));
+    for threads in [1usize, 4] {
+        mcond_par::with_thread_limit(threads, || {
+            let matrix = Propagator::extended_sym(&base, &inc, &inter, &deg);
+            for hops in [1, 2] {
+                let mut tape = Tape::new();
+                let s_var = tape.param(s.clone());
+                let (xb, xn) = (tape.constant(x_syn.clone()), tape.constant(x_sup.clone()));
+                let (b, i) = (Arc::clone(&base), Arc::clone(&inter));
+                let rows = TapeExtension::sym(&mut tape, b, s_var, i, &deg).spmm_bottom_pow(hops, xb, xn);
+                let on_tape = tape.value(rows);
+                let split = matrix.spmm_bottom_pow(hops, &x_syn, &x_sup);
+                let dense = materialised[hops - 1].slice_rows(n_syn, n_syn + n);
+                let vs_split = max_abs_diff(on_tape, &split);
+                let vs_dense = max_abs_diff(on_tape, &dense);
+                let tag = format!("{hops} hop(s) t{threads}");
+                assert!(vs_split <= 1e-5, "{tag}: tape vs split, max |Δ| = {vs_split}");
+                assert!(vs_dense <= 1e-5, "{tag}: tape vs materialised, max |Δ| = {vs_dense}");
+            }
+        });
     }
 }

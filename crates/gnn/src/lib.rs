@@ -24,5 +24,5 @@ mod trainer;
 pub use frozen::FrozenBase;
 pub use metrics::{accuracy, confusion_counts, extended_storage_bytes};
 pub use model::{GnnKind, GnnModel, GraphOps};
-pub use propagator::{BaseDegrees, Propagator};
+pub use propagator::{BaseDegrees, Propagator, TapeExtension};
 pub use trainer::{train, TrainConfig, TrainReport};

@@ -27,6 +27,11 @@
 //! `n` inductive output rows, which lets the final layer of a served
 //! forward pass cost `n×C` instead of `(N'+n)×C`.
 //!
+//! The hop — scale, raw block product, scale — is written once, over the
+//! block products it is made of. [`Propagator`] serves with its matrix
+//! instance; [`TapeExtension`] records it on a tape with a trainable `inc`,
+//! so condensation's `L_ind` (Eq. 11–12) trains through the served operator.
+//!
 //! The base graph's degree sums never change between requests;
 //! [`BaseDegrees`] captures them once so per-request normalisation only
 //! folds in the incremental/interconnect mass.
@@ -40,8 +45,10 @@
 //! FMA tiers regroup additions; a deployment that must reproduce archived
 //! logits exactly pins `MCOND_SIMD` rather than the propagation path.
 
+use mcond_autodiff::{Tape, Var};
 use mcond_linalg::DMat;
 use mcond_sparse::Csr;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Per-node weighted degree sums of a fixed base graph, computed once and
@@ -90,35 +97,20 @@ impl BaseDegrees {
     /// Panics when the block shapes disagree with the current base size.
     pub fn extend_for_promotion(&mut self, attach: &Csr, inter: &Csr) {
         let n_old = self.sym.len();
-        assert_eq!(attach.cols(), n_old, "extend_for_promotion: attach columns");
-        assert_eq!(inter.rows(), attach.rows(), "extend_for_promotion: inter rows");
-        assert_eq!(inter.cols(), attach.rows(), "extend_for_promotion: inter must be square");
-        // Old rows: the mirrored top-right entries, visited in the same
-        // (ascending new-row) order block_extend appends their columns.
-        for (_, j, v) in attach.iter() {
-            self.sym[j] += v;
-            self.mean[j] += v;
-        }
-        // New rows: attach mass first, then interconnect mass.
-        for i in 0..attach.rows() {
-            let mut s = 1.0f32;
-            let mut m = 0.0f32;
-            for &v in attach.row_vals(i) {
-                s += v;
-                m += v;
-            }
-            for &v in inter.row_vals(i) {
-                s += v;
-                m += v;
-            }
-            self.sym.push(s);
-            self.mean.push(m);
-        }
+        check_blocks((n_old, n_old), (attach.rows(), attach.cols()), inter);
+        // Old rows take the mirrored top-right entries in ascending new-row
+        // order, as block_extend appends their columns; new rows their
+        // attach mass, then their interconnect mass: a request's fold.
+        let sym = fold_request_mass(attach, inter, &mut self.sym, 1.0);
+        let mean = fold_request_mass(attach, inter, &mut self.mean, 0.0);
+        self.sym.extend(sym);
+        self.mean.extend(mean);
     }
 }
 
 /// The lazy extension payload: borrowed base graph + incremental blocks +
-/// precomputed normalisation vectors, split base-side / new-side.
+/// precomputed normalisation vectors, split base-side / new-side. The
+/// matrix instance of the one hop.
 ///
 /// Borrowing (instead of owning `Arc`s) is what makes the serving fast
 /// path zero-copy: a request's `inc`/`inter` blocks are used in place and
@@ -128,40 +120,103 @@ pub struct Extension<'a> {
     base: &'a Csr,
     inc: &'a Csr,
     inter: &'a Csr,
-    /// Per-node scale for base rows: `1/sqrt(d̃)` (symmetric kernel,
-    /// applied before and after the raw product) or `1/d` (mean kernel,
-    /// applied after). Length `base.rows()`.
-    scale_base: Vec<f32>,
-    /// Same, for the new (inductive) rows. Length `inc.rows()`.
-    scale_new: Vec<f32>,
+    /// Per-node scales of the base rows and of the new (inductive) rows:
+    /// `1/sqrt(d̃)` (symmetric kernel, applied before and after the raw
+    /// product) or `1/d` (mean kernel, applied after).
+    scales: [Vec<f32>; 2],
     /// Whether a self-loop term (`+ x_i`) is part of the raw product
     /// (symmetric GCN kernel) or not (mean kernel).
     self_loop: bool,
 }
 
-impl Extension<'_> {
-    /// Raw block product `Ã_ext · [x_base; x_new]` (plus self-loops when
-    /// configured), returned without vstacking the two halves.
-    fn raw_split(&self, x_base: &DMat, x_new: &DMat) -> (DMat, DMat) {
-        // Top block: base·x_base + incᵀ·x_new (+ x_base).
-        let mut top = self.base.spmm(x_base);
-        top.add_assign(&self.inc.spmm_t(x_new));
-        // Bottom block: inc·x_base + inter·x_new (+ x_new).
-        let bottom = self.raw_bottom(x_base, x_new);
-        if self.self_loop {
-            top.add_assign(x_base);
-        }
-        (top, bottom)
-    }
+/// The extended operator's base rows (or columns) and new ones.
+#[derive(Clone, Copy)]
+enum Half {
+    Base,
+    New,
+}
 
-    /// Bottom block only: `inc·x_base + inter·x_new (+ x_new)`.
-    fn raw_bottom(&self, x_base: &DMat, x_new: &DMat) -> DMat {
-        let mut bottom = self.inc.spmm(x_base);
-        bottom.add_assign(&self.inter.spmm(x_new));
-        if self.self_loop {
-            bottom.add_assign(x_new);
+/// What one hop of the extended operator is made of, over values `M`:
+/// [`hop`] is written once against it, and [`Extension`] (matrices, served)
+/// and [`TapeExtension`] (tape values) are its instances.
+trait BlockOps {
+    type M: Clone;
+    /// Symmetric kernel (self-loops, `D̃^{-1/2}` before and after the raw
+    /// product), else the mean kernel (`D^{-1}` after it).
+    fn symmetric(&self) -> bool;
+    /// The `(rows, cols)` block times `y`: `base`, `incᵀ`, `inc`, `inter`.
+    fn mul(&mut self, rows: Half, cols: Half, y: &Self::M) -> Self::M;
+    /// `acc + y`.
+    fn add(&mut self, acc: Self::M, y: &Self::M) -> Self::M;
+    /// `y`'s rows times `half`'s scales.
+    fn scale(&mut self, half: Half, y: Cow<'_, Self::M>) -> Self::M;
+}
+
+impl BlockOps for &Extension<'_> {
+    type M = DMat;
+    fn symmetric(&self) -> bool {
+        self.self_loop
+    }
+    fn mul(&mut self, rows: Half, cols: Half, y: &DMat) -> DMat {
+        match (rows, cols) {
+            (Half::Base, Half::Base) => self.base.spmm(y),
+            (Half::Base, Half::New) => self.inc.spmm_t(y),
+            (Half::New, Half::Base) => self.inc.spmm(y),
+            (Half::New, Half::New) => self.inter.spmm(y),
         }
-        bottom
+    }
+    fn add(&mut self, mut acc: DMat, y: &DMat) -> DMat {
+        acc.add_assign(y);
+        acc
+    }
+    fn scale(&mut self, half: Half, y: Cow<'_, DMat>) -> DMat {
+        let scales = &self.scales[half as usize];
+        // An input is scaled into a copy, the hop's own product in place.
+        match y {
+            Cow::Borrowed(y) => y.scale_rows(scales),
+            Cow::Owned(mut y) => {
+                y.scale_rows_assign(scales);
+                y
+            }
+        }
+    }
+}
+
+/// One hop — scale (symmetric kernel), raw block product, scale — giving
+/// the new rows, and the base rows too when `top`.
+fn hop<B: BlockOps>(b: &mut B, x_base: &B::M, x_new: &B::M, top: bool) -> (Option<B::M>, B::M) {
+    let scaled = b.symmetric().then(|| {
+        (b.scale(Half::Base, Cow::Borrowed(x_base)), b.scale(Half::New, Cow::Borrowed(x_new)))
+    });
+    let (xb, xn) = scaled.as_ref().map_or((x_base, x_new), |(xb, xn)| (xb, xn));
+    let top = top.then(|| raw(b, Half::Base, xb, xn));
+    let bottom = raw(b, Half::New, xb, xn);
+    (top.map(|t| b.scale(Half::Base, Cow::Owned(t))), b.scale(Half::New, Cow::Owned(bottom)))
+}
+
+/// One half of the raw block product: `base·x_base + incᵀ·x_new` for the
+/// base rows, `inc·x_base + inter·x_new` for the new rows, plus the half's
+/// own input under the symmetric kernel's self-loop.
+fn raw<B: BlockOps>(b: &mut B, half: Half, x_base: &B::M, x_new: &B::M) -> B::M {
+    let acc = b.mul(half, Half::Base, x_base);
+    let rest = b.mul(half, Half::New, x_new);
+    let acc = b.add(acc, &rest);
+    match (b.symmetric(), half) {
+        (false, _) => acc,
+        (true, Half::Base) => b.add(acc, x_base),
+        (true, Half::New) => b.add(acc, x_new),
+    }
+}
+
+/// New rows after `hops` hops: full hops, then a last one of new rows only.
+fn bottom_after<B: BlockOps>(b: &mut B, hops: usize, x_base: &B::M, x_new: &B::M) -> B::M {
+    match hops {
+        0 => x_new.clone(),
+        1 => hop(b, x_base, x_new, false).1,
+        _ => {
+            let (top, bottom) = hop(b, x_base, x_new, true);
+            bottom_after(b, hops - 1, &top.expect("a full hop has base rows"), &bottom)
+        }
     }
 }
 
@@ -214,23 +269,9 @@ impl<'a> Propagator<'a> {
     /// rows and `x_new` the new rows) and for materialised operators.
     #[must_use]
     pub fn spmm_split(&self, x_base: &DMat, x_new: &DMat) -> (DMat, DMat) {
-        let e = self.extension();
-        check_split_input(e, x_base, x_new);
-        if e.self_loop {
-            // Symmetric kernel: scale, raw product, scale.
-            let xbs = x_base.scale_rows(&e.scale_base);
-            let xns = x_new.scale_rows(&e.scale_new);
-            let (mut top, mut bottom) = e.raw_split(&xbs, &xns);
-            top.scale_rows_assign(&e.scale_base);
-            bottom.scale_rows_assign(&e.scale_new);
-            (top, bottom)
-        } else {
-            // Mean kernel: raw product, then reciprocal-degree scale.
-            let (mut top, mut bottom) = e.raw_split(x_base, x_new);
-            top.scale_rows_assign(&e.scale_base);
-            bottom.scale_rows_assign(&e.scale_new);
-            (top, bottom)
-        }
+        let mut e = self.extension(x_base, x_new);
+        let (top, bottom) = hop(&mut e, x_base, x_new, true);
+        (top.expect("a full hop has base rows"), bottom)
     }
 
     /// Bottom rows only of the split product: the `n` inductive output
@@ -243,48 +284,55 @@ impl<'a> Propagator<'a> {
     /// Panics on dimension mismatch and for materialised operators.
     #[must_use]
     pub fn spmm_bottom(&self, x_base: &DMat, x_new: &DMat) -> DMat {
-        let e = self.extension();
-        check_split_input(e, x_base, x_new);
-        let mut bottom = if e.self_loop {
-            let xbs = x_base.scale_rows(&e.scale_base);
-            let xns = x_new.scale_rows(&e.scale_new);
-            e.raw_bottom(&xbs, &xns)
-        } else {
-            e.raw_bottom(x_base, x_new)
-        };
-        bottom.scale_rows_assign(&e.scale_new);
-        bottom
+        let mut e = self.extension(x_base, x_new);
+        hop(&mut e, x_base, x_new, false).1
     }
 
-    /// The block payload behind the split forms.
+    /// The new rows of `selfᴸ · [x_base; x_new]`, `L = hops`: `L − 1`
+    /// split hops, then a bottom one (`x_new` itself when `hops == 0`).
     ///
     /// # Panics
-    /// Panics for materialised operators: a stacked matrix has no
-    /// base/new halves, and serving only ever builds extended operators.
-    fn extension(&self) -> &Extension<'a> {
-        match self {
-            Propagator::Extended(e) => e,
-            Propagator::Matrix(_) => panic!(
+    /// Panics on dimension mismatch and for materialised operators.
+    #[must_use]
+    pub fn spmm_bottom_pow(&self, hops: usize, x_base: &DMat, x_new: &DMat) -> DMat {
+        let mut e = self.extension(x_base, x_new);
+        bottom_after(&mut e, hops, x_base, x_new)
+    }
+
+    /// The block payload behind the split forms, checked against their
+    /// inputs (`x_base` carries exactly the base rows, `x_new` the new
+    /// rows, both as wide).
+    ///
+    /// # Panics
+    /// Panics on dimension mismatch, and for materialised operators: a
+    /// stacked matrix has no base/new halves, and serving only ever builds
+    /// extended operators.
+    fn extension(&self, x_base: &DMat, x_new: &DMat) -> &Extension<'a> {
+        let Propagator::Extended(e) = self else {
+            panic!(
                 "Propagator: the split forms need an extended operator; \
                  a materialised matrix multiplies the stacked input with spmm"
-            ),
-        }
+            )
+        };
+        assert_eq!(x_base.rows(), e.base.rows(), "spmm_split: base row mismatch");
+        assert_eq!(x_new.rows(), e.inc.rows(), "spmm_split: new row mismatch");
+        assert_eq!(x_base.cols(), x_new.cols(), "spmm_split: column mismatch");
+        e
     }
 
     /// The materialised CSR handle, for recording `Tape::spmm` ops during
     /// training.
     ///
     /// # Panics
-    /// Panics for extended operators — materialise the extension first
-    /// (training always runs on a fixed graph; the lazy form is an
-    /// inference-serving optimisation).
+    /// Panics for extended operators: record their hops with
+    /// [`TapeExtension`] instead, or materialise the extension.
     #[must_use]
     pub fn csr(&self) -> Arc<Csr> {
         match self {
             Propagator::Matrix(m) => Arc::clone(m),
             Propagator::Extended(_) => panic!(
                 "Propagator::csr: extended operators cannot be recorded on a tape; \
-                 materialise the extended graph for training"
+                 record their hops with TapeExtension or materialise the extended graph"
             ),
         }
     }
@@ -299,22 +347,8 @@ impl<'a> Propagator<'a> {
     /// Panics on inconsistent block shapes or a `deg` of the wrong length.
     #[must_use]
     pub fn extended_sym(base: &'a Csr, inc: &'a Csr, inter: &'a Csr, deg: &BaseDegrees) -> Self {
-        check_blocks(base, inc, inter);
         assert_eq!(deg.sym.len(), base.rows(), "extended_sym: degree length mismatch");
-        // Degrees of Ã_ext (self-loop included): base sums are shared, the
-        // request only folds in its incremental/interconnect mass — in the
-        // same order the from-scratch accumulation would.
-        let mut deg_base = deg.sym.clone();
-        let deg_new = fold_request_mass(inc, inter, &mut deg_base, 1.0);
-        let inv_sqrt = |d: &f32| if *d > 0.0 { 1.0 / d.sqrt() } else { 0.0 };
-        Propagator::Extended(Box::new(Extension {
-            base,
-            inc,
-            inter,
-            scale_base: deg_base.iter().map(inv_sqrt).collect(),
-            scale_new: deg_new.iter().map(inv_sqrt).collect(),
-            self_loop: true,
-        }))
+        Self::extended(base, inc, inter, deg.sym.clone(), true)
     }
 
     /// Builds the **mean (row-stochastic) kernel** of the extended graph:
@@ -324,19 +358,96 @@ impl<'a> Propagator<'a> {
     /// Panics on inconsistent block shapes or a `deg` of the wrong length.
     #[must_use]
     pub fn extended_mean(base: &'a Csr, inc: &'a Csr, inter: &'a Csr, deg: &BaseDegrees) -> Self {
-        check_blocks(base, inc, inter);
         assert_eq!(deg.mean.len(), base.rows(), "extended_mean: degree length mismatch");
-        let mut deg_base = deg.mean.clone();
-        let deg_new = fold_request_mass(inc, inter, &mut deg_base, 0.0);
-        let inv = |d: &f32| if *d > 0.0 { 1.0 / d } else { 0.0 };
-        Propagator::Extended(Box::new(Extension {
-            base,
-            inc,
-            inter,
-            scale_base: deg_base.iter().map(inv).collect(),
-            scale_new: deg_new.iter().map(inv).collect(),
-            self_loop: false,
-        }))
+        Self::extended(base, inc, inter, deg.mean.clone(), false)
+    }
+
+    /// The base's shared degree sums `deg` plus the request's mass (and a
+    /// self-loop when `sym`), folded in a from-scratch pass's order; a row
+    /// of degree `d > 0` scales by `1/sqrt(d)` (`sym`) or `1/d`, else by 0.
+    fn extended(base: &'a Csr, inc: &'a Csr, inter: &'a Csr, deg: Vec<f32>, sym: bool) -> Self {
+        check_blocks((base.rows(), base.cols()), (inc.rows(), inc.cols()), inter);
+        let mut deg_base = deg;
+        let deg_new = fold_request_mass(inc, inter, &mut deg_base, if sym { 1.0 } else { 0.0 });
+        let inv = |d: f32| if d > 0.0 { if sym { 1.0 / d.sqrt() } else { 1.0 / d } } else { 0.0 };
+        let scales = [deg_base, deg_new].map(|deg| deg.into_iter().map(inv).collect());
+        Propagator::Extended(Box::new(Extension { base, inc, inter, scales, self_loop: sym }))
+    }
+}
+
+/// The symmetric kernel of `[[base, incᵀ], [inc, inter]]` on a tape, `inc`
+/// a [`Var`] (condensation's `S = a·M̂`): the tape instance of the hop.
+/// Each degree is a constant half ([`BaseDegrees::of`] `base`, `inter`)
+/// plus `inc`'s mass on the tape, so gradient flows through it too; the
+/// grouping differs from [`Propagator::extended_sym`]'s (equal to rounding).
+pub struct TapeExtension<'t> {
+    tape: &'t mut Tape,
+    base: Arc<Csr>,
+    inter: Arc<Csr>,
+    inc: Var,
+    inc_t: Var,
+    /// `D̃^{-1/2}` of the base rows and of the new rows, as columns.
+    scales: [Var; 2],
+}
+
+impl<'t> TapeExtension<'t> {
+    /// Records the degree scalings on `tape`; `deg` is `base`'s
+    /// [`BaseDegrees::of`].
+    ///
+    /// # Panics
+    /// Panics on inconsistent block shapes or a `deg` of the wrong length.
+    pub fn sym(
+        tape: &'t mut Tape,
+        base: Arc<Csr>,
+        inc: Var,
+        inter: Arc<Csr>,
+        deg: &BaseDegrees,
+    ) -> Self {
+        check_blocks((base.rows(), base.cols()), tape.value(inc).shape(), &inter);
+        assert_eq!(deg.sym.len(), base.rows(), "extended_sym: degree length mismatch");
+        let inc_t = tape.transpose(inc);
+        let scales = [
+            inv_sqrt_degree(tape, deg.sym.clone(), inc_t),
+            inv_sqrt_degree(tape, BaseDegrees::of(&inter).sym, inc),
+        ];
+        Self { tape, base, inter, inc, inc_t, scales }
+    }
+
+    /// [`Propagator::spmm_bottom_pow`] on tape values.
+    pub fn spmm_bottom_pow(&mut self, hops: usize, x_base: Var, x_new: Var) -> Var {
+        bottom_after(self, hops, &x_base, &x_new)
+    }
+}
+
+/// `(fixed + block·1)^{-1/2}`, a column: a degree's constant half plus
+/// `block`'s row sums.
+fn inv_sqrt_degree(tape: &mut Tape, fixed: Vec<f32>, block: Var) -> Var {
+    let (rows, cols) = tape.value(block).shape();
+    let fixed = tape.constant(DMat::from_vec(rows, 1, fixed));
+    let ones = tape.constant(DMat::filled(cols, 1, 1.0));
+    let moving = tape.matmul(block, ones);
+    let deg = tape.add(fixed, moving);
+    tape.inv_sqrt(deg)
+}
+
+impl BlockOps for TapeExtension<'_> {
+    type M = Var;
+    fn symmetric(&self) -> bool {
+        true
+    }
+    fn mul(&mut self, rows: Half, cols: Half, y: &Var) -> Var {
+        match (rows, cols) {
+            (Half::Base, Half::Base) => self.tape.spmm(Arc::clone(&self.base), *y),
+            (Half::Base, Half::New) => self.tape.matmul(self.inc_t, *y),
+            (Half::New, Half::Base) => self.tape.matmul(self.inc, *y),
+            (Half::New, Half::New) => self.tape.spmm(Arc::clone(&self.inter), *y),
+        }
+    }
+    fn add(&mut self, acc: Var, y: &Var) -> Var {
+        self.tape.add(acc, *y)
+    }
+    fn scale(&mut self, half: Half, y: Cow<'_, Var>) -> Var {
+        self.tape.scale_rows(*y, self.scales[half as usize])
     }
 }
 
@@ -362,17 +473,13 @@ fn fold_request_mass(inc: &Csr, inter: &Csr, deg_base: &mut [f32], self_mass: f3
         .collect()
 }
 
-fn check_blocks(base: &Csr, inc: &Csr, inter: &Csr) {
-    assert_eq!(base.rows(), base.cols(), "extended: base must be square");
-    assert_eq!(inc.cols(), base.rows(), "extended: inc columns must index the base");
-    assert_eq!(inter.rows(), inc.rows(), "extended: inter rows");
-    assert_eq!(inter.cols(), inc.rows(), "extended: inter must be square");
-}
-
-fn check_split_input(e: &Extension<'_>, x_base: &DMat, x_new: &DMat) {
-    assert_eq!(x_base.rows(), e.base.rows(), "spmm_split: base row mismatch");
-    assert_eq!(x_new.rows(), e.inc.rows(), "spmm_split: new row mismatch");
-    assert_eq!(x_base.cols(), x_new.cols(), "spmm_split: column mismatch");
+/// The shapes of `[[base, incᵀ], [inc, inter]]`'s blocks, `base`'s and
+/// `inc`'s given as `(rows, cols)`.
+fn check_blocks(base: (usize, usize), (inc_rows, inc_cols): (usize, usize), inter: &Csr) {
+    assert_eq!(base.0, base.1, "extended: base must be square");
+    assert_eq!(inc_cols, base.0, "extended: inc columns must index the base");
+    assert_eq!(inter.rows(), inc_rows, "extended: inter rows");
+    assert_eq!(inter.cols(), inc_rows, "extended: inter must be square");
 }
 
 #[cfg(test)]
@@ -471,6 +578,33 @@ mod tests {
         let full = BaseDegrees::of(&grown.block_extend(&inc2, &inter2));
         assert_eq!(deg.sym, full.sym);
         assert_eq!(deg.mean, full.mean);
+    }
+
+    /// Condensation's `L_ind` target: the support rows of Eq. (3)'s
+    /// two-hop propagation on the training graph, through the extended
+    /// operator, against the assembled and normalised `(N + n)`-node graph
+    /// that computed it before — on pubmed-small with a graph batch of
+    /// validation nodes, so the interconnect is not empty.
+    #[test]
+    fn bottom_pow_matches_the_materialised_training_graph() {
+        let data = mcond_graph::load_dataset("pubmed", mcond_graph::Scale::Small, 0).unwrap();
+        let original = data.original_graph();
+        let batch = data.batch(&data.val_idx[..data.val_idx.len().min(300)], true);
+        assert!(batch.interconnect.nnz() > 0);
+        let deg = BaseDegrees::of(&original.adj);
+        let (inc, inter) = (&batch.incremental, &batch.interconnect);
+        let lazy = Propagator::extended_sym(&original.adj, inc, inter, &deg);
+        let got = lazy.spmm_bottom_pow(2, &original.features, &batch.features);
+        let ext_hat = sym_normalize(&materialised(&original.adj, inc, inter));
+        let n = original.num_nodes();
+        let z = (0..2)
+            .fold(original.features.vstack(&batch.features), |z, _| ext_hat.spmm(&z))
+            .slice_rows(n, n + batch.len());
+        assert_eq!(got.shape(), z.shape());
+        let diff =
+            got.as_slice().iter().zip(z.as_slice()).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max);
+        assert!(diff <= 1e-5, "bottom_pow vs materialised graph: max |Δ| = {diff}");
+        assert_eq!(lazy.spmm_bottom_pow(0, &original.features, &batch.features), batch.features);
     }
 
     #[test]
