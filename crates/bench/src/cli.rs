@@ -52,13 +52,7 @@ fn parse_from(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("missing value for {name}"));
         match flag.as_str() {
-            "--scale" => {
-                out.scale = match value("--scale")?.as_str() {
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => return Err(format!("unknown scale {other:?}")),
-                }
-            }
+            "--scale" => out.scale = value("--scale")?.parse()?,
             "--seed" => out.seed = value("--seed")?.parse().map_err(|_| "bad --seed")?,
             "--repeats" => out.repeats = value("--repeats")?.parse().map_err(|_| "bad --repeats")?,
             "--datasets" => {
@@ -156,6 +150,7 @@ mod tests {
         assert_eq!(parse(&["--json", "x.json"]).unwrap_err(), "unknown flag \"--json\"");
         assert_eq!(parse(&["--repeats", "0"]).unwrap_err(), "--repeats must be positive");
         assert_eq!(parse(&["--out"]).unwrap_err(), "missing value for --out");
+        assert_eq!(parse(&["--scale", "huge"]).unwrap_err(), "unknown scale \"huge\"");
         assert_eq!(parse(&["--help"]).unwrap_err(), "");
     }
 }

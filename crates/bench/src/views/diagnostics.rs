@@ -3,7 +3,7 @@
 
 use super::at_ratio;
 use crate::eval::evaluate_inductive;
-use crate::jobs::{default_batch_size, Jobs};
+use crate::jobs::{default_batch_size, default_epochs, Jobs};
 use crate::report::{Row, TableReport};
 use mcond_core::InductiveServer;
 use mcond_gnn::{train, FrozenBase, GnnKind, GnnModel, GraphOps, TrainConfig};
@@ -107,7 +107,8 @@ pub fn calibrate_datasets(jobs: &Jobs, name: &str, report: &mut TableReport) {
     let ds = jobs.dataset(name, seed);
     let original = &ds.original;
     let ops = GraphOps::from_adj(&original.adj);
-    let cfg = TrainConfig { epochs: jobs.args.epochs.unwrap_or(150), lr: 0.03, ..TrainConfig::default() };
+    let epochs = jobs.args.epochs.unwrap_or_else(|| default_epochs(jobs.args.scale));
+    let cfg = TrainConfig { epochs, lr: 0.03, ..TrainConfig::default() };
 
     let eval_with_hops = |hops: usize| -> f64 {
         let mut model =

@@ -68,15 +68,8 @@ fn required<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a st
     flags.get(name).map(String::as_str).ok_or_else(|| format!("missing --{name}"))
 }
 
-fn parse_scale(flags: &HashMap<String, String>) -> Result<Scale, String> {
-    match flags.get("scale").map(String::as_str) {
-        None | Some("small") => Ok(Scale::Small),
-        Some("paper") => Ok(Scale::Paper),
-        Some(other) => Err(format!("unknown scale {other:?}")),
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(
+/// The value of `--name` parsed as a `T`, or `default` when it is absent.
+fn flag_or<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
     name: &str,
     default: T,
@@ -104,8 +97,8 @@ fn run(args: &[String]) -> Result<(), String> {
 
 fn load_named(flags: &HashMap<String, String>) -> Result<InductiveDataset, String> {
     let name = required(flags, "dataset")?;
-    let scale = parse_scale(flags)?;
-    let seed = parse_num(flags, "seed", 0u64)?;
+    let scale = flag_or(flags, "scale", Scale::Small)?;
+    let seed = flag_or(flags, "seed", 0u64)?;
     load_dataset(name, scale, seed)
 }
 
@@ -142,8 +135,8 @@ fn cmd_import(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_condense(flags: &HashMap<String, String>) -> Result<(), String> {
     let out = required(flags, "out")?;
     let data = load_named(flags)?;
-    let ratio = parse_num(flags, "ratio", 0.02f64)?;
-    let seed = parse_num(flags, "seed", 0u64)?;
+    let ratio = flag_or(flags, "ratio", 0.02f64)?;
+    let seed = flag_or(flags, "seed", 0u64)?;
     let cfg = McondConfig { ratio, seed, ..McondConfig::default() };
     println!(
         "condensing {} training nodes at r = {:.2}% ...",
@@ -164,8 +157,8 @@ fn cmd_infer(flags: &HashMap<String, String>) -> Result<(), String> {
     let dir = required(flags, "artifact")?;
     let artifact = mcond::core::load_condensed(Path::new(dir)).map_err(|e| e.to_string())?;
     let data = load_named(flags)?;
-    let epochs = parse_num(flags, "epochs", 150usize)?;
-    let seed = parse_num(flags, "seed", 0u64)?;
+    let epochs = flag_or(flags, "epochs", 150usize)?;
+    let seed = flag_or(flags, "seed", 0u64)?;
     let graph_batch = flags.contains_key("graph-batch");
 
     // Train SGC on the synthetic graph (the S->S deployment).
@@ -255,17 +248,18 @@ mod tests {
 
     #[test]
     fn scale_parsing() {
-        assert_eq!(parse_scale(&flags_of(&[])).unwrap(), Scale::Small);
-        assert_eq!(parse_scale(&flags_of(&[("scale", "paper")])).unwrap(), Scale::Paper);
-        assert!(parse_scale(&flags_of(&[("scale", "huge")])).is_err());
+        let scale = |pairs: &[(&str, &str)]| flag_or(&flags_of(pairs), "scale", Scale::Small);
+        assert_eq!(scale(&[]).unwrap(), Scale::Small);
+        assert_eq!(scale(&[("scale", "paper")]).unwrap(), Scale::Paper);
+        assert!(scale(&[("scale", "huge")]).is_err());
     }
 
     #[test]
     fn numeric_parsing_uses_defaults() {
         let flags = flags_of(&[("ratio", "0.05")]);
-        assert_eq!(parse_num(&flags, "ratio", 0.02f64).unwrap(), 0.05);
-        assert_eq!(parse_num(&flags, "seed", 7u64).unwrap(), 7);
-        assert!(parse_num(&flags_of(&[("seed", "x")]), "seed", 0u64).is_err());
+        assert_eq!(flag_or(&flags, "ratio", 0.02f64).unwrap(), 0.05);
+        assert_eq!(flag_or(&flags, "seed", 7u64).unwrap(), 7);
+        assert!(flag_or(&flags_of(&[("seed", "x")]), "seed", 0u64).is_err());
     }
 
     #[test]
