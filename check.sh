@@ -32,8 +32,12 @@ if grep -nE "Option<Cow<'a, Csr>>|fn widened|extended_with|extended_(sym|mean)_w
 # One Eq. 11 hop: L_ind's prediction and target run mcond-gnn's extended
 # operator (TapeExtension, Propagator::extended_sym), so condensation keeps
 # no block decomposition, materialised extension or degree scaling of its
-# own. Prints the offending line and fails.
+# own. Eq. 10 in Gram form: L_tra reads a GramTarget through
+# Tape::l21_gram_dist, so no step gathers rows of the N x d embeddings or
+# records M̂·H' on the tape. Prints the offending line and fails.
 if grep -nE 'block_extend|fn extended_support_rows|SupportSide|SyntheticSide|inv_sqrt' \
+    crates/core/src/condense.rs; then exit 1; fi
+if grep -nE 'z_orig\.select_rows|tape\.matmul\((m_hat|m_rows|m_sel)\b' \
     crates/core/src/condense.rs; then exit 1; fi
 # The docs name only files that exist: every crates/…/*.rs path in
 # DESIGN.md or README.md is in the tree. Prints each missing path and fails.

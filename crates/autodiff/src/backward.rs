@@ -300,6 +300,23 @@ impl Tape {
                     add_grad(grads, side, out);
                 }
             }
+            Op::L21GramDist(m, target, norms) => {
+                if self.rg(*m) {
+                    let q = node.cache.as_ref().expect("L21GramDist cache");
+                    let seed = g.get(0, 0);
+                    let mut out = DMat::zeros(q.rows(), q.cols());
+                    out.par_fill_rows(ROW_PASS_MIN_ROWS, |i, dst| {
+                        let norm = norms.get(i, 0);
+                        if norm > 1e-12 {
+                            let qp = q.row(i).iter().zip(target.cross.row(i));
+                            for (d, (q, p)) in dst.iter_mut().zip(qp) {
+                                *d = seed * (q - p) / norm;
+                            }
+                        }
+                    });
+                    add_grad(grads, *m, out);
+                }
+            }
             Op::CosineColDist(a, b) => {
                 let seed = g.get(0, 0);
                 let (x, y) = (&self.nodes[*a].value, &self.nodes[*b].value);

@@ -22,7 +22,8 @@
 //!   gradient matching (Eq. 4), column-wise cosine distance (Eq. 5),
 //!   link-reconstruction BCE over sampled pairs (Eq. 8), and the L2,1 norm
 //!   (Eq. 10/12), also as a distance [`Tape::l21_dist`] that records no
-//!   difference matrix.
+//!   difference matrix, and as [`Tape::l21_gram_dist`], the same distance
+//!   from a [`GramTarget`]'s statistics with no `d`-wide work at all.
 //!
 //! # Example
 //! ```
@@ -42,6 +43,7 @@
 mod adam;
 mod backward;
 pub mod check;
+mod gram;
 mod ops_basic;
 mod ops_graph;
 mod ops_loss;
@@ -49,6 +51,7 @@ mod tape;
 
 pub use adam::Adam;
 pub use backward::Gradients;
+pub use gram::GramTarget;
 pub use tape::{Tape, Var};
 
 /// Eq. (15) off the tape: the value [`Tape::sigmoid_row_normalize`]

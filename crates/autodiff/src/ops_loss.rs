@@ -2,6 +2,7 @@
 //! [`Tape::softmax_error`], the analytic gradient-error matrix used by
 //! gradient matching.
 
+use crate::gram::GramTarget;
 use crate::ops_basic::ROW_PASS_MIN_ROWS;
 use crate::tape::{Op, Tape, Var};
 use mcond_linalg::DMat;
@@ -81,6 +82,37 @@ impl Tape {
         let value = DMat::from_vec(1, 1, vec![norms.as_slice().iter().sum()]);
         let rg = self.rg(a.0) || self.rg(b.0);
         self.push(value, Op::L21Dist(a.0, b.0), rg, Some(norms))
+    }
+
+    /// Scalar `Σ_i ‖Z_i − M_i H‖₂` — [`Tape::l21_dist`] of `Z` from `M·H`
+    /// — for the `Z` and `H` behind `target`, reading only its `d`-free
+    /// statistics: `s_i = ‖Z_i‖² + M_i·(Q_i − 2 P_i)` with `Q = M G`, and
+    /// the row's term is `√max(s_i, 0)`. The forward is one `N x N' x N'`
+    /// product and one row pass; the gradient is `seed·(Q_i − P_i)/r_i`
+    /// (zero where `r_i ≤ 1e-12`, as [`Tape::l21_dist`]'s), one row pass.
+    ///
+    /// `s_i` is a difference of terms of size `‖Z_i‖²`, so a row fitted to
+    /// a relative residual `ρ = r_i/‖Z_i‖` carries a rounding error of
+    /// about `2⁻²⁴/ρ²` relative to `r_i` and its gradient: 6·10⁻⁴ at
+    /// `ρ = 0.01`, a few percent at `ρ = 10⁻³`, and all of it below
+    /// `ρ ≈ 2.4·10⁻⁴`.
+    ///
+    /// # Panics
+    /// Panics when `m` is not `target.rows() x N'`.
+    pub fn l21_gram_dist(&mut self, m: Var, target: Arc<GramTarget>) -> Var {
+        let x = self.value(m);
+        let (n, k) = (target.rows(), target.gram.rows());
+        assert_eq!(x.shape(), (n, k), "l21_gram_dist: M is not {n}x{k}");
+        let q = x.matmul(&target.gram);
+        let mut norms = DMat::zeros(n, 1);
+        norms.par_fill_rows(ROW_PASS_MIN_ROWS, |i, norm| {
+            let terms = x.row(i).iter().zip(q.row(i)).zip(target.cross.row(i));
+            let s = target.sq_norms[i] + terms.map(|((m, q), p)| m * (q - 2.0 * p)).sum::<f32>();
+            norm[0] = s.max(0.0).sqrt();
+        });
+        let value = DMat::from_vec(1, 1, vec![norms.as_slice().iter().sum()]);
+        let rg = self.rg(m.0);
+        self.push(value, Op::L21GramDist(m.0, target, norms), rg, Some(q))
     }
 
     /// Column-wise cosine distance `Σ_j (1 - cos(A_:j, B_:j))` — the per-layer

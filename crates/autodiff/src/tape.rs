@@ -1,5 +1,6 @@
 //! The tape: node storage, op records, and construction primitives.
 
+use crate::gram::GramTarget;
 use mcond_linalg::DMat;
 use mcond_sparse::Csr;
 use std::sync::Arc;
@@ -70,6 +71,9 @@ pub(crate) enum Op {
     /// Scalar `Σ_i ‖A_i − B_i‖₂` (Eq. 10 / Eq. 12) with no difference
     /// node; the cache is the per-row norms.
     L21Dist(usize, usize),
+    /// Scalar `Σ_i ‖Z_i − M_i H‖₂` from `M` and the target's `d`-free
+    /// statistics (Eq. 10), with the per-row norms; the cache is `Q = M G`.
+    L21GramDist(usize, Arc<GramTarget>, DMat),
     /// Scalar `Σ_j (1 - cos(A_:j, B_:j))` over columns (Eq. 5).
     CosineColDist(usize, usize),
     /// Scalar binary cross-entropy over sampled node pairs `(i, j, target)`
@@ -93,9 +97,10 @@ pub(crate) struct Node {
 ///
 /// Record operations through the builder methods, then call
 /// [`Tape::backward`] on a scalar node. The training loops build one tape
-/// per step: parameters are copied onto it (the optimiser mutates them
-/// between steps), while loop-invariant operands are kept in an
-/// `Arc<DMat>` by the caller and registered as leaves without a copy.
+/// per step. Loop-invariant operands are kept in an `Arc<DMat>` by the
+/// caller and registered as leaves without a copy; so can a parameter be,
+/// when the caller drops the tape before the optimiser mutates it (the
+/// mapping `M` is), or else it is copied onto the tape.
 #[derive(Default)]
 pub struct Tape {
     pub(crate) nodes: Vec<Node>,
@@ -141,6 +146,14 @@ impl Tape {
     #[must_use]
     pub fn value(&self, v: Var) -> &DMat {
         &self.nodes[v.0].value
+    }
+
+    /// Whether a gradient can flow into `v`: it is a parameter, or was
+    /// computed from one. A value for which this is `false` is a function
+    /// of constants alone.
+    #[must_use]
+    pub fn requires_grad(&self, v: Var) -> bool {
+        self.rg(v.0)
     }
 
     /// The forward value of a scalar (1×1) node.

@@ -5,7 +5,7 @@
 //! order-1 errors), not chasing ulps.
 
 use mcond_autodiff::check::assert_gradients_match;
-use mcond_autodiff::{Tape, Var};
+use mcond_autodiff::{GramTarget, Tape, Var};
 use mcond_linalg::{DMat, MatRng};
 use mcond_sparse::Coo;
 use std::sync::Arc;
@@ -362,6 +362,139 @@ fn fused_ops_have_the_bits_of_the_chains_they_replace() {
             assert!(grads.take(b).expect("gradient reaches b").bit_eq(&gb_ref));
         });
     }
+}
+
+/// Rows of an Eq. (15)-shaped mapping (non-negative, each summing to
+/// less than 1) for `rows` targets and `k` synthetic nodes.
+fn mapping_rows(rows: usize, k: usize, seed: u64) -> DMat {
+    let mut m = MatRng::seed_from(seed).uniform(rows, k, 0.0, 1.0);
+    for i in 0..rows {
+        let s: f32 = m.row(i).iter().sum();
+        m.row_mut(i).iter_mut().for_each(|v| *v *= 0.9 / s);
+    }
+    m
+}
+
+/// `l21_dist(Z, M·H)` on a tape: the value, and the gradient w.r.t. `M`
+/// scaled by `seed` — what `l21_gram_dist` replaces.
+fn l21_of_product(m0: &DMat, h: &DMat, z: &DMat, seed: f32) -> (f32, DMat) {
+    let mut t = Tape::new();
+    let m = t.param(m0.clone());
+    let hv = t.constant(h.clone());
+    let mh = t.matmul(m, hv);
+    let zv = t.constant(z.clone());
+    let d = t.l21_dist(zv, mh);
+    let l = t.scale(d, seed);
+    (t.scalar(d), t.backward(l).take(m).expect("gradient reaches M"))
+}
+
+fn l21_gram(m0: &DMat, target: &Arc<GramTarget>, seed: f32) -> (f32, DMat) {
+    let mut t = Tape::new();
+    let m = t.param(m0.clone());
+    let d = t.l21_gram_dist(m, Arc::clone(target));
+    let l = t.scale(d, seed);
+    (t.scalar(d), t.backward(l).take(m).expect("gradient reaches M"))
+}
+
+/// The largest `|a − b| / max(|b|, 1e-2)`: `check_gradient`'s error
+/// measure, with `b` as the reference.
+fn max_rel_err(a: &DMat, b: &DMat) -> f32 {
+    let pairs = a.as_slice().iter().zip(b.as_slice());
+    pairs.map(|(x, y)| (x - y).abs() / y.abs().max(1e-2)).fold(0.0, f32::max)
+}
+
+#[test]
+fn l21_gram_dist_finite_differences() {
+    let h = small(4, 6, 50);
+    let z = small(5, 6, 51);
+    let target = Arc::new(GramTarget::new(&z, &h));
+    assert_gradients_match(&mapping_rows(5, 4, 52), 1e-3, 2e-2, |t, p| {
+        let m = t.param(p);
+        let l = t.l21_gram_dist(m, Arc::clone(&target));
+        (m, l)
+    });
+}
+
+#[test]
+fn l21_gram_dist_agrees_with_l21_dist_of_the_product() {
+    let (n, k, d) = (40, 7, 24);
+    // Dyadic `H` and row 0 of `M` keep every product and sum behind row 0
+    // exact, so an exact fit there is `s_0 = 0` exactly and takes the
+    // `r ≤ 1e-12` branch: a zero gradient, not 0/0.
+    let h = DMat::from_vec(k, d, (0..k * d).map(|e| ((e * 7 % 9) as f32 - 4.0) / 4.0).collect());
+    let mut m = mapping_rows(n, k, 54);
+    m.row_mut(0).iter_mut().enumerate().for_each(|(j, v)| *v = (j % 3) as f32 / 16.0);
+    let fit = m.matmul(&h);
+    let mut z = fit.add(&MatRng::seed_from(55).normal(n, d, 0.0, 0.5));
+    z.row_mut(0).copy_from_slice(fit.row(0));
+    // Row 1 nearly fits: residual / ‖Z_1‖ = ρ = 1e-3.
+    let rho = 1e-3;
+    let nudge = MatRng::seed_from(56).normal(1, d, 0.0, 1.0);
+    let norm = |v: &[f32]| v.iter().map(|x| x * x).sum::<f32>().sqrt();
+    let step = rho * norm(fit.row(1)) / norm(nudge.row(0));
+    for ((dst, f), e) in z.row_mut(1).iter_mut().zip(fit.row(1)).zip(nudge.row(0)) {
+        *dst = f + e * step;
+    }
+
+    let (value, grad) = l21_gram(&m, &Arc::new(GramTarget::new(&z, &h)), 0.7);
+    let (ref_value, ref_grad) = l21_of_product(&m, &h, &z, 0.7);
+    assert!((value - ref_value).abs() <= 1e-5 * ref_value, "value {value} vs {ref_value}");
+    assert!(grad.all_finite(), "a zero residual must not give NaN");
+    assert!(grad.row(0).iter().all(|&v| v == 0.0), "exact fit: {:?}", grad.row(0));
+    let err = max_rel_err(&grad.slice_rows(2, n), &ref_grad.slice_rows(2, n));
+    assert!(err <= 1e-4, "rows far from a fit: gradient error {err}");
+    // `s_1` is a difference of terms of size ‖Z_1‖², so its rounding is
+    // ≈ 2⁻²⁴/ρ² ≈ 6e-2 of it (4.3e-2 measured): the cancellation the op's
+    // doc states, bounded, not a wrong rule (which errs by order 1).
+    let err = max_rel_err(&grad.slice_rows(1, 2), &ref_grad.slice_rows(1, 2));
+    assert!(err <= 0.1, "near-fit row: gradient error {err}");
+}
+
+#[test]
+fn l21_gram_dist_over_sampled_rows() {
+    let (n, k, d) = (30, 6, 16);
+    let h = MatRng::seed_from(57).normal(k, d, 0.0, 1.0);
+    let m0 = mapping_rows(n, k, 58);
+    let z = m0.matmul(&h).add(&MatRng::seed_from(59).normal(n, d, 0.0, 0.5));
+    let ids = Arc::new(vec![3usize, 17, 3, 29, 0, 11]); // row 3 twice
+    let gram = GramTarget::new(&z, &h);
+    let mut t = Tape::new();
+    let m = t.param(m0.clone());
+    let rows = t.select_rows(m, Arc::clone(&ids));
+    let d_gram = t.l21_gram_dist(rows, Arc::new(gram.select_rows(&ids)));
+    let value = t.scalar(d_gram);
+    let grad = t.backward(d_gram).take(m).expect("gradient reaches M");
+
+    let mut t = Tape::new();
+    let m = t.param(m0.clone());
+    let rows = t.select_rows(m, Arc::clone(&ids));
+    let hv = t.constant(h.clone());
+    let mh = t.matmul(rows, hv);
+    let zv = t.constant(z.select_rows(&ids));
+    let d_ref = t.l21_dist(zv, mh);
+    let ref_value = t.scalar(d_ref);
+    let ref_grad = t.backward(d_ref).take(m).expect("gradient reaches M");
+    assert!((value - ref_value).abs() <= 1e-5 * ref_value, "value {value} vs {ref_value}");
+    let err = max_rel_err(&grad, &ref_grad);
+    assert!(err <= 1e-4, "gradient error {err}");
+    assert!(grad.row(1).iter().all(|&v| v == 0.0), "an unsampled row gets no gradient");
+}
+
+#[test]
+fn l21_gram_dist_is_thread_invariant() {
+    // 300 rows clear the row-pass chunk size, so 4 threads split the work.
+    let h = MatRng::seed_from(60).normal(39, 96, 0.0, 1.0);
+    let m0 = mapping_rows(300, 39, 61);
+    let z = m0.matmul(&h).add(&MatRng::seed_from(62).normal(300, 96, 0.0, 0.5));
+    let run = |threads| {
+        mcond_par::with_thread_limit(threads, || {
+            l21_gram(&m0, &Arc::new(GramTarget::new(&z, &h)), 0.7)
+        })
+    };
+    let (v1, g1) = run(1);
+    let (v4, g4) = run(4);
+    assert_eq!(v1.to_bits(), v4.to_bits(), "value at 1 and 4 threads");
+    assert!(g1.bit_eq(&g4), "gradient at 1 and 4 threads");
 }
 
 #[test]

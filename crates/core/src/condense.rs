@@ -6,7 +6,7 @@ use crate::coreset::class_budgets;
 use crate::mapping::Mapping;
 use crate::relay::{propagated_embeddings, Relay};
 use crate::sampling::sample_edge_batch;
-use mcond_autodiff::{Adam, Tape};
+use mcond_autodiff::{Adam, GramTarget, Tape};
 use mcond_gnn::{BaseDegrees, Propagator, TapeExtension};
 use mcond_graph::{Graph, InductiveDataset, NodeBatch};
 use mcond_linalg::{DMat, MatRng};
@@ -355,7 +355,11 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
             // misfires at inference time. Eq. (14)'s rule is `sparsify`'s.
             let (adj_syn, _) = sparsify_dense(&generator.adjacency_detached(&x_syn), cfg.mu);
             let ahat_syn = sym_normalize_dense(&adj_syn.to_dense());
-            let h_syn = Arc::new((0..HOPS).fold(x_syn.clone(), |z, _| ahat_syn.matmul(&z)));
+            let h_syn = (0..HOPS).fold(x_syn.clone(), |z, _| ahat_syn.matmul(&z));
+            // Eq. (10) against this phase's fixed H' needs only the Gram
+            // statistics of H and H' (`P = H H'ᵀ`, `G = H' H'ᵀ`, `‖H_i‖²`):
+            // a step then does no N x d work.
+            let gram = Arc::new(GramTarget::new(&z_orig, &h_syn));
             // Eq. (11)'s extended graph is the one the server builds: the
             // sparse A' above, its degrees, and X' on the base rows.
             let inductive = support.as_ref().map(|sup| {
@@ -371,19 +375,17 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                 // L_tra (Eq. 10), optionally over a sampled row mini-batch
                 // (`transductive_batch` > 0) — plain SGD over Eq. (10)'s
                 // row sum, needed at paper scale where the full N x N'
-                // product per step is prohibitive.
-                let (m_rows, h_rows, rows_used) =
+                // work per step is prohibitive.
+                let (m_rows, target) =
                     if cfg.transductive_batch > 0 && cfg.transductive_batch < n {
-                        let ids = Arc::new(rng.sample_indices(n, cfg.transductive_batch));
-                        let m_sel = tape.select_rows(m_hat, Arc::clone(&ids));
-                        (m_sel, Arc::new(z_orig.select_rows(&ids)), cfg.transductive_batch)
+                        let ids = rng.sample_indices(n, cfg.transductive_batch);
+                        let target = Arc::new(gram.select_rows(&ids));
+                        (tape.select_rows(m_hat, Arc::new(ids)), target)
                     } else {
-                        (m_hat, Arc::clone(&z_orig), n)
+                        (m_hat, Arc::clone(&gram))
                     };
-                let h_syn_c = tape.constant(Arc::clone(&h_syn));
-                let h_tilde = tape.matmul(m_rows, h_syn_c);
-                let h_orig_c = tape.constant(h_rows);
-                let l21 = tape.l21_dist(h_orig_c, h_tilde);
+                let rows_used = target.rows();
+                let l21 = tape.l21_gram_dist(m_rows, target);
                 let l_tra = tape.scale(l21, 1.0 / rows_used as f32);
                 history.transductive_loss.push(tape.scalar(l_tra));
 
@@ -425,9 +427,10 @@ pub fn condense(data: &InductiveDataset, cfg: &McondConfig) -> Condensed {
                 let backward_span = mcond_obs::span("condense.mapping.backward");
                 let mut grads = tape.backward(l_m);
                 drop(backward_span);
+                drop(tape);
                 if let Some(g) = grads.take(raw) {
                     let _adam_span = mcond_obs::span("condense.mapping.adam");
-                    map_opt.step(&mut mapping.raw, &g);
+                    mapping.step(&mut map_opt, &g);
                 }
             }
         }
@@ -505,7 +508,7 @@ mod tests {
         let target = rng.normal(n, d, 0.0, 1.0);
         let raw0 = rng.uniform(n_orig, n_syn, -1.0, 1.0);
         mcond_autodiff::check::assert_gradients_match(&raw0, 1e-2, 4e-2, |tape, p| {
-            let mapping = Mapping { raw: p, epsilon: Mapping::EPSILON };
+            let mapping = Mapping { raw: Arc::new(p), epsilon: Mapping::EPSILON };
             let raw = mapping.tape_param(tape);
             let m_hat = mapping.normalized(tape, raw);
             let am = tape.spmm(Arc::clone(&a), m_hat);

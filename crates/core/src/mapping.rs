@@ -5,13 +5,15 @@
 //! on the forward pass, and thresholded into a sparse matrix at the end
 //! (Eq. 14).
 
-use mcond_autodiff::{Tape, Var};
+use mcond_autodiff::{Adam, Tape, Var};
 use mcond_linalg::DMat;
+use std::sync::Arc;
 
 /// The trainable mapping from original to synthetic nodes.
 pub struct Mapping {
-    /// Raw (pre-normalisation) parameters.
-    pub raw: DMat,
+    /// Raw (pre-normalisation) parameters, shared with the tape of the
+    /// step that reads them (see [`Mapping::tape_param`]).
+    pub raw: Arc<DMat>,
     /// The `ε` of Eq. (15), suppressing subtle noisy weights.
     pub epsilon: f32,
 }
@@ -43,7 +45,7 @@ impl Mapping {
                 }
             }
         }
-        Self { raw, epsilon }
+        Self { raw: Arc::new(raw), epsilon }
     }
 
     /// Random uniform initialisation — the Fig. 5(c) ablation comparator.
@@ -54,12 +56,22 @@ impl Mapping {
         epsilon: f32,
         rng: &mut mcond_linalg::MatRng,
     ) -> Self {
-        Self { raw: rng.uniform(n_original, n_synthetic, 0.0, 1.0), epsilon }
+        Self { raw: Arc::new(rng.uniform(n_original, n_synthetic, 0.0, 1.0)), epsilon }
     }
 
-    /// Registers the raw parameters on a tape.
+    /// Registers the raw parameters on a tape, shared, not copied: the
+    /// tape must be dropped before the optimiser updates them.
     pub fn tape_param(&self, tape: &mut Tape) -> Var {
-        tape.param(self.raw.clone())
+        tape.param(Arc::clone(&self.raw))
+    }
+
+    /// One optimiser step on the raw parameters with gradient `g`.
+    ///
+    /// # Panics
+    /// Panics when a tape still shares the parameters.
+    pub(crate) fn step(&mut self, opt: &mut Adam, g: &DMat) {
+        let raw = Arc::get_mut(&mut self.raw).expect("Mapping::step: drop the step's tape first");
+        opt.step(raw, g);
     }
 
     /// Eq. (15) on the tape: `M̂_i = ReLU(σ(M_i) / Σ_j σ(M_ij) - ε)`.
@@ -156,7 +168,7 @@ mod tests {
     #[test]
     fn epsilon_suppresses_small_weights() {
         // With a large epsilon, uniform rows get fully suppressed.
-        let m = Mapping { raw: DMat::zeros(2, 5), epsilon: 0.5 };
+        let m = Mapping { raw: Arc::new(DMat::zeros(2, 5)), epsilon: 0.5 };
         let norm = m.normalized_detached();
         assert!(norm.as_slice().iter().all(|&v| v == 0.0));
     }

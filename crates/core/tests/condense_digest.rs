@@ -109,17 +109,17 @@ fn assert_digest(name: &str, cfg: &McondConfig, expected: u64) {
 
 #[test]
 fn full_mcond_digest_is_pinned() {
-    assert_digest("full MCond", &quick_cfg(), 0x353a_a140_e928_850d);
+    assert_digest("full MCond", &quick_cfg(), 0x7626_2855_2f11_d9c2);
 }
 
 #[test]
 fn row_batched_random_init_digest_is_pinned() {
     let cfg = McondConfig { transductive_batch: 64, class_aware_init: false, ..quick_cfg() };
-    assert_digest("transductive_batch 64, random init", &cfg, 0x091e_1646_af07_9297);
+    assert_digest("transductive_batch 64, random init", &cfg, 0x1626_3bbb_4a73_1bdb);
 }
 
 #[test]
 fn no_inductive_loss_digest_is_pinned() {
     let cfg = McondConfig { use_inductive_loss: false, ..quick_cfg() };
-    assert_digest("no inductive loss", &cfg, 0x2c74_ca3d_ffb1_5001);
+    assert_digest("no inductive loss", &cfg, 0xb1b1_906b_47aa_a26c);
 }

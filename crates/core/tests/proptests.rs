@@ -87,7 +87,7 @@ fn mapping_normalisation_bounds() {
         let cols = 1 + rng.index(7);
         let eps = 0.05 * rng.unit();
         let mut mat_rng = MatRng::seed_from(rng.index(50) as u64);
-        let m = Mapping { raw: mat_rng.normal(rows, cols, 0.0, 2.0), epsilon: eps };
+        let m = Mapping { raw: mat_rng.normal(rows, cols, 0.0, 2.0).into(), epsilon: eps };
         let norm = m.normalized_detached();
         for i in 0..rows {
             let row_sum: f32 = norm.row(i).iter().sum();
@@ -106,8 +106,8 @@ fn epsilon_is_monotone() {
         let cols = 1 + rng.index(5);
         let mut mat_rng = MatRng::seed_from(rng.index(20) as u64);
         let raw = mat_rng.normal(rows, cols, 0.0, 1.5);
-        let small = Mapping { raw: raw.clone(), epsilon: 1e-4 }.normalized_detached();
-        let large = Mapping { raw, epsilon: 5e-2 }.normalized_detached();
+        let small = Mapping { raw: raw.clone().into(), epsilon: 1e-4 }.normalized_detached();
+        let large = Mapping { raw: raw.into(), epsilon: 5e-2 }.normalized_detached();
         for (a, b) in large.as_slice().iter().zip(small.as_slice()) {
             assert!(a <= b, "case {case}: {a} > {b}");
         }

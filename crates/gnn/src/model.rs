@@ -367,8 +367,22 @@ impl GnnModel {
     /// # Panics
     /// Panics if `ps` does not match the architecture's parameter count.
     pub fn forward(&self, tape: &mut Tape, ps: &[Var], ops: &GraphOps, x: Var) -> Var {
+        self.forward_reusing(tape, ps, ops, x, &mut ConstProps::default())
+    }
+
+    /// [`GnnModel::forward`] that reads the propagations of constants from
+    /// `consts`, filled by the first call: every call with one `consts`
+    /// must pass the same `ops` and the same value of `x`.
+    pub(crate) fn forward_reusing(
+        &self,
+        tape: &mut Tape,
+        ps: &[Var],
+        ops: &GraphOps,
+        x: Var,
+        consts: &mut ConstProps,
+    ) -> Var {
         assert_eq!(ps.len(), self.params.len(), "forward: wrong parameter count");
-        self.run(&mut OnTape { tape, ops }, ps, x)
+        self.run(&mut OnTape { tape, ops, consts, site: 0 }, ps, x)
     }
 
     /// Tape-free inference: logits for every node of `(adj, x)`.
@@ -444,16 +458,38 @@ pub(crate) trait Interp: Evaluator {
     fn add(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
 }
 
+/// The products of a training program's propagations that read no
+/// parameter, by site (the `n`-th `prop` the program issues; `None` where
+/// the operand carries a gradient): SGC's `Â^K X`, and the `ÂX` / `D⁻¹AX`
+/// of Cheby's and SAGE's first layers. A fit computes them once, not once
+/// per epoch.
+#[derive(Default)]
+pub(crate) struct ConstProps(Vec<Option<Arc<DMat>>>);
+
 /// Training: values are tape vars, every op is recorded, every row kept.
+/// A propagation of a constant is a constant leaf, from `consts` once it
+/// has been computed (by the tape's own SpMM kernel, so with its bits).
 struct OnTape<'t, 'o> {
     tape: &'t mut Tape,
     ops: &'t GraphOps<'o>,
+    consts: &'t mut ConstProps,
+    site: usize,
 }
 
 impl Evaluator for OnTape<'_, '_> {
     type V = Var;
     fn prop(&mut self, kernel: Kernel, v: &Var, _: Rows) -> Var {
-        self.tape.spmm(self.ops.kernel(kernel).csr(), *v)
+        let s = self.ops.kernel(kernel).csr();
+        let site = self.site;
+        self.site += 1;
+        if self.consts.0.len() == site {
+            let constant = !self.tape.requires_grad(*v);
+            self.consts.0.push(constant.then(|| Arc::new(s.spmm(self.tape.value(*v)))));
+        }
+        match &self.consts.0[site] {
+            Some(value) => self.tape.constant(Arc::clone(value)),
+            None => self.tape.spmm(s, *v),
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! Full-batch GNN training with Adam.
 
+use crate::model::ConstProps;
 use crate::{accuracy, GnnModel, GraphOps};
 use mcond_autodiff::{Adam, Tape};
 use mcond_linalg::DMat;
@@ -77,13 +78,16 @@ pub fn train(
     let mut best_params: Option<Vec<DMat>> = None;
     let mut stale = 0usize;
     let mut epochs_run = 0usize;
+    // The features are constant, so what the program propagates before
+    // its first parameter is the same every epoch: compute it once.
+    let mut consts = ConstProps::default();
 
     for epoch in 0..cfg.epochs {
         epochs_run += 1;
         let mut tape = Tape::new();
         let ps = model.tape_params(&mut tape);
         let x = tape.constant(Arc::clone(&features_rc));
-        let logits = model.forward(&mut tape, &ps, ops, x);
+        let logits = model.forward_reusing(&mut tape, &ps, ops, x, &mut consts);
         let loss = tape.softmax_cross_entropy(logits, Arc::clone(&labels_rc));
         losses.push(tape.scalar(loss));
         let mut grads = tape.backward(loss);
