@@ -39,6 +39,15 @@ if grep -nE 'block_extend|fn extended_support_rows|SupportSide|SyntheticSide|inv
     crates/core/src/condense.rs; then exit 1; fi
 if grep -nE 'z_orig\.select_rows|tape\.matmul\((m_hat|m_rows|m_sel)\b' \
     crates/core/src/condense.rs; then exit 1; fi
+# Table III measures the operator that serves: LP/EP iterate on a hop of
+# Propagator::extended_sym over cached base degrees, so the views, the
+# examples and mcond-propagate materialise no Eq. 3/11 graph, and
+# mcond-propagate's library code normalises nothing itself (its unit tests
+# may). Prints the offending line and fails.
+if grep -rn 'block_extend' crates/bench/src crates/propagate/src examples; then exit 1; fi
+for f in crates/propagate/src/*.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'sym_normalize'; then echo "in $f"; exit 1; fi
+done
 # The docs name only files that exist: every crates/…/*.rs path in
 # DESIGN.md or README.md is in the tree. Prints each missing path and fails.
 missing=0

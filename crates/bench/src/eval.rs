@@ -111,8 +111,9 @@ mod tests {
     }
 
     /// Fig. 3/4's `memory_MB` column is the peak, over batches, of the
-    /// extended graph's bytes — `aM` attachment on an Eq. 11 server —
-    /// without that graph ever being built outside this test.
+    /// extended graph's bytes — `aM` attachment on an Eq. 11 server — as
+    /// `extended_storage_bytes` counts them (its own test holds that count
+    /// to the materialised graph).
     #[test]
     fn memory_column_is_the_peak_extended_graph_size() {
         use mcond_sparse::{spmm_sparse, Coo, Csr};
@@ -141,11 +142,7 @@ mod tests {
         let server = InductiveServer::on_synthetic(&syn, &mapping, &model);
         let peak = batches
             .iter()
-            .map(|b| {
-                let attach = spmm_sparse(&b.incremental, &mapping);
-                syn.adj.block_extend(&attach, &b.interconnect).storage_bytes()
-                    + (syn.num_nodes() + b.len()) * 3 * 4
-            })
+            .map(|b| extended_storage_bytes(&syn, spmm_sparse(&b.incremental, &mapping).nnz(), b))
             .max()
             .unwrap();
         assert_eq!(evaluate_inductive(&server, &batches).memory_bytes, peak);

@@ -5,9 +5,10 @@ use crate::eval::{evaluate_inductive, mean_std, propagated_embeddings};
 use crate::jobs::{default_batch_size, default_condense_config, Jobs};
 use crate::report::{Row, TableReport};
 use mcond_core::{coreset, vng, CoresetMethod, InductiveServer, McondConfig};
-use mcond_gnn::{accuracy, GnnKind, GnnModel, GraphOps};
+use mcond_gnn::{accuracy, BaseDegrees, GnnKind, GnnModel, GraphOps, Propagator};
 use mcond_graph::{Graph, NodeBatch};
-use mcond_propagate::{error_propagation, label_propagation, PropagationConfig};
+use mcond_linalg::DMat;
+use mcond_propagate::{error_propagation, label_propagation};
 use mcond_sparse::Csr;
 use std::time::Instant;
 
@@ -137,19 +138,20 @@ struct Propagated {
 
 /// Vanilla / LP / EP accuracy of `model` deployed on `base` — through
 /// `mapping` (Eq. 11) when there is one, through the identity (Eq. 3)
-/// otherwise.
+/// otherwise. LP and EP iterate on the served extended operator, so the
+/// propagation time is its construction from the base's cached degrees
+/// plus the two iterations.
 fn propagate(
     model: &GnnModel,
     base: &Graph,
     mapping: Option<&Csr>,
     batches: &[NodeBatch],
 ) -> Propagated {
-    let cfg = PropagationConfig::default();
     let server = match mapping {
         Some(m) => InductiveServer::on_synthetic(base, m, model),
         None => InductiveServer::on_original(base, model),
     };
-    let n_base = base.num_nodes();
+    let deg = BaseDegrees::of(&base.adj);
     // The residual error propagation diffuses is the model's error on the
     // labelled base nodes — a property of the base graph alone.
     let base_logits = model.predict(&GraphOps::from_adj(&base.adj), &base.features);
@@ -162,16 +164,17 @@ fn propagate(
         let test_logits = server.try_serve(batch).expect("test batch must be servable");
         vanilla_hits += accuracy(&test_logits, &batch.labels) * batch.len() as f64;
 
-        // LP/EP are defined on the combined structure, so they — unlike
-        // the GNN forward — get the extended adjacency spelled out.
-        let adj = base.adj.block_extend(&server.attachment(batch), &batch.interconnect);
+        let attach = server.attachment(batch);
         let logits = base_logits.vstack(&test_logits);
 
         let start = Instant::now();
-        let lp_scores = label_propagation(&adj, &base.labels, n_base, base.num_classes, &cfg);
-        let ep_scores = error_propagation(&adj, &logits, &base.labels, n_base, 1.0, &cfg);
+        let op = Propagator::extended_sym(&base.adj, &attach, &batch.interconnect, &deg);
+        let hop = |x: &DMat| op.spmm(x);
+        let lp_scores = label_propagation(hop, op.rows(), &base.labels, base.num_classes);
+        let ep_scores = error_propagation(hop, &logits, &base.labels);
         prop_seconds += start.elapsed().as_secs_f64();
 
+        let n_base = base.num_nodes();
         let lp_test = lp_scores.slice_rows(n_base, lp_scores.rows());
         let ep_test = ep_scores.slice_rows(n_base, ep_scores.rows());
         lp_hits += accuracy(&lp_test, &batch.labels) * batch.len() as f64;

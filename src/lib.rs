@@ -90,7 +90,7 @@ pub mod prelude {
         Scale,
     };
     pub use mcond_linalg::{DMat, MatRng};
-    pub use mcond_propagate::{error_propagation, label_propagation, PropagationConfig};
+    pub use mcond_propagate::{error_propagation, label_propagation};
     pub use mcond_serve::{ServeConfig, ServeHandle};
     pub use mcond_sparse::{sparsify_dense, spmm_sparse, sym_normalize, Coo, Csr};
     pub use mcond_store::StoreError;

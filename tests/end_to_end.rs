@@ -4,6 +4,7 @@
 //! These use deliberately small configurations; they assert *relative*
 //! behaviour (orderings, invariants), not absolute accuracy.
 
+use mcond::gnn::{BaseDegrees, Propagator};
 use mcond::prelude::*;
 
 fn quick_cfg(ratio: f64, seed: u64) -> McondConfig {
@@ -197,28 +198,77 @@ fn coresets_and_vng_slot_into_the_same_inference_path() {
 fn label_and_error_propagation_run_on_condensed_graph() {
     let data = load_dataset("pubmed", Scale::Small, 5).unwrap();
     let condensed = condense(&data, &quick_cfg(0.02, 5));
-    let model = train_sgc(&condensed.synthetic, 5);
-    let cfg = PropagationConfig::default();
-    let n_syn = condensed.synthetic.num_nodes();
+    let syn = &condensed.synthetic;
+    let model = train_sgc(syn, 5);
+    let server = InductiveServer::on_synthetic(syn, &condensed.mapping, &model);
+    let n_syn = syn.num_nodes();
 
     let batch = data.test_batches(100, true).remove(0);
-    let adj = condensed.synthetic.adj.block_extend(
-        &spmm_sparse(&batch.incremental, &condensed.mapping),
-        &batch.interconnect,
-    );
-    let x = condensed.synthetic.features.vstack(&batch.features);
-    let ops = GraphOps::from_adj(&adj);
-    let logits = model.predict(&ops, &x);
-    let vanilla = accuracy(&logits.slice_rows(n_syn, logits.rows()), &batch.labels);
+    let test_logits = server.try_serve(&batch).expect("test batch serves");
+    let vanilla = accuracy(&test_logits, &batch.labels);
 
-    let lp = label_propagation(&adj, &condensed.synthetic.labels, n_syn, 3, &cfg);
+    // LP/EP iterate on the operator the server propagates with (Eq. 11).
+    let attach = server.attachment(&batch);
+    let deg = BaseDegrees::of(&syn.adj);
+    let op = Propagator::extended_sym(&syn.adj, &attach, &batch.interconnect, &deg);
+    let hop = |x: &DMat| op.spmm(x);
+    let logits =
+        model.predict(&GraphOps::from_adj(&syn.adj), &syn.features).vstack(&test_logits);
+
+    let lp = label_propagation(hop, op.rows(), &syn.labels, syn.num_classes);
     let lp_acc = accuracy(&lp.slice_rows(n_syn, lp.rows()), &batch.labels);
-    let ep = error_propagation(&adj, &logits, &condensed.synthetic.labels, n_syn, 1.0, &cfg);
+    let ep = error_propagation(hop, &logits, &syn.labels);
     let ep_acc = accuracy(&ep.slice_rows(n_syn, ep.rows()), &batch.labels);
 
     // Calibration must stay in a sane band around the vanilla prediction.
     assert!(lp_acc > 0.3, "LP collapsed: {lp_acc}");
     assert!(ep_acc >= vanilla - 0.1, "EP broke predictions: {ep_acc} vs {vanilla}");
+}
+
+/// LP and EP on the served extended operator agree with the same
+/// iterations on the materialised, re-normalised Eq. 3/11 graph, for a
+/// graph batch (non-empty `ã`) on both bases: `S` through `M`, and `O`
+/// through the identity.
+#[test]
+fn propagation_on_the_extended_operator_matches_the_materialised_graph() {
+    let data = load_dataset("pubmed", Scale::Small, 7).unwrap();
+    let condensed = condense(&data, &quick_cfg(0.02, 7));
+    let original = data.original_graph();
+    let eye = Csr::eye(original.num_nodes());
+    let batch = data.test_batches(100, true).remove(0);
+    assert!(batch.interconnect.nnz() > 0, "a graph batch carries interconnect edges");
+
+    for (base, mapping) in [(&condensed.synthetic, &condensed.mapping), (&original, &eye)] {
+        let attach = spmm_sparse(&batch.incremental, mapping);
+        let deg = BaseDegrees::of(&base.adj);
+        let op = Propagator::extended_sym(&base.adj, &attach, &batch.interconnect, &deg);
+        let ahat = sym_normalize(&base.adj.block_extend(&attach, &batch.interconnect));
+        let served = |x: &DMat| op.spmm(x);
+        let reference = |x: &DMat| ahat.spmm(x);
+        let (rows, classes) = (op.rows(), base.num_classes);
+        let logits = MatRng::seed_from(7).normal(rows, classes, 0.0, 1.0);
+        for (name, got, want) in [
+            (
+                "LP",
+                label_propagation(served, rows, &base.labels, classes),
+                label_propagation(reference, rows, &base.labels, classes),
+            ),
+            (
+                "EP",
+                error_propagation(served, &logits, &base.labels),
+                error_propagation(reference, &logits, &base.labels),
+            ),
+        ] {
+            assert_eq!(got.shape(), want.shape(), "{name}: shape");
+            for (&g, &w) in got.as_slice().iter().zip(want.as_slice()) {
+                assert!(
+                    mcond::linalg::approx_eq(g, w, 1e-5),
+                    "{name} on N = {}: {g} vs {w}",
+                    base.num_nodes()
+                );
+            }
+        }
+    }
 }
 
 #[test]
