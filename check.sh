@@ -3,9 +3,13 @@
 set -e
 
 # Architecture semantics live in crates/gnn/src/model.rs (GnnModel::run)
-# only: the cache and the propagators are evaluators of that program and
-# must not match on an architecture. Prints the offending arm and fails.
-if grep -nE 'GnnKind::\w+[^;]*=>' crates/gnn/src/frozen.rs crates/gnn/src/propagator.rs; then exit 1; fi
+# only: the cache, the base prefix and the propagators are evaluators of
+# that program and must not match on an architecture, and the server that
+# builds the prefix names no architecture above its test module. Prints
+# the offending line and fails.
+if grep -nE 'GnnKind::\w+[^;]*=>' crates/gnn/src/frozen.rs crates/gnn/src/prefix.rs \
+    crates/gnn/src/propagator.rs; then exit 1; fi
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/server.rs | grep -n 'GnnKind::'; then exit 1; fi
 # Every tape op has a finite-difference check: a `pub fn` of
 # crates/autodiff/src/ops_*.rs that gradcheck.rs never calls is named here.
 unchecked=0

@@ -47,7 +47,7 @@ impl Checkpoint {
     /// the synthetic graph.
     pub fn new(synthetic: Graph, mapping: Csr, model: GnnModel) -> Result<Self, StoreError> {
         artifact::mapping_indexes(&mapping, &synthetic)?;
-        let in_dim = model.params()[0].rows();
+        let in_dim = model.in_dim();
         if in_dim != synthetic.feature_dim() {
             return Err(StoreError::ShapeMismatch {
                 reason: format!(
@@ -56,7 +56,7 @@ impl Checkpoint {
                 ),
             });
         }
-        let out_dim = model.params().last().map_or(0, mcond_linalg::DMat::cols);
+        let out_dim = model.out_dim();
         if out_dim != synthetic.num_classes {
             return Err(StoreError::ShapeMismatch {
                 reason: format!(
@@ -141,6 +141,11 @@ impl Checkpoint {
     /// Moves the bundle into a server that owns it — what a long-lived
     /// serving slot boots from. Same endpoint as
     /// [`InductiveServer::from_checkpoint`], with nothing left to outlive.
+    ///
+    /// # Panics
+    /// Panics, at construction, when a bundle assembled field by field
+    /// (bypassing [`Checkpoint::new`]'s checks) holds a model whose input
+    /// width is not the graph's feature width.
     #[must_use]
     pub fn into_server(self) -> InductiveServer<'static> {
         let deg = BaseDegrees::of(&self.synthetic.adj);
@@ -171,6 +176,9 @@ impl Condensed {
 impl<'a> InductiveServer<'a> {
     /// Boots a serving endpoint from a restored checkpoint — the synthetic
     /// graph, mapping and weights only; the original graph is never needed.
+    ///
+    /// # Panics
+    /// As [`Checkpoint::into_server`].
     #[must_use]
     pub fn from_checkpoint(ckpt: &'a Checkpoint) -> Self {
         Self::on_synthetic(&ckpt.synthetic, &ckpt.mapping, &ckpt.model)

@@ -235,6 +235,11 @@ impl LiveBase {
     /// drop(server);
     /// # }
     /// ```
+    ///
+    /// # Panics
+    /// Panics when the model's input width is not the base's feature
+    /// width — at construction, which builds the model's
+    /// [`BasePrefix`](mcond_gnn::BasePrefix) on the grown base.
     #[must_use]
     pub fn server<'a>(&'a self, model: &'a GnnModel) -> InductiveServer<'a> {
         InductiveServer::new(
@@ -352,22 +357,25 @@ mod tests {
         assert_eq!(live.version(), 0);
     }
 
+    /// For every architecture — APPNP's prefix has two sites — so a
+    /// grown base's prefix is the one a fresh server builds.
     #[test]
     fn served_logits_after_promotion_match_a_fresh_server() {
         let data = toy();
         let (syn, map) = syn_base();
-        let model = GnnModel::new(GnnKind::Gcn, 3, 4, 2, 1);
         let mut live = LiveBase::synthetic(syn, map);
         live.promote(&GraphDelta::from_batch(&data.batch(&[4], false))).unwrap();
-
-        // A narrow (pre-promotion) batch is served by the live server...
         let batch = data.batch(&[5], false);
-        let live_out = live.server(&model).try_serve(&batch).unwrap();
-        // ...and matches a from-scratch server over the grown artifacts.
-        let base = live.base().clone();
-        let mapping = live.mapping().clone();
-        let fresh = InductiveServer::on_synthetic(&base, &mapping, &model);
-        let fresh_out = fresh.try_serve(&batch).unwrap();
-        assert!(live_out.bit_eq(&fresh_out));
+        for kind in GnnKind::ALL {
+            let model = GnnModel::new(kind, 3, 4, 2, 1);
+            // A narrow (pre-promotion) batch is served by the live server...
+            let live_out = live.server(&model).try_serve(&batch).unwrap();
+            // ...and matches a from-scratch server over the grown artifacts.
+            let base = live.base().clone();
+            let mapping = live.mapping().clone();
+            let fresh = InductiveServer::on_synthetic(&base, &mapping, &model);
+            let fresh_out = fresh.try_serve(&batch).unwrap();
+            assert!(live_out.bit_eq(&fresh_out), "{}", kind.name());
+        }
     }
 }

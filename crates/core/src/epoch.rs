@@ -193,13 +193,14 @@ mod tests {
 
     #[test]
     fn canary_catches_a_model_that_panics_on_real_shapes() {
-        // in_dim 5 against 3-dim features: `Checkpoint::new` would reject
-        // it, so the bundle is assembled field by field; it passes the
-        // cheap request validation and dies inside the forward pass.
-        let bad = Checkpoint {
-            model: GnnModel::new(GnnKind::Gcn, 5, 4, 2, 1),
-            ..tiny_checkpoint(1)
-        };
+        // A second weight expecting 5 hidden units where the first layer
+        // makes 4: the store decoder would reject it, so the bundle is
+        // assembled field by field; it boots (the base prefix stops at
+        // X'W₀), passes the cheap request validation and dies inside the
+        // forward pass.
+        let mut model = GnnModel::new(GnnKind::Gcn, 3, 4, 2, 1);
+        model.params_mut()[2] = DMat::zeros(5, 2);
+        let bad = Checkpoint { model, ..tiny_checkpoint(1) };
         let epoch = EpochServer::new(bad.into_server(), "bad");
         match epoch.canary() {
             Err(ServeError::Panicked { .. }) => {}

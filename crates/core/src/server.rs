@@ -14,7 +14,9 @@
 //!
 //! # Ownership
 //!
-//! The server holds its graph, mapping, degree sums and model as [`Cow`]s.
+//! The server holds its graph, mapping, degree sums and model as [`Cow`]s,
+//! and owns the model's [`BasePrefix`], which it builds from the graph's
+//! features at construction and which no checkpoint stores.
 //! The borrowing constructors ([`on_synthetic`](InductiveServer::on_synthetic),
 //! [`from_checkpoint`](InductiveServer::from_checkpoint),
 //! `LiveBase::server`) copy nothing;
@@ -26,16 +28,26 @@
 //!
 //! # Forward pass
 //!
-//! A request runs the **split-operator** forward pass
-//! ([`GnnModel::predict_split`]): base features and the batch's features
-//! are fed as a `(x_base, x_new)` pair that is never vstacked,
-//! the batch's `inc`/`inter` blocks are borrowed in place (no clones), the
-//! base graph's degree sums are shared across requests
-//! ([`mcond_gnn::BaseDegrees`], computed once at construction), and the
+//! What no request changes is computed once per server, at construction:
+//! the base graph's degree sums ([`mcond_gnn::BaseDegrees`]) and the base
+//! prefix ([`BasePrefix`]) — the base rows of every value of the forward
+//! pass that no propagation reaches, such as GCN's `X'W₀` or APPNP's MLP
+//! output (SGC has none). Construction builds the prefix under the
+//! `serve.base_prefix` span (histogram `serve.base_prefix_us`, fields
+//! `rows` and `sites`), so every boot, hot swap and promotion pays for it
+//! once.
+//!
+//! Per request is what the batch changes. A request runs the
+//! **split-operator** forward pass ([`GnnModel::predict_split`]): base
+//! features and the batch's features are fed as a `(x_base, x_new)` pair
+//! that is never vstacked, the batch's `inc`/`inter` blocks are borrowed
+//! in place (no clones), the base rows are computed only where a
+//! propagation reaches them (the rest are read from the prefix), and the
 //! final propagation computes only the `n` inductive output rows. The
 //! logits are **bitwise identical** to vstacking the features, running
 //! every layer over all `N' + n` rows and slicing the bottom block, at any
-//! thread count (pinned by `mcond-gnn`'s split-vs-stacked test).
+//! thread count (pinned by `mcond-gnn`'s split-vs-stacked test and this
+//! module's reference test).
 //!
 //! [`mcond_gnn::FrozenBase`] — base activations cached under base-only
 //! normalisation, one-way attachment — is a second predictor, not a
@@ -80,7 +92,7 @@
 //! sequential [`try_serve`](InductiveServer::try_serve) loop.
 
 use crate::serve_error::{panic_context, ServeError};
-use mcond_gnn::{BaseDegrees, GnnModel, GraphOps};
+use mcond_gnn::{BaseDegrees, BasePrefix, GnnModel, GraphOps};
 use mcond_graph::{Graph, NodeBatch};
 use mcond_linalg::DMat;
 use mcond_obs::{Histogram, MetricsSnapshot};
@@ -130,6 +142,9 @@ pub struct InductiveServer<'a> {
     /// Rows: the incremental-adjacency width; columns: the base nodes.
     mapping: Cow<'a, Csr>,
     model: Cow<'a, GnnModel>,
+    /// `model`'s [`BasePrefix`] on `graph`'s features, built once and read
+    /// by every request.
+    prefix: BasePrefix,
     max_batch: usize,
     stats: Mutex<ServeStats>,
 }
@@ -138,11 +153,13 @@ impl<'a> InductiveServer<'a> {
     /// The one constructor behind every public one. `deg` must be what
     /// `BaseDegrees::of(&graph.adj)` returns; a caller that keeps it up to
     /// date (`LiveBase`) lends it, every other caller computes it here
-    /// once for all requests.
+    /// once for all requests. The model's [`BasePrefix`] on the graph's
+    /// features is built here, once for all requests.
     ///
     /// # Panics
     /// Panics when the mapping's columns do not index the graph's nodes,
-    /// or `deg` does not cover them.
+    /// `deg` does not cover them, or the model's input width is not the
+    /// graph's feature width.
     pub(crate) fn new(
         graph: Cow<'a, Graph>,
         deg: Cow<'a, BaseDegrees>,
@@ -159,11 +176,22 @@ impl<'a> InductiveServer<'a> {
             graph.num_nodes(),
             "InductiveServer: mapping columns must index the base nodes"
         );
+        assert_eq!(
+            model.in_dim(),
+            graph.feature_dim(),
+            "InductiveServer: the model's input width must be the base's feature width"
+        );
+        let mut span = mcond_obs::span_timed("serve.base_prefix", "serve.base_prefix_us");
+        let prefix = BasePrefix::new(&model, &graph.features);
+        span.record("rows", prefix.rows());
+        span.record("sites", prefix.kept().count());
+        drop(span);
         Self {
             graph,
             deg,
             mapping,
             model,
+            prefix,
             max_batch: DEFAULT_MAX_BATCH,
             stats: Mutex::new(ServeStats::default()),
         }
@@ -171,6 +199,11 @@ impl<'a> InductiveServer<'a> {
 
     /// Serves inference on the original graph (Eq. 3): attachment through
     /// the identity mapping, so `aI = a`.
+    ///
+    /// # Panics
+    /// Panics when the model's input width is not the graph's feature
+    /// width — at construction, which builds the model's [`BasePrefix`],
+    /// not at the first request.
     #[must_use]
     pub fn on_original(graph: &'a Graph, model: &'a GnnModel) -> Self {
         Self::new(
@@ -185,7 +218,10 @@ impl<'a> InductiveServer<'a> {
     /// (Eq. 11 attachment).
     ///
     /// # Panics
-    /// Panics when the mapping's columns do not index the synthetic nodes.
+    /// Panics when the mapping's columns do not index the synthetic nodes,
+    /// or the model's input width is not the graph's feature width — at
+    /// construction, which builds the model's [`BasePrefix`], not at the
+    /// first request.
     #[must_use]
     pub fn on_synthetic(graph: &'a Graph, mapping: &'a Csr, model: &'a GnnModel) -> Self {
         Self::new(
@@ -340,7 +376,8 @@ impl<'a> InductiveServer<'a> {
         let fanout = inc.nnz();
         let propagate_stage = mcond_obs::span_timed("propagate", "serve.stage.propagate");
         let ops = GraphOps::extended(&self.graph.adj, &inc, &batch.interconnect, &self.deg);
-        let out = self.model.predict_split(&ops, &self.graph.features, &batch.features);
+        let out =
+            self.model.predict_split(&ops, &self.prefix, &self.graph.features, &batch.features);
         drop(propagate_stage);
         {
             let _stage = mcond_obs::span_timed("head", "serve.stage.head");
@@ -619,6 +656,56 @@ mod tests {
                 assert!(approx_eq(*a, *b, 1e-4), "{}: {a} vs {b}", kind.name());
             }
         }
+    }
+
+    /// The contract's reference, bitwise: `predict` on the extended
+    /// operator over the stacked features, sliced to the batch rows — for
+    /// every architecture, on both targets, with the base prefix built
+    /// under one thread count and served under another.
+    #[test]
+    fn server_is_bitwise_the_stacked_reference_for_every_architecture() {
+        let (data, condensed, _) = setup();
+        let original = data.original_graph();
+        let batch = data.test_batches(40, true).remove(0);
+        for kind in GnnKind::ALL {
+            let model =
+                GnnModel::new(kind, data.full.feature_dim(), 8, data.full.num_classes, 2);
+            for (build, serve) in [(1, 4), (4, 1)] {
+                let servers = mcond_par::with_thread_limit(build, || {
+                    [
+                        InductiveServer::on_synthetic(
+                            &condensed.synthetic,
+                            &condensed.mapping,
+                            &model,
+                        ),
+                        InductiveServer::on_original(&original, &model),
+                    ]
+                });
+                for server in &servers {
+                    let base = server.base_graph();
+                    let attach = server.attachment(&batch);
+                    let deg = BaseDegrees::of(&base.adj);
+                    let ops = GraphOps::extended(&base.adj, &attach, &batch.interconnect, &deg);
+                    let stacked = model.predict(&ops, &base.features.vstack(&batch.features));
+                    let reference = stacked.slice_rows(base.num_nodes(), stacked.rows());
+                    let served =
+                        mcond_par::with_thread_limit(serve, || server.try_serve(&batch)).unwrap();
+                    let tag = format!("{} on {} nodes, t{build}/t{serve}", kind.name(), base.num_nodes());
+                    assert_eq!(served.as_slice(), reference.as_slice(), "{tag}");
+                }
+            }
+        }
+    }
+
+    /// The base prefix runs the model's first layer on the base features,
+    /// so a model of another input width is refused when the server is
+    /// built — for SGC too, whose prefix is empty.
+    #[test]
+    #[should_panic(expected = "input width must be the base's feature width")]
+    fn a_model_of_another_input_width_panics_at_construction() {
+        let (_, syn, mapping, _) = fallback_fixture();
+        let model = GnnModel::new(GnnKind::Sgc, 5, 0, 2, 1);
+        let _ = InductiveServer::on_synthetic(&syn, &mapping, &model);
     }
 
     /// Concurrent fan-out must be invisible in the results: per-batch

@@ -136,17 +136,19 @@ fn mixed_fanout_is_deterministic_across_thread_counts() {
     assert_eq!(ok_slots.len(), 3);
 }
 
-/// A genuine internal panic (a model misconfigured for the feature
-/// dimension blows up inside the forward pass, past request validation) is
+/// A genuine internal panic (a model whose layers disagree blows up inside
+/// the forward pass, past construction and request validation) is
 /// caught per request: its slot holds `Err(Panicked)`, siblings complete,
 /// and the server — including its poisoned-then-recovered stats mutex —
 /// stays usable.
 #[test]
 fn internal_panics_are_isolated_per_request() {
     let (data, syn, mapping) = fixture();
-    // in_dim 5 disagrees with the 3-dim features: validation cannot see a
-    // model misconfiguration, so the matmul inside predict() panics.
-    let bad_model = GnnModel::new(GnnKind::Gcn, 5, 4, 2, 1);
+    // The second weight expects 5 hidden units, the first layer makes 4:
+    // neither construction (the base prefix stops at X'W₀) nor validation
+    // can see it, so the matmul inside the forward pass panics.
+    let mut bad_model = GnnModel::new(GnnKind::Gcn, 3, 4, 2, 1);
+    bad_model.params_mut()[2] = DMat::zeros(5, 2);
     let server = InductiveServer::on_synthetic(&syn, &mapping, &bad_model);
 
     let empty = data.batch(&[], true);

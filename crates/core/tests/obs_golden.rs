@@ -6,6 +6,7 @@
 use mcond_core::{condense, InductiveServer, McondConfig};
 use mcond_gnn::{train, GnnKind, GnnModel, GraphOps, TrainConfig};
 use mcond_graph::{load_dataset, Scale};
+use mcond_linalg::DMat;
 use mcond_obs::{testing, Json};
 
 fn get<'a>(line: &'a Json, key: &str) -> Option<&'a Json> {
@@ -242,10 +243,12 @@ fn panicking_request_is_traced_through_the_log() {
     let cap = testing::capture();
 
     let data = load_dataset("pubmed", Scale::Small, 0).expect("bundled dataset");
-    // in_dim disagrees with the features: validation cannot see it, the
-    // matmul inside the forward pass panics (same shape as chaos_sweep).
-    let bad_model =
-        GnnModel::new(GnnKind::Gcn, data.full.feature_dim() + 1, 8, data.full.num_classes, 3);
+    // The second weight expects 9 hidden units, the first layer makes 8:
+    // neither construction nor validation can see it, the matmul inside
+    // the forward pass panics (same fault as chaos_sweep).
+    let mut bad_model =
+        GnnModel::new(GnnKind::Gcn, data.full.feature_dim(), 8, data.full.num_classes, 3);
+    bad_model.params_mut()[2] = DMat::zeros(9, data.full.num_classes);
     let original = data.original_graph();
     let server = InductiveServer::on_original(&original, &bad_model);
     let batches = data.test_batches(10, true);

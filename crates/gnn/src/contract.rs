@@ -3,12 +3,12 @@
 //!
 //! [`reference_predict`] is the paper's layer equations written out per
 //! architecture on plain matrices — readable, and deliberately *not*
-//! derived from `run`. The table below pins the five evaluators to it:
+//! derived from `run`. The table below pins the six evaluators to it:
 //!
 //! | evaluator                    | must equal                              |
 //! |------------------------------|-----------------------------------------|
 //! | dense (`predict`)            | the reference, bitwise                  |
-//! | split (`predict_split`)      | bottom rows of the stacked dense, bitwise; builds only the operators it reads |
+//! | prefix-build + split (`BasePrefix::new`, `predict_split`) | bottom rows of the stacked dense, bitwise; builds only the operators it reads |
 //! | tape (`forward`)             | dense on the materialised graph, bitwise |
 //! | frozen-build + frozen-serve (`FrozenBase::new`, `predict_frozen`) | split, on a batch with no edges |
 //! | tape hop (`TapeExtension`)  | split hop and materialised block, max \|Δ\| ≤ 1e-5 |
@@ -19,7 +19,7 @@
 //! different grouping — hence a bound instead of bitwise equality.
 
 use crate::model::Kernel::{Mean, Sym};
-use crate::{BaseDegrees, FrozenBase, GnnKind, GnnModel, GraphOps, Propagator, TapeExtension};
+use crate::{BaseDegrees, BasePrefix, FrozenBase, GnnKind, GnnModel, GraphOps, Propagator, TapeExtension};
 use mcond_autodiff::Tape;
 use mcond_linalg::{DMat, MatRng};
 use mcond_sparse::{sparsify_dense, sym_normalize_dense, Coo, Csr};
@@ -155,7 +155,8 @@ fn every_evaluator_agrees_with_the_reference_forward() {
                         // split == bottom rows of the stacked dense, and
                         // builds only the operators the program reads.
                         let split_ops = GraphOps::extended(&base, inc, inter, &deg);
-                        let split = model.predict_split(&split_ops, &x_base, &x_new);
+                        let prefix = BasePrefix::new(&model, &x_base);
+                        let split = model.predict_split(&split_ops, &prefix, &x_base, &x_new);
                         assert_eq!(split_ops.built(), reads, "operators built {tag}");
                         assert_eq!(
                             split.as_slice(),

@@ -33,17 +33,17 @@
 //! path reproduces the exact logits. For a connected batch it is not an
 //! estimate of them but a different predictor:
 //! `results/ablation_serve_mode.txt` (S-trained GCN, three datasets × three
-//! seeds) has its argmax agree with the exact path on 72–96 % of one-node
-//! requests to an 18–39-node synthetic graph, logits up to 75 apart, and
-//! accuracy *higher* on reddit (0.82 → 0.95) and pubmed, lower on flickr
+//! seeds) has its argmax agree with the exact path on 73–96 % of one-node
+//! requests to an 18–39-node synthetic graph, logits up to 73 apart, and
+//! accuracy *higher* on reddit (0.82 → 0.94) and pubmed, lower on flickr
 //! (0.40 → 0.33); on the original graph at reddit's density it is close
-//! (agreement ≥ 0.99, |Δlogit| ≤ 2.6), on pubmed's and flickr's it is not
-//! (0.72–0.94). The calibration test in `mcond-core` pins the edge-free
+//! (agreement ≥ 0.988, |Δlogit| ≤ 1.9), on pubmed's and flickr's it is not
+//! (0.73–0.95). The calibration test in `mcond-core` pins the edge-free
 //! case and a 6-node fixture, nothing more. `InductiveServer` always
 //! runs the exact split path; this predictor is called directly, fed the
 //! server's `attachment` rows.
 
-use crate::model::{input, into_dmat, made, Evaluator, Kernel, Mat, Rows};
+use crate::model::{input, into_dmat, made, Evaluator, Kernel, Mat, Rows, Whole};
 use crate::model::{GnnKind, GnnModel, GraphOps};
 use crate::propagator::BaseDegrees;
 use mcond_linalg::DMat;
@@ -102,6 +102,8 @@ impl<'a> Evaluator for Build<'a, '_> {
         no_rows(v)
     }
 }
+
+impl Whole for Build<'_, '_> {}
 
 impl FrozenBase {
     /// Runs the base-only forward pass of `model` over `(base_adj,
@@ -201,6 +203,8 @@ impl<'a> Evaluator for Serve<'a> {
     }
 }
 
+impl Whole for Serve<'_> {}
+
 impl GnnModel {
     /// Serves a batch's logits from a [`FrozenBase`] cache — the
     /// one-way-attachment `O(L·(nnz + n·d))` path. See the module docs for
@@ -257,7 +261,7 @@ mod tests {
     ) -> DMat {
         let deg = BaseDegrees::of(base);
         let ops = GraphOps::extended(base, inc, inter, &deg);
-        model.predict_split(&ops, base_x, x_new)
+        model.predict_split(&ops, &crate::BasePrefix::new(model, base_x), base_x, x_new)
     }
 
     /// With zero incremental edges the batch does not perturb base

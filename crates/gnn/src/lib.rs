@@ -18,11 +18,13 @@ mod contract;
 mod frozen;
 mod metrics;
 mod model;
+mod prefix;
 mod propagator;
 mod trainer;
 
 pub use frozen::FrozenBase;
 pub use metrics::{accuracy, confusion_counts, extended_storage_bytes};
 pub use model::{GnnKind, GnnModel, GraphOps};
+pub use prefix::BasePrefix;
 pub use propagator::{BaseDegrees, Propagator, TapeExtension};
 pub use trainer::{train, TrainConfig, TrainReport};

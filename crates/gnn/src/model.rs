@@ -2,20 +2,25 @@
 //!
 //! [`GnnModel::run`] states every forward pass as seven ops over an
 //! abstract value ([`Interp`]); it is the only place that says what a
-//! layer *is*. Five evaluators supply what a value is and what `prop`
+//! layer *is*. Six evaluators supply what a value is and what `prop`
 //! means, and run that one program: tape ([`GnnModel::forward`]), dense
 //! ([`GnnModel::predict`]) and split ([`GnnModel::predict_split`]) here,
-//! the cache's build and serve in `frozen.rs`. `contract.rs` holds
-//! each to a hand-written reference, bitwise.
+//! the cache's build and serve in `frozen.rs`, and the base prefix's
+//! build in `prefix.rs`. `contract.rs` holds each to a hand-written
+//! reference, bitwise.
 //!
 //! The program marks an architecture's last propagation [`Rows::Output`]:
 //! nothing propagates after it, so only the rows logits were asked for
 //! are read from its product. What that buys is up to the evaluator:
 //! split computes `n` rows instead of `N' + n`, the cache builders (whose
 //! graph has no output rows) skip the product, tape and dense ignore it.
-//! The five dense ops treat rows independently, so the tape-free
-//! evaluators share one implementation of them ([`Mats`]).
+//! A value no `prop` reaches has base rows that read only the base
+//! features and the parameters: split takes them from a [`BasePrefix`]
+//! instead of computing them per request. The five dense ops treat rows
+//! independently, so the tape-free evaluators share one implementation of
+//! them ([`Mats`]).
 
+use crate::prefix::BasePrefix;
 use crate::propagator::{BaseDegrees, Propagator};
 use mcond_autodiff::{Tape, Var};
 use mcond_linalg::{DMat, MatRng};
@@ -266,6 +271,13 @@ impl GnnModel {
         self.params.last().map_or(0, DMat::cols)
     }
 
+    /// Input feature width `d` the model reads: every architecture's
+    /// parameter list starts with a `d x ·` input weight.
+    #[must_use]
+    pub fn in_dim(&self) -> usize {
+        self.params.first().map_or(0, DMat::rows)
+    }
+
     /// Mutable access to the parameters (for the optimizer), in the same
     /// order as [`GnnModel::tape_params`].
     pub fn params_mut(&mut self) -> &mut [DMat] {
@@ -400,19 +412,33 @@ impl GnnModel {
     ///
     /// This is the serving fast path: every dense layer step is
     /// row-independent and the propagation steps use
-    /// [`Propagator::spmm_split`] / [`Propagator::spmm_bottom`], so the
-    /// returned `n×C` block is **bitwise identical** to
+    /// [`Propagator::spmm_split`] / [`Propagator::spmm_bottom`]; the base
+    /// rows of every value no propagation reaches are read from `prefix`
+    /// ([`BasePrefix::new`] of this model on `x_base`), not computed. So
+    /// the returned `n×C` block is **bitwise identical** to
     /// `predict(ops, x_base.vstack(x_new))` sliced to its last `n` rows —
-    /// at any thread count — while the final propagation computes only the
-    /// `n` inductive output rows and no base-side state is copied.
+    /// at any thread count, the prefix's included — while the base rows
+    /// cost only what propagation reaches, the final propagation computes
+    /// only the `n` inductive output rows and no base-side state is copied.
     ///
     /// # Panics
     /// Panics on dimension mismatch between the split inputs and `ops`,
-    /// and when `ops` holds materialised operators.
+    /// when `ops` holds materialised operators, and when `prefix` was
+    /// built on a base of another row count or for another model.
     #[must_use]
-    pub fn predict_split(&self, ops: &GraphOps<'_>, x_base: &DMat, x_new: &DMat) -> DMat {
-        let x = Halves { base: Some(input(x_base)), new: input(x_new) };
-        into_dmat(self.run(&mut Split { ops }, &self.params, x).new)
+    pub fn predict_split(
+        &self,
+        ops: &GraphOps<'_>,
+        prefix: &BasePrefix,
+        x_base: &DMat,
+        x_new: &DMat,
+    ) -> DMat {
+        assert_eq!(x_base.rows(), prefix.rows(), "predict_split: prefix built on another base");
+        let x = Halves { base: Base::Prefix(Some(input(x_base))), new: input(x_new) };
+        let mut split = Split { ops, prefix, site: 0 };
+        let out = self.run(&mut split, &self.params, x).new;
+        assert_eq!(split.site, prefix.len(), "predict_split: prefix built for another model");
+        into_dmat(out)
     }
 }
 
@@ -528,38 +554,43 @@ pub(crate) fn into_dmat(m: Mat<'_>) -> DMat {
     Rc::try_unwrap(m).map_or_else(|shared| DMat::clone(&shared), Cow::into_owned)
 }
 
-/// A value made of dense matrices: a dense op on it is the `DMat` op on
-/// each — the blanket [`Interp`] impl below, for every such evaluator.
-pub(crate) trait Mats {
-    fn map(&self, f: impl Fn(&DMat) -> DMat) -> Self;
-    fn zip(&self, other: &Self, f: impl Fn(&DMat, &DMat) -> DMat) -> Self;
+/// An evaluator whose values are made of dense matrices: a dense op is
+/// the `DMat` op on each — the blanket [`Interp`] impl below, for every
+/// such evaluator.
+pub(crate) trait Mats: Evaluator {
+    fn map(&mut self, v: &Self::V, f: impl Fn(&DMat) -> DMat) -> Self::V;
+    fn zip(&mut self, a: &Self::V, b: &Self::V, f: impl Fn(&DMat, &DMat) -> DMat) -> Self::V;
 }
 
-impl Mats for Mat<'_> {
-    fn map(&self, f: impl Fn(&DMat) -> DMat) -> Self {
-        made(f(self))
+/// An evaluator whose value is one [`Mat`]: a dense op is the `DMat` op
+/// on it.
+pub(crate) trait Whole {}
+
+impl<'a, T: Whole + Evaluator<V = Mat<'a>>> Mats for T {
+    fn map(&mut self, v: &Mat<'a>, f: impl Fn(&DMat) -> DMat) -> Mat<'a> {
+        made(f(v))
     }
-    fn zip(&self, other: &Self, f: impl Fn(&DMat, &DMat) -> DMat) -> Self {
-        made(f(self, other))
+    fn zip(&mut self, a: &Mat<'a>, b: &Mat<'a>, f: impl Fn(&DMat, &DMat) -> DMat) -> Mat<'a> {
+        made(f(a, b))
     }
 }
 
-impl<V: Mats, T: Evaluator<V = V>> Interp for T {
+impl<T: Mats> Interp for T {
     type P = DMat;
-    fn matmul(&mut self, v: &V, w: &DMat) -> V {
-        v.map(|m| m.matmul(w))
+    fn matmul(&mut self, v: &T::V, w: &DMat) -> T::V {
+        self.map(v, |m| m.matmul(w))
     }
-    fn bias(&mut self, v: &V, b: &DMat) -> V {
-        v.map(|m| m.add_row_broadcast(b.row(0)))
+    fn bias(&mut self, v: &T::V, b: &DMat) -> T::V {
+        self.map(v, |m| m.add_row_broadcast(b.row(0)))
     }
-    fn relu(&mut self, v: &V) -> V {
-        v.map(DMat::relu)
+    fn relu(&mut self, v: &T::V) -> T::V {
+        self.map(v, DMat::relu)
     }
-    fn scale(&mut self, v: &V, c: f32) -> V {
-        v.map(|m| m.scale(c))
+    fn scale(&mut self, v: &T::V, c: f32) -> T::V {
+        self.map(v, |m| m.scale(c))
     }
-    fn add(&mut self, a: &V, b: &V) -> V {
-        a.zip(b, DMat::add)
+    fn add(&mut self, a: &T::V, b: &T::V) -> T::V {
+        self.zip(a, b, DMat::add)
     }
 }
 
@@ -575,48 +606,90 @@ impl<'a> Evaluator for Dense<'a, '_> {
     }
 }
 
+impl Whole for Dense<'_, '_> {}
+
 /// A value of the [`Split`] evaluator: base rows and new rows, never
-/// stacked. `base` is gone once the value is narrowed to its output rows.
+/// stacked.
 #[derive(Clone)]
 struct Halves<'a> {
-    base: Option<Mat<'a>>,
+    base: Base<'a>,
     new: Mat<'a>,
 }
 
-impl Mats for Halves<'_> {
-    fn map(&self, f: impl Fn(&DMat) -> DMat) -> Self {
-        Halves { base: self.base.as_ref().map(|b| b.map(&f)), new: self.new.map(&f) }
-    }
-    fn zip(&self, other: &Self, f: impl Fn(&DMat, &DMat) -> DMat) -> Self {
-        assert_eq!(self.base.is_some(), other.base.is_some(), "zip: one operand is narrowed");
-        Halves {
-            base: self.base.as_ref().zip(other.base.as_ref()).map(|(a, b)| a.zip(b, &f)),
-            new: self.new.zip(&other.new, &f),
+/// The base rows of a [`Halves`].
+#[derive(Clone)]
+enum Base<'a> {
+    /// A `prop` reached the value: computed for this request.
+    Rows(Mat<'a>),
+    /// No `prop` reached it: a value of the [`BasePrefix`], `Some` where
+    /// something reads it (the input's are `x_base`).
+    Prefix(Option<Mat<'a>>),
+    /// Narrowed to its output rows: it has no base rows.
+    Gone,
+}
+
+impl Base<'_> {
+    fn rows(&self) -> &DMat {
+        match self {
+            Base::Rows(m) | Base::Prefix(Some(m)) => m,
+            Base::Prefix(None) => panic!("split: the base prefix did not keep a value it reads"),
+            Base::Gone => panic!("split: operand already narrowed to its output rows"),
         }
     }
 }
 
 /// Serving on the extended graph: the `n` new rows are the output rows,
-/// so a [`Rows::Output`] product is [`Propagator::spmm_bottom`].
+/// so a [`Rows::Output`] product is [`Propagator::spmm_bottom`]. A value
+/// no `prop` reaches takes its base rows from `prefix`, by site.
 struct Split<'a, 'o> {
     ops: &'a GraphOps<'o>,
+    prefix: &'a BasePrefix,
+    site: usize,
+}
+
+impl<'a> Split<'a, '_> {
+    /// The base rows of the next value no `prop` reaches.
+    fn next_site(&mut self) -> Base<'a> {
+        let kept = self.prefix.site(self.site);
+        self.site += 1;
+        Base::Prefix(kept.map(input))
+    }
 }
 
 impl<'a> Evaluator for Split<'a, '_> {
     type V = Halves<'a>;
     fn prop(&mut self, kernel: Kernel, v: &Halves<'a>, rows: Rows) -> Halves<'a> {
         let op = self.ops.kernel(kernel);
-        let base = v.base.as_ref().expect("prop: operand already narrowed to its output rows");
+        let base = v.base.rows();
         match rows {
             Rows::All => {
                 let (top, bottom) = op.spmm_split(base, &v.new);
-                Halves { base: Some(made(top)), new: made(bottom) }
+                Halves { base: Base::Rows(made(top)), new: made(bottom) }
             }
-            Rows::Output => Halves { base: None, new: made(op.spmm_bottom(base, &v.new)) },
+            Rows::Output => Halves { base: Base::Gone, new: made(op.spmm_bottom(base, &v.new)) },
         }
     }
     fn output_rows(&mut self, v: &Halves<'a>) -> Halves<'a> {
-        Halves { base: None, new: v.new.clone() }
+        Halves { base: Base::Gone, new: v.new.clone() }
+    }
+}
+
+impl<'a> Mats for Split<'a, '_> {
+    fn map(&mut self, v: &Halves<'a>, f: impl Fn(&DMat) -> DMat) -> Halves<'a> {
+        let base = match &v.base {
+            Base::Rows(b) => Base::Rows(made(f(b))),
+            Base::Prefix(_) => self.next_site(),
+            Base::Gone => Base::Gone,
+        };
+        Halves { base, new: made(f(&v.new)) }
+    }
+    fn zip(&mut self, a: &Halves<'a>, b: &Halves<'a>, f: impl Fn(&DMat, &DMat) -> DMat) -> Halves<'a> {
+        let base = match (&a.base, &b.base) {
+            (Base::Prefix(_), Base::Prefix(_)) => self.next_site(),
+            (Base::Gone, Base::Gone) => Base::Gone,
+            (x, y) => Base::Rows(made(f(x.rows(), y.rows()))),
+        };
+        Halves { base, new: made(f(&a.new, &b.new)) }
     }
 }
 

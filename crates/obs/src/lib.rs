@@ -54,7 +54,10 @@
 //! * `serve.fallback` — *nodes* (not requests) whose attachment row was
 //!   empty, served from their self-loop;
 //! * `serve.panic` — requests whose internal panic was caught at the
-//!   `try_serve_many` request boundary.
+//!   `try_serve_many` request boundary;
+//! * `serve.base_prefix_us` — histogram of wall µs per server
+//!   construction spent building the model's base prefix (the
+//!   `serve.base_prefix` span, fields `rows` and `sites`).
 //!
 //! `mcond-gnn`'s `FrozenBase` predictor records `gnn.frozen.build_us`, a
 //! histogram of wall µs per cache build (the `frozen_base.build` span).

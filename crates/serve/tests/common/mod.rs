@@ -32,12 +32,23 @@ pub fn dataset() -> InductiveDataset {
 }
 
 /// Boot epoch slot over a 2-node synthetic graph and 3x2 mapping.
-/// `model_in_dim = FEATURE_DIM` gives a healthy server;
-/// `model_in_dim = 5` passes validation but panics inside the forward
-/// pass (the chaos-sweep misconfiguration), for exercising 500s —
-/// `Checkpoint::new` would reject that fixture, so the bundle is
-/// assembled field by field.
-pub fn toy_slot(model_in_dim: usize) -> Arc<EpochSlot> {
+pub fn toy_slot() -> Arc<EpochSlot> {
+    toy_slot_with(GnnModel::new(GnnKind::Gcn, FEATURE_DIM, 4, 2, 1))
+}
+
+/// [`toy_slot`] with a model whose second weight expects 5 hidden units
+/// where its first layer makes 4: it boots (the base prefix stops at
+/// `X'W₀`) and passes validation, but panics inside the forward pass (the
+/// chaos-sweep misconfiguration), for exercising 500s. `Checkpoint::new`
+/// does not check the layer chain and the store decoder would reject it,
+/// so the bundle is assembled field by field.
+pub fn broken_toy_slot() -> Arc<EpochSlot> {
+    let mut model = GnnModel::new(GnnKind::Gcn, FEATURE_DIM, 4, 2, 1);
+    model.params_mut()[2] = DMat::zeros(5, 2);
+    toy_slot_with(model)
+}
+
+fn toy_slot_with(model: GnnModel) -> Arc<EpochSlot> {
     let synthetic = Graph::new(
         Csr::eye(2),
         DMat::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0]]),
@@ -48,11 +59,7 @@ pub fn toy_slot(model_in_dim: usize) -> Arc<EpochSlot> {
     map.push(0, 0, 0.5);
     map.push(1, 0, 0.5);
     map.push(2, 1, 1.0);
-    let ckpt = Checkpoint {
-        synthetic,
-        mapping: map.to_csr(),
-        model: GnnModel::new(GnnKind::Gcn, model_in_dim, 4, 2, 1),
-    };
+    let ckpt = Checkpoint { synthetic, mapping: map.to_csr(), model };
     Arc::new(EpochSlot::new(EpochServer::new(ckpt.into_server(), "toy-fixture")))
 }
 

@@ -30,7 +30,7 @@ fn batch_mix() -> Vec<NodeBatch> {
 fn responses_are_bitwise_identical_to_direct_calls_across_thread_counts() {
     let batches = batch_mix();
     for worker_threads in [1usize, 4] {
-        let slot = common::toy_slot(common::FEATURE_DIM);
+        let slot = common::toy_slot();
         let epoch = slot.load();
         let expected: Vec<_> = batches
             .iter()
@@ -74,15 +74,16 @@ fn responses_are_bitwise_identical_to_direct_calls_across_thread_counts() {
     }
 }
 
-/// A server whose model is misconfigured past validation (in_dim 5 vs
-/// 3-dim features) panics inside the forward pass: over HTTP that is a
+/// A server whose model is misconfigured past validation (its second
+/// layer expects 5 hidden units, its first makes 4) panics inside the
+/// forward pass: over HTTP that is a
 /// 500 with kind "panicked", while the empty batch coalesced next to it
 /// — which skips the forward pass — still answers 200.
 #[test]
 fn panicking_request_returns_500_while_siblings_succeed() {
     let data = common::dataset();
     let handle = spawn(
-        common::toy_slot(5),
+        common::broken_toy_slot(),
         ServeConfig { coalesce_window: Duration::from_millis(20), ..ServeConfig::default() },
     )
     .expect("spawn front end");
@@ -122,7 +123,7 @@ fn panicking_request_returns_500_while_siblings_succeed() {
 #[test]
 fn corrupted_batches_map_to_client_errors_over_http() {
     let data = common::dataset();
-    let slot = common::toy_slot(common::FEATURE_DIM);
+    let slot = common::toy_slot();
     let donor = data.batch(&[4, 5], true);
     let reference = slot.load().server().try_serve(&donor).expect("donor valid");
 

@@ -22,7 +22,7 @@ fn drain_serves_every_queued_request_exactly_once_across_thread_counts() {
     let data = common::dataset();
     for worker_threads in [1usize, 4] {
         let handle = spawn(
-            common::toy_slot(common::FEATURE_DIM),
+            common::toy_slot(),
             ServeConfig {
                 thread_limit: Some(worker_threads),
                 ..ServeConfig::default()
@@ -87,7 +87,7 @@ fn drain_serves_every_queued_request_exactly_once_across_thread_counts() {
 fn deadline_header_expires_queued_work_with_typed_503() {
     let data = common::dataset();
     let handle =
-        spawn(common::toy_slot(common::FEATURE_DIM), ServeConfig::default()).expect("spawn");
+        spawn(common::toy_slot(), ServeConfig::default()).expect("spawn");
     let addr = handle.addr();
 
     let mut probe = Client::connect(addr, Duration::from_secs(5)).unwrap();
@@ -139,7 +139,7 @@ fn deadline_header_expires_queued_work_with_typed_503() {
 fn default_deadline_applies_and_malformed_header_is_400() {
     let data = common::dataset();
     let handle = spawn(
-        common::toy_slot(common::FEATURE_DIM),
+        common::toy_slot(),
         ServeConfig {
             default_deadline: Some(Duration::from_millis(80)),
             ..ServeConfig::default()
@@ -184,7 +184,7 @@ fn default_deadline_applies_and_malformed_header_is_400() {
 #[test]
 fn healthz_reports_epoch_checkpoint_queue_depth_and_heartbeat() {
     let handle =
-        spawn(common::toy_slot(common::FEATURE_DIM), ServeConfig::default()).expect("spawn");
+        spawn(common::toy_slot(), ServeConfig::default()).expect("spawn");
     let mut client = Client::connect(handle.addr(), Duration::from_secs(5)).unwrap();
     let resp = client.request("GET", "/healthz", b"").expect("healthz");
     assert_eq!(resp.status, 200);
@@ -212,7 +212,7 @@ fn healthz_reports_epoch_checkpoint_queue_depth_and_heartbeat() {
 fn requests_after_shutdown_are_refused_not_hung() {
     let data = common::dataset();
     let handle =
-        spawn(common::toy_slot(common::FEATURE_DIM), ServeConfig::default()).expect("spawn");
+        spawn(common::toy_slot(), ServeConfig::default()).expect("spawn");
     let addr = handle.addr();
     let mut client = Client::connect(addr, Duration::from_secs(5)).unwrap();
     let batch = data.batch(&[4], false);

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 fn a_lone_request_does_not_wait_out_the_coalesce_window() {
     let window = Duration::from_secs(2);
     let data = common::dataset();
-    let slot = common::toy_slot(common::FEATURE_DIM);
+    let slot = common::toy_slot();
     let batch = data.batch(&[4, 5], true);
     let expected = slot.load().server().try_serve(&batch).expect("fixture batch is valid");
     let handle = spawn(slot, ServeConfig { coalesce_window: window, ..ServeConfig::default() })

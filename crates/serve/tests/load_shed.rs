@@ -37,7 +37,7 @@ fn saturated_queue_sheds_with_retry_after_then_drains_back_to_200s() {
     const QUEUE: usize = 4;
     let data = common::dataset();
     let handle = spawn(
-        common::toy_slot(common::FEATURE_DIM),
+        common::toy_slot(),
         ServeConfig {
             queue_capacity: QUEUE,
             // Shed purely on depth in this test: the EWMA threshold is

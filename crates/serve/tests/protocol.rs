@@ -15,7 +15,7 @@ const READ_TIMEOUT: Duration = Duration::from_millis(300);
 
 fn spawn_toy() -> ServeHandle {
     let cfg = ServeConfig { read_timeout: READ_TIMEOUT, ..ServeConfig::default() };
-    spawn(common::toy_slot(common::FEATURE_DIM), cfg).expect("spawn front end")
+    spawn(common::toy_slot(), cfg).expect("spawn front end")
 }
 
 /// Runs one scripted case and returns every status the server answered

@@ -330,7 +330,7 @@ fn watchdog_respawns_a_panicked_batcher_and_queued_work_survives() {
         watchdog_period: Duration::from_millis(150),
         ..ServeConfig::default()
     };
-    let handle = spawn(common::toy_slot(common::FEATURE_DIM), cfg).expect("spawn front end");
+    let handle = spawn(common::toy_slot(), cfg).expect("spawn front end");
     let mut client = Client::connect(handle.addr(), Duration::from_secs(30)).unwrap();
     let restarts_before = counter(&mut client, "serve.watchdog.restarts");
 
@@ -370,7 +370,7 @@ fn watchdog_aborts_inflight_orphans_of_a_stalled_batcher() {
         watchdog_period: Duration::from_millis(150),
         ..ServeConfig::default()
     };
-    let handle = spawn(common::toy_slot(common::FEATURE_DIM), cfg).expect("spawn front end");
+    let handle = spawn(common::toy_slot(), cfg).expect("spawn front end");
     let addr = handle.addr();
 
     // The stall triggers after the batcher takes its *next* batch in

@@ -124,20 +124,17 @@ fn main() {
     );
 
     // --- a panicking request, traced through the log ---------------------
-    // A model misconfigured for the feature dimension blows up inside the
+    // A model whose layers disagree (its second weight expects 9 hidden
+    // units, its first layer makes 8) boots and blows up inside the
     // forward pass, past validation. The caught panic keeps the request's
     // trace id, and the log holds its `serve` span, opened and closed
     // (while unwinding) under that id.
     {
         use mcond::obs::Json;
         let cap = mcond::obs::testing::capture();
-        let bad_model = GnnModel::new(
-            GnnKind::Gcn,
-            data.full.feature_dim() + 1,
-            8,
-            data.full.num_classes,
-            1,
-        );
+        let mut bad_model =
+            GnnModel::new(GnnKind::Gcn, data.full.feature_dim(), 8, data.full.num_classes, 1);
+        bad_model.params_mut()[2] = DMat::zeros(9, data.full.num_classes);
         let bad = InductiveServer::on_original(&original, &bad_model);
         let (result, trace) = mcond::par::with_thread_limit(1, || {
             bad.try_serve_many_traced(std::slice::from_ref(&donor))
